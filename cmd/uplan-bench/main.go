@@ -76,6 +76,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -115,9 +116,21 @@ type pathRun struct {
 	PlansPerSec float64 `json:"plans_per_sec"`
 }
 
+// experiments are the -experiment values main knows.
+var experiments = []string{"all", "table6", "table7", "figure4", "q11", "batch", "text", "campaign", "serve", "codec"}
+
+// checkExperiment rejects an -experiment value main does not know, which
+// would otherwise run nothing and exit 0.
+func checkExperiment(name string) error {
+	if slices.Contains(experiments, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -experiment %q (want one of: %s)", name, strings.Join(experiments, ", "))
+}
+
 func main() {
 	seed := flag.Int64("seed", 42, "data generator seed")
-	experiment := flag.String("experiment", "all", "experiment: all, table6, table7, figure4, q11, batch, text, campaign, serve, codec")
+	experiment := flag.String("experiment", "all", "experiment: "+strings.Join(experiments, ", "))
 	parallel := flag.Int("parallel", 0, "batch: pipeline worker count (0 = sequential only); campaign: task pool bound (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "batch experiment: records per pipeline dispatch chunk (0 = default)")
 	reuseArenas := flag.Bool("reuse-arenas", false, "batch experiment: per-worker reusable arenas (owned-batch mode)")
@@ -133,6 +146,10 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments to FILE")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to FILE on exit")
 	flag.Parse()
+	if err := checkExperiment(*experiment); err != nil {
+		fmt.Fprintln(os.Stderr, "uplan-bench:", err)
+		os.Exit(2)
+	}
 
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
 	// flushProfiles finalizes -cpuprofile/-memprofile. It runs both on the

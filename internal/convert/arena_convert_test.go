@@ -29,6 +29,8 @@ func arenaGuardSamples(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	samples["tidb-table"] = out
+	samples["postgresql-xml"] = xmlSample(t, "postgresql")
+	samples["sqlserver-xml"] = xmlSample(t, "sqlserver")
 	return samples
 }
 
@@ -36,6 +38,8 @@ func dialectOf(key string) string {
 	switch key {
 	case "tidb-table":
 		return "tidb"
+	case "sqlserver-xml":
+		return "sqlserver"
 	default:
 		return "postgresql"
 	}
@@ -79,6 +83,10 @@ func TestConvertIntoSteadyStateAllocs(t *testing.T) {
 		"postgresql-json": 8,
 		// Aligned-table parsing allocates the rows/cells scaffolding.
 		"tidb-table": 40,
+		// The XML scanners: the Plan header, plus a copy for any escaped
+		// value too long to intern.
+		"postgresql-xml": 8,
+		"sqlserver-xml":  8,
 	}
 	for key, raw := range arenaGuardSamples(t) {
 		dialect := dialectOf(key)

@@ -41,11 +41,6 @@ type jsonScan struct {
 	ar *core.PlanArena
 }
 
-// maxJSONDepth bounds object/array nesting, like encoding/json's decoder
-// limit, so adversarial input exhausts neither the scanner's nor the
-// node builders' recursion.
-const maxJSONDepth = 10000
-
 func newJSONScan(s string) jsonScan { return jsonScan{s: s} }
 
 // errf reports a scan error with the current byte offset.
@@ -103,7 +98,7 @@ func (sc *jsonScan) scanObject(fn func(key string) error) error {
 	}
 	sc.depth++
 	defer func() { sc.depth-- }()
-	if sc.depth > maxJSONDepth {
+	if sc.depth > maxDepth {
 		return sc.errf("exceeded max nesting depth")
 	}
 	if sc.peek() == '}' {
@@ -146,7 +141,7 @@ func (sc *jsonScan) scanArray(fn func(i int) error) error {
 	}
 	sc.depth++
 	defer func() { sc.depth-- }()
-	if sc.depth > maxJSONDepth {
+	if sc.depth > maxDepth {
 		return sc.errf("exceeded max nesting depth")
 	}
 	if sc.peek() == ']' {

@@ -1,8 +1,6 @@
 package convert
 
 import (
-	"bytes"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,15 +8,17 @@ import (
 	"uplan/internal/core"
 )
 
-// Structured-format parsers: PostgreSQL JSON, MySQL JSON, TiDB JSON,
-// MongoDB explain JSON, Neo4j JSON, and SQL Server showplan XML.
+// Structured-format parsers: PostgreSQL JSON and XML, MySQL JSON, TiDB
+// JSON, MongoDB explain JSON, Neo4j JSON, and SQL Server showplan XML.
 //
 // The JSON formats decode through the streaming jsonScan walker (see
-// jsonscan.go): object keys drive core.Node construction directly, with
-// no intermediate map[string]any / []any trees, and every node, property
-// list, and child list is allocated from the caller's core.PlanArena
-// (nil arena → heap). The retained map-based decoders live in
-// jsonlegacy.go and serve as the reference implementation for the
+// jsonscan.go), the XML formats through the single-pass xmlScan tokenizer
+// (see xmlscan.go): keys and element names drive core.Node construction
+// directly, with no intermediate map[string]any or element trees, and
+// every node, property list, and child list is allocated from the
+// caller's core.PlanArena (nil arena → heap). The retained map-based JSON
+// decoders live in jsonlegacy.go, the encoding/xml ones in
+// xmllegacy_test.go; both serve as reference implementations for the
 // differential tests.
 
 // newJSONNodeIn allocates a JSON plan node with its operation still
@@ -165,73 +165,162 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 // -------------------------------------------------------- PostgreSQL (XML)
 
 // convertXML parses the PostgreSQL XML explain format: nested <Plan>
-// elements with dash-separated tag names.
+// elements with dash-separated tag names, read by the xmlScan tokenizer
+// and built straight into the arena.
+//
+//uplan:hotpath
 func (c *postgresConverter) convertXML(s string, ar *core.PlanArena) (*core.Plan, error) {
-	type xmlPlan struct {
-		XMLName  xml.Name
-		Children []xmlPlan `xml:",any"`
-		Text     string    `xml:",chardata"`
+	sc := newXMLScan(s, ar)
+	plan := &core.Plan{Source: "postgresql"}
+	root, _, err := sc.root()
+	if err == nil {
+		err = c.xmlQuery(&sc, plan, root)
 	}
-	var doc xmlPlan
-	if err := xml.Unmarshal([]byte(s), &doc); err != nil {
+	if err == nil {
+		err = sc.end()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("convert: postgres xml: %w", err)
 	}
-	plan := &core.Plan{Source: "postgresql"}
-	var buildNode func(el xmlPlan) *core.Node
-	buildNode = func(el xmlPlan) *core.Node {
-		node := newJSONNodeIn(ar)
-		for _, ch := range el.Children {
-			tag := strings.ReplaceAll(ch.XMLName.Local, "-", " ")
-			val := strings.TrimSpace(ch.Text)
-			switch ch.XMLName.Local {
-			case "Node-Type":
-				node.Op = c.reg.ResolveOperation("postgresql", val)
-			case "Plans":
-				for _, sub := range ch.Children {
-					if sub.XMLName.Local == "Plan" {
-						ar.AddChildIn(node, buildNode(sub))
-					}
-				}
-			case "Startup-Cost":
-				addTypedProp(ar, node, core.Cost, "startup cost", parseScalar(val))
-			case "Total-Cost":
-				addTypedProp(ar, node, core.Cost, "total cost", parseScalar(val))
-			case "Rows":
-				addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
-			case "Width":
-				addTypedProp(ar, node, core.Cardinality, "estimated width", parseScalar(val))
-			case "Relation-Name":
-				addTypedProp(ar, node, core.Configuration, "name object", parseScalar(val))
-			default:
-				name, cat := c.reg.ResolveProperty("postgresql", tag)
-				addTypedProp(ar, node, cat, name, parseScalar(val))
-			}
-		}
-		return node
-	}
-	var findQuery func(el xmlPlan)
-	findQuery = func(el xmlPlan) {
-		for _, ch := range el.Children {
-			switch ch.XMLName.Local {
-			case "Plan":
-				plan.Root = buildNode(ch)
-			case "Query":
-				findQuery(ch)
-			default:
-				val := strings.TrimSpace(ch.Text)
-				if val != "" && len(ch.Children) == 0 {
-					tag := strings.ReplaceAll(ch.XMLName.Local, "-", " ")
-					name, cat := c.reg.ResolveProperty("postgresql", tag)
-					addPlanPropTyped(ar, plan, cat, name, parseScalar(strings.TrimSuffix(val, " ms")))
-				}
-			}
-		}
-	}
-	findQuery(doc)
 	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: postgres xml: no Plan element")
 	}
 	return plan, nil
+}
+
+// xmlQuery reads the children of the open document or <Query> element
+// name: a <Plan> becomes the plan root (the last one wins), a <Query>
+// nests, and every other element holding only text becomes a plan
+// property ("Planning-Time" → "planning time", a trailing " ms" cut).
+//
+//uplan:hotpath
+func (c *postgresConverter) xmlQuery(sc *xmlScan, plan *core.Plan, name string) error {
+	for {
+		raw, local, ok, err := sc.child(name)
+		if err != nil || !ok {
+			return err
+		}
+		switch local {
+		case "Plan":
+			root, err := c.xmlNode(sc, raw)
+			if err != nil {
+				return err
+			}
+			plan.Root = root
+		case "Query":
+			if err := c.xmlQuery(sc, plan, raw); err != nil {
+				return err
+			}
+		default:
+			val, children, err := sc.text(raw)
+			if err != nil {
+				return err
+			}
+			if val == "" || children {
+				continue
+			}
+			pname, cat := c.reg.ResolveProperty("postgresql", xmlTag(sc.ar, local))
+			if pname == "" {
+				return sc.errf("unnamed plan property <%s>", raw)
+			}
+			addPlanPropTyped(sc.ar, plan, cat, pname, parseScalar(strings.TrimSuffix(val, " ms")))
+		}
+	}
+}
+
+// xmlNode builds the open <Plan> element name: its Node-Type, its
+// properties in document order, and the <Plan> children of <Plans>.
+//
+//uplan:hotpath
+func (c *postgresConverter) xmlNode(sc *xmlScan, name string) (*core.Node, error) {
+	ar := sc.ar
+	node := newJSONNodeIn(ar)
+	for {
+		raw, local, ok, err := sc.child(name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		if local == "Plans" {
+			if err := c.xmlPlans(sc, node, raw); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		val, _, err := sc.text(raw)
+		if err != nil {
+			return nil, err
+		}
+		switch local {
+		case "Node-Type":
+			node.Op = c.reg.ResolveOperation("postgresql", val)
+		case "Startup-Cost":
+			addTypedProp(ar, node, core.Cost, "startup cost", parseScalar(val))
+		case "Total-Cost":
+			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(val))
+		case "Rows":
+			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
+		case "Width":
+			addTypedProp(ar, node, core.Cardinality, "estimated width", parseScalar(val))
+		case "Relation-Name":
+			addTypedProp(ar, node, core.Configuration, "name object", parseScalar(val))
+		default:
+			pname, cat := c.reg.ResolveProperty("postgresql", xmlTag(ar, local))
+			if pname == "" {
+				return nil, sc.errf("unnamed property <%s>", raw)
+			}
+			addTypedProp(ar, node, cat, pname, parseScalar(val))
+		}
+	}
+	if node.Op.Name == "" {
+		return nil, sc.errf("<%s> without a Node-Type", name)
+	}
+	return node, nil
+}
+
+// xmlPlans attaches the <Plan> children of the open <Plans> element name
+// to node, skipping anything else inside it.
+func (c *postgresConverter) xmlPlans(sc *xmlScan, node *core.Node, name string) error {
+	for {
+		raw, local, ok, err := sc.child(name)
+		if err != nil || !ok {
+			return err
+		}
+		if local != "Plan" {
+			if err := sc.skip(raw); err != nil {
+				return err
+			}
+			continue
+		}
+		child, err := c.xmlNode(sc, raw)
+		if err != nil {
+			return err
+		}
+		sc.ar.AddChildIn(node, child)
+	}
+}
+
+// xmlTag maps a dash-separated PostgreSQL XML tag to the spaced key the
+// property vocabulary uses ("Sort-Key" → "Sort Key"). The result is
+// interned through the arena: tags repeat across every plan, so once the
+// arena has seen a tag this costs no allocation.
+func xmlTag(ar *core.PlanArena, local string) string {
+	if strings.IndexByte(local, '-') < 0 {
+		return local
+	}
+	var buf [64]byte
+	if len(local) > len(buf) {
+		return strings.ReplaceAll(local, "-", " ")
+	}
+	b := append(buf[:0], local...)
+	for i, c := range b {
+		if c == '-' {
+			b[i] = ' '
+		}
+	}
+	return ar.InternBytes(b)
 }
 
 // ------------------------------------------------------- PostgreSQL (YAML)
@@ -848,20 +937,6 @@ type sqlserverConverter struct{ reg *core.Registry }
 
 func (c *sqlserverConverter) Dialect() string { return "sqlserver" }
 
-type ssRelOp struct {
-	PhysicalOp    string    `xml:"PhysicalOp,attr"`
-	LogicalOp     string    `xml:"LogicalOp,attr"`
-	EstimateRows  string    `xml:"EstimateRows,attr"`
-	EstimatedCost string    `xml:"EstimatedTotalSubtreeCost,attr"`
-	Children      []ssRelOp `xml:"RelOp"`
-	Object        ssObject  `xml:"Object"`
-	InnerXML      []byte    `xml:",innerxml"`
-}
-
-type ssObject struct {
-	Table string `xml:"Table,attr"`
-}
-
 func (c *sqlserverConverter) Convert(s string) (*core.Plan, error) {
 	return convertPooled(c, s)
 }
@@ -877,22 +952,26 @@ func (c *sqlserverConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan
 		}
 		return nil, fmt.Errorf("convert: sqlserver: unrecognized input")
 	}
-	// Locate the top RelOp elements inside the document.
-	dec := xml.NewDecoder(strings.NewReader(s))
+	return c.convertXML(s, ar)
+}
+
+// convertXML parses showplan XML: the first <RelOp> in document order is
+// the plan root, its nested RelOps the tree. The xmlScan tokenizer reads
+// the document once and the nodes go straight into the arena.
+//
+//uplan:hotpath
+func (c *sqlserverConverter) convertXML(s string, ar *core.PlanArena) (*core.Plan, error) {
+	sc := newXMLScan(s, ar)
 	plan := &core.Plan{Source: "sqlserver"}
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			break
-		}
-		if se, ok := tok.(xml.StartElement); ok && se.Name.Local == "RelOp" {
-			var rel ssRelOp
-			if err := dec.DecodeElement(&rel, &se); err != nil {
-				return nil, fmt.Errorf("convert: sqlserver xml: %w", err)
-			}
-			plan.Root = c.relOpNode(rel, ar)
-			break
-		}
+	raw, local, err := sc.root()
+	if err == nil {
+		err = c.xmlFind(&sc, plan, raw, local)
+	}
+	if err == nil {
+		err = sc.end()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("convert: sqlserver xml: %w", err)
 	}
 	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: sqlserver xml: no RelOp element")
@@ -900,76 +979,143 @@ func (c *sqlserverConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan
 	return plan, nil
 }
 
-func (c *sqlserverConverter) relOpNode(rel ssRelOp, ar *core.PlanArena) *core.Node {
-	op := c.reg.ResolveOperation("sqlserver", rel.PhysicalOp)
-	node := ar.NewNodeIn(op.Category, op.Name)
-	if rel.EstimateRows != "" {
-		name, cat := c.reg.ResolveProperty("sqlserver", "EstimateRows")
-		addTypedProp(ar, node, cat, name, parseScalar(rel.EstimateRows))
+// xmlFind descends through the open element raw until it meets the first
+// RelOp, which becomes the plan root; what follows it is only checked.
+func (c *sqlserverConverter) xmlFind(sc *xmlScan, plan *core.Plan, raw, local string) error {
+	if plan.Root != nil {
+		return sc.skip(raw)
 	}
-	if rel.EstimatedCost != "" {
-		name, cat := c.reg.ResolveProperty("sqlserver", "EstimatedTotalSubtreeCost")
-		addTypedProp(ar, node, cat, name, parseScalar(rel.EstimatedCost))
+	if local == "RelOp" {
+		root, err := c.xmlRelOp(sc, raw)
+		plan.Root = root
+		return err
 	}
-	if rel.LogicalOp != "" {
-		addTypedProp(ar, node, core.Configuration, "logical operation", core.Str(rel.LogicalOp))
+	for {
+		childRaw, childLocal, ok, err := sc.child(raw)
+		if err != nil || !ok {
+			return err
+		}
+		if err := c.xmlFind(sc, plan, childRaw, childLocal); err != nil {
+			return err
+		}
 	}
-	if rel.Object.Table != "" {
-		addTypedProp(ar, node, core.Configuration, "name object",
-			core.Str(strings.Trim(rel.Object.Table, "[]")))
-	}
-	// Extract simple child elements (e.g. <Predicate>…</Predicate>) from
-	// the inner XML, skipping nested RelOps which are handled structurally.
-	for key, val := range simpleXMLElements(rel.InnerXML) {
-		name, cat := c.reg.ResolveProperty("sqlserver", key)
-		addTypedProp(ar, node, cat, name, parseScalar(val))
-	}
-	for _, child := range rel.Children {
-		ar.AddChildIn(node, c.relOpNode(child, ar))
-	}
-	return node
 }
 
-// simpleXMLElements extracts top-level scalar elements from an XML
-// fragment, skipping RelOp and Object subtrees.
-func simpleXMLElements(fragment []byte) map[string]string {
-	out := map[string]string{}
-	dec := xml.NewDecoder(bytes.NewReader(fragment))
-	depth := 0
-	current := ""
-	var text strings.Builder
+// ssElement is one simple child element of a RelOp (<Predicate>,
+// <OrderBy>, …): its local name and trimmed text.
+type ssElement struct{ key, val string }
+
+// xmlRelOp builds the open <RelOp> element name. Its properties come in
+// a fixed order: the EstimateRows, EstimatedTotalSubtreeCost and
+// LogicalOp attributes, the Table of its <Object> (the last one wins),
+// then its simple child elements in document order, a repeated element
+// keeping its first place and its last value. Child RelOps become child
+// nodes; RelOps nested deeper, inside other elements, are skipped.
+//
+//uplan:hotpath
+func (c *sqlserverConverter) xmlRelOp(sc *xmlScan, name string) (*core.Node, error) {
+	ar := sc.ar
+	var phys, logical, rows, cost string
 	for {
-		tok, err := dec.Token()
+		local, val, ok, err := sc.attr()
 		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			break
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			depth++
-			if depth == 1 {
-				if t.Name.Local == "RelOp" || t.Name.Local == "Object" {
-					if err := dec.Skip(); err != nil {
-						return out
-					}
-					depth--
-					continue
-				}
-				current = t.Name.Local
-				text.Reset()
-			}
-		case xml.CharData:
-			if depth == 1 && current != "" {
-				text.Write(t)
-			}
-		case xml.EndElement:
-			if depth == 1 && current != "" {
-				out[current] = strings.TrimSpace(text.String())
-				current = ""
-			}
-			depth--
+		switch local {
+		case "PhysicalOp":
+			phys = val
+		case "LogicalOp":
+			logical = val
+		case "EstimateRows":
+			rows = val
+		case "EstimatedTotalSubtreeCost":
+			cost = val
 		}
 	}
-	return out
+	op := c.reg.ResolveOperation("sqlserver", phys)
+	if op.Name == "" {
+		return nil, sc.errf("<%s> without a PhysicalOp", name)
+	}
+	node := ar.NewNodeIn(op.Category, op.Name)
+	var table string
+	var elemBuf [8]ssElement
+	elems := elemBuf[:0]
+	for {
+		raw, local, ok, err := sc.child(name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		switch local {
+		case "RelOp":
+			child, err := c.xmlRelOp(sc, raw)
+			if err != nil {
+				return nil, err
+			}
+			ar.AddChildIn(node, child)
+		case "Object":
+			for {
+				attr, val, ok, err := sc.attr()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
+				if attr == "Table" {
+					table = val
+				}
+			}
+			if err := sc.skip(raw); err != nil {
+				return nil, err
+			}
+		default:
+			val, _, err := sc.text(raw)
+			if err != nil {
+				return nil, err
+			}
+			elems = setElement(elems, local, val)
+		}
+	}
+	if rows != "" {
+		pname, cat := c.reg.ResolveProperty("sqlserver", "EstimateRows")
+		addTypedProp(ar, node, cat, pname, parseScalar(rows))
+	}
+	if cost != "" {
+		pname, cat := c.reg.ResolveProperty("sqlserver", "EstimatedTotalSubtreeCost")
+		addTypedProp(ar, node, cat, pname, parseScalar(cost))
+	}
+	if logical != "" {
+		addTypedProp(ar, node, core.Configuration, "logical operation", core.Str(logical))
+	}
+	if table != "" {
+		addTypedProp(ar, node, core.Configuration, "name object", core.Str(strings.Trim(table, "[]")))
+	}
+	for _, e := range elems {
+		pname, cat := c.reg.ResolveProperty("sqlserver", e.key)
+		if pname == "" {
+			return nil, sc.errf("unnamed property <%s>", e.key)
+		}
+		addTypedProp(ar, node, cat, pname, parseScalar(e.val))
+	}
+	return node, nil
+}
+
+// setElement records a simple element's value: a new key is appended, a
+// repeated one keeps its place and takes the new value.
+func setElement(elems []ssElement, key, val string) []ssElement {
+	for i := range elems {
+		if elems[i].key == key {
+			elems[i].val = val
+			return elems
+		}
+	}
+	return append(elems, ssElement{key, val})
 }
 
 // convertProfileTable parses SET STATISTICS PROFILE tabular output: the
