@@ -167,17 +167,18 @@ func (ex *Executor) runSeqScan(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	if tbl == nil {
 		return nil, fmt.Errorf("exec: no such table %q", op.Table)
 	}
-	var out [][]datum.D
+	out := make([][]datum.D, 0, tbl.RowCount())
 	var scanErr error
+	sc := &scope{schema: op.Schema, parent: outer}
 	tbl.Scan(func(_ int, row storage.Row) bool {
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			scanErr = err
 			return false
 		}
 		if tr == datum.True {
-			out = append(out, append([]datum.D(nil), row...))
+			out = append(out, row) // stored rows are never written in place
 		}
 		return true
 	})
@@ -193,19 +194,20 @@ func (ex *Executor) runIndexScan(op *planner.PhysOp, outer *scope) ([][]datum.D,
 	if err != nil {
 		return nil, err
 	}
-	var out [][]datum.D
+	out := make([][]datum.D, 0, len(ids))
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, id := range ids {
 		row, ok := tbl.Get(id)
 		if !ok {
 			continue
 		}
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			return nil, err
 		}
 		if tr == datum.True {
-			out = append(out, append([]datum.D(nil), row...))
+			out = append(out, row)
 		}
 	}
 	return out, nil
@@ -369,9 +371,10 @@ func (ex *Executor) runFilter(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	if err != nil {
 		return nil, err
 	}
-	var out [][]datum.D
+	out := make([][]datum.D, 0, len(in))
+	sc := &scope{schema: op.Schema, parent: outer}
 	for _, row := range in {
-		sc := &scope{schema: op.Schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(op.Filter, sc)
 		if err != nil {
 			return nil, err
@@ -388,11 +391,13 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	if err != nil {
 		return nil, err
 	}
-	child := op.Children[0]
-	out := make([][]datum.D, 0, len(in))
-	for _, row := range in {
-		sc := &scope{schema: child.Schema, row: row, parent: outer}
-		proj := make([]datum.D, len(op.Projections))
+	w := len(op.Projections)
+	out := make([][]datum.D, len(in))
+	slab := make([]datum.D, len(in)*w)
+	sc := &scope{schema: op.Children[0].Schema, parent: outer}
+	for r, row := range in {
+		sc.row = row
+		proj := slab[r*w : (r+1)*w : (r+1)*w]
 		for i, e := range op.Projections {
 			v, err := ex.eval(e, sc)
 			if err != nil {
@@ -400,7 +405,7 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 			}
 			proj[i] = v
 		}
-		out = append(out, proj)
+		out[r] = proj
 	}
 	return out, nil
 }
@@ -417,18 +422,17 @@ func (ex *Executor) runNLJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	rightWidth := len(op.Children[1].Schema)
 	var out [][]datum.D
 	leftJoin := op.JoinType == sql.JoinLeft && !ex.Quirks.LeftJoinAsInner
+	jc := newJoinCandidate(op, outer)
 	for _, l := range left {
 		matched := false
 		for _, r := range right {
-			combined := append(append([]datum.D(nil), l...), r...)
-			sc := &scope{schema: op.Schema, row: combined, parent: outer}
-			tr, err := ex.EvalTruth(op.JoinCond, sc)
+			hit, err := jc.test(ex, l, r)
 			if err != nil {
 				return nil, err
 			}
-			if tr == datum.True {
+			if hit {
 				matched = true
-				out = append(out, combined)
+				out = append(out, jc.keep())
 			}
 		}
 		if leftJoin && !matched {
@@ -436,6 +440,36 @@ func (ex *Executor) runNLJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 		}
 	}
 	return out, nil
+}
+
+// joinCandidate evaluates join conditions over one reused row buffer:
+// each (left, right) pair is assembled in the buffer, and only a match is
+// copied out.
+type joinCandidate struct {
+	cond sql.Expr
+	buf  []datum.D
+	sc   scope
+}
+
+func newJoinCandidate(op *planner.PhysOp, outer *scope) *joinCandidate {
+	return &joinCandidate{
+		cond: op.JoinCond,
+		buf:  make([]datum.D, 0, len(op.Schema)),
+		sc:   scope{schema: op.Schema, parent: outer},
+	}
+}
+
+// test assembles l+r in the buffer and evaluates the join condition.
+func (jc *joinCandidate) test(ex *Executor, l, r []datum.D) (bool, error) {
+	jc.buf = append(append(jc.buf[:0], l...), r...)
+	jc.sc.row = jc.buf
+	tr, err := ex.EvalTruth(jc.cond, &jc.sc)
+	return tr == datum.True, err
+}
+
+// keep returns a copy of the last tested pair.
+func (jc *joinCandidate) keep() []datum.D {
+	return append([]datum.D(nil), jc.buf...)
 }
 
 func padNulls(l []datum.D, n int) []datum.D {
@@ -446,8 +480,8 @@ func padNulls(l []datum.D, n int) []datum.D {
 	return row
 }
 
-func (ex *Executor) joinKey(exprs []sql.Expr, schema []planner.OutCol, row []datum.D, outer *scope) (string, bool, error) {
-	sc := &scope{schema: schema, row: row, parent: outer}
+// joinKey evaluates the hash keys over sc.row.
+func (ex *Executor) joinKey(exprs []sql.Expr, sc *scope) (string, bool, error) {
 	var b strings.Builder
 	for _, e := range exprs {
 		v, err := ex.eval(e, sc)
@@ -477,11 +511,12 @@ func (ex *Executor) runHashJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, 
 	if err != nil {
 		return nil, err
 	}
-	lschema := op.Children[0].Schema
 	rschema := op.Children[1].Schema
 	table := map[string][][]datum.D{}
+	sc := &scope{schema: rschema, parent: outer}
 	for _, r := range right {
-		key, ok, err := ex.joinKey(op.HashKeysR, rschema, r, outer)
+		sc.row = r
+		key, ok, err := ex.joinKey(op.HashKeysR, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -492,23 +527,24 @@ func (ex *Executor) runHashJoin(op *planner.PhysOp, outer *scope) ([][]datum.D, 
 	}
 	var out [][]datum.D
 	leftJoin := op.JoinType == sql.JoinLeft && !ex.Quirks.LeftJoinAsInner
+	sc.schema = op.Children[0].Schema
+	jc := newJoinCandidate(op, outer)
 	for _, l := range left {
 		matched := false
-		key, ok, err := ex.joinKey(op.HashKeysL, lschema, l, outer)
+		sc.row = l
+		key, ok, err := ex.joinKey(op.HashKeysL, sc)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			for _, r := range table[key] {
-				combined := append(append([]datum.D(nil), l...), r...)
-				sc := &scope{schema: op.Schema, row: combined, parent: outer}
-				tr, err := ex.EvalTruth(op.JoinCond, sc)
+				hit, err := jc.test(ex, l, r)
 				if err != nil {
 					return nil, err
 				}
-				if tr == datum.True {
+				if hit {
 					matched = true
-					out = append(out, combined)
+					out = append(out, jc.keep())
 				}
 			}
 		}
@@ -573,18 +609,17 @@ func (ex *Executor) runMergeJoin(op *planner.PhysOp, outer *scope) ([][]datum.D,
 	if ex.Quirks.MergeJoinDropsLastGroup && len(groups) > 0 {
 		groups = groups[:len(groups)-1] // injected defect
 	}
+	jc := newJoinCandidate(op, outer)
 	for _, g := range groups {
 		for li := g[0][0]; li < g[0][1]; li++ {
 			for rj := g[1][0]; rj < g[1][1]; rj++ {
-				combined := append(append([]datum.D(nil), lk.rows[li]...), rk.rows[rj]...)
-				sc := &scope{schema: op.Schema, row: combined, parent: outer}
-				tr, err := ex.EvalTruth(op.JoinCond, sc)
+				hit, err := jc.test(ex, lk.rows[li], rk.rows[rj])
 				if err != nil {
 					return nil, err
 				}
-				if tr == datum.True {
+				if hit {
 					matchedLeft[li] = true
-					out = append(out, combined)
+					out = append(out, jc.keep())
 				}
 			}
 		}
@@ -607,9 +642,12 @@ type keyedRows struct {
 
 func (ex *Executor) sortByKeys(rows [][]datum.D, schema []planner.OutCol, keys []sql.Expr, outer *scope) (*keyedRows, error) {
 	kr := &keyedRows{rows: rows, keys: make([][]datum.D, len(rows)), null: make([]bool, len(rows))}
+	w := len(keys)
+	slab := make([]datum.D, len(rows)*w)
+	sc := &scope{schema: schema, parent: outer}
 	for i, row := range rows {
-		sc := &scope{schema: schema, row: row, parent: outer}
-		ks := make([]datum.D, len(keys))
+		sc.row = row
+		ks := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, e := range keys {
 			v, err := ex.eval(e, sc)
 			if err != nil {
@@ -665,8 +703,9 @@ func (ex *Executor) runAggregate(op *planner.PhysOp, outer *scope) ([][]datum.D,
 	}
 	groups := map[string]*group{}
 	var order []string
+	sc := &scope{schema: child.Schema, parent: outer}
 	for _, row := range in {
-		sc := &scope{schema: child.Schema, row: row, parent: outer}
+		sc.row = row
 		keyVals := make([]datum.D, len(op.GroupBy))
 		nullKey := false
 		for i, g := range op.GroupBy {
@@ -813,9 +852,12 @@ func (ex *Executor) runSort(op *planner.PhysOp, outer *scope) ([][]datum.D, erro
 	// include hidden trailing columns appended for exactly this purpose.
 	evalSchema := op.Children[0].Schema
 	ks := make([]keyed, len(in))
+	w := len(op.SortKeys)
+	slab := make([]datum.D, len(in)*w)
+	sc := &scope{schema: evalSchema, parent: outer}
 	for i, row := range in {
-		sc := &scope{schema: evalSchema, row: row, parent: outer}
-		keys := make([]datum.D, len(op.SortKeys))
+		sc.row = row
+		keys := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, k := range op.SortKeys {
 			v, err := ex.eval(k.Expr, sc)
 			if err != nil {
@@ -1087,8 +1129,9 @@ func (ex *Executor) runUpdate(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	// injected defect is active.
 	var ids []int
 	var scanErr error
+	sc := &scope{schema: schema, parent: outer}
 	tbl.Scan(func(id int, row storage.Row) bool {
-		sc := &scope{schema: schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(upd.Where, sc)
 		if err != nil {
 			scanErr = err
@@ -1114,11 +1157,10 @@ func (ex *Executor) runUpdate(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 			if ci < 0 {
 				return nil, fmt.Errorf("exec: no column %q in %q", set.Column, upd.Table)
 			}
-			base := row
+			sc.row = row
 			if ex.Quirks.UpdateUsesUpdatedRow {
-				base = newRow // injected defect: later SETs see earlier SETs
+				sc.row = newRow // injected defect: later SETs see earlier SETs
 			}
-			sc := &scope{schema: schema, row: base, parent: outer}
 			v, err := ex.eval(set.Value, sc)
 			if err != nil {
 				return nil, err
@@ -1142,8 +1184,9 @@ func (ex *Executor) runDelete(op *planner.PhysOp, outer *scope) ([][]datum.D, er
 	schema := op.Children[0].Schema
 	var ids []int
 	var scanErr error
+	sc := &scope{schema: schema, parent: outer}
 	tbl.Scan(func(id int, row storage.Row) bool {
-		sc := &scope{schema: schema, row: row, parent: outer}
+		sc.row = row
 		tr, err := ex.EvalTruth(del.Where, sc)
 		if err != nil {
 			scanErr = err

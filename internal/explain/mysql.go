@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -101,6 +100,14 @@ func mysqlNodeJSON(n *Node) map[string]any {
 // MySQLJSON renders the (simplified) EXPLAIN FORMAT=JSON document: a
 // query_block wrapping the operation tree.
 func MySQLJSON(p *Plan) (string, error) {
+	out, err := marshalJSON(mysqlJSONDoc(p))
+	if err != nil {
+		return "", fmt.Errorf("explain: mysql json: %w", err)
+	}
+	return out, nil
+}
+
+func mysqlJSONDoc(p *Plan) any {
 	qb := map[string]any{"select_id": 1}
 	if p.Root != nil {
 		if c, ok := p.Root.Prop("total_cost"); ok {
@@ -108,11 +115,7 @@ func MySQLJSON(p *Plan) (string, error) {
 		}
 		qb["plan"] = mysqlNodeJSON(p.Root)
 	}
-	data, err := json.MarshalIndent(map[string]any{"query_block": qb}, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: mysql json: %w", err)
-	}
-	return string(data), nil
+	return map[string]any{"query_block": qb}
 }
 
 // MySQLTable renders the classic tabular EXPLAIN: one row per table

@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -39,6 +38,14 @@ func mongoStage(n *Node) map[string]any {
 
 // MongoJSON renders MongoDB's explain() document with the winning plan.
 func MongoJSON(p *Plan) (string, error) {
+	out, err := marshalJSON(mongoJSONDoc(p))
+	if err != nil {
+		return "", fmt.Errorf("explain: mongo json: %w", err)
+	}
+	return out, nil
+}
+
+func mongoJSONDoc(p *Plan) any {
 	qp := map[string]any{
 		"plannerVersion": 1,
 		"rejectedPlans":  []any{},
@@ -53,11 +60,7 @@ func MongoJSON(p *Plan) (string, error) {
 	for _, pr := range p.PlanProps {
 		doc[pr.Key] = pr.Val
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: mongo json: %w", err)
-	}
-	return string(data), nil
+	return doc
 }
 
 // Neo4jTable renders Neo4j's plan table (paper Figure 1): planner/runtime
@@ -141,6 +144,14 @@ func neo4jNode(n *Node) map[string]any {
 
 // Neo4jJSON renders the plan as the JSON structure Neo4j drivers expose.
 func Neo4jJSON(p *Plan) (string, error) {
+	out, err := marshalJSON(neo4jJSONDoc(p))
+	if err != nil {
+		return "", fmt.Errorf("explain: neo4j json: %w", err)
+	}
+	return out, nil
+}
+
+func neo4jJSONDoc(p *Plan) any {
 	doc := map[string]any{}
 	if p.Root != nil {
 		doc["plan"] = neo4jNode(p.Root)
@@ -148,11 +159,7 @@ func Neo4jJSON(p *Plan) (string, error) {
 	for _, pr := range p.PlanProps {
 		doc[pr.Key] = pr.Val
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: neo4j json: %w", err)
-	}
-	return string(data), nil
+	return doc
 }
 
 // SparkText renders SparkSQL's "== Physical Plan ==" text format.

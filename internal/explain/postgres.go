@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -128,6 +127,14 @@ func pgNodeJSON(n *Node) map[string]any {
 // PostgresJSON renders the plan in PostgreSQL's JSON format:
 // a one-element array holding {"Plan": …, "Planning Time": …}.
 func PostgresJSON(p *Plan) (string, error) {
+	out, err := marshalJSON(postgresJSONDoc(p))
+	if err != nil {
+		return "", fmt.Errorf("explain: postgres json: %w", err)
+	}
+	return out, nil
+}
+
+func postgresJSONDoc(p *Plan) any {
 	top := map[string]any{}
 	if p.Root != nil {
 		top["Plan"] = pgNodeJSON(p.Root)
@@ -135,11 +142,7 @@ func PostgresJSON(p *Plan) (string, error) {
 	for _, pr := range p.PlanProps {
 		top[pr.Key] = pr.Val
 	}
-	data, err := json.MarshalIndent([]any{top}, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("explain: postgres json: %w", err)
-	}
-	return string(data), nil
+	return []any{top}
 }
 
 // PostgresXML renders the plan in PostgreSQL's XML format.

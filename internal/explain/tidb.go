@@ -1,7 +1,6 @@
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -123,11 +122,11 @@ func TiDBJSON(p *Plan) (string, error) {
 	if p.Root != nil {
 		arr = append(arr, tidbJSON(p.Root))
 	}
-	data, err := json.MarshalIndent(arr, "", "  ")
+	out, err := marshalJSON(arr)
 	if err != nil {
 		return "", fmt.Errorf("explain: tidb json: %w", err)
 	}
-	return string(data), nil
+	return out, nil
 }
 
 // SQLiteText renders SQLite's EXPLAIN QUERY PLAN output (paper Listing 1):

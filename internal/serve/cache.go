@@ -2,27 +2,28 @@ package serve
 
 import (
 	"container/list"
-	"hash/fnv"
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
 
 // responseCache is the bounded fingerprint-keyed LRU over marshaled
 // convert responses — the ROADMAP's deferred store-cache follow-on landed
-// at service scope. Keys are FNV-1a hashes of (dialect, serialized
-// input): a repeat convert of byte-identical input costs one hash and one
-// map probe instead of a parse, and the cached body already carries the
-// plan's Fingerprint64/SHA-256 fingerprints, so fingerprint-shaped
-// lookups are free too. (The key must hash the input, not the resulting
-// plan's Fingerprint64 — the plan fingerprint only exists after the very
-// conversion the cache is there to skip.)
+// at service scope. Keys are SHA-256 hashes of (dialect, serialized
+// input, response format): a repeat convert of byte-identical input costs
+// one hash and one map probe instead of a parse, and the cached body
+// already carries the plan's Fingerprint64/SHA-256 fingerprints, so
+// fingerprint-shaped lookups are free too. (The key must hash the input,
+// not the resulting plan's Fingerprint64 — the plan fingerprint only
+// exists after the very conversion the cache is there to skip.)
 //
 // Capacity is a hard entry cap with LRU eviction; a full cache stays
 // full-sized forever, it never grows. Safe for concurrent use.
 type responseCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[uint64]*list.Element
+	entries  map[cacheKeyHash]*list.Element
 	order    *list.List // front = most recent
 	hits     atomic.Int64
 	misses   atomic.Int64
@@ -30,44 +31,49 @@ type responseCache struct {
 
 // cacheEntry is one cached response body keyed by its input hash.
 type cacheEntry struct {
-	key  uint64
+	key  cacheKeyHash
 	body []byte
 }
+
+// cacheKeyHash is a SHA-256 digest: unlike a 64-bit hash, no two inputs
+// anyone can construct share one, so a hit is always this input's answer.
+type cacheKeyHash = [sha256.Size]byte
 
 // newResponseCache returns a cache bounded to capacity entries; a
 // non-positive capacity disables caching (every Get misses, Put drops).
 func newResponseCache(capacity int) *responseCache {
 	c := &responseCache{capacity: capacity}
 	if capacity > 0 {
-		c.entries = make(map[uint64]*list.Element, capacity)
+		c.entries = make(map[cacheKeyHash]*list.Element, capacity)
 		c.order = list.New()
 	}
 	return c
 }
 
-// cacheKey hashes one request's identity. FNV-1a over
-// dialect NUL serialized NUL format, matching the store's finding-key
-// construction. The negotiated response format is part of the identity:
-// the cache stores marshaled bodies, and a binary body must never be
-// replayed to a JSON client (or vice versa) just because the input bytes
-// matched.
-func cacheKey(dialect, serialized string, binary bool) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(dialect))
-	h.Write([]byte{0})
-	h.Write([]byte(serialized))
+// cacheKey hashes one request's identity: the negotiated response
+// format, the dialect's length, the dialect and the serialized input. The
+// length prefix keeps the split between dialect and input unambiguous, so
+// distinct (dialect, input) pairs never frame to the same bytes. The
+// response format is part of the identity: the cache stores marshaled
+// bodies, and a binary body must never be replayed to a JSON client (or
+// vice versa) just because the input bytes matched.
+func cacheKey(dialect, serialized string, binaryWire bool) cacheKeyHash {
+	buf := make([]byte, 0, 1+8+len(dialect)+len(serialized))
 	format := byte(0)
-	if binary {
+	if binaryWire {
 		format = 1
 	}
-	h.Write([]byte{0, format})
-	return h.Sum64()
+	buf = append(buf, format)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(dialect)))
+	buf = append(buf, dialect...)
+	buf = append(buf, serialized...)
+	return sha256.Sum256(buf)
 }
 
 // Get returns the cached response body for the key, marking it most
 // recently used. The returned slice is shared — callers must treat it as
 // read-only.
-func (c *responseCache) Get(key uint64) ([]byte, bool) {
+func (c *responseCache) Get(key cacheKeyHash) ([]byte, bool) {
 	if c.capacity <= 0 {
 		c.misses.Add(1)
 		return nil, false
@@ -87,7 +93,7 @@ func (c *responseCache) Get(key uint64) ([]byte, bool) {
 // Put stores one response body, evicting the least recently used entry
 // when the cache is at capacity. Storing an existing key refreshes its
 // recency and replaces the body.
-func (c *responseCache) Put(key uint64, body []byte) {
+func (c *responseCache) Put(key cacheKeyHash, body []byte) {
 	if c.capacity <= 0 {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind discriminates lexical token types.
@@ -38,28 +39,50 @@ func (t Token) String() string {
 	return t.Text
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true,
-	"ASC": true, "DESC": true, "DISTINCT": true, "ALL": true, "AS": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "OUTER": true,
-	"CROSS": true, "ON": true, "UNION": true, "INTERSECT": true,
-	"EXCEPT": true, "AND": true, "OR": true, "NOT": true, "IN": true,
-	"IS": true, "NULL": true, "BETWEEN": true, "LIKE": true, "EXISTS": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"TRUE": true, "FALSE": true, "CREATE": true, "TABLE": true,
-	"INDEX": true, "UNIQUE": true, "PRIMARY": true, "KEY": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "INT": true, "INTEGER": true,
-	"FLOAT": true, "REAL": true, "TEXT": true, "VARCHAR": true,
-	"BOOL": true, "BOOLEAN": true, "DECIMAL": true, "DATE": true,
-	"EXPLAIN": true, "ANALYZE": true, "FORMAT": true,
+// keywords maps each keyword to itself, so a lookup yields the
+// upper-case token text without building it.
+var keywords = map[string]string{}
+
+func init() {
+	for _, k := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET ASC DESC DISTINCT
+		ALL AS JOIN INNER LEFT RIGHT OUTER CROSS ON UNION INTERSECT EXCEPT AND
+		OR NOT IN IS NULL BETWEEN LIKE EXISTS CASE WHEN THEN ELSE END TRUE
+		FALSE CREATE TABLE INDEX UNIQUE PRIMARY KEY INSERT INTO VALUES UPDATE
+		SET DELETE INT INTEGER FLOAT REAL TEXT VARCHAR BOOL BOOLEAN DECIMAL
+		DATE EXPLAIN ANALYZE FORMAT`) {
+		keywords[k] = k
+	}
+}
+
+// keyword returns word's keyword in upper case, or "" when word is not a
+// keyword. Keywords are ASCII and at most 16 bytes long, so any other
+// word is rejected before the lookup, and the lookup upper-cases into a
+// stack buffer instead of allocating.
+func keyword(word string) string {
+	var up [16]byte
+	if len(word) > len(up) {
+		return ""
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			return ""
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	return keywords[string(up[:len(word)])]
 }
 
 // Lex tokenizes the input. It returns an error for unterminated strings or
 // illegal characters.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
+	// Generated statements average three bytes per token and none has
+	// more than one per two bytes, so the slice never regrows on them.
+	toks := make([]Token, 0, len(input)/2+2)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -77,8 +100,7 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			word := input[start:i]
-			up := strings.ToUpper(word)
-			if keywords[up] {
+			if up := keyword(word); up != "" {
 				toks = append(toks, Token{Kind: TKeyword, Text: up, Pos: start})
 			} else {
 				toks = append(toks, Token{Kind: TIdent, Text: word, Pos: start})
@@ -149,7 +171,7 @@ func Lex(input string) ([]Token, error) {
 			}
 			switch c {
 			case '(', ')', ',', '*', '+', '-', '/', '%', '=', '<', '>', '.', ';':
-				toks = append(toks, Token{Kind: TSymbol, Text: string(c), Pos: start})
+				toks = append(toks, Token{Kind: TSymbol, Text: input[i : i+1], Pos: start})
 				i++
 			default:
 				return nil, fmt.Errorf("sql: illegal character %q at offset %d", c, start)

@@ -59,9 +59,12 @@ func (p *parser) atEOF() bool   { return p.peek().Kind == TEOF }
 func (p *parser) save() int     { return p.pos }
 func (p *parser) restore(s int) { p.pos = s }
 
+// accept consumes the next token if it has the kind and text. Keyword
+// tokens carry their canonical upper-case text (see keyword) and callers
+// pass canonical text, so the comparison is exact.
 func (p *parser) accept(kind TokenKind, text string) bool {
 	t := p.peek()
-	if t.Kind == kind && strings.EqualFold(t.Text, text) {
+	if t.Kind == kind && t.Text == text {
 		p.pos++
 		return true
 	}

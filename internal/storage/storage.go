@@ -14,6 +14,11 @@ import (
 
 // Row is one stored tuple. Rows are addressed by stable integer row IDs;
 // deleted rows leave tombstones so row IDs never shift.
+//
+// Stored rows are copy-on-write: Insert and Update store copies, Delete
+// only tombstones, and nothing writes a stored row in place. The executor
+// therefore hands stored rows to its callers without copying them, and a
+// row read before a later UPDATE or DELETE keeps its values.
 type Row []datum.D
 
 // Table is one heap table with its secondary indexes.
@@ -123,7 +128,7 @@ func (db *DB) createIndexOn(t *Table, def *catalog.Index) (*Index, error) {
 	return ix, nil
 }
 
-// Insert appends a row; the row length must match the table's column count.
+// Insert appends a copy of row; the row length must match the table's column count.
 // Unique index violations are rejected.
 func (t *Table) Insert(row Row) (int, error) {
 	if len(row) != len(t.Def.Columns) {
@@ -168,7 +173,8 @@ func (t *Table) Delete(rowID int) {
 	}
 }
 
-// Update replaces the row stored at rowID.
+// Update replaces the row stored at rowID with a copy of row; the old
+// row's values are left untouched for any reader still holding it.
 func (t *Table) Update(rowID int, row Row) error {
 	if rowID < 0 || rowID >= len(t.rows) || t.deleted[rowID] {
 		return fmt.Errorf("storage: no live row %d", rowID)
@@ -192,7 +198,7 @@ func (t *Table) Update(rowID int, row Row) error {
 func (t *Table) RowCount() int { return t.live }
 
 // Scan calls fn for every live row in row-ID order; fn returning false
-// stops the scan.
+// stops the scan. The rows are the stored ones: fn must not modify them.
 func (t *Table) Scan(fn func(rowID int, row Row) bool) {
 	for id, row := range t.rows {
 		if t.deleted[id] {
@@ -204,7 +210,8 @@ func (t *Table) Scan(fn func(rowID int, row Row) bool) {
 	}
 }
 
-// Get returns the live row with the given ID.
+// Get returns the live row with the given ID; the caller must not modify
+// it.
 func (t *Table) Get(rowID int) (Row, bool) {
 	if rowID < 0 || rowID >= len(t.rows) || t.deleted[rowID] {
 		return nil, false
