@@ -359,8 +359,8 @@ func BenchmarkConvertPostgresText(b *testing.B) {
 // BenchmarkConvertText measures every dialect's text/table converter — the
 // formats the arena + zero-copy line-slicing rewrite targets — through the
 // cached one-shot path (pooled arena + detach, what uplan.Convert does)
-// and through a reused arena (the pipeline's owned-batch mode: ConvertInto
-// + Reset, plans not retained). Inputs come from bench.TextSamples, shared
+// and through a reused arena (ConvertInto + Reset, plans not retained, as
+// a batch worker does before its Clone). Inputs come from bench.TextSamples, shared
 // with uplan-bench's -experiment text so both trajectories measure the
 // same plans.
 func BenchmarkConvertText(b *testing.B) {
@@ -403,8 +403,8 @@ func BenchmarkConvertText(b *testing.B) {
 // the registry-backed converter anew for every record, which is what
 // callers did before ConvertBatch existed. "sequential-cached" converts
 // one record at a time through the cached converters the facade now uses.
-// The parallel cases run the pipeline, which additionally reuses one
-// converter per dialect per worker and overlaps parsing across workers.
+// The parallel cases run the pipeline, which additionally builds in one
+// pooled arena per worker and overlaps parsing across workers.
 // Every strategy retains the converted plans of the whole corpus — the
 // pipeline returns all results by contract, so the sequential paths
 // keep theirs too, and the strategies do the same job.
@@ -456,25 +456,6 @@ func BenchmarkBatchConvert(b *testing.B) {
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				results, stats := ConvertBatch(corpus, PipelineOptions{Workers: workers})
-				if stats.Errors != 0 {
-					for _, r := range results {
-						if r.Err != nil {
-							b.Fatal(r.Err)
-						}
-					}
-				}
-			}
-			reportRate(b, len(corpus), time.Since(start))
-		})
-	}
-	// Owned-batch arena mode: one arena per worker, reset between records,
-	// results detached via the compact Plan.Clone.
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("parallel-%d-reuse", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				results, stats := ConvertBatch(corpus, PipelineOptions{Workers: workers, ReuseArenas: true})
 				if stats.Errors != 0 {
 					for _, r := range results {
 						if r.Err != nil {

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|batch|text|campaign|serve|codec]
-//	            [-parallel N] [-reuse-arenas] [-iters N] [-queries N] [-out FILE]
+//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|batch|text|campaign|codec]
+//	            [-parallel N] [-iters N] [-queries N] [-out FILE]
 //	            [-store DIR] [-resume] [-checkpoint-every N]
 //	            [-pack FILE] [-unpack FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
@@ -16,7 +16,6 @@
 // -parallel N runs the batch experiment through the conversion pipeline
 // with N workers and reports the speedup over the sequential one-shot
 // path; -parallel 0 (the default) reports the sequential path only.
-// -reuse-arenas turns on the pipeline's owned-batch arena mode.
 // -out FILE additionally writes the batch experiment's throughput and
 // speedup numbers as JSON (see BENCH_batch.json for the committed
 // snapshots that record the perf trajectory across PRs).
@@ -43,14 +42,6 @@
 // -resume continues an interrupted campaign from DIR: finished tasks are
 // skipped, the rest re-run, and the combined outcome is byte-identical
 // to an uninterrupted run. -checkpoint-every N bounds mid-task loss.
-//
-// -experiment serve load-tests the plan service end to end: it boots an
-// in-process internal/serve server on a loopback :0 listener, fans
-// -parallel serveclient clients out over -iters convert requests drawn
-// from the mixed corpus (plus one full-corpus batch-convert), and
-// reports client-observed requests/sec, cache hit rate, and shed
-// counts. -out writes the run as JSON (see BENCH_batch.json's
-// uplan_serve snapshots).
 //
 // -experiment codec packs the converted corpus into the compact binary
 // plan format (internal/codec), compares the packed size against the
@@ -104,7 +95,6 @@ type batchResult struct {
 	Workers          int              `json:"workers,omitempty"`
 	WorkersEffective int              `json:"workers_effective,omitempty"`
 	ChunkSize        int              `json:"chunk_size,omitempty"`
-	ReuseArenas      bool             `json:"reuse_arenas,omitempty"`
 	SpeedupVsSeq     float64          `json:"speedup_vs_sequential,omitempty"`
 	SpeedupVsCached  float64          `json:"speedup_vs_sequential_cached,omitempty"`
 }
@@ -117,7 +107,7 @@ type pathRun struct {
 }
 
 // experiments are the -experiment values main knows.
-var experiments = []string{"all", "table6", "table7", "figure4", "q11", "batch", "text", "campaign", "serve", "codec"}
+var experiments = []string{"all", "table6", "table7", "figure4", "q11", "batch", "text", "campaign", "codec"}
 
 // checkExperiment rejects an -experiment value main does not know, which
 // would otherwise run nothing and exit 0.
@@ -133,7 +123,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "experiment: "+strings.Join(experiments, ", "))
 	parallel := flag.Int("parallel", 0, "batch: pipeline worker count (0 = sequential only); campaign: task pool bound (0 = GOMAXPROCS)")
 	chunk := flag.Int("chunk", 0, "batch experiment: records per pipeline dispatch chunk (0 = default)")
-	reuseArenas := flag.Bool("reuse-arenas", false, "batch experiment: per-worker reusable arenas (owned-batch mode)")
 	iters := flag.Int("iters", 2000, "text experiment: conversions per dialect per path")
 	queries := flag.Int("queries", 100, "campaign experiment: generated-query budget per engine/oracle task")
 	storeDir := flag.String("store", "", "campaign experiment: journal plans, findings, and checkpoints to this durable log directory")
@@ -186,8 +175,8 @@ func main() {
 		flushProfiles()
 		os.Exit(1)
 	}
-	if *out != "" && !run("batch") && *experiment != "serve" && *experiment != "codec" {
-		fail(fmt.Errorf("-out only applies to the batch, serve, and codec experiments (got -experiment %s)", *experiment))
+	if *out != "" && !run("batch") && *experiment != "codec" {
+		fail(fmt.Errorf("-out only applies to the batch and codec experiments (got -experiment %s)", *experiment))
 	}
 	if (*pack != "" || *unpack != "") && *experiment != "codec" {
 		fail(fmt.Errorf("-pack/-unpack only apply to the codec experiment (got -experiment %s)", *experiment))
@@ -267,17 +256,6 @@ func main() {
 		fmt.Printf("findings (%d, deduplicated, canonical order):\n", len(res.Findings))
 		for _, f := range res.Findings {
 			fmt.Println("  " + f.String())
-		}
-	}
-	// The serve experiment is explicit-only too: it boots a live HTTP
-	// service and load-tests it through serveclient — a workload of its
-	// own, not one of the paper's artifacts.
-	if *experiment == "serve" {
-		if *iters <= 0 {
-			fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-		}
-		if err := runServeExperiment(*seed, *parallel, *iters, *reuseArenas, *out); err != nil {
-			fail(err)
 		}
 	}
 	// The codec experiment is explicit-only as well: a serialization
@@ -381,7 +359,7 @@ func main() {
 			if *chunk <= 0 {
 				*chunk = pipeline.DefaultChunkSize
 			}
-			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk, ReuseArenas: *reuseArenas}
+			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk}
 			results, stats := pipeline.ConvertBatch(corpus, popts)
 			for _, r := range results {
 				if r.Err != nil {
@@ -400,7 +378,6 @@ func main() {
 			result.Workers = *parallel
 			result.WorkersEffective = effective
 			result.ChunkSize = popts.ChunkSize
-			result.ReuseArenas = *reuseArenas
 			result.SpeedupVsSeq = stats.PlansPerSec() / seqRate
 			result.SpeedupVsCached = stats.PlansPerSec() / cachedRate
 		}

@@ -7,7 +7,7 @@
 //
 //	uplan-serve [-addr 127.0.0.1:8091] [-workers N] [-inflight N] [-queue N]
 //	            [-request-timeout 5s] [-batch-timeout 30s] [-read-timeout 10s]
-//	            [-max-body BYTES] [-max-batch N] [-cache N] [-reuse-arenas]
+//	            [-max-body BYTES] [-max-batch N] [-cache N]
 //	            [-store DIR] [-drain-timeout 10s] [-debug-delay 0]
 //
 // Endpoints: POST /v1/convert, /v1/batch-convert, /v1/fingerprint,
@@ -60,7 +60,6 @@ func run() int {
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "request body byte cap (413 beyond)")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatchRecords, "records per batch-convert request (413 beyond)")
 	cacheSize := flag.Int("cache", serve.DefaultCacheSize, "convert response cache entries (negative disables)")
-	reuseArenas := flag.Bool("reuse-arenas", false, "batch requests use the pipeline's owned-batch arena mode")
 	storeDir := flag.String("store", "", "attach the durable campaign log at DIR (served by /v1/campaign-status, synced on drain)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a graceful drain waits for in-flight requests before cancelling them")
 	debugDelay := flag.Duration("debug-delay", 0, "fault injection: sleep every admitted conversion handler this long (testing only)")
@@ -79,7 +78,6 @@ func run() int {
 		MaxBodyBytes:    *maxBody,
 		MaxBatchRecords: *maxBatch,
 		CacheSize:       *cacheSize,
-		ReuseArenas:     *reuseArenas,
 		HandlerDelay:    *debugDelay,
 	}
 	if *debugDelay > 0 {

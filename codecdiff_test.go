@@ -2,6 +2,7 @@ package uplan
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"uplan/internal/bench"
@@ -10,7 +11,7 @@ import (
 )
 
 // TestCodecMatchesJSONPath is the differential guard for the binary
-// codec, in the style of the streaming-decoder guards above: across the
+// codec, in the style of internal/convert's legacy-decoder guards: across the
 // full nine-dialect benchmark corpus, a plan encoded to the binary format
 // and decoded back — through both the single-blob path and a packed
 // corpus read with a continuously reused arena — must serialize to
@@ -110,4 +111,25 @@ func TestCodecMatchesJSONPath(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// canonicalPlanText renders a plan with every property list sorted by
+// (category, name, rendered value), so representations that only differ
+// in property insertion order serialize to identical bytes.
+func canonicalPlanText(p *core.Plan) string {
+	cp := p.Clone()
+	sortProps := func(props []core.Property) {
+		sort.SliceStable(props, func(i, j int) bool {
+			if props[i].Category != props[j].Category {
+				return props[i].Category < props[j].Category
+			}
+			if props[i].Name != props[j].Name {
+				return props[i].Name < props[j].Name
+			}
+			return props[i].Value.String() < props[j].Value.String()
+		})
+	}
+	sortProps(cp.Properties)
+	cp.Walk(func(n *core.Node, _ int) { sortProps(n.Properties) })
+	return cp.MarshalIndentedText()
 }

@@ -16,24 +16,20 @@ import (
 	"uplan/internal/core"
 )
 
-// Converter parses serialized plans of one dialect.
+// Converter parses serialized plans of one dialect. Every converter's
+// construction path is arena-native: ConvertIn builds the plan's nodes,
+// property lists, and child lists inside the caller-supplied arena (see
+// core.PlanArena for the ownership rules — the plan aliases the arena
+// until Plan.Clone detaches it), and a nil arena builds a plain heap
+// plan. Convert is ConvertIn into a pooled arena plus a Clone detach, so
+// the one-shot path batches its allocations too.
 type Converter interface {
 	// Dialect returns the engine key ("postgresql", …).
 	Dialect() string
-	// Convert parses a serialized plan. The format hint may be empty, in
-	// which case the converter auto-detects among its supported formats.
+	// Convert parses a serialized plan, auto-detecting among the
+	// dialect's supported formats.
 	Convert(serialized string) (*core.Plan, error)
-}
-
-// ArenaConverter is implemented by converters whose construction path is
-// arena-native: ConvertIn builds the plan's nodes, property lists, and
-// child lists inside the caller-supplied arena (see core.PlanArena for the
-// ownership rules — the plan aliases the arena until Plan.Clone detaches
-// it). A nil arena builds a plain heap plan. All nine built-in converters
-// implement it; Convert(s) is ConvertIn(s, fresh arena) throughout, so the
-// one-shot path batches its allocations too.
-type ArenaConverter interface {
-	Converter
+	// ConvertIn parses a serialized plan into ar.
 	ConvertIn(serialized string, ar *core.PlanArena) (*core.Plan, error)
 }
 
@@ -47,38 +43,42 @@ func ConvertInto(dialect, serialized string, ar *core.PlanArena) (*core.Plan, er
 	if err != nil {
 		return nil, err
 	}
-	ac, ok := c.(ArenaConverter)
-	if !ok {
-		// Mirrors the pipeline's fallback: a converter without an arena
-		// path still converts, it just ignores the caller's arena.
-		return c.Convert(serialized)
-	}
 	if ar == nil {
-		return convertPooled(ac, serialized)
+		return convertPooled(c, serialized)
 	}
-	return ac.ConvertIn(serialized, ar)
+	return c.ConvertIn(serialized, ar)
 }
 
-// arenaPool recycles plan arenas behind the one-shot Convert path. Each
-// Convert borrows an arena, builds the plan in it, detaches the plan with
-// the compact Plan.Clone, resets, and returns the arena — so even callers
-// that never manage an arena get slab-batched construction plus an
-// exactly-sized result, at the cost of one tree copy. Pooled arenas keep
-// their grown slabs (and intern tables) across conversions; the pool
-// releases them under GC pressure like any sync.Pool.
+// arenaPool recycles plan arenas for every converting caller: the
+// one-shot Convert path, the batch pipeline's workers, and the service's
+// single-plan handlers. Pooled arenas keep their grown slabs (and intern
+// tables) across conversions; the pool releases them under GC pressure
+// like any sync.Pool.
 var arenaPool = sync.Pool{New: func() any { return core.NewPlanArena() }}
 
+// BorrowArena takes an arena from the shared pool. The caller owns it
+// until ReturnArena; plans built in it must be detached with Plan.Clone
+// before they outlive that call.
+func BorrowArena() *core.PlanArena { return arenaPool.Get().(*core.PlanArena) }
+
+// ReturnArena resets ar and puts it back in the shared pool. Every plan
+// still aliasing ar is invalid afterwards.
+func ReturnArena(ar *core.PlanArena) {
+	ar.Reset()
+	arenaPool.Put(ar)
+}
+
 // convertPooled is the shared implementation of the converters' one-shot
-// Convert methods: ConvertIn into a pooled arena, detach, recycle.
+// Convert methods: ConvertIn into a borrowed arena, detach, return.
+//
 //uplan:hotpath
-func convertPooled(c ArenaConverter, serialized string) (*core.Plan, error) {
-	ar := arenaPool.Get().(*core.PlanArena)
+func convertPooled(c Converter, serialized string) (*core.Plan, error) {
+	ar := BorrowArena()
 	p, err := c.ConvertIn(serialized, ar)
 	if p != nil {
 		p = p.Clone() // detach before the arena is reused
 	}
-	ar.Reset()
-	arenaPool.Put(ar)
+	ReturnArena(ar)
 	return p, err
 }
 
@@ -187,6 +187,7 @@ const maxDepth = 10000
 
 // parseScalar converts a property value string to a core.Value, detecting
 // numbers and booleans.
+//
 //uplan:hotpath
 func parseScalar(s string) core.Value {
 	t := strings.TrimSpace(s)
@@ -215,6 +216,7 @@ func parseScalar(s string) core.Value {
 // ParseFloat accepts (digits, sign/exponent/hex punctuation, and the
 // letters of inf/infinity/nan in either case), so no valid number is ever
 // filtered out — only guaranteed failures skip the call.
+//
 //uplan:hotpath
 func looksNumeric(t string) bool {
 	if len(t) == 0 {

@@ -9,9 +9,9 @@ import (
 )
 
 // This file retains the map[string]any-based JSON decoders the structured
-// converters used before the streaming jsonScan port. They are kept out
-// of the hot path and serve one purpose: LegacyConvert is the reference
-// implementation the differential tests compare the streaming decoders
+// converters used before the streaming jsonScan port. They serve one
+// purpose: LegacyConvert is the reference implementation the
+// differential tests (legacydiff_test.go) compare the streaming decoders
 // against, plan for plan, across the full benchmark corpus.
 
 // decodeJSON decodes one JSON document with number literals preserved.
@@ -87,10 +87,7 @@ func LegacyConvert(dialect, serialized string) (*core.Plan, error) {
 			return c.legacyJSON(serialized)
 		}
 	}
-	if ac, ok := conv.(ArenaConverter); ok {
-		return ac.ConvertIn(serialized, nil) // heap-built reference plan
-	}
-	return conv.Convert(serialized)
+	return conv.ConvertIn(serialized, nil) // heap-built reference plan
 }
 
 // ------------------------------------------------------- PostgreSQL (JSON)

@@ -1,4 +1,4 @@
-package uplan
+package convert_test
 
 import (
 	"sort"
@@ -60,7 +60,7 @@ func TestStreamingDecoderMatchesLegacyPath(t *testing.T) {
 		if isJSON {
 			jsonRecords++
 		}
-		got, err := Convert(rec.Dialect, rec.Serialized)
+		got, err := convert.ConvertInto(rec.Dialect, rec.Serialized, nil)
 		if err != nil {
 			t.Fatalf("record %d (%s): streaming convert: %v", i, rec.Dialect, err)
 		}
@@ -89,7 +89,7 @@ func TestStreamingDecoderMatchesLegacyPath(t *testing.T) {
 // TestArenaDecoderMatchesLegacyPath is the differential guard for the
 // arena memory model: across the full nine-dialect corpus, plans built
 // into one continuously reused arena (reset between records, detached with
-// Plan.Clone — exactly the pipeline's owned-batch mode) must serialize to
+// Plan.Clone — exactly what a batch worker does) must serialize to
 // byte-identical canonical text and hash to equal fingerprints as the
 // retained legacy reference path. This is what proves slab recycling,
 // frontier growth, and compact cloning never corrupt or reorder plan
@@ -99,15 +99,15 @@ func TestArenaDecoderMatchesLegacyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := NewArena()
+	arena := core.NewPlanArena()
 	opts := core.FingerprintOptions{IncludeConfiguration: true, IncludeConfigurationValues: true}
 	for i, rec := range corpus {
 		arena.Reset()
-		built, err := ConvertInto(rec.Dialect, rec.Serialized, arena)
+		built, err := convert.ConvertInto(rec.Dialect, rec.Serialized, arena)
 		if err != nil {
 			t.Fatalf("record %d (%s): arena convert: %v", i, rec.Dialect, err)
 		}
-		got := built.Clone() // detach, like pipeline workers do
+		got := built.Clone() // detach, like batch workers do
 		want, err := convert.LegacyConvert(rec.Dialect, rec.Serialized)
 		if err != nil {
 			t.Fatalf("record %d (%s): legacy convert: %v", i, rec.Dialect, err)

@@ -10,7 +10,8 @@ import "strings"
 // plan regardless of tree size.
 //
 // The zero value is ready to use. An arena is NOT safe for concurrent use;
-// give each goroutine its own (see pipeline.Options.ReuseArenas).
+// give each goroutine its own (batch workers each borrow one from the
+// convert package's pool).
 //
 // # Ownership and lifecycle
 //
@@ -29,8 +30,8 @@ import "strings"
 //     worker loop), call Plan.Clone before Reset. Clone copies the tree
 //     into independent, compactly laid-out heap storage (see Plan.Clone);
 //     the clone is unaffected by any later Reset. Reuse-plus-detach is
-//     what the convert package's plain Convert does internally (pooled
-//     arenas) and what pipeline workers do in ReuseArenas mode.
+//     what the convert package's plain Convert does internally and what
+//     batch workers do, both in arenas borrowed from convert's pool.
 //
 // Strings are never copied into the arena: names and values keep pointing
 // at whatever backing they had (typically substrings of the converter

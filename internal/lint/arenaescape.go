@@ -11,11 +11,12 @@ import (
 // node built inside an arena aliases the arena's slabs and is invalidated
 // by the next Reset (or by the arena's return to a pool), so any such
 // value that outlives the arena's lifecycle — returned from a function
-// that Resets/pools the arena, stored into a long-lived field, sent on a
-// channel, or built in a long-lived (field/captured) arena and handed
-// out — must first be detached with Plan.Clone.
+// that Resets, pools or returns (convert.ReturnArena) the arena, stored
+// into a long-lived field, sent on a channel, or built in a long-lived
+// (field/captured) arena and handed out — must first be detached with
+// Plan.Clone.
 //
-// Values are produced by ConvertIn (the convert.ArenaConverter method),
+// Values are produced by ConvertIn (the convert.Converter method),
 // convert.ConvertInto, and the arena's own NewNodeIn/AppendChildIn.
 // Building in a caller-supplied arena parameter and returning the result
 // is the converters' documented contract and is never flagged; neither is
@@ -23,7 +24,8 @@ import (
 var ArenaEscape = &Analyzer{
 	Name: "arenaescape",
 	Doc: "flags arena-backed plan values escaping a PlanArena lifecycle " +
-		"(Reset, pool-put, or long-lived worker arena) without a Plan.Clone detach",
+		"(Reset, pool-put, convert.ReturnArena, or long-lived worker arena) " +
+		"without a Plan.Clone detach",
 	Run: runArenaEscape,
 }
 
@@ -70,7 +72,7 @@ type escapeCheck struct {
 	// results holds the named result objects, for naked-return checks.
 	results []types.Object
 	// bounded marks arenas whose lifecycle visibly ends in this function:
-	// a Reset() call or a pool Put.
+	// a Reset() call, a pool Put, or convert.ReturnArena.
 	bounded map[string]bool
 	// taints maps location keys to their live taint.
 	taints map[string]*taint
@@ -143,13 +145,19 @@ func (ec *escapeCheck) collectFrame() {
 	})
 }
 
-// collectLifecycle finds Reset calls and pool Puts, marking their arenas
+// collectLifecycle finds Reset calls, pool Puts, and convert.ReturnArena
+// calls (a Reset plus a Put on convert's shared pool), marking their arenas
 // as lifecycle-bounded regardless of where in the function they appear
 // (workers Reset before converting; pooled paths Reset after).
 func (ec *escapeCheck) collectLifecycle() {
 	ast.Inspect(ec.fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
+			return true
+		}
+		if funcFullName(calleeFunc(ec.pass.Info, call)) == "uplan/internal/convert.ReturnArena" && len(call.Args) == 1 {
+			key, _, _ := ec.arenaOf(call.Args[0])
+			ec.bounded[key] = true
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -35,7 +35,7 @@ var OracleErrDeny = []string{
 	// finding into a non-finding.
 	"uplan/internal/exec.Executor.Run",
 	"uplan/internal/convert.Converter.Convert",
-	"uplan/internal/convert.ArenaConverter.ConvertIn",
+	"uplan/internal/convert.Converter.ConvertIn",
 	"uplan/internal/convert.ConvertInto",
 	// Store durability surface: a dropped error here silently un-journals
 	// a finding — the crash that follows loses data the caller believed
@@ -79,11 +79,11 @@ var OracleErrWorkerAPIs = []string{
 // sentinel that should be matched instead. Used to sharpen the
 // message-text-matching diagnostic.
 var oracleErrSentinels = map[string]string{
-	"unresolved column":        "exec.ErrUnresolvedColumn",
-	"not plannable":            "cert.ErrUnplannable",
-	"no cardinality estimate":  "cert.ErrNoEstimate",
-	"exposes no estimate":      "cert.ErrNoEstimate",
-	"no provable output-size":  "bounds.ErrNoBound",
+	"unresolved column":       "exec.ErrUnresolvedColumn",
+	"not plannable":           "cert.ErrUnplannable",
+	"no cardinality estimate": "cert.ErrNoEstimate",
+	"exposes no estimate":     "cert.ErrNoEstimate",
+	"no provable output-size": "bounds.ErrNoBound",
 }
 
 // OracleErr generalizes the dropped-oracle-signal bug class: discarded

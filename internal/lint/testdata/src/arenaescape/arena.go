@@ -19,7 +19,7 @@ type result struct {
 
 // retResetLocal returns a plan that still aliases a local arena this
 // function Resets: the classic use-after-Reset.
-func retResetLocal(ac convert.ArenaConverter, raw string) *core.Plan {
+func retResetLocal(ac convert.Converter, raw string) *core.Plan {
 	ar := core.NewPlanArena()
 	p, err := ac.ConvertIn(raw, ar)
 	if err != nil {
@@ -33,15 +33,24 @@ var arenaPool = sync.Pool{New: func() any { return core.NewPlanArena() }}
 
 // retPooled puts the arena back in the pool while the plan still aliases
 // its slabs: the next Get/Reset corrupts the returned plan.
-func retPooled(ac convert.ArenaConverter, raw string) *core.Plan {
+func retPooled(ac convert.Converter, raw string) *core.Plan {
 	ar := arenaPool.Get().(*core.PlanArena)
 	p, _ := ac.ConvertIn(raw, ar)
 	arenaPool.Put(ar)
 	return p // want `arena-backed value p returned`
 }
 
+// retBorrowed returns the arena to convert's shared pool while the plan
+// still aliases it: the next borrower resets and rebuilds those slabs.
+func retBorrowed(ac convert.Converter, raw string) *core.Plan {
+	ar := convert.BorrowArena()
+	p, _ := ac.ConvertIn(raw, ar)
+	convert.ReturnArena(ar)
+	return p // want `arena-backed value p returned`
+}
+
 // nakedReturn leaks the same way through a named result.
-func nakedReturn(ac convert.ArenaConverter, raw string) (p *core.Plan, err error) {
+func nakedReturn(ac convert.Converter, raw string) (p *core.Plan, err error) {
 	ar := core.NewPlanArena()
 	p, err = ac.ConvertIn(raw, ar)
 	ar.Reset()
@@ -52,7 +61,7 @@ func nakedReturn(ac convert.ArenaConverter, raw string) (p *core.Plan, err error
 // is invalidated by the next Reset.
 type worker struct {
 	arena *core.PlanArena
-	conv  convert.ArenaConverter
+	conv  convert.Converter
 }
 
 // storeUndetached writes a still-aliased plan into the caller's result
@@ -84,10 +93,10 @@ func (c *nodeCache) keepNode() {
 	ar.Reset()
 }
 
-// convertChunk is the ReuseArenas worker shape: the per-worker arena is
+// convertChunk is the batch worker shape: the per-worker arena is
 // Reset between records, so plans escaping into out must be detached
 // first — these are not.
-func convertChunk(ac convert.ArenaConverter, raws []string, out []result) {
+func convertChunk(ac convert.Converter, raws []string, out []result) {
 	pipeline.ForEachChunked(len(raws), 4, 8,
 		func() *core.PlanArena { return core.NewPlanArena() },
 		func(ar *core.PlanArena, lo, hi int) {

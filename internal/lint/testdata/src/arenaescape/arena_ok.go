@@ -11,7 +11,7 @@ import (
 
 // cloneDetach is the canonical lifecycle: Clone detaches the plan before
 // the arena is Reset, so returning it is safe.
-func cloneDetach(ac convert.ArenaConverter, raw string) *core.Plan {
+func cloneDetach(ac convert.Converter, raw string) *core.Plan {
 	ar := core.NewPlanArena()
 	p, err := ac.ConvertIn(raw, ar)
 	if err != nil {
@@ -22,16 +22,28 @@ func cloneDetach(ac convert.ArenaConverter, raw string) *core.Plan {
 	return p
 }
 
+// borrowDetach is the shared-pool lifecycle: Clone detaches the plan
+// before convert.ReturnArena hands the arena to the next borrower.
+func borrowDetach(ac convert.Converter, raw string) *core.Plan {
+	ar := convert.BorrowArena()
+	defer convert.ReturnArena(ar)
+	p, err := ac.ConvertIn(raw, ar)
+	if err != nil {
+		return nil
+	}
+	return p.Clone()
+}
+
 // paramArena is the converter contract: build into the caller-supplied
 // arena and return the aliased plan — the caller owns the lifecycle.
-func paramArena(ac convert.ArenaConverter, raw string, ar *core.PlanArena) (*core.Plan, error) {
+func paramArena(ac convert.Converter, raw string, ar *core.PlanArena) (*core.Plan, error) {
 	p, err := ac.ConvertIn(raw, ar)
 	return p, err
 }
 
 // oneShot never Resets or pools its arena: the plan and arena die
 // together under GC, which is the documented one-shot mode.
-func oneShot(ac convert.ArenaConverter, raw string) *core.Plan {
+func oneShot(ac convert.Converter, raw string) *core.Plan {
 	ar := core.NewPlanArena()
 	p, _ := ac.ConvertIn(raw, ar)
 	return p
@@ -39,7 +51,7 @@ func oneShot(ac convert.ArenaConverter, raw string) *core.Plan {
 
 // errClears covers the worker error branch: the reference is either
 // nilled out or Clone-detached on every path before it escapes.
-func errClears(ac convert.ArenaConverter, raw string, out []*core.Plan, i int) {
+func errClears(ac convert.Converter, raw string, out []*core.Plan, i int) {
 	ar := core.NewPlanArena()
 	defer ar.Reset()
 	p, err := ac.ConvertIn(raw, ar)
@@ -51,9 +63,9 @@ func errClears(ac convert.ArenaConverter, raw string, out []*core.Plan, i int) {
 	out[i] = p
 }
 
-// convertChunkDetached is the corrected ReuseArenas worker: every plan is
+// convertChunkDetached is the corrected batch worker: every plan is
 // detached before it reaches the shared result slice.
-func convertChunkDetached(ac convert.ArenaConverter, raws []string, out []result) {
+func convertChunkDetached(ac convert.Converter, raws []string, out []result) {
 	pipeline.ForEachChunked(len(raws), 4, 8,
 		func() *core.PlanArena { return core.NewPlanArena() },
 		func(ar *core.PlanArena, lo, hi int) {

@@ -246,12 +246,9 @@ func ApplySchema(e *dbms.Engine, gen *sqlancer.Generator, tables, rows int) erro
 
 // Decoder converts serialized native plans into unified plans through a
 // reused task-owned arena — the allocation-lean observation path QPG and
-// CERT each built by hand before the oracle layer existed. When the
-// dialect's converter does not support arenas it falls back to one-shot
-// conversion.
+// CERT each built by hand before the oracle layer existed.
 type Decoder struct {
 	conv  convert.Converter
-	aconv convert.ArenaConverter
 	arena *core.PlanArena
 }
 
@@ -262,12 +259,7 @@ func NewDecoder(dialect string) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder{conv: conv}
-	if ac, ok := conv.(convert.ArenaConverter); ok {
-		d.aconv = ac
-		d.arena = core.NewPlanArena()
-	}
-	return d, nil
+	return &Decoder{conv: conv, arena: core.NewPlanArena()}, nil
 }
 
 // Converter exposes the decoder's underlying converter — the shared
@@ -276,12 +268,9 @@ func NewDecoder(dialect string) (*Decoder, error) {
 func (d *Decoder) Converter() convert.Converter { return d.conv }
 
 // Decode converts one serialized plan. The returned plan lives in the
-// decoder's reused arena (when the dialect supports arenas) and is valid
-// only until the next Decode — Clone it to keep it.
+// decoder's reused arena and is valid only until the next Decode — Clone
+// it to keep it.
 func (d *Decoder) Decode(serialized string) (*core.Plan, error) {
-	if d.aconv != nil {
-		d.arena.Reset()
-		return d.aconv.ConvertIn(serialized, d.arena)
-	}
-	return d.conv.Convert(serialized)
+	d.arena.Reset()
+	return d.conv.ConvertIn(serialized, d.arena)
 }

@@ -1,43 +1,35 @@
-// Package pipeline implements UPlan's concurrent batch-conversion
-// subsystem: a worker-pool fan-out that consumes a stream of (dialect,
-// serialized-plan) records, converts each record to the unified
-// representation, and aggregates per-dialect statistics (throughput,
-// parse errors, merged operation histograms).
+// Package pipeline implements UPlan's concurrent batch conversion:
+// ConvertBatch fans a slice of (dialect, serialized-plan) records out over
+// a worker pool, converts each record to the unified representation, and
+// aggregates per-dialect statistics (throughput, parse errors, merged
+// operation histograms).
 //
-// Two entry points:
-//
-//   - ConvertBatch converts a slice of records and returns results indexed
-//     like the input plus the aggregate stats — the corpus-at-once API.
-//   - New returns a streaming Pipeline: Submit records from any number of
-//     goroutines, read Results as they complete (optionally in submission
-//     order), Close once every Submit has returned, then read Stats.
-//
-// Dispatch is chunked: records travel to the workers in slices of
-// Options.ChunkSize (default 32 for batches; 1 — immediate per-record
-// hand-off — for streams) rather than one channel send per record, and
-// each worker folds its statistics into thread-local aggregates that
-// merge into the pipeline exactly once, at drain. ConvertBatch goes
-// further — the input slice itself is the work queue, carved into chunks
-// by an atomic cursor, and workers write results straight into disjoint
+// Dispatch is chunked: the input slice itself is the work queue, carved
+// into chunks of Options.ChunkSize (default 32) by an atomic cursor (see
+// ForEachChunkedCtx), and workers write results straight into disjoint
 // slots of the output slice, so a batch performs no per-record
-// synchronization at all. That keeps the pipeline competitive with the
-// sequential cached path even on small corpora, where per-record channel
-// operations used to dominate.
+// synchronization at all. Each worker folds its statistics into
+// thread-local aggregates that merge exactly once, at drain.
 //
-// Each worker keeps one converter per dialect for its lifetime, and all
-// workers share a single registry, so a batch of n records performs n
-// parses — not n registry constructions, which is what the one-shot
-// convert.Convert path costs. Name resolution inside the workers reads
-// the registry's immutable snapshot (see core.Registry), so workers never
-// serialize on a registry lock even while a client concurrently registers
-// new keywords.
+// Workers convert through the process-wide cached converters
+// (convert.Cached), so a batch of n records performs n parses — not n
+// registry constructions, which is what the one-shot convert.Convert path
+// costs. Name resolution reads the shared registry's immutable snapshot
+// (see core.Registry), so workers never serialize on a registry lock even
+// while a client concurrently registers new keywords.
+//
+// Each worker borrows one arena from convert's pool when it starts,
+// builds every record it claims in that arena, detaches each plan with
+// Plan.Clone, resets the arena before the next record, and returns it to
+// the pool when it drains — a cancelled batch included. A warmed-up
+// worker therefore builds plans with zero slab allocations and pays one
+// compact copy per result.
 package pipeline
 
 import (
 	"context"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"uplan/internal/convert"
@@ -55,8 +47,8 @@ type Record struct {
 // Result pairs a record with its conversion outcome. Exactly one of Plan
 // and Err is non-nil.
 type Result struct {
-	// Seq is the record's 0-based submission sequence number. ConvertBatch
-	// results are indexed by it; streaming ordered mode emits in Seq order.
+	// Seq is the record's 0-based index in the batch; ConvertBatch
+	// results are indexed by it.
 	Seq    int
 	Record Record
 	Plan   *core.Plan
@@ -64,92 +56,37 @@ type Result struct {
 }
 
 // DefaultChunkSize is the records-per-dispatch unit ConvertBatch uses
-// when Options.ChunkSize is unset. The streaming Pipeline defaults to
-// per-record dispatch (ChunkSize 1) instead: a submitted record reaches
-// a worker immediately, so submit-then-wait callers keep working and
-// chunking stays an explicit opt-in for throughput-oriented streams.
+// when Options.ChunkSize is unset.
 const DefaultChunkSize = 32
 
-// Options configures a Pipeline.
+// Options configures ConvertBatch.
 type Options struct {
 	// Workers is the number of concurrent conversion workers.
 	// Non-positive values use GOMAXPROCS. ConvertBatch additionally
 	// clamps the count to GOMAXPROCS (and to the number of chunks):
 	// conversion is CPU-bound, so goroutines beyond the schedulable
-	// cores only add overhead. The streaming Pipeline honors the
-	// requested count as-is.
+	// cores only add overhead.
 	Workers int
-	// Buffer is the capacity, in chunks, of the bounded input and output
-	// channels of the streaming pipeline. Non-positive values use
-	// 2×Workers.
-	Buffer int
 	// ChunkSize is how many records form one dispatch unit. Larger chunks
-	// amortize channel and scheduling overhead; smaller chunks lower
-	// streaming latency (Submit holds records back until a chunk fills or
-	// Close flushes). Non-positive values default to DefaultChunkSize in
-	// ConvertBatch and to 1 — per-record dispatch, the historical Submit
-	// semantics — in the streaming Pipeline.
+	// amortize scheduling overhead; smaller chunks balance load and make
+	// cancellation finer-grained. Non-positive values use
+	// DefaultChunkSize.
 	ChunkSize int
-	// Ordered, when true, emits results in submission (Seq) order; a small
-	// reorder buffer holds results that complete ahead of their turn.
-	// When false, results are emitted as workers finish them.
-	Ordered bool
-	// ReuseArenas, when true, gives every worker one core.PlanArena for
-	// its whole lifetime: each record is decoded into the arena (owned-
-	// batch mode), the resulting plan is detached with Plan.Clone before
-	// it escapes into the Result, and the arena is Reset for the next
-	// record. A warmed-up worker therefore builds plans with zero slab
-	// allocations and pays one compact copy per result, keeping per-
-	// worker memory bounded by the largest plan seen instead of the sum
-	// of all plans. When false, conversions go through the converters'
-	// default Convert path, which borrows an arena from a process-wide
-	// pool and detaches the result the same way — the flag chooses
-	// worker-owned arenas over pool traffic, not arenas over none.
-	ReuseArenas bool
-	// Registry backs the workers' converters. Nil uses the process-wide
-	// shared default registry (convert.SharedRegistry).
-	Registry *core.Registry
 	// Context, when non-nil, cancels a ConvertBatch run between chunks:
 	// records not yet claimed when the context is done are skipped, and
-	// their Results carry the context's error instead of a Plan. The
-	// streaming Pipeline ignores it (close the input side instead).
+	// their Results carry the context's error instead of a Plan.
 	Context context.Context
 }
 
-// withDefaults resolves zero values to the documented defaults;
-// chunkDefault is the caller's ChunkSize fallback (DefaultChunkSize for
-// batches, 1 for streams).
-func (o Options) withDefaults(chunkDefault int) Options {
+// withDefaults resolves zero values to the documented defaults.
+func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.Buffer <= 0 {
-		o.Buffer = 2 * o.Workers
-	}
 	if o.ChunkSize <= 0 {
-		o.ChunkSize = chunkDefault
+		o.ChunkSize = DefaultChunkSize
 	}
 	return o
-}
-
-func (o Options) registry() *core.Registry {
-	if o.Registry != nil {
-		return o.Registry
-	}
-	return convert.SharedRegistry()
-}
-
-// job is a sequenced record travelling from Submit to a worker.
-type job struct {
-	seq int
-	rec Record
-}
-
-// convEntry caches one dialect's converter (or its construction error)
-// inside a worker.
-type convEntry struct {
-	conv convert.Converter
-	err  error
 }
 
 // localDialect is one dialect's worker-local aggregate. Operation counts
@@ -161,65 +98,39 @@ type localDialect struct {
 	ops [7]float64
 }
 
-// worker is the per-goroutine conversion state: converter cache, an
-// optional long-lived arena, plus thread-local statistics, merged into the
-// shared aggregate once when the worker drains.
+// worker is the per-goroutine conversion state: an arena borrowed from
+// convert's pool plus thread-local statistics, merged into the shared
+// aggregate once when the worker drains.
 type worker struct {
-	reg   *core.Registry
-	arena *core.PlanArena // non-nil iff Options.ReuseArenas
-	convs map[string]convEntry
+	arena *core.PlanArena
 	local map[string]*localDialect
 }
 
-func newWorker(reg *core.Registry, reuseArenas bool) *worker {
-	w := &worker{
-		reg:   reg,
-		convs: map[string]convEntry{},
-		local: map[string]*localDialect{},
-	}
-	if reuseArenas {
-		w.arena = core.NewPlanArena()
-	}
-	return w
+func newWorker() *worker {
+	return &worker{arena: convert.BorrowArena(), local: map[string]*localDialect{}}
 }
 
-// do converts one record into res — written in place, so batch workers
-// fill their output slots without an intermediate copy — and updates the
-// worker-local stats. In owned-batch mode (ReuseArenas) the plan is built
-// in the worker's arena and detached with Plan.Clone before it escapes:
-// the Result must stay valid after the arena is reset for the next record.
+// do converts one record into res — written in place, so workers fill
+// their output slots without an intermediate copy — and updates the
+// worker-local stats. The plan is built in the worker's arena and
+// detached with Plan.Clone before it escapes: the Result must stay valid
+// after the arena is reset for the next record.
+//
 //uplan:hotpath
 func (w *worker) do(res *Result, seq int, rec Record) {
 	key := strings.ToLower(rec.Dialect)
-	e, ok := w.convs[key]
-	if !ok {
-		//lint:allow hotalloc once per (worker, dialect) cache miss, not per record
-		c, err := convert.For(key, w.reg)
-		e = convEntry{conv: c, err: err}
-		w.convs[key] = e
-	}
-
 	res.Seq, res.Record = seq, rec
-	switch {
-	case e.err != nil:
-		res.Err = e.err
-	case w.arena != nil:
-		if ac, ok := e.conv.(convert.ArenaConverter); ok {
-			w.arena.Reset()
-			res.Plan, res.Err = ac.ConvertIn(rec.Serialized, w.arena)
-			if res.Err == nil {
-				res.Plan = res.Plan.Clone() // detach from the reused arena
-			} else {
-				res.Plan = nil
-			}
+	conv, err := convert.Cached(key)
+	if err == nil {
+		res.Plan, err = conv.ConvertIn(rec.Serialized, w.arena)
+		if err == nil {
+			res.Plan = res.Plan.Clone() // detach from the reused arena
 		} else {
-			// Registry-extended custom converters may predate the arena
-			// API; fall back to their one-shot path.
-			res.Plan, res.Err = e.conv.Convert(rec.Serialized)
+			res.Plan = nil
 		}
-	default:
-		res.Plan, res.Err = e.conv.Convert(rec.Serialized)
+		w.arena.Reset()
 	}
+	res.Err = err
 
 	ld := w.local[key]
 	if ld == nil {
@@ -266,187 +177,17 @@ func (ld *localDialect) drain() *DialectStats {
 	return ld.ds
 }
 
-// Pipeline is a running worker pool. Create with New; the zero value is
-// not usable.
-type Pipeline struct {
-	opts Options
-
-	// mu guards seq and the pending (not yet dispatched) chunk.
-	mu      sync.Mutex
-	seq     int
-	pending []job
-
-	in  chan []job
-	out chan Result
-
-	workers sync.WaitGroup
-
-	statsMu sync.Mutex
-	stats   Stats
-	start   time.Time
-}
-
-// New starts a pipeline's workers and returns it. The caller must consume
-// Results (the output channel is bounded; workers block when it fills)
-// and must Close the pipeline once every Submit has returned. Records are
-// dispatched in chunks of Options.ChunkSize, which defaults to 1 here —
-// per-record hand-off, so a caller may wait for a result between
-// Submits. Set it higher (e.g. DefaultChunkSize) for throughput-oriented
-// streams; a submitted record then reaches a worker when its chunk fills
-// or when Close flushes the remainder.
-func New(opts Options) *Pipeline {
-	opts = opts.withDefaults(1)
-	p := &Pipeline{
-		opts:  opts,
-		in:    make(chan []job, opts.Buffer),
-		out:   make(chan Result, opts.Buffer),
-		start: time.Now(),
-	}
-	p.stats.Dialects = map[string]*DialectStats{}
-
-	reg := opts.registry()
-
-	// Workers send per-chunk result slices to sink; the forwarder fans
-	// them out to the public per-record channel, reordering when
-	// requested, and closes it once the last worker drains.
-	sink := make(chan []Result, opts.Buffer)
-	go p.forward(sink)
-	p.workers.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go p.runWorker(reg, sink)
-	}
-	go func() {
-		p.workers.Wait()
-		p.statsMu.Lock()
-		p.stats.Elapsed = time.Since(p.start)
-		p.statsMu.Unlock()
-		close(sink)
-	}()
-	return p
-}
-
-// Submit enqueues one record and returns its sequence number, blocking
-// while the record's chunk is flushing into a full input buffer. Submit
-// is safe for concurrent use from multiple goroutines; calling it after
-// Close panics.
-func (p *Pipeline) Submit(rec Record) int {
-	// Per-record mode (ChunkSize 1) pays one small slice allocation per
-	// Submit (and one per result in the worker) in exchange for
-	// immediate hand-off; that is noise next to a conversion's own
-	// allocations, and throughput-oriented callers raise ChunkSize.
-	p.mu.Lock()
-	seq := p.seq
-	p.seq++
-	p.pending = append(p.pending, job{seq: seq, rec: rec})
-	var flush []job
-	if len(p.pending) >= p.opts.ChunkSize {
-		flush = p.pending
-		p.pending = make([]job, 0, p.opts.ChunkSize)
-	}
-	p.mu.Unlock()
-	if flush != nil {
-		p.in <- flush
-	}
-	return seq
-}
-
-// Close signals that no further records will be submitted, flushing any
-// partial chunk. It must be called exactly once, after every Submit has
-// returned; workers drain the remaining input and then the Results
-// channel closes.
-func (p *Pipeline) Close() {
-	p.mu.Lock()
-	flush := p.pending
-	p.pending = nil
-	p.mu.Unlock()
-	if len(flush) > 0 {
-		p.in <- flush
-	}
-	close(p.in)
-}
-
-// Results returns the output channel. It closes after Close once every
-// submitted record's result has been emitted.
-func (p *Pipeline) Results() <-chan Result { return p.out }
-
-// Stats returns a snapshot of the aggregate statistics. Workers fold
-// their local aggregates in when they finish, so the snapshot is complete
-// once Results has closed (or been fully drained); mid-run it only
-// reflects workers that have already exited.
-func (p *Pipeline) Stats() Stats {
-	p.statsMu.Lock()
-	defer p.statsMu.Unlock()
-	return p.stats.clone()
-}
-
-// runWorker converts chunks until the input closes, then merges its local
-// stats into the pipeline — one mutex acquisition per worker lifetime,
-// not one per record.
-func (p *Pipeline) runWorker(reg *core.Registry, sink chan<- []Result) {
-	defer p.workers.Done()
-	w := newWorker(reg, p.opts.ReuseArenas)
-	for chunk := range p.in {
-		results := make([]Result, len(chunk))
-		for i, j := range chunk {
-			w.do(&results[i], j.seq, j.rec)
-		}
-		sink <- results
-	}
-	p.statsMu.Lock()
-	for key, ld := range w.local {
-		p.stats.merge(key, ld.drain())
-	}
-	p.statsMu.Unlock()
-}
-
-// forward fans per-chunk result slices out to the public per-record
-// channel. In ordered mode it buffers results that complete ahead of
-// their turn and releases them in Seq order; sequence numbers are dense,
-// so the pending map fully drains by the time sink closes.
-func (p *Pipeline) forward(sink <-chan []Result) {
-	defer close(p.out)
-	if !p.opts.Ordered {
-		for rs := range sink {
-			for _, r := range rs {
-				p.out <- r
-			}
-		}
-		return
-	}
-	pending := map[int]Result{}
-	next := 0
-	for rs := range sink {
-		for _, r := range rs {
-			pending[r.Seq] = r
-		}
-		for {
-			r, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			p.out <- r
-		}
-	}
-}
-
 // ConvertBatch converts records through a transient chunked worker pool
 // and returns the results indexed like the input (results[i] is
 // records[i]'s outcome) plus the aggregate statistics. Per-record
 // failures — unknown dialects, malformed plans — are reported in the
 // matching Result.Err and counted in the stats; they do not stop the
 // batch.
-//
-// Unlike the streaming Pipeline, ConvertBatch uses no channels at all:
-// workers claim chunks of the input slice through an atomic cursor and
-// write results into disjoint regions of the output slice.
 func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
-	opts = opts.withDefaults(DefaultChunkSize)
+	opts = opts.withDefaults()
 	out := make([]Result, len(records))
 	stats := Stats{Dialects: map[string]*DialectStats{}}
 	start := time.Now()
-	reg := opts.registry()
 
 	// The claim-a-chunk/private-worker-state/merge-once-at-drain machinery
 	// lives in ForEachChunkedCtx (clamping workers to GOMAXPROCS and to
@@ -457,13 +198,14 @@ func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
 		ctx = context.Background()
 	}
 	ForEachChunkedCtx(ctx, len(records), opts.Workers, opts.ChunkSize,
-		func() *worker { return newWorker(reg, opts.ReuseArenas) },
+		newWorker,
 		func(w *worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				w.do(&out[i], i, records[i])
 			}
 		},
 		func(w *worker) {
+			convert.ReturnArena(w.arena)
 			for key, ld := range w.local {
 				stats.merge(key, ld.drain())
 			}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"uplan/internal/convert"
 	"uplan/internal/core"
 	"uplan/internal/dbms"
 )
@@ -77,66 +78,41 @@ func TestConvertBatchAllDialects(t *testing.T) {
 	}
 }
 
-// TestConvertBatchReuseArenas is the owned-batch arena mode's correctness
-// and race test: many records per worker force repeated Reset/Clone
-// cycles, results must match the default mode plan-for-plan, and every
-// returned plan must be fully detached (still valid after the workers —
-// and their arenas — are gone). Run under -race with multiple workers this
-// also proves per-worker arenas never leak across goroutines.
+// TestConvertBatchReuseArenas is the worker arena's correctness and race
+// test: many records per worker force repeated Reset/Clone cycles in the
+// worker's borrowed arena, results must match the one-shot Convert path
+// plan-for-plan, and every returned plan must be fully detached (still
+// valid after the workers have returned their arenas to the pool). Run
+// under -race with multiple workers this also proves worker arenas never
+// leak across goroutines.
 func TestConvertBatchReuseArenas(t *testing.T) {
 	base := fixtures(t)
 	var recs []Record
 	for i := 0; i < 16; i++ { // enough repeats that every worker reuses its arena
 		recs = append(recs, base...)
 	}
-	want, _ := ConvertBatch(recs, Options{Workers: 4})
-	got, stats := ConvertBatch(recs, Options{Workers: 4, ReuseArenas: true, ChunkSize: 3})
+	got, stats := ConvertBatch(recs, Options{Workers: 4, ChunkSize: 3})
 	if stats.Errors != 0 {
-		t.Fatalf("reuse-arena batch reported %d errors", stats.Errors)
+		t.Fatalf("batch reported %d errors", stats.Errors)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d results, want %d", len(got), len(want))
+	if len(got) != len(recs) {
+		t.Fatalf("got %d results, want %d", len(got), len(recs))
 	}
 	for i := range got {
 		if got[i].Err != nil {
 			t.Fatalf("record %d (%s): %v", i, recs[i].Dialect, got[i].Err)
 		}
-		if !got[i].Plan.Equal(want[i].Plan) {
-			t.Errorf("record %d (%s): reuse-arena plan differs from default-mode plan",
+		want, err := convert.Convert(recs[i].Dialect, recs[i].Serialized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[i].Plan.Equal(want) {
+			t.Errorf("record %d (%s): batch plan differs from the one-shot plan",
 				i, recs[i].Dialect)
 		}
 		if err := got[i].Plan.Validate(); err != nil {
 			t.Errorf("record %d (%s): invalid detached plan: %v", i, recs[i].Dialect, err)
 		}
-	}
-}
-
-// TestPipelineStreamingReuseArenas covers the streaming pipeline's arena
-// path (workers outlive many records).
-func TestPipelineStreamingReuseArenas(t *testing.T) {
-	base := fixtures(t)
-	p := New(Options{Workers: 2, Ordered: true, ReuseArenas: true})
-	go func() {
-		for i := 0; i < 8; i++ {
-			for _, r := range base {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	n := 0
-	for res := range p.Results() {
-		if res.Err != nil {
-			t.Errorf("seq %d (%s): %v", res.Seq, res.Record.Dialect, res.Err)
-			continue
-		}
-		if err := res.Plan.Validate(); err != nil {
-			t.Errorf("seq %d: invalid plan: %v", res.Seq, err)
-		}
-		n++
-	}
-	if want := 8 * len(base); n != want {
-		t.Fatalf("drained %d results, want %d", n, want)
 	}
 }
 
@@ -260,98 +236,35 @@ func findDialect(t *testing.T, recs []Record, dialect string) int {
 	return -1
 }
 
-// TestPipelineOrdered checks that ordered mode emits results in
-// submission order even with many workers racing.
-func TestPipelineOrdered(t *testing.T) {
+// TestConvertBatchConcurrentCallers runs many batches at once from
+// separate goroutines (run under -race in CI): their workers borrow and
+// return arenas through the one shared pool, and every batch must still
+// convert every record to the same plans as a batch run alone.
+func TestConvertBatchConcurrentCallers(t *testing.T) {
 	recs := fixtures(t)
-	p := New(Options{Workers: 8, Buffer: 2, Ordered: true})
-	const rounds = 20
-	go func() {
-		for i := 0; i < rounds; i++ {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	next := 0
-	for r := range p.Results() {
-		if r.Seq != next {
-			t.Fatalf("got Seq %d, want %d", r.Seq, next)
-		}
-		if want := recs[next%len(recs)].Dialect; r.Record.Dialect != want {
-			t.Fatalf("Seq %d is %q, want %q", r.Seq, r.Record.Dialect, want)
-		}
-		next++
-	}
-	if next != rounds*len(recs) {
-		t.Fatalf("received %d results, want %d", next, rounds*len(recs))
-	}
-}
-
-// TestPipelineUnorderedCoversAllSeqs checks that unordered mode emits
-// exactly one result per submitted record.
-func TestPipelineUnorderedCoversAllSeqs(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 4, Buffer: 1})
-	const rounds = 10
-	go func() {
-		for i := 0; i < rounds; i++ {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-		}
-		p.Close()
-	}()
-	seen := map[int]bool{}
-	for r := range p.Results() {
-		if seen[r.Seq] {
-			t.Fatalf("Seq %d emitted twice", r.Seq)
-		}
-		seen[r.Seq] = true
-	}
-	if len(seen) != rounds*len(recs) {
-		t.Fatalf("received %d results, want %d", len(seen), rounds*len(recs))
-	}
-}
-
-// TestPipelineConcurrentSubmitters hammers one pipeline from many
-// submitting goroutines (run under -race in CI).
-func TestPipelineConcurrentSubmitters(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 6, Buffer: 4})
-	const (
-		submitters = 8
-		perSub     = 25
-	)
+	want, _ := ConvertBatch(recs, Options{Workers: 1})
+	const callers = 8
 	var wg sync.WaitGroup
-	wg.Add(submitters)
-	for s := 0; s < submitters; s++ {
-		go func(s int) {
+	wg.Add(callers)
+	for c := 0; c < callers; c++ {
+		go func(c int) {
 			defer wg.Done()
-			for i := 0; i < perSub; i++ {
-				p.Submit(recs[(s+i)%len(recs)])
+			for round := 0; round < 5; round++ {
+				got, stats := ConvertBatch(recs, Options{Workers: 2, ChunkSize: 1 + c%3})
+				if stats.Records != len(recs) || stats.Errors != 0 {
+					t.Errorf("caller %d: stats = %d records, %d errors", c, stats.Records, stats.Errors)
+					return
+				}
+				for i := range got {
+					if !got[i].Plan.Equal(want[i].Plan) {
+						t.Errorf("caller %d: record %d (%s) differs", c, i, recs[i].Dialect)
+						return
+					}
+				}
 			}
-		}(s)
+		}(c)
 	}
-	go func() {
-		wg.Wait()
-		p.Close()
-	}()
-	got := 0
-	for r := range p.Results() {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Record.Dialect, r.Err)
-		}
-		got++
-	}
-	if got != submitters*perSub {
-		t.Fatalf("received %d results, want %d", got, submitters*perSub)
-	}
-	stats := p.Stats()
-	if stats.Records != submitters*perSub || stats.Errors != 0 {
-		t.Fatalf("stats = %+v, want %d records and no errors", stats, submitters*perSub)
-	}
+	wg.Wait()
 }
 
 // TestStatsHistogramMerge checks that per-dialect histograms equal the
@@ -397,63 +310,19 @@ func TestStatsHistogramMerge(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotIsolation checks that a Stats snapshot is a deep copy.
-func TestStatsSnapshotIsolation(t *testing.T) {
-	recs := fixtures(t)
-	_, stats := ConvertBatch(recs, Options{Workers: 2})
-	snap := stats.clone()
-	for _, ds := range stats.Dialects {
-		ds.Converted = -1
-		ds.Operations[core.Producer] = -99
-	}
-	for _, ds := range snap.Dialects {
-		if ds.Converted == -1 || ds.Operations[core.Producer] == -99 {
-			t.Fatal("snapshot shares state with source")
-		}
-	}
-}
-
-// TestOptionsDefaults pins the documented zero-value behavior: batches
-// default to DefaultChunkSize, streams to per-record dispatch.
+// TestOptionsDefaults pins the documented zero-value behavior: GOMAXPROCS
+// workers and DefaultChunkSize records per chunk.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults(DefaultChunkSize)
+	o := Options{}.withDefaults()
 	if o.Workers <= 0 {
 		t.Errorf("Workers default = %d, want > 0", o.Workers)
 	}
-	if o.Buffer != 2*o.Workers {
-		t.Errorf("Buffer default = %d, want %d", o.Buffer, 2*o.Workers)
-	}
 	if o.ChunkSize != DefaultChunkSize {
-		t.Errorf("batch ChunkSize default = %d, want %d", o.ChunkSize, DefaultChunkSize)
+		t.Errorf("ChunkSize default = %d, want %d", o.ChunkSize, DefaultChunkSize)
 	}
-	if o := (Options{}).withDefaults(1); o.ChunkSize != 1 {
-		t.Errorf("stream ChunkSize default = %d, want 1", o.ChunkSize)
-	}
-	o = Options{Workers: 3, Buffer: 9, ChunkSize: 5}.withDefaults(DefaultChunkSize)
-	if o.Workers != 3 || o.Buffer != 9 || o.ChunkSize != 5 {
+	o = Options{Workers: 3, ChunkSize: 5}.withDefaults()
+	if o.Workers != 3 || o.ChunkSize != 5 {
 		t.Errorf("explicit options rewritten: %+v", o)
-	}
-}
-
-// TestPipelineSubmitThenWait locks the streaming default: with ChunkSize
-// unset, a caller may wait for each record's result before submitting
-// the next without deadlocking on a partially filled chunk.
-func TestPipelineSubmitThenWait(t *testing.T) {
-	recs := fixtures(t)
-	p := New(Options{Workers: 2})
-	for i, r := range recs {
-		seq := p.Submit(r)
-		res, ok := <-p.Results()
-		if !ok {
-			t.Fatal("results channel closed early")
-		}
-		if res.Seq != seq || res.Err != nil {
-			t.Fatalf("record %d: seq %d (want %d), err %v", i, res.Seq, seq, res.Err)
-		}
-	}
-	p.Close()
-	if _, ok := <-p.Results(); ok {
-		t.Fatal("unexpected extra result")
 	}
 }
 
@@ -493,35 +362,6 @@ func TestConvertBatchChunkSizes(t *testing.T) {
 			t.Errorf("chunk %d: stats %d/%d/%d, want %d/%d/%d", cs,
 				stats.Records, stats.Converted, stats.Errors,
 				wantStats.Records, wantStats.Converted, wantStats.Errors)
-		}
-	}
-}
-
-// TestPipelineFlushesPartialChunk checks that records stuck in a partial
-// chunk are dispatched by Close, at every chunk size around the batch
-// size.
-func TestPipelineFlushesPartialChunk(t *testing.T) {
-	recs := fixtures(t)
-	for _, cs := range []int{1, 4, len(recs), len(recs) + 50} {
-		p := New(Options{Workers: 2, ChunkSize: cs})
-		go func() {
-			for _, r := range recs {
-				p.Submit(r)
-			}
-			p.Close()
-		}()
-		got := 0
-		for r := range p.Results() {
-			if r.Err != nil {
-				t.Errorf("chunk %d: %s: %v", cs, r.Record.Dialect, r.Err)
-			}
-			got++
-		}
-		if got != len(recs) {
-			t.Fatalf("chunk %d: received %d results, want %d", cs, got, len(recs))
-		}
-		if s := p.Stats(); s.Converted != len(recs) {
-			t.Errorf("chunk %d: stats.Converted = %d, want %d", cs, s.Converted, len(recs))
 		}
 	}
 }

@@ -26,13 +26,13 @@ type DialectStats struct {
 	Operations core.CategoryHistogram
 }
 
-// Stats aggregates a pipeline run.
+// Stats aggregates a ConvertBatch run.
 type Stats struct {
 	// Records, Converted, and Errors total the per-dialect counts.
 	Records   int
 	Converted int
 	Errors    int
-	// Elapsed is the wall time from pipeline start until the last worker
+	// Elapsed is the wall time from batch start until the last worker
 	// finished.
 	Elapsed time.Duration
 	// Dialects holds the per-dialect aggregates, keyed by lowercased
@@ -59,21 +59,6 @@ func (s *Stats) merge(key string, ds *DialectStats) {
 	s.Records += ds.Records
 	s.Converted += ds.Converted
 	s.Errors += ds.Errors
-}
-
-// clone deep-copies s so snapshots are isolated from later merges.
-func (s Stats) clone() Stats {
-	out := s
-	out.Dialects = make(map[string]*DialectStats, len(s.Dialects))
-	for k, ds := range s.Dialects {
-		cp := *ds
-		cp.Operations = core.CategoryHistogram{}
-		for cat, n := range ds.Operations {
-			cp.Operations[cat] += n
-		}
-		out.Dialects[k] = &cp
-	}
-	return out
 }
 
 // PlansPerSec is the overall conversion throughput: converted plans per

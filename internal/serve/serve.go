@@ -17,13 +17,14 @@
 //     deadline-cancels it, syncs any attached campaign store, and leaves
 //     health probes answering truthfully throughout (/readyz flips to 503
 //     the moment draining starts; /healthz stays 200 while alive).
-//   - Arena lifecycles: single conversions decode into pooled arenas that
-//     are reset and reused per request; batch conversions run the
-//     pipeline's owned-batch ReuseArenas mode. Plans never outlive their
-//     arena without a Clone detach (the arenaescape lint enforces this).
+//   - One arena lifecycle: single conversions borrow an arena from
+//     convert's shared pool per request and return it afterwards; batch
+//     workers borrow one from the same pool per worker. Plans never
+//     outlive their arena without a Clone detach (the arenaescape lint
+//     enforces this).
 //
 // cmd/uplan-serve is the binary; serveclient is the matching retrying
-// client; uplan-bench -experiment serve is the load generator.
+// client; cmd/uplan-perf is the load generator.
 package serve
 
 import (
@@ -87,9 +88,6 @@ type Options struct {
 	// (fingerprint-keyed LRU; see responseCache). Zero means
 	// DefaultCacheSize; negative disables the cache.
 	CacheSize int
-	// ReuseArenas selects the pipeline's owned-batch arena mode for batch
-	// requests (single conversions always use pooled request arenas).
-	ReuseArenas bool
 	// Store, when non-nil, attaches a campaign log: /v1/campaign-status
 	// reports it and Drain syncs it before returning. The caller owns the
 	// store's lifecycle (the server never closes it).
@@ -161,7 +159,6 @@ type Server struct {
 	adm     *admission
 	cache   *responseCache
 	metrics *metrics
-	arenas  sync.Pool // *core.PlanArena, reset between requests
 
 	handler http.Handler
 	http    *http.Server
@@ -185,7 +182,6 @@ func New(opts Options) *Server {
 		cache:   newResponseCache(opts.CacheSize),
 		metrics: newMetrics(),
 	}
-	s.arenas.New = func() any { return core.NewPlanArena() }
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 
 	mux := http.NewServeMux()
@@ -465,16 +461,13 @@ func (s *Server) delay(ctx context.Context) {
 	}
 }
 
-// convertInPooledArena converts one record inside a pooled request arena
-// and hands the in-arena plan to use before the arena is reset. The plan
-// must not escape use (build the response inside it); anything retained
-// must be detached with Plan.Clone first.
+// convertInPooledArena converts one record inside an arena borrowed from
+// convert's pool and hands the in-arena plan to use before the arena is
+// returned. The plan must not escape use (build the response inside it);
+// anything retained must be detached with Plan.Clone first.
 func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *core.Plan) error) error {
-	ar := s.arenas.Get().(*core.PlanArena)
-	defer func() {
-		ar.Reset()
-		s.arenas.Put(ar)
-	}()
+	ar := convert.BorrowArena()
+	defer convert.ReturnArena(ar)
 	p, err := convert.ConvertInto(dialect, serialized, ar)
 	if err != nil {
 		return err
@@ -615,9 +608,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		records[i] = pipeline.Record{Dialect: cr.Dialect, Serialized: cr.Serialized}
 	}
 	results, stats := pipeline.ConvertBatch(records, pipeline.Options{
-		Workers:     s.opts.Workers,
-		ReuseArenas: s.opts.ReuseArenas,
-		Context:     ctx,
+		Workers: s.opts.Workers,
+		Context: ctx,
 	})
 	s.metrics.recordBatch(stats)
 

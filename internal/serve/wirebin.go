@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -324,11 +325,26 @@ func isBinaryContent(r *http.Request) bool {
 
 // acceptsBinary reports whether the client asked for a binary response
 // body. Only an explicit BinaryContentType entry counts — wildcards keep
-// the JSON default, so existing clients never see a format change.
+// the JSON default, so existing clients never see a format change — and
+// an entry with q=0 counts as absent: RFC 9110 §12.4.2 makes it "not
+// acceptable".
 func acceptsBinary(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
-		if mediaType(part) == BinaryContentType {
+		if mediaType(part) == BinaryContentType && !zeroQuality(part) {
 			return true
+		}
+	}
+	return false
+}
+
+// zeroQuality reports whether an Accept entry's q parameter parses to 0.
+func zeroQuality(entry string) bool {
+	_, params, _ := strings.Cut(entry, ";")
+	for _, param := range strings.Split(params, ";") {
+		name, value, ok := strings.Cut(param, "=")
+		if ok && strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+			return err == nil && q == 0
 		}
 	}
 	return false

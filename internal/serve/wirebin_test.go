@@ -295,7 +295,7 @@ func TestServeCacheKeysOnContentType(t *testing.T) {
 
 // TestServeAcceptNegotiation pins the negotiation rules: JSON stays the
 // default under absent, wildcard, and unrelated Accept headers; only an
-// explicit binary entry (parameters and case ignored) switches formats.
+// explicit binary entry (case ignored) whose q is not 0 switches formats.
 func TestServeAcceptNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	body, err := json.Marshal(ConvertRequest{Dialect: "postgresql", Serialized: pgPlan})
@@ -313,6 +313,11 @@ func TestServeAcceptNegotiation(t *testing.T) {
 		{BinaryContentType, true},
 		{strings.ToUpper(BinaryContentType), true},
 		{"application/json, " + BinaryContentType + ";q=0.9", true},
+		{BinaryContentType + ";q=0.5", true},
+		// q=0 means "not acceptable" (RFC 9110 §12.4.2): JSON, not binary.
+		{BinaryContentType + ";q=0", false},
+		{BinaryContentType + "; q=0.000", false},
+		{"application/json, " + BinaryContentType + ";q=0", false},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest("POST", ts.URL+"/v1/convert", bytes.NewReader(body))

@@ -97,7 +97,7 @@ const (
 // Convert reuses a process-wide cached converter per dialect (backed by
 // one shared default registry) rather than rebuilding the registry on
 // every call, and is safe for concurrent use. For corpus-scale work, use
-// ConvertBatch or NewPipeline.
+// ConvertBatch.
 func Convert(dialect, serialized string) (*Plan, error) {
 	c, err := convert.Cached(dialect)
 	if err != nil {
@@ -114,8 +114,8 @@ func Dialects() []string { return convert.Dialects() }
 // property lists, child lists) into a few slabs and interns repeated
 // strings; Reset recycles the slabs for the next plan, so a warmed-up
 // arena converts with zero slab allocations. Arenas are not safe for
-// concurrent use — give each goroutine its own, or set
-// PipelineOptions.ReuseArenas to have the batch pipeline do that.
+// concurrent use — give each goroutine its own. ConvertBatch's workers
+// manage theirs: each borrows a pooled arena for the batch.
 func NewArena() *Arena { return core.NewPlanArena() }
 
 // ConvertInto is Convert with caller-managed memory: the plan is built
@@ -148,11 +148,8 @@ type (
 	BatchStats = pipeline.Stats
 	// DialectStats is one dialect's aggregate within BatchStats.
 	DialectStats = pipeline.DialectStats
-	// Pipeline is a streaming concurrent converter; see NewPipeline.
-	Pipeline = pipeline.Pipeline
-	// PipelineOptions configures ConvertBatch and NewPipeline: worker
-	// count, channel buffering, ordered/unordered collection, and an
-	// optional custom registry.
+	// PipelineOptions configures ConvertBatch: worker count, chunk size,
+	// and an optional cancellation context.
 	PipelineOptions = pipeline.Options
 )
 
@@ -168,14 +165,6 @@ type (
 func ConvertBatch(records []BatchRecord, opts PipelineOptions) ([]BatchResult, BatchStats) {
 	return pipeline.ConvertBatch(records, opts)
 }
-
-// NewPipeline starts a streaming conversion pipeline: Submit records from
-// any number of goroutines, consume Results as they complete (set
-// PipelineOptions.Ordered for submission order), Close once every Submit
-// has returned, then read Stats. Each worker reuses one converter per
-// dialect, so a long-lived pipeline amortizes converter construction
-// across the whole stream.
-func NewPipeline(opts PipelineOptions) *Pipeline { return pipeline.New(opts) }
 
 // Campaign orchestration types, re-exported from the campaign subsystem.
 type (
@@ -284,9 +273,8 @@ func ParseJSON(data []byte) (*Plan, error) { return core.ParseJSON(data) }
 
 // DefaultRegistry returns a fresh copy of the built-in naming registry
 // covering the nine studied DBMSs. Each call builds a new instance, so
-// extending it does NOT affect Convert or ConvertBatch — pass the
-// extended registry via PipelineOptions.Registry, or extend
-// SharedRegistry instead.
+// extending it does NOT affect Convert or ConvertBatch — extend
+// SharedRegistry to change what they recognize.
 func DefaultRegistry() *Registry { return core.DefaultRegistry() }
 
 // SharedRegistry returns the process-wide registry backing Convert's and

@@ -98,35 +98,6 @@ func TestFacadeConvertBatch(t *testing.T) {
 	}
 }
 
-// TestFacadePipelineStreaming drives the streaming API: ordered results
-// over a bounded pipeline.
-func TestFacadePipelineStreaming(t *testing.T) {
-	p := NewPipeline(PipelineOptions{Workers: 4, Ordered: true})
-	const n = 40
-	go func() {
-		for i := 0; i < n; i++ {
-			p.Submit(BatchRecord{Dialect: "postgresql", Serialized: pgPlan})
-		}
-		p.Close()
-	}()
-	got := 0
-	for r := range p.Results() {
-		if r.Seq != got {
-			t.Fatalf("Seq %d out of order (want %d)", r.Seq, got)
-		}
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("received %d results, want %d", got, n)
-	}
-	if s := p.Stats(); s.Converted != n {
-		t.Errorf("stats.Converted = %d, want %d", s.Converted, n)
-	}
-}
-
 func TestFacadeRoundTrips(t *testing.T) {
 	plan, err := Convert("postgresql", pgPlan)
 	if err != nil {
@@ -197,8 +168,8 @@ func plan4Categories() string {
 
 // TestFacadeArenaLifecycle exercises the exported arena surface end to
 // end: ConvertInto builds into a caller-owned arena, Clone detaches, Reset
-// recycles, and the batch pipeline's ReuseArenas option is reachable
-// through the facade options type.
+// recycles, and ConvertBatch's pooled worker arenas hand out detached
+// plans equal to Convert's.
 func TestFacadeArenaLifecycle(t *testing.T) {
 	const raw = "Seq Scan on t0  (cost=0.00..18.50 rows=850 width=4)\n" +
 		"  Filter: (c0 < 100)\nPlanning Time: 0.100 ms\n"
@@ -225,13 +196,13 @@ func TestFacadeArenaLifecycle(t *testing.T) {
 	}
 
 	records := []BatchRecord{{Dialect: "postgresql", Serialized: raw}, {Dialect: "postgresql", Serialized: raw}}
-	results, stats := ConvertBatch(records, PipelineOptions{Workers: 2, ReuseArenas: true})
+	results, stats := ConvertBatch(records, PipelineOptions{Workers: 2})
 	if stats.Errors != 0 {
-		t.Fatalf("ReuseArenas batch errors: %d", stats.Errors)
+		t.Fatalf("batch errors: %d", stats.Errors)
 	}
 	for _, r := range results {
 		if !r.Plan.Equal(direct) {
-			t.Errorf("ReuseArenas batch plan differs from Convert's result")
+			t.Errorf("batch plan differs from Convert's result")
 		}
 	}
 }
