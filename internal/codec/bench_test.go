@@ -153,8 +153,9 @@ func BenchmarkCodecDecode(b *testing.B) {
 	})
 }
 
-// BenchmarkCodecEncode measures single-plan blob encoding (the serve wire
-// path) and corpus packing (the store/tooling path) over the full corpus.
+// BenchmarkCodecEncode measures single-plan blob encoding through the
+// pooled Encode, through one warm reused Encoder (the serve batch wire
+// path), and corpus packing (the store/tooling path) over the full corpus.
 func BenchmarkCodecEncode(b *testing.B) {
 	plans, err := corpusPlans()
 	if err != nil {
@@ -166,6 +167,23 @@ func BenchmarkCodecEncode(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, p := range plans {
 				if _, err := Encode(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StopTimer()
+		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(plans))
+		b.ReportMetric(perPlan, "ns/plan")
+	})
+	b.Run("reuse", func(b *testing.B) {
+		var enc Encoder
+		var buf []byte
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, p := range plans {
+				var err error
+				if buf, err = enc.AppendEncode(buf[:0], p); err != nil {
 					b.Fatal(err)
 				}
 			}

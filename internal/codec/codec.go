@@ -48,6 +48,18 @@
 //
 //	magic "UPC" | version | string table | uvarint plan count | plan records
 //
+// # Encoding
+//
+// An Encoder holds the string-table index, the entry list and the record
+// scratch of one plan, and clears them (keeping their capacity) before
+// the next, so a warm Encoder encodes without allocating. Because the
+// table and record sizes are known before any byte of the blob is
+// written, AppendEncodeLen writes a blob behind its uvarint length
+// straight into a wire message — the serve batch path streams a whole
+// response through one Encoder this way. The package-level Encode and
+// AppendEncode borrow an Encoder from a sync.Pool; encoders whose table
+// or scratch grew past a fixed size are dropped instead of pooled.
+//
 // # Arena ownership
 //
 // DecodeInto builds the plan's nodes, property lists, and child lists in
@@ -66,6 +78,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"uplan/internal/core"
 )
@@ -113,6 +128,8 @@ type encoder struct {
 // ref returns the table index for s, adding it on first use. The
 // first-use-order assignment is what makes Encode deterministic and a
 // fixed point under decode→encode.
+//
+//uplan:hotpath
 func (e *encoder) ref(s string) uint64 {
 	if i, ok := e.index[s]; ok {
 		return i
@@ -140,6 +157,8 @@ func (e *encoder) ref(s string) uint64 {
 
 // appendTable appends the string table section: entry count, lengths,
 // concatenated bytes.
+//
+//uplan:hotpath
 func (e *encoder) appendTable(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(e.entries)))
 	for _, s := range e.entries {
@@ -153,6 +172,8 @@ func (e *encoder) appendTable(dst []byte) []byte {
 
 // appendPlan appends p's plan record to dst, registering every string in
 // the encoder's table.
+//
+//uplan:hotpath
 func (e *encoder) appendPlan(dst []byte, p *core.Plan) ([]byte, error) {
 	if p == nil {
 		return dst, errors.New("codec: cannot encode a nil plan")
@@ -164,28 +185,33 @@ func (e *encoder) appendPlan(dst []byte, p *core.Plan) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(nodes))
 	dst = binary.AppendUvarint(dst, e.ref(p.Source))
 	dst = e.appendProps(dst, p.Properties)
-	var walk func(dst []byte, n *core.Node) []byte
-	walk = func(dst []byte, n *core.Node) []byte {
-		if ci := core.CategoryIndex(n.Op.Category); ci >= 0 {
-			dst = binary.AppendUvarint(dst, uint64(ci))
-		} else {
-			dst = binary.AppendUvarint(dst, uint64(len(core.OperationCategories))+e.ref(string(n.Op.Category)))
-		}
-		dst = binary.AppendUvarint(dst, e.ref(n.Op.Name))
-		dst = e.appendProps(dst, n.Properties)
-		dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
-		for _, c := range n.Children {
-			dst = walk(dst, c)
-		}
-		return dst
-	}
 	if p.Root != nil {
-		dst = walk(dst, p.Root)
+		dst = e.appendNode(dst, p.Root)
 	}
 	return dst, e.err
 }
 
+// appendNode appends n's node record and, pre-order, its subtree's.
+//
+//uplan:hotpath
+func (e *encoder) appendNode(dst []byte, n *core.Node) []byte {
+	if ci := core.CategoryIndex(n.Op.Category); ci >= 0 {
+		dst = binary.AppendUvarint(dst, uint64(ci))
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(core.OperationCategories))+e.ref(string(n.Op.Category)))
+	}
+	dst = binary.AppendUvarint(dst, e.ref(n.Op.Name))
+	dst = e.appendProps(dst, n.Properties)
+	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
+	for _, c := range n.Children {
+		dst = e.appendNode(dst, c)
+	}
+	return dst
+}
+
 // appendProps appends a property-list section: count, then properties.
+//
+//uplan:hotpath
 func (e *encoder) appendProps(dst []byte, props []core.Property) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(props)))
 	for i := range props {
@@ -215,6 +241,8 @@ const (
 // range use the compact zigzag form; the decoder reproduces an equal
 // float64 (−0.0 canonicalizes to +0.0, which compares, formats, and
 // fingerprints identically).
+//
+//uplan:hotpath
 func (e *encoder) appendValue(dst []byte, v core.Value) []byte {
 	switch v.Kind {
 	case core.KindString:
@@ -239,23 +267,121 @@ func (e *encoder) appendValue(dst []byte, v core.Value) []byte {
 	}
 }
 
-// Encode serializes p as a self-contained binary plan blob. The blob is
-// deterministic: encoding the same plan always yields the same bytes, and
-// encode→decode→encode is byte-identical.
+// Encoder encodes plan blobs, reusing its string table and record
+// scratch from one plan to the next, so a warm Encoder encodes without
+// allocating. The zero value is ready to use. An Encoder is not safe for
+// concurrent use.
+type Encoder struct {
+	enc encoder
+	rec []byte
+}
+
+// reset clears the table and truncates the scratch for the next plan.
+// clear(entries) drops the previous plan's string references, so a pooled
+// Encoder does not pin them.
+func (e *Encoder) reset() {
+	clear(e.enc.index)
+	clear(e.enc.entries)
+	e.enc.entries = e.enc.entries[:0]
+	e.enc.nbytes = 0
+	e.enc.err = nil
+	e.rec = e.rec[:0]
+}
+
+// encode builds p's string table and plan record in the Encoder, ready
+// for appendBlob.
+//
+//uplan:hotpath
+func (e *Encoder) encode(p *core.Plan) error {
+	e.reset()
+	rec, err := e.enc.appendPlan(e.rec, p)
+	e.rec = rec
+	return err
+}
+
+// blobLen is the byte length of the blob appendBlob will write, known
+// from the table and record sizes without copying anything.
+func (e *Encoder) blobLen() int {
+	n := len(planMagic) + 1 + uvarintLen(uint64(len(e.enc.entries))) + e.enc.nbytes + len(e.rec)
+	for _, s := range e.enc.entries {
+		n += uvarintLen(uint64(len(s)))
+	}
+	return n
+}
+
+// appendBlob appends the encoded blob: header, table, record.
+//
+//uplan:hotpath
+func (e *Encoder) appendBlob(dst []byte) []byte {
+	dst = append(dst, planMagic...)
+	dst = append(dst, Version)
+	dst = e.enc.appendTable(dst)
+	return append(dst, e.rec...)
+}
+
+// AppendEncode appends p's blob to dst and returns the extended slice. On
+// error dst is returned unchanged.
+func (e *Encoder) AppendEncode(dst []byte, p *core.Plan) ([]byte, error) {
+	if err := e.encode(p); err != nil {
+		return dst, err
+	}
+	return e.appendBlob(slices.Grow(dst, e.blobLen())), nil
+}
+
+// AppendEncodeLen appends p's blob behind its uvarint byte length, the
+// framing wire formats use to embed blobs. On error dst is returned
+// unchanged.
+func (e *Encoder) AppendEncodeLen(dst []byte, p *core.Plan) ([]byte, error) {
+	if err := e.encode(p); err != nil {
+		return dst, err
+	}
+	n := e.blobLen()
+	dst = slices.Grow(dst, uvarintLen(uint64(n))+n)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	return e.appendBlob(dst), nil
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
+}
+
+// Pooled encoders whose table or record scratch grew past these bounds
+// are dropped rather than returned, so one huge plan does not pin its
+// buffers for the life of the process.
+const (
+	maxPooledEntries = 1 << 12
+	maxPooledRecord  = 1 << 16
+)
+
+var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
+
+func getEncoder() *Encoder { return encoderPool.Get().(*Encoder) }
+
+func putEncoder(e *Encoder) {
+	if cap(e.enc.entries) <= maxPooledEntries && cap(e.rec) <= maxPooledRecord {
+		encoderPool.Put(e)
+	}
+}
+
+// Encode serializes p as a self-contained binary plan blob in an exactly
+// sized slice the caller owns. The blob is deterministic: encoding the
+// same plan always yields the same bytes, and encode→decode→encode is
+// byte-identical.
 func Encode(p *core.Plan) ([]byte, error) {
-	return AppendEncode(nil, p)
+	e := getEncoder()
+	defer putEncoder(e)
+	if err := e.encode(p); err != nil {
+		return nil, err
+	}
+	return e.appendBlob(make([]byte, 0, e.blobLen())), nil
 }
 
 // AppendEncode appends p's blob to dst and returns the extended slice,
-// letting callers reuse one buffer across many encodes.
+// letting callers reuse one buffer across many encodes. It borrows a
+// pooled Encoder; a caller encoding many plans in a row can hold its own.
 func AppendEncode(dst []byte, p *core.Plan) ([]byte, error) {
-	var e encoder
-	rec, err := e.appendPlan(nil, p)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, planMagic...)
-	dst = append(dst, Version)
-	dst = e.appendTable(dst)
-	return append(dst, rec...), nil
+	e := getEncoder()
+	defer putEncoder(e)
+	return e.AppendEncode(dst, p)
 }

@@ -178,9 +178,9 @@ func TestDecodeRejectsNonCanonicalVarint(t *testing.T) {
 func TestDecodeRejectsInconsistentTree(t *testing.T) {
 	var e encoder
 	// Record claiming 2 nodes whose root declares 0 children.
-	rec := []byte{2}                       // node count
-	rec = append(rec, byte(e.ref("src"))) // source ref
-	rec = append(rec, 0)                  // plan props
+	rec := []byte{2}                             // node count
+	rec = append(rec, byte(e.ref("src")))        // source ref
+	rec = append(rec, 0)                         // plan props
 	rec = append(rec, 0, byte(e.ref("A")), 0, 0) // node 0: Producer, no props, 0 children
 	rec = append(rec, 0, byte(e.ref("A")), 0, 0) // node 1: orphan
 	blob := append([]byte{'U', 'P', 'B', Version}, e.appendTable(nil)...)

@@ -91,6 +91,7 @@ func (sc *jsonScan) expect(c byte) error {
 // scanObject parses an object, invoking fn once per key. fn must consume
 // the key's value (scanValue, scanString, scanObject, scanArray,
 // scanRawCompact, or skipValue).
+//
 //uplan:hotpath
 func (sc *jsonScan) scanObject(fn func(key string) error) error {
 	if err := sc.expect('{'); err != nil {
@@ -134,6 +135,7 @@ func (sc *jsonScan) scanObject(fn func(key string) error) error {
 
 // scanArray parses an array, invoking fn once per element with its index.
 // fn must consume the element.
+//
 //uplan:hotpath
 func (sc *jsonScan) scanArray(fn func(i int) error) error {
 	if err := sc.expect('['); err != nil {
@@ -171,6 +173,7 @@ func (sc *jsonScan) scanArray(fn func(i int) error) error {
 // scanString parses a JSON string. Strings without escapes — the common
 // case for both object keys and values — are returned as substrings of
 // the input without allocating.
+//
 //uplan:hotpath
 func (sc *jsonScan) scanString() (string, error) {
 	if err := sc.expect('"'); err != nil {
@@ -199,6 +202,7 @@ func (sc *jsonScan) scanString() (string, error) {
 
 // unescapeString handles the slow path of scanString: sc.pos sits on the
 // first backslash, start marks the byte after the opening quote.
+//
 //uplan:hotpath
 func (sc *jsonScan) unescapeString(start int) (string, error) {
 	var b strings.Builder

@@ -45,6 +45,7 @@ func (c *postgresConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan,
 // convertText parses the EXPLAIN text format: node lines carry a
 // "(cost=…)" annotation; "->" arrows encode nesting (6 columns per level);
 // property lines sit under their node; plan lines trail at column 0.
+//
 //uplan:hotpath
 func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "postgresql"}
@@ -113,6 +114,7 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 }
 
 // parseNodeLine parses `Name on obj  (cost=a..b rows=N width=W) [actual…]`.
+//
 //uplan:hotpath
 func (c *postgresConverter) parseNodeLine(line string, ar *core.PlanArena) (*core.Node, error) {
 	costIdx := strings.Index(line, "(cost=")
@@ -245,6 +247,7 @@ func (c *mysqlConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 }
 
 // convertTree parses EXPLAIN FORMAT=TREE: "-> " lines, 4 spaces/level.
+//
 //uplan:hotpath
 func (c *mysqlConverter) convertTree(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "mysql"}
@@ -293,6 +296,7 @@ func (c *mysqlConverter) parseTreeLine(title string, ar *core.PlanArena) *core.N
 // parseTreeLineInto parses a TREE operator title into an existing node —
 // the JSON decoder's "operation" strings reuse this without building (and
 // discarding) a second arena node per operator.
+//
 //uplan:hotpath
 func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *core.PlanArena) {
 	// Split off the cost/actual annotations.
@@ -342,6 +346,7 @@ func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *co
 
 // convertTable parses the classic tabular EXPLAIN: each row is one table
 // access; the result is a left-deep chain.
+//
 //uplan:hotpath
 func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, error) {
 	rows, header, err := parseASCIITable(s)

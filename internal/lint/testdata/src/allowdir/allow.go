@@ -26,5 +26,5 @@ func wrongAnalyzer(e *dbms.Engine) {
 // finding and suppresses nothing.
 func missingReason(e *dbms.Engine) {
 	/* want `requires a reason string` */ //lint:allow oracleerr
-	_ = e.Analyze() // want `error result of dbms\.Engine\.Analyze assigned to _`
+	_ = e.Analyze()                       // want `error result of dbms\.Engine\.Analyze assigned to _`
 }

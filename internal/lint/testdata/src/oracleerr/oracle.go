@@ -99,7 +99,7 @@ func brittleBoundFilter(err error) bool {
 // dropDurability discards the store's durability errors: the finding
 // looks journaled but may not survive the next crash.
 func dropDurability(s *store.Store, f store.Finding) {
-	_, _ = s.AppendFinding(f) // want `error result of store\.Store\.AppendFinding assigned to _`
+	_, _ = s.AppendFinding(f)                                                             // want `error result of store\.Store\.AppendFinding assigned to _`
 	_ = s.Checkpoint(store.TaskProgress{Engine: "postgresql", Oracle: "qpg", Done: true}) // want `error result of store\.Store\.Checkpoint assigned to _`
-	s.Close() // want `error result of store\.Store\.Close discarded \(bare call\)`
+	s.Close()                                                                             // want `error result of store\.Store\.Close discarded \(bare call\)`
 }

@@ -28,11 +28,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -386,16 +387,43 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// readBinaryBody reads one bounded binary request body in full; the wire
-// decoders need the complete message.
-func (s *Server) readBinaryBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// wireBufPool recycles the buffers binary request bodies are read into
+// and binary batch responses are written from. Buffers that grew past
+// maxPooledWireBuf are dropped instead of pooled, so one large batch does
+// not pin its memory for the life of the process.
+var wireBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledWireBuf = 1 << 20
+
+func getWireBuf() *bytes.Buffer { return wireBufPool.Get().(*bytes.Buffer) }
+
+func putWireBuf(b *bytes.Buffer) {
+	if b.Cap() > maxPooledWireBuf {
+		return
+	}
+	b.Reset()
+	wireBufPool.Put(b)
+}
+
+// decodeBinary reads one bounded binary request body in full (the wire
+// decoders need the complete message) into a pooled buffer and decodes
+// it. The decoders copy every string out, so the buffer goes back to the
+// pool as soon as decode returns.
+func decodeBinary[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error), dst *T) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		s.badBody(w, err)
+		return false
+	}
+	req, err := decode(buf.Bytes())
 	if err != nil {
 		s.badBody(w, err)
-		return nil, false
+		return false
 	}
-	return data, true
+	*dst = req
+	return true
 }
 
 // badBody answers a request whose body failed to read or decode: 413 when
@@ -416,17 +444,7 @@ func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request, dst *Conv
 	if !isBinaryContent(r) {
 		return s.decode(w, r, dst)
 	}
-	data, ok := s.readBinaryBody(w, r)
-	if !ok {
-		return false
-	}
-	req, err := DecodeBinaryConvertRequest(data)
-	if err != nil {
-		s.badBody(w, err)
-		return false
-	}
-	*dst = req
-	return true
+	return decodeBinary(s, w, r, DecodeBinaryConvertRequest, dst)
 }
 
 // decodeBatch is decodeConvert's batch-request counterpart.
@@ -434,17 +452,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dst *BatchR
 	if !isBinaryContent(r) {
 		return s.decode(w, r, dst)
 	}
-	data, ok := s.readBinaryBody(w, r)
-	if !ok {
-		return false
-	}
-	req, err := DecodeBinaryBatchRequest(data)
-	if err != nil {
-		s.badBody(w, err)
-		return false
-	}
-	*dst = req
-	return true
+	return decodeBinary(s, w, r, DecodeBinaryBatchRequest, dst)
 }
 
 // delay is the HandlerDelay fault-injection hook, context-aware so a
@@ -620,28 +628,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if binary {
-		resp := BinaryBatchResponse{
-			Results:          make([]BinaryBatchItem, len(results)),
-			Converted:        stats.Converted,
-			DeadlineExceeded: deadlineExceeded,
-			ElapsedSeconds:   stats.Elapsed.Seconds(),
-			PlansPerSec:      stats.PlansPerSec(),
-		}
-		for i, res := range results {
-			if res.Err != nil {
-				resp.Results[i] = BinaryBatchItem{Error: res.Err.Error()}
-				resp.Errors++
-				continue
-			}
-			blob, err := codec.Encode(res.Plan)
-			if err != nil {
-				resp.Results[i] = BinaryBatchItem{Error: err.Error()}
-				resp.Errors++
-				continue
-			}
-			resp.Results[i] = BinaryBatchItem{PlanBlob: blob}
-		}
-		s.writeTyped(w, http.StatusOK, BinaryContentType, AppendBinaryBatchResponse(nil, resp))
+		s.writeBinaryBatch(w, results, stats, deadlineExceeded)
 		return
 	}
 
@@ -670,6 +657,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = BatchItem{Plan: planJSON}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// writeBinaryBatch streams a binary batch response into one pooled
+// buffer in a single pass: each converted plan is encoded by one reused
+// codec.Encoder straight behind its item tag and length, so no per-plan
+// blob or BinaryBatchResponse is built. The bytes equal
+// AppendBinaryBatchResponse over codec.Encode blobs of the same results.
+// Errors counts per slot, as in the JSON response.
+func (s *Server) writeBinaryBatch(w http.ResponseWriter, results []pipeline.Result, stats pipeline.Stats, deadlineExceeded bool) {
+	buf := getWireBuf()
+	var enc codec.Encoder
+	dst := binary.AppendUvarint(buf.AvailableBuffer(), uint64(len(results)))
+	errs := 0
+	for _, res := range results {
+		err := res.Err
+		if err == nil {
+			dst, err = appendBatchPlan(dst, &enc, res.Plan)
+		}
+		if err != nil {
+			dst = appendBatchError(dst, err.Error())
+			errs++
+		}
+	}
+	dst = appendBatchTrailer(dst, stats.Converted, errs, deadlineExceeded, stats.Elapsed.Seconds(), stats.PlansPerSec())
+	s.writeTyped(w, http.StatusOK, BinaryContentType, dst)
+	if cap(dst) > buf.Cap() {
+		// The response outgrew the pooled buffer; pool the grown storage.
+		buf = bytes.NewBuffer(dst[:0])
+	}
+	putWireBuf(buf)
 }
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {

@@ -83,6 +83,7 @@ type BinaryBatchResult struct {
 // plans share ar when it is non-nil — they are collectively invalidated
 // by its Reset; a nil arena leaves each plan independently owned.
 func (c *Client) BatchConvertBinary(ctx context.Context, records []serve.ConvertRequest, ar *core.PlanArena) (*BinaryBatchResult, error) {
+	// AppendBinaryBatchRequest sizes the body exactly before appending.
 	body := serve.AppendBinaryBatchRequest(nil, serve.BatchRequest{Records: records})
 	raw, err := c.callBinary(ctx, "/v1/batch-convert", body)
 	if err != nil {
@@ -164,9 +165,28 @@ func (c *Client) attemptBinary(ctx context.Context, path string, body []byte) (r
 	if hr.StatusCode/100 != 2 {
 		return nil, decodeAPIError(hr)
 	}
-	raw, err = io.ReadAll(hr.Body)
+	raw, err = readBody(hr)
 	if err != nil {
 		return nil, fmt.Errorf("serveclient: reading %s response: %w", path, err)
+	}
+	return raw, nil
+}
+
+// maxPresizedBody bounds how much a response's Content-Length may make
+// readBody allocate up front; a larger or absent length falls back to
+// growing the buffer as the bytes arrive.
+const maxPresizedBody = 16 << 20
+
+// readBody reads a whole response body, in one exactly sized allocation
+// when the Content-Length header is present and plausible.
+func readBody(hr *http.Response) ([]byte, error) {
+	n := hr.ContentLength
+	if n < 0 || n > maxPresizedBody {
+		return io.ReadAll(hr.Body)
+	}
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(hr.Body, raw); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }

@@ -134,3 +134,39 @@ func TestClientBinaryRetriesShed(t *testing.T) {
 		t.Fatalf("err = %v, want a 422 APIError", err)
 	}
 }
+
+// TestClientReadsBinaryBodyWithoutContentLength: a binary response sent
+// chunked (no Content-Length to size the read from) and one whose
+// Content-Length promises more bytes than arrive take the growth and the
+// short-read paths of the body reader.
+func TestClientReadsBinaryBodyWithoutContentLength(t *testing.T) {
+	body := serve.AppendBinaryBatchResponse(nil, serve.BinaryBatchResponse{
+		Results: []serve.BinaryBatchItem{{Error: "conversion failed"}},
+		Errors:  1,
+	})
+	stub := func(short bool) *Client {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", serve.BinaryContentType)
+			if short {
+				w.Header().Set("Content-Length", strconv.Itoa(len(body)+10))
+			} else {
+				w.(http.Flusher).Flush() // commits the headers: chunked, no Content-Length
+			}
+			w.Write(body)
+		}))
+		t.Cleanup(ts.Close)
+		return New(ts.URL, Options{MaxRetries: -1})
+	}
+	recs := []serve.ConvertRequest{{Dialect: "postgresql", Serialized: pgPlan}}
+
+	res, err := stub(false).BatchConvertBinary(context.Background(), recs, nil)
+	if err != nil {
+		t.Fatalf("chunked binary response: %v", err)
+	}
+	if len(res.Results) != 1 || res.Results[0].Error != "conversion failed" || res.Errors != 1 {
+		t.Fatalf("chunked binary response decoded to %+v", res)
+	}
+	if _, err := stub(true).BatchConvertBinary(context.Background(), recs, nil); err == nil {
+		t.Fatal("a body shorter than its Content-Length was accepted")
+	}
+}

@@ -18,8 +18,10 @@ package serve
 //	                     deadline(1) elapsed(8, LE float64) pps(8, LE float64)
 //	item              := 0x00 len(blob) blob | 0x01 len(error) error
 //
-// Every length is bounds-checked against the remaining input, so a
-// corrupted prefix fails with ErrWire instead of an absurd allocation.
+// An error is never empty, and every uvarint is minimal, so a message has
+// exactly one encoding. Every length and count is bounds-checked against
+// the remaining input, so a corrupted prefix fails with ErrWire instead
+// of an absurd allocation.
 // Decoded byte slices alias the input buffer; string fields are copies.
 
 import (
@@ -27,9 +29,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+
+	"uplan/internal/codec"
+	"uplan/internal/core"
 )
 
 // BinaryContentType is the media type of every binary wire message. Send
@@ -48,15 +55,25 @@ var ErrWire = errors.New("serve: malformed binary wire message")
 // Options.MaxBatchRecords.
 const wireMaxItems = 1 << 20
 
+// minWireRecord is the fewest bytes one batch record or result item can
+// take (two empty length-prefixed fields; a tag and an empty field), so a
+// decoded count is also bounded by the bytes left to hold it.
+const minWireRecord = 2
+
 func wireErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrWire, fmt.Sprintf(format, args...))
 }
 
-// readWireUvarint decodes the uvarint at data[off:].
+// readWireUvarint decodes the uvarint at data[off:]. Only the minimal
+// encoding is accepted, so every message has one byte form and a decoded
+// message re-encodes byte-identically.
 func readWireUvarint(data []byte, off int) (uint64, int, error) {
 	v, n := binary.Uvarint(data[off:])
 	if n <= 0 {
 		return 0, 0, wireErr("truncated varint at offset %d", off)
+	}
+	if n != uvarintLen(v) {
+		return 0, 0, wireErr("non-minimal varint at offset %d", off)
 	}
 	return v, off + n, nil
 }
@@ -82,6 +99,11 @@ func appendWireBytes(dst []byte, b []byte) []byte {
 func appendWireString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // AppendBinaryConvertRequest appends req's binary encoding to dst.
@@ -115,8 +137,14 @@ func decodeConvertRequestAt(data []byte, off int) (ConvertRequest, int, error) {
 	return ConvertRequest{Dialect: string(dialect), Serialized: string(serialized)}, off, nil
 }
 
-// AppendBinaryBatchRequest appends req's binary encoding to dst.
+// AppendBinaryBatchRequest appends req's binary encoding to dst, growing
+// dst once to the exact encoded size first.
 func AppendBinaryBatchRequest(dst []byte, req BatchRequest) []byte {
+	n := uvarintLen(uint64(len(req.Records)))
+	for _, r := range req.Records {
+		n += uvarintLen(uint64(len(r.Dialect))) + len(r.Dialect) + uvarintLen(uint64(len(r.Serialized))) + len(r.Serialized)
+	}
+	dst = slices.Grow(dst, n)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Records)))
 	for _, r := range req.Records {
 		dst = AppendBinaryConvertRequest(dst, r)
@@ -130,8 +158,8 @@ func DecodeBinaryBatchRequest(data []byte) (BatchRequest, error) {
 	if err != nil {
 		return BatchRequest{}, err
 	}
-	if count > wireMaxItems {
-		return BatchRequest{}, wireErr("batch of %d records exceeds the wire cap", count)
+	if count > wireMaxItems || count > uint64(len(data)-off)/minWireRecord {
+		return BatchRequest{}, wireErr("batch of %d records exceeds the wire cap or the %d remaining bytes", count, len(data)-off)
 	}
 	req := BatchRequest{Records: make([]ConvertRequest, 0, count)}
 	for i := uint64(0); i < count; i++ {
@@ -221,27 +249,54 @@ const (
 	wireItemError = 0x01
 )
 
-// AppendBinaryBatchResponse appends resp's binary encoding to dst.
+// AppendBinaryBatchResponse appends resp's binary encoding to dst. The
+// server streams the same layout through appendBatchPlan,
+// appendBatchError and appendBatchTrailer without building resp.
 func AppendBinaryBatchResponse(dst []byte, resp BinaryBatchResponse) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Results)))
 	for _, it := range resp.Results {
 		if it.Error != "" {
-			dst = append(dst, wireItemError)
-			dst = appendWireString(dst, it.Error)
+			dst = appendBatchError(dst, it.Error)
 			continue
 		}
 		dst = append(dst, wireItemPlan)
 		dst = appendWireBytes(dst, it.PlanBlob)
 	}
-	dst = binary.AppendUvarint(dst, uint64(resp.Converted))
-	dst = binary.AppendUvarint(dst, uint64(resp.Errors))
-	if resp.DeadlineExceeded {
+	return appendBatchTrailer(dst, resp.Converted, resp.Errors, resp.DeadlineExceeded, resp.ElapsedSeconds, resp.PlansPerSec)
+}
+
+// appendBatchPlan appends one converted batch item, encoding p with enc
+// straight behind its tag and length. On error dst is returned unchanged.
+func appendBatchPlan(dst []byte, enc *codec.Encoder, p *core.Plan) ([]byte, error) {
+	out, err := enc.AppendEncodeLen(append(dst, wireItemPlan), p)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// appendBatchError appends one failed batch item. The wire requires a
+// non-empty message, which tells the item apart from a converted one.
+func appendBatchError(dst []byte, msg string) []byte {
+	if msg == "" {
+		msg = "unknown error"
+	}
+	dst = append(dst, wireItemError)
+	return appendWireString(dst, msg)
+}
+
+// appendBatchTrailer appends the batch response's counters and timing,
+// which follow the items.
+func appendBatchTrailer(dst []byte, converted, errs int, deadlineExceeded bool, elapsed, pps float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(converted))
+	dst = binary.AppendUvarint(dst, uint64(errs))
+	if deadlineExceeded {
 		dst = append(dst, 1)
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(resp.ElapsedSeconds))
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(resp.PlansPerSec))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(elapsed))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(pps))
 }
 
 // DecodeBinaryBatchResponse decodes one binary batch response. Item
@@ -252,8 +307,8 @@ func DecodeBinaryBatchResponse(data []byte) (BinaryBatchResponse, error) {
 	if err != nil {
 		return BinaryBatchResponse{}, err
 	}
-	if count > wireMaxItems {
-		return BinaryBatchResponse{}, wireErr("batch of %d results exceeds the wire cap", count)
+	if count > wireMaxItems || count > uint64(len(data)-off)/minWireRecord {
+		return BinaryBatchResponse{}, wireErr("batch of %d results exceeds the wire cap or the %d remaining bytes", count, len(data)-off)
 	}
 	resp.Results = make([]BinaryBatchItem, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -271,6 +326,10 @@ func DecodeBinaryBatchResponse(data []byte) (BinaryBatchResponse, error) {
 		case wireItemPlan:
 			resp.Results = append(resp.Results, BinaryBatchItem{PlanBlob: field})
 		case wireItemError:
+			if len(field) == 0 {
+				// An empty error would read back as a converted item.
+				return BinaryBatchResponse{}, wireErr("batch item %d carries an empty error", i)
+			}
 			resp.Results = append(resp.Results, BinaryBatchItem{Error: string(field)})
 		default:
 			return BinaryBatchResponse{}, wireErr("unknown batch item tag 0x%02x", tag)

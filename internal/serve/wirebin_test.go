@@ -124,6 +124,15 @@ func TestWireBinaryRejectsCorruption(t *testing.T) {
 	if _, err := DecodeBinaryBatchResponse(bad); !errors.Is(err, ErrWire) {
 		t.Errorf("unknown item tag: err = %v, want ErrWire", err)
 	}
+	// An empty error item would read back as a converted one.
+	emptyErr := appendBatchTrailer([]byte{1, wireItemError, 0}, 0, 1, false, 0, 0)
+	if _, err := DecodeBinaryBatchResponse(emptyErr); !errors.Is(err, ErrWire) {
+		t.Errorf("empty error item: err = %v, want ErrWire", err)
+	}
+	// A non-minimal varint (0 as 0x80 0x00) would re-encode differently.
+	if _, err := DecodeBinaryBatchRequest([]byte{0x80, 0x00}); !errors.Is(err, ErrWire) {
+		t.Errorf("non-minimal count: err = %v, want ErrWire", err)
+	}
 	// A corrupt count must not drive a huge allocation.
 	huge := appendUvarint(nil, 1<<40)
 	if _, err := DecodeBinaryBatchRequest(huge); !errors.Is(err, ErrWire) {
