@@ -360,9 +360,8 @@ func BenchmarkConvertPostgresText(b *testing.B) {
 // formats the arena + zero-copy line-slicing rewrite targets — through the
 // cached one-shot path (pooled arena + detach, what uplan.Convert does)
 // and through a reused arena (ConvertInto + Reset, plans not retained, as
-// a batch worker does before its Clone). Inputs come from bench.TextSamples, shared
-// with uplan-bench's -experiment text so both trajectories measure the
-// same plans.
+// a batch worker does before its Clone). Inputs come from
+// bench.TextSamples.
 func BenchmarkConvertText(b *testing.B) {
 	samples, err := bench.TextSamples(42)
 	if err != nil {

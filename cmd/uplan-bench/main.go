@@ -1,28 +1,15 @@
 // Command uplan-bench regenerates the paper's benchmarking artifacts
 // (application A.3): Table VI (TPC-H operation counts across five DBMSs),
 // Table VII (YCSB on MongoDB, WDBench on Neo4j), Figure 4 (Producer-count
-// variance per query), and the Listing 4 q11 analysis. The batch
-// experiment measures conversion throughput of the mixed nine-dialect
-// corpus, sequentially or through the concurrent pipeline.
+// variance per query), and the Listing 4 q11 analysis. It also runs the
+// bug-finding campaign.
 //
 // Usage:
 //
-//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|batch|text|campaign|codec]
-//	            [-parallel N] [-iters N] [-queries N] [-out FILE]
+//	uplan-bench [-seed 42] [-experiment all|table6|table7|figure4|q11|campaign]
+//	            [-parallel N] [-queries N] [-oracles LIST]
 //	            [-store DIR] [-resume] [-checkpoint-every N]
-//	            [-pack FILE] [-unpack FILE]
 //	            [-cpuprofile FILE] [-memprofile FILE]
-//
-// -parallel N runs the batch experiment through the conversion pipeline
-// with N workers and reports the speedup over the sequential one-shot
-// path; -parallel 0 (the default) reports the sequential path only.
-// -out FILE additionally writes the batch experiment's throughput and
-// speedup numbers as JSON (see BENCH_batch.json for the committed
-// snapshots that record the perf trajectory across PRs).
-//
-// -experiment text measures each dialect's text-format converter
-// trajectory — the one-shot path against a reused arena — over -iters
-// conversions per dialect, reporting ns/plan and allocs/plan.
 //
 // -experiment campaign fans every registered testing oracle (QPG, CERT,
 // TLP, and the cardinality-bounds oracle; -oracles selects a subset)
@@ -43,16 +30,6 @@
 // skipped, the rest re-run, and the combined outcome is byte-identical
 // to an uninterrupted run. -checkpoint-every N bounds mid-task loss.
 //
-// -experiment codec packs the converted corpus into the compact binary
-// plan format (internal/codec), compares the packed size against the
-// JSON serialization, and measures decode throughput three ways: fresh
-// allocations per plan, one continuously reused arena, and the streaming
-// JSON reference path. -pack FILE keeps the packed corpus on disk;
-// -unpack FILE decodes and summarizes an existing packed corpus instead
-// of benchmarking. -iters sets the full-corpus passes per decode path;
-// -out writes the run as JSON (see BENCH_batch.json's uplan_codec
-// snapshots).
-//
 // -cpuprofile / -memprofile write pprof profiles covering whichever
 // experiments ran, so hot-path regressions can be diagnosed with
 // `go tool pprof` straight from this binary.
@@ -60,7 +37,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -69,45 +45,15 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"time"
 
 	"uplan/internal/bench"
 	"uplan/internal/campaign"
-	"uplan/internal/convert"
-	"uplan/internal/core"
-	"uplan/internal/pipeline"
 	"uplan/internal/shutdown"
 	"uplan/internal/store"
 )
 
-// batchResult is the machine-readable outcome of the batch experiment,
-// written by -out.
-type batchResult struct {
-	Experiment    string  `json:"experiment"`
-	Seed          int64   `json:"seed"`
-	CorpusRecords int     `json:"corpus_records"`
-	Sequential    pathRun `json:"sequential"`
-	Cached        pathRun `json:"sequential_cached"`
-	// Pipeline is present when -parallel > 0. Workers is the requested
-	// count; WorkersEffective is what ConvertBatch actually ran after
-	// its GOMAXPROCS clamp — on a 1-CPU runner the two routinely differ.
-	Pipeline         *pipeline.Report `json:"pipeline,omitempty"`
-	Workers          int              `json:"workers,omitempty"`
-	WorkersEffective int              `json:"workers_effective,omitempty"`
-	ChunkSize        int              `json:"chunk_size,omitempty"`
-	SpeedupVsSeq     float64          `json:"speedup_vs_sequential,omitempty"`
-	SpeedupVsCached  float64          `json:"speedup_vs_sequential_cached,omitempty"`
-}
-
-// pathRun records one conversion strategy's throughput.
-type pathRun struct {
-	Plans       int     `json:"plans"`
-	Seconds     float64 `json:"seconds"`
-	PlansPerSec float64 `json:"plans_per_sec"`
-}
-
 // experiments are the -experiment values main knows.
-var experiments = []string{"all", "table6", "table7", "figure4", "q11", "batch", "text", "campaign", "codec"}
+var experiments = []string{"all", "table6", "table7", "figure4", "q11", "campaign"}
 
 // checkExperiment rejects an -experiment value main does not know, which
 // would otherwise run nothing and exit 0.
@@ -121,17 +67,12 @@ func checkExperiment(name string) error {
 func main() {
 	seed := flag.Int64("seed", 42, "data generator seed")
 	experiment := flag.String("experiment", "all", "experiment: "+strings.Join(experiments, ", "))
-	parallel := flag.Int("parallel", 0, "batch: pipeline worker count (0 = sequential only); campaign: task pool bound (0 = GOMAXPROCS)")
-	chunk := flag.Int("chunk", 0, "batch experiment: records per pipeline dispatch chunk (0 = default)")
-	iters := flag.Int("iters", 2000, "text experiment: conversions per dialect per path")
+	parallel := flag.Int("parallel", 0, "campaign experiment: task pool bound (0 = GOMAXPROCS)")
 	queries := flag.Int("queries", 100, "campaign experiment: generated-query budget per engine/oracle task")
 	storeDir := flag.String("store", "", "campaign experiment: journal plans, findings, and checkpoints to this durable log directory")
 	resume := flag.Bool("resume", false, "campaign experiment: resume an interrupted campaign from the -store directory")
 	checkpointEvery := flag.Int("checkpoint-every", 50, "campaign experiment: queries between mid-task durability checkpoints (0 = task boundaries only)")
 	oracles := flag.String("oracles", "", "campaign experiment: comma-separated oracle subset (default: all registered; e.g. qpg,cert,tlp,bounds)")
-	out := flag.String("out", "", "batch experiment: write machine-readable JSON results to FILE")
-	pack := flag.String("pack", "", "codec experiment: keep the packed binary corpus at FILE")
-	unpack := flag.String("unpack", "", "codec experiment: decode and summarize an existing packed corpus instead of benchmarking")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiments to FILE")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to FILE on exit")
 	flag.Parse()
@@ -175,12 +116,6 @@ func main() {
 		flushProfiles()
 		os.Exit(1)
 	}
-	if *out != "" && !run("batch") && *experiment != "codec" {
-		fail(fmt.Errorf("-out only applies to the batch and codec experiments (got -experiment %s)", *experiment))
-	}
-	if (*pack != "" || *unpack != "") && *experiment != "codec" {
-		fail(fmt.Errorf("-pack/-unpack only apply to the codec experiment (got -experiment %s)", *experiment))
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -192,7 +127,7 @@ func main() {
 		}
 		cpuFile = f
 	}
-	// The campaign experiment is explicit-only, like text: a nine-engine
+	// The campaign experiment is explicit-only: a nine-engine
 	// bug-hunting fan-out is a workload of its own, not one of the
 	// paper's tabulated artifacts, so "all" does not imply it.
 	if *experiment == "campaign" {
@@ -258,32 +193,6 @@ func main() {
 			fmt.Println("  " + f.String())
 		}
 	}
-	// The codec experiment is explicit-only as well: a serialization
-	// microbenchmark, not one of the paper's artifacts.
-	if *experiment == "codec" {
-		if *unpack != "" {
-			if err := runCodecUnpack(*unpack); err != nil {
-				fail(err)
-			}
-		} else {
-			if *iters <= 0 {
-				fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-			}
-			if err := runCodecExperiment(*seed, *iters, *pack, *out); err != nil {
-				fail(err)
-			}
-		}
-	}
-	// The text experiment is explicit-only: it is a microbenchmark loop,
-	// not one of the paper's artifacts, so "all" does not imply it.
-	if *experiment == "text" {
-		if *iters <= 0 {
-			fail(fmt.Errorf("-iters must be positive (got %d)", *iters))
-		}
-		if err := runTextExperiment(*seed, *iters); err != nil {
-			fail(err)
-		}
-	}
 
 	if run("table6") || run("figure4") {
 		reports, err := bench.RunTableVI(*seed)
@@ -311,89 +220,6 @@ func main() {
 		fmt.Print(bench.FormatCategoryTable(reports))
 		fmt.Println()
 	}
-	if run("batch") {
-		corpus, err := bench.Corpus(*seed)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("== Batch conversion: %d-record mixed nine-dialect corpus ==\n", len(corpus))
-		result := batchResult{
-			Experiment:    "batch",
-			Seed:          *seed,
-			CorpusRecords: len(corpus),
-		}
-
-		// Sequential baseline: the one-shot path, which builds a fresh
-		// registry-backed converter for every record.
-		start := time.Now()
-		for _, r := range corpus {
-			if _, err := convert.Convert(r.Dialect, r.Serialized); err != nil {
-				fail(err)
-			}
-		}
-		seqElapsed := time.Since(start)
-		seqRate := float64(len(corpus)) / seqElapsed.Seconds()
-		result.Sequential = pathRun{len(corpus), seqElapsed.Seconds(), seqRate}
-		fmt.Printf("sequential: %d plans in %.3fs (%.0f plans/s)\n",
-			len(corpus), seqElapsed.Seconds(), seqRate)
-
-		// Cached path: one shared converter per dialect, the facade's
-		// single-plan fast path.
-		start = time.Now()
-		for _, r := range corpus {
-			c, err := convert.Cached(r.Dialect)
-			if err != nil {
-				fail(err)
-			}
-			if _, err := c.Convert(r.Serialized); err != nil {
-				fail(err)
-			}
-		}
-		cachedElapsed := time.Since(start)
-		cachedRate := float64(len(corpus)) / cachedElapsed.Seconds()
-		result.Cached = pathRun{len(corpus), cachedElapsed.Seconds(), cachedRate}
-		fmt.Printf("sequential-cached: %d plans in %.3fs (%.0f plans/s)\n",
-			len(corpus), cachedElapsed.Seconds(), cachedRate)
-
-		if *parallel > 0 {
-			if *chunk <= 0 {
-				*chunk = pipeline.DefaultChunkSize
-			}
-			popts := pipeline.Options{Workers: *parallel, ChunkSize: *chunk}
-			results, stats := pipeline.ConvertBatch(corpus, popts)
-			for _, r := range results {
-				if r.Err != nil {
-					fail(r.Err)
-				}
-			}
-			effective := *parallel
-			if n := runtime.GOMAXPROCS(0); effective > n {
-				effective = n
-			}
-			fmt.Printf("pipeline (%d workers requested, %d effective, chunk %d):\n%s",
-				*parallel, effective, popts.ChunkSize, stats)
-			fmt.Printf("speedup over sequential: %.2fx\n", stats.PlansPerSec()/seqRate)
-			report := stats.Report()
-			result.Pipeline = &report
-			result.Workers = *parallel
-			result.WorkersEffective = effective
-			result.ChunkSize = popts.ChunkSize
-			result.SpeedupVsSeq = stats.PlansPerSec() / seqRate
-			result.SpeedupVsCached = stats.PlansPerSec() / cachedRate
-		}
-		if *out != "" {
-			data, err := json.MarshalIndent(result, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Printf("wrote %s\n", *out)
-		}
-		fmt.Println()
-	}
 	if run("q11") {
 		a, err := bench.RunQ11(*seed)
 		if err != nil {
@@ -408,57 +234,4 @@ func main() {
 		fmt.Printf("redundant scan time: %.3f ms of %.3f ms (%.0f%%)\n",
 			a.RedundantMS, a.TotalMS, a.SavingsFraction()*100)
 	}
-}
-
-// runTextExperiment measures every text-dialect converter through the
-// one-shot path and through a reused arena, reporting ns/plan and
-// allocs/plan so the text-path trajectory is trackable like the batch
-// path's.
-func runTextExperiment(seed int64, iters int) error {
-	samples, err := bench.TextSamples(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Text converters: %d conversions per dialect per path ==\n", iters)
-	fmt.Printf("%-14s %12s %12s %14s %14s %9s\n",
-		"dialect", "oneshot ns", "reuse ns", "oneshot allocs", "reuse allocs", "speedup")
-	measure := func(fn func()) (nsPerOp float64, allocsPerOp float64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			fn()
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		return float64(elapsed.Nanoseconds()) / float64(iters),
-			float64(after.Mallocs-before.Mallocs) / float64(iters)
-	}
-	for _, s := range samples {
-		conv, err := convert.Cached(s.Dialect)
-		if err != nil {
-			return err
-		}
-		if _, err := conv.Convert(s.Raw); err != nil {
-			return fmt.Errorf("%s: %w", s.Name, err)
-		}
-		//lint:allow oracleerr timed closure; the same conversion was validated just above
-		oneNs, oneAllocs := measure(func() { conv.Convert(s.Raw) })
-		ar := core.NewPlanArena()
-		// Validate the arena path too before timing it: a failing path
-		// measures its error return and reports a bogus speedup.
-		if _, err := convert.ConvertInto(s.Dialect, s.Raw, ar); err != nil {
-			return fmt.Errorf("%s (arena path): %w", s.Name, err)
-		}
-		ar.Reset()
-		reuseNs, reuseAllocs := measure(func() {
-			//lint:allow oracleerr timed closure; the arena path was validated just above
-			convert.ConvertInto(s.Dialect, s.Raw, ar)
-			ar.Reset()
-		})
-		fmt.Printf("%-14s %12.0f %12.0f %14.1f %14.1f %8.2fx\n",
-			s.Name, oneNs, reuseNs, oneAllocs, reuseAllocs, oneNs/reuseNs)
-	}
-	return nil
 }

@@ -7,9 +7,8 @@ import (
 	"uplan/internal/explain"
 )
 
-// TextSample is one dialect's representative text-format plan, used by the
-// root BenchmarkConvertText and uplan-bench's text experiment — a single
-// definition so the two trajectories measure identical inputs.
+// TextSample is one dialect's representative text-format plan, the input
+// of the root BenchmarkConvertText.
 type TextSample struct {
 	// Name is the reporting label ("mysql-table", "tidb", …).
 	Name string

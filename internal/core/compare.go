@@ -264,12 +264,19 @@ func minInt(a, b int) int {
 // Similarity returns a normalized [0,1] similarity between two plans based
 // on TreeEditDistance: 1 means identical operation trees.
 func Similarity(a, b *Plan) float64 {
+	_, sim := EditSimilarity(a, b)
+	return sim
+}
+
+// EditSimilarity returns TreeEditDistance and Similarity together,
+// computing the exponential-cost edit distance only once.
+func EditSimilarity(a, b *Plan) (distance int, similarity float64) {
+	distance = TreeEditDistance(a, b)
 	sa, sb := subtreeSize(a.Root), subtreeSize(b.Root)
 	if sa+sb == 0 {
-		return 1
+		return distance, 1
 	}
-	d := float64(TreeEditDistance(a, b))
-	return math.Max(0, 1-d/float64(sa+sb))
+	return distance, math.Max(0, 1-float64(distance)/float64(sa+sb))
 }
 
 // RootCardinality returns the estimated-rows property of the root

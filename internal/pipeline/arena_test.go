@@ -38,7 +38,7 @@ func TestConvertBatchResultsSurviveArenaReuse(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		if _, s := pipeline.ConvertBatch(other, pipeline.Options{ChunkSize: 7}); s.Errors != 0 {
+		if _, s := pipeline.ConvertBatch(other, pipeline.Options{}); s.Errors != 0 {
 			t.Fatalf("round %d: %d conversion errors", round, s.Errors)
 		}
 		for _, r := range other {

@@ -81,7 +81,7 @@ func TestConvertBatchDeadlineExpired(t *testing.T) {
 	recs := fixtures(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	results, stats := ConvertBatch(recs, Options{Workers: 2, ChunkSize: 1, Context: ctx})
+	results, stats := ConvertBatch(recs, Options{Workers: 2, Context: ctx})
 	if len(results) != len(recs) {
 		t.Fatalf("got %d results for %d records", len(results), len(recs))
 	}
@@ -115,7 +115,7 @@ func TestConvertBatchDeadlineMidRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	results, stats := ConvertBatch(recs, Options{Workers: 2, ChunkSize: 1, Context: ctx})
+	results, stats := ConvertBatch(recs, Options{Workers: 2, Context: ctx})
 	if len(results) != len(recs) {
 		t.Fatalf("got %d results for %d records", len(results), len(recs))
 	}

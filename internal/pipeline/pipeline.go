@@ -5,7 +5,7 @@
 // operation histograms).
 //
 // Dispatch is chunked: the input slice itself is the work queue, carved
-// into chunks of Options.ChunkSize (default 32) by an atomic cursor (see
+// into chunks of 32 records by an atomic cursor (see
 // ForEachChunkedCtx), and workers write results straight into disjoint
 // slots of the output slice, so a batch performs no per-record
 // synchronization at all. Each worker folds its statistics into
@@ -55,9 +55,10 @@ type Result struct {
 	Err    error
 }
 
-// DefaultChunkSize is the records-per-dispatch unit ConvertBatch uses
-// when Options.ChunkSize is unset.
-const DefaultChunkSize = 32
+// chunkSize is the records-per-dispatch unit of ConvertBatch: large
+// enough to amortize the cursor claim, small enough to balance load and
+// keep cancellation fine-grained.
+const chunkSize = 32
 
 // Options configures ConvertBatch.
 type Options struct {
@@ -67,11 +68,6 @@ type Options struct {
 	// conversion is CPU-bound, so goroutines beyond the schedulable
 	// cores only add overhead.
 	Workers int
-	// ChunkSize is how many records form one dispatch unit. Larger chunks
-	// amortize scheduling overhead; smaller chunks balance load and make
-	// cancellation finer-grained. Non-positive values use
-	// DefaultChunkSize.
-	ChunkSize int
 	// Context, when non-nil, cancels a ConvertBatch run between chunks:
 	// records not yet claimed when the context is done are skipped, and
 	// their Results carry the context's error instead of a Plan.
@@ -82,9 +78,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.ChunkSize <= 0 {
-		o.ChunkSize = DefaultChunkSize
 	}
 	return o
 }
@@ -197,7 +190,7 @@ func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ForEachChunkedCtx(ctx, len(records), opts.Workers, opts.ChunkSize,
+	ForEachChunkedCtx(ctx, len(records), opts.Workers, chunkSize,
 		newWorker,
 		func(w *worker, lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -88,10 +88,13 @@ func TestConvertBatchAllDialects(t *testing.T) {
 func TestConvertBatchReuseArenas(t *testing.T) {
 	base := fixtures(t)
 	var recs []Record
-	for i := 0; i < 16; i++ { // enough repeats that every worker reuses its arena
+	for i := 0; i < 16; i++ { // several chunks, so every worker reuses its arena
 		recs = append(recs, base...)
 	}
-	got, stats := ConvertBatch(recs, Options{Workers: 4, ChunkSize: 3})
+	if len(recs) <= 2*chunkSize {
+		t.Fatalf("%d records fill under three chunks", len(recs))
+	}
+	got, stats := ConvertBatch(recs, Options{Workers: 4})
 	if stats.Errors != 0 {
 		t.Fatalf("batch reported %d errors", stats.Errors)
 	}
@@ -239,9 +242,16 @@ func findDialect(t *testing.T, recs []Record, dialect string) int {
 // TestConvertBatchConcurrentCallers runs many batches at once from
 // separate goroutines (run under -race in CI): their workers borrow and
 // return arenas through the one shared pool, and every batch must still
-// convert every record to the same plans as a batch run alone.
+// convert every record to the same plans as a batch run alone. Each
+// batch spans three chunks, so its own workers interleave too.
 func TestConvertBatchConcurrentCallers(t *testing.T) {
-	recs := fixtures(t)
+	var recs []Record
+	for i := 0; i < 8; i++ {
+		recs = append(recs, fixtures(t)...)
+	}
+	if len(recs) <= 2*chunkSize {
+		t.Fatalf("%d records fill under three chunks", len(recs))
+	}
 	want, _ := ConvertBatch(recs, Options{Workers: 1})
 	const callers = 8
 	var wg sync.WaitGroup
@@ -250,7 +260,7 @@ func TestConvertBatchConcurrentCallers(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				got, stats := ConvertBatch(recs, Options{Workers: 2, ChunkSize: 1 + c%3})
+				got, stats := ConvertBatch(recs, Options{Workers: 2})
 				if stats.Records != len(recs) || stats.Errors != 0 {
 					t.Errorf("caller %d: stats = %d records, %d errors", c, stats.Records, stats.Errors)
 					return
@@ -311,57 +321,57 @@ func TestStatsHistogramMerge(t *testing.T) {
 }
 
 // TestOptionsDefaults pins the documented zero-value behavior: GOMAXPROCS
-// workers and DefaultChunkSize records per chunk.
+// workers, and an explicit count kept as given.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Workers <= 0 {
+	if o := (Options{}).withDefaults(); o.Workers <= 0 {
 		t.Errorf("Workers default = %d, want > 0", o.Workers)
 	}
-	if o.ChunkSize != DefaultChunkSize {
-		t.Errorf("ChunkSize default = %d, want %d", o.ChunkSize, DefaultChunkSize)
-	}
-	o = Options{Workers: 3, ChunkSize: 5}.withDefaults()
-	if o.Workers != 3 || o.ChunkSize != 5 {
+	if o := (Options{Workers: 3}).withDefaults(); o.Workers != 3 {
 		t.Errorf("explicit options rewritten: %+v", o)
 	}
 }
 
-// TestConvertBatchChunkSizes checks that results and statistics are
-// identical whatever the chunk size — per-record dispatch, the default,
-// one oversized chunk, and a size that leaves a partial tail chunk.
-func TestConvertBatchChunkSizes(t *testing.T) {
-	recs := fixtures(t)
-	var batch []Record
-	for i := 0; i < 9; i++ {
-		batch = append(batch, recs...)
+// TestConvertBatchChunkBoundaries checks that every record lands in its
+// own slot with its one-shot outcome whatever the batch size does to the
+// 32-record chunks: a single record, one short of a chunk, exactly one,
+// one past it, and three chunks plus a partial tail. Failing records are
+// mixed in, so error accounting crosses the boundaries too.
+func TestConvertBatchChunkBoundaries(t *testing.T) {
+	good := fixtures(t)
+	bad := []Record{
+		{Dialect: "oracle", Serialized: "x"},
+		{Dialect: "postgresql", Serialized: "garbage {{{"},
 	}
-	// Mix in failures so error accounting is exercised too.
-	batch = append(batch, Record{Dialect: "oracle", Serialized: "x"},
-		Record{Dialect: "postgresql", Serialized: "garbage {{{"})
-
-	want, wantStats := ConvertBatch(batch, Options{Workers: 1, ChunkSize: len(batch)})
-	for _, cs := range []int{1, 7, DefaultChunkSize, len(batch), len(batch) * 3} {
-		got, stats := ConvertBatch(batch, Options{Workers: 4, ChunkSize: cs})
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: %d results, want %d", cs, len(got), len(want))
+	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
+		batch := make([]Record, n)
+		wantErrs := 0
+		for i := range batch {
+			if i%7 == 3 {
+				batch[i] = bad[i%2]
+				wantErrs++
+			} else {
+				batch[i] = good[i%len(good)]
+			}
+		}
+		got, stats := ConvertBatch(batch, Options{Workers: 4})
+		if len(got) != n {
+			t.Fatalf("%d records: %d results", n, len(got))
 		}
 		for i := range got {
 			if got[i].Seq != i || got[i].Record != batch[i] {
-				t.Fatalf("chunk %d: result %d misplaced", cs, i)
+				t.Fatalf("%d records: result %d misplaced", n, i)
 			}
-			if (got[i].Err != nil) != (want[i].Err != nil) {
-				t.Errorf("chunk %d: result %d error mismatch: %v vs %v",
-					cs, i, got[i].Err, want[i].Err)
+			want, err := convert.Convert(batch[i].Dialect, batch[i].Serialized)
+			if (got[i].Err != nil) != (err != nil) {
+				t.Errorf("%d records: result %d error mismatch: %v vs %v", n, i, got[i].Err, err)
 			}
-			if got[i].Err == nil && !got[i].Plan.Equal(want[i].Plan) {
-				t.Errorf("chunk %d: result %d plan differs", cs, i)
+			if err == nil && !got[i].Plan.Equal(want) {
+				t.Errorf("%d records: result %d plan differs from the one-shot plan", n, i)
 			}
 		}
-		if stats.Records != wantStats.Records || stats.Converted != wantStats.Converted ||
-			stats.Errors != wantStats.Errors {
-			t.Errorf("chunk %d: stats %d/%d/%d, want %d/%d/%d", cs,
-				stats.Records, stats.Converted, stats.Errors,
-				wantStats.Records, wantStats.Converted, wantStats.Errors)
+		if stats.Records != n || stats.Converted != n-wantErrs || stats.Errors != wantErrs {
+			t.Errorf("%d records: stats %d/%d/%d, want %d/%d/%d", n,
+				stats.Records, stats.Converted, stats.Errors, n, n-wantErrs, wantErrs)
 		}
 	}
 }

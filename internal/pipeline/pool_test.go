@@ -78,7 +78,7 @@ func TestConvertBatchCancelled(t *testing.T) {
 	recs := fixtures(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, _ := ConvertBatch(recs, Options{Workers: 2, ChunkSize: 1, Context: ctx})
+	results, _ := ConvertBatch(recs, Options{Workers: 2, Context: ctx})
 	if len(results) != len(recs) {
 		t.Fatalf("got %d results for %d records", len(results), len(recs))
 	}

@@ -80,8 +80,8 @@ func (s Stats) DialectPlansPerSec(dialect string) float64 {
 	return float64(ds.Converted) / s.Elapsed.Seconds()
 }
 
-// Report is the machine-readable snapshot of a pipeline run, used by
-// benchmark tooling (uplan-bench -out) to record the perf trajectory.
+// Report is the machine-readable snapshot of pipeline statistics; the
+// plan service serves its running totals under /metrics.
 type Report struct {
 	Records        int             `json:"records"`
 	Converted      int             `json:"converted"`

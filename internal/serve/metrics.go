@@ -70,8 +70,8 @@ func (m *metrics) recordOne(dialect string, err error) {
 }
 
 // recordBatch folds one ConvertBatch run's aggregate in. Operation
-// histograms ride along so /metrics exposes the same per-dialect shape
-// uplan-bench reports.
+// histograms ride along so /metrics exposes the per-dialect shape that
+// pipeline.Stats prints.
 func (m *metrics) recordBatch(st pipeline.Stats) {
 	m.statsMu.Lock()
 	defer m.statsMu.Unlock()

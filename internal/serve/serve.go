@@ -753,10 +753,11 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var resp CompareResponse
 	err = s.convertInPooledArena(req.B.Dialect, req.B.Serialized, func(p *core.Plan) error {
 		diffs := core.Compare(planA, p)
+		dist, sim := core.EditSimilarity(planA, p)
 		resp = CompareResponse{
 			Equal:        len(diffs) == 0,
-			Similarity:   core.Similarity(planA, p),
-			EditDistance: core.TreeEditDistance(planA, p),
+			Similarity:   sim,
+			EditDistance: dist,
 		}
 		for _, d := range diffs {
 			resp.Diffs = append(resp.Diffs, d.String())

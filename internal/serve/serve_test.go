@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"uplan/internal/convert"
+	"uplan/internal/core"
 	"uplan/internal/store"
 )
 
@@ -228,6 +230,43 @@ func TestServeCompare(t *testing.T) {
 	}, &ne)
 	if ne.Equal || len(ne.Diffs) == 0 || ne.EditDistance == 0 {
 		t.Errorf("different plans compare as %+v", ne)
+	}
+}
+
+// TestServeCompareMatchesCore runs /v1/compare over pairs of
+// bench.Corpus(42) plans, mostly cross-dialect: the handler computes the
+// edit distance once and derives the similarity from it, so both fields
+// must equal what core.TreeEditDistance and core.Similarity report on
+// their own. Plans over 10 nodes are left out, because the edit distance
+// is exponential in plan depth.
+func TestServeCompareMatchesCore(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	var reqs []ConvertRequest
+	var plans []*core.Plan
+	for _, r := range corpusRequests(t, 42) {
+		p, err := convert.Convert(r.Dialect, r.Serialized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.NodeCount() <= 10 {
+			reqs, plans = append(reqs, r), append(plans, p)
+		}
+	}
+	if len(reqs) < 100 {
+		t.Fatalf("only %d corpus plans within 10 nodes", len(reqs))
+	}
+	for i := 0; i+1 < len(reqs); i++ {
+		a, b := reqs[i], reqs[i+1]
+		var got CompareResponse
+		if hr := postJSON(t, ts.URL+"/v1/compare", CompareRequest{A: a, B: b}, &got); hr.StatusCode != http.StatusOK {
+			t.Fatalf("pair %d: status %d", i, hr.StatusCode)
+		}
+		if want := core.TreeEditDistance(plans[i], plans[i+1]); got.EditDistance != want {
+			t.Errorf("pair %d (%s, %s): EditDistance = %d, want %d", i, a.Dialect, b.Dialect, got.EditDistance, want)
+		}
+		if want := core.Similarity(plans[i], plans[i+1]); got.Similarity != want {
+			t.Errorf("pair %d (%s, %s): Similarity = %v, want %v", i, a.Dialect, b.Dialect, got.Similarity, want)
+		}
 	}
 }
 

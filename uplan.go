@@ -148,8 +148,8 @@ type (
 	BatchStats = pipeline.Stats
 	// DialectStats is one dialect's aggregate within BatchStats.
 	DialectStats = pipeline.DialectStats
-	// PipelineOptions configures ConvertBatch: worker count, chunk size,
-	// and an optional cancellation context.
+	// PipelineOptions configures ConvertBatch: worker count and an
+	// optional cancellation context.
 	PipelineOptions = pipeline.Options
 )
 
