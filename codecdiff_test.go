@@ -1,7 +1,6 @@
 package uplan
 
 import (
-	"bytes"
 	"sort"
 	"testing"
 
@@ -13,8 +12,7 @@ import (
 // TestCodecMatchesJSONPath is the differential guard for the binary
 // codec, in the style of internal/convert's legacy-decoder guards: across the
 // full nine-dialect benchmark corpus, a plan encoded to the binary format
-// and decoded back — through both the single-blob path and a packed
-// corpus read with a continuously reused arena — must serialize to
+// and decoded back into one continuously reused arena must serialize to
 // byte-identical canonical text and hash to equal fingerprints as the
 // JSON-path original. The JSON round trip (MarshalJSON → ParseJSON) runs
 // alongside as the reference serialization: both serializations must
@@ -27,17 +25,12 @@ func TestCodecMatchesJSONPath(t *testing.T) {
 	}
 	opts := core.FingerprintOptions{IncludeConfiguration: true, IncludeConfigurationValues: true}
 
-	// Pack every converted plan into one corpus while checking blobs.
-	var packed bytes.Buffer
-	cw := codec.NewCorpusWriter(&packed)
-	want := make([]*core.Plan, 0, len(corpus))
 	arena := NewArena()
 	for i, rec := range corpus {
 		ref, err := Convert(rec.Dialect, rec.Serialized)
 		if err != nil {
 			t.Fatalf("record %d (%s): convert: %v", i, rec.Dialect, err)
 		}
-		want = append(want, ref)
 
 		blob, err := codec.Encode(ref)
 		if err != nil {
@@ -78,38 +71,6 @@ func TestCodecMatchesJSONPath(t *testing.T) {
 			t.Errorf("record %d (%s): binary and JSON round trips diverge", i, rec.Dialect)
 		}
 
-		if err := cw.Add(ref); err != nil {
-			t.Fatalf("record %d (%s): corpus add: %v", i, rec.Dialect, err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second pass: the packed corpus, decoded with one reused arena (the
-	// benchmark's acceptance configuration), must reproduce every plan.
-	r, err := codec.NewCorpusReader(packed.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != len(want) {
-		t.Fatalf("packed corpus Len = %d, want %d", r.Len(), len(want))
-	}
-	for i, ref := range want {
-		arena.Reset()
-		got, err := r.Next(arena)
-		if err != nil {
-			t.Fatalf("packed plan %d: %v", i, err)
-		}
-		if got.MarshalText() != ref.MarshalText() || got.Source != ref.Source {
-			t.Errorf("packed plan %d (%s): corpus decode diverges", i, ref.Source)
-		}
-		if got.Fingerprint64(opts) != ref.Fingerprint64(opts) {
-			t.Errorf("packed plan %d (%s): Fingerprint64 diverges", i, ref.Source)
-		}
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

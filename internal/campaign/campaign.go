@@ -430,10 +430,10 @@ func deriveSeed(seed int64, engine string, o Oracle) int64 {
 // runTask builds the task's target engine, resolves its oracle from the
 // registry, and runs it with the orchestrator's hooks wired into the
 // task context. A task that runs to completion (no hard failure, no
-// cancellation) journals a Done checkpoint: the store syncs the task's
-// data shards before the marker, so a recovered Done proves the task's
-// plans and findings survived too — the ordering resume correctness
-// rests on.
+// cancellation) journals a Done checkpoint: the store appends the marker
+// after the task's records in one log file, so a recovered Done proves
+// the task's plans and findings survived too — the ordering resume
+// correctness rests on.
 func runTask(ctx context.Context, t task, opts Options, st *store) taskDelta {
 	var d taskDelta
 	impl, ok := oracle.Lookup(t.oracle)

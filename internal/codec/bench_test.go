@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"io"
 	"sync"
 	"testing"
 
@@ -11,7 +10,8 @@ import (
 )
 
 // corpusPlans converts the full nine-dialect benchmark corpus once per
-// test binary: the 264 unified plans the codec benchmarks pack and decode.
+// test binary: the 264 unified plans the codec benchmarks encode and
+// decode.
 var corpusPlans = sync.OnceValues(func() ([]*core.Plan, error) {
 	recs, err := bench.Corpus(42)
 	if err != nil {
@@ -32,130 +32,90 @@ var corpusPlans = sync.OnceValues(func() ([]*core.Plan, error) {
 	return plans, nil
 })
 
-// packedCorpus packs the benchmark corpus into one in-memory corpus blob.
-func packedCorpus(tb testing.TB) ([]byte, []*core.Plan) {
+// corpusBlobs encodes every benchmark corpus plan as its own blob.
+func corpusBlobs(tb testing.TB) [][]byte {
 	tb.Helper()
 	plans, err := corpusPlans()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var buf writerBuffer
-	cw := NewCorpusWriter(&buf)
-	for _, p := range plans {
-		if err := cw.Add(p); err != nil {
+	blobs := make([][]byte, len(plans))
+	for i, p := range plans {
+		if blobs[i], err = Encode(p); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := cw.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.b, plans
+	return blobs
 }
 
-// writerBuffer is a minimal io.Writer; bytes.Buffer would work, but this
-// keeps the packed slice without the Buffer's read-cursor semantics.
-type writerBuffer struct{ b []byte }
-
-func (w *writerBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// decodeAll runs one full pass over the packed corpus, resetting ar
-// before each plan (the reuse lifecycle).
-func decodeAll(tb testing.TB, r *CorpusReader, ar *core.PlanArena) int {
-	n := 0
-	for {
+// decodeAll decodes every blob once, resetting ar before each plan (the
+// reuse lifecycle).
+func decodeAll(tb testing.TB, blobs [][]byte, ar *core.PlanArena) {
+	for _, blob := range blobs {
 		ar.Reset()
-		_, err := r.Next(ar)
-		if err == io.EOF {
-			r.Rewind()
-			return n
-		}
-		if err != nil {
+		if _, err := DecodeInto(blob, ar); err != nil {
 			tb.Fatal(err)
 		}
-		n++
 	}
 }
 
 // TestCodecDecodeAllocBudget enforces the acceptance budget directly:
-// iterating the packed 264-record corpus with a reused arena must stay at
-// or under 9 allocations per decoded plan.
+// decoding each of the 264 corpus blobs with DecodeInto into one reused
+// arena must stay at or under 9 allocations per plan.
 func TestCodecDecodeAllocBudget(t *testing.T) {
-	blob, plans := packedCorpus(t)
-	r, err := NewCorpusReader(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blobs := corpusBlobs(t)
 	ar := core.NewPlanArena()
-	decodeAll(t, r, ar) // warm slabs and intern table
+	decodeAll(t, blobs, ar) // warm slabs and intern table
 	const runs = 10
-	avg := testing.AllocsPerRun(runs, func() {
-		if n := decodeAll(t, r, ar); n != len(plans) {
-			t.Fatalf("decoded %d plans, want %d", n, len(plans))
-		}
-	})
-	perPlan := avg / float64(len(plans))
-	t.Logf("reused-arena decode: %.2f allocs/plan over %d plans", perPlan, len(plans))
+	avg := testing.AllocsPerRun(runs, func() { decodeAll(t, blobs, ar) })
+	perPlan := avg / float64(len(blobs))
+	t.Logf("reused-arena decode: %.2f allocs/plan over %d plans", perPlan, len(blobs))
 	if perPlan > 9 {
 		t.Fatalf("reused-arena decode: %.2f allocs/plan, budget 9", perPlan)
 	}
 }
 
-// BenchmarkCodecDecode measures corpus decode throughput. The reuse
-// sub-benchmark is the acceptance configuration (one arena, Reset per
-// plan, table parsed once per file); oneshot pays a fresh arena per plan
-// the way a cold caller would. plans/s is reported for direct comparison
-// with BenchmarkDecodeJSON/stream at the same HEAD.
+// BenchmarkCodecDecode measures blob decode throughput over the corpus.
+// The reuse sub-benchmark is the acceptance configuration (one arena,
+// Reset per plan); oneshot pays a fresh arena per plan the way a cold
+// caller would. plans/s is reported for direct comparison with
+// BenchmarkDecodeJSON/stream at the same HEAD.
 func BenchmarkCodecDecode(b *testing.B) {
-	blob, plans := packedCorpus(b)
-	b.Run("reuse", func(b *testing.B) {
-		r, err := NewCorpusReader(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ar := core.NewPlanArena()
-		decodeAll(b, r, ar)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			decodeAll(b, r, ar)
-		}
-		b.StopTimer()
-		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(plans))
+	blobs := corpusBlobs(b)
+	report := func(b *testing.B) {
+		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(blobs))
 		b.ReportMetric(1e9/perPlan, "plans/s")
 		b.ReportMetric(perPlan, "ns/plan")
-	})
-	b.Run("oneshot", func(b *testing.B) {
-		r, err := NewCorpusReader(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
+	}
+	b.Run("reuse", func(b *testing.B) {
+		ar := core.NewPlanArena()
+		decodeAll(b, blobs, ar)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for {
-				_, err := r.Next(core.NewPlanArena())
-				if err == io.EOF {
-					r.Rewind()
-					break
-				}
-				if err != nil {
+			decodeAll(b, blobs, ar)
+		}
+		b.StopTimer()
+		report(b)
+	})
+	b.Run("oneshot", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, blob := range blobs {
+				if _, err := DecodeInto(blob, core.NewPlanArena()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 		b.StopTimer()
-		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(plans))
-		b.ReportMetric(1e9/perPlan, "plans/s")
-		b.ReportMetric(perPlan, "ns/plan")
+		report(b)
 	})
 }
 
 // BenchmarkCodecEncode measures single-plan blob encoding through the
-// pooled Encode, through one warm reused Encoder (the serve batch wire
-// path), and corpus packing (the store/tooling path) over the full corpus.
+// pooled Encode and through one warm reused Encoder (the serve batch wire
+// path) over the full corpus.
 func BenchmarkCodecEncode(b *testing.B) {
 	plans, err := corpusPlans()
 	if err != nil {
@@ -186,25 +146,6 @@ func BenchmarkCodecEncode(b *testing.B) {
 				if buf, err = enc.AppendEncode(buf[:0], p); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-		b.StopTimer()
-		perPlan := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(plans))
-		b.ReportMetric(perPlan, "ns/plan")
-	})
-	b.Run("corpus", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var buf writerBuffer
-			cw := NewCorpusWriter(&buf)
-			for _, p := range plans {
-				if err := cw.Add(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := cw.Flush(); err != nil {
-				b.Fatal(err)
 			}
 		}
 		b.StopTimer()

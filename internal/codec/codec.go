@@ -42,12 +42,6 @@
 // (minimal length); Encode is a fixed point, so encode→decode→encode is
 // byte-identical.
 //
-// A corpus file (CorpusWriter / CorpusReader) is the same layout with magic
-// "UPC", one string table shared by all plans, and a uvarint plan count
-// before the records:
-//
-//	magic "UPC" | version | string table | uvarint plan count | plan records
-//
 // # Encoding
 //
 // An Encoder holds the string-table index, the entry list and the record
@@ -56,9 +50,9 @@
 // table and record sizes are known before any byte of the blob is
 // written, AppendEncodeLen writes a blob behind its uvarint length
 // straight into a wire message — the serve batch path streams a whole
-// response through one Encoder this way. The package-level Encode and
-// AppendEncode borrow an Encoder from a sync.Pool; encoders whose table
-// or scratch grew past a fixed size are dropped instead of pooled.
+// response through one Encoder this way. The package-level Encode
+// borrows an Encoder from a sync.Pool; encoders whose table or scratch
+// grew past a fixed size are dropped instead of pooled.
 //
 // # Arena ownership
 //
@@ -68,9 +62,9 @@
 // Reset unless detached with Plan.Clone. Strings are independent of both
 // the arena and the input buffer — table entries are materialized through
 // PlanArena.InternBytes (once per distinct string for a warm arena, since
-// the intern table survives Reset) — so a clone never aliases the encoded
-// bytes and a CorpusReader may be Closed (unmapping its file) while decoded
-// plans live on.
+// the intern table survives Reset) — so a decoded plan never aliases the
+// encoded bytes, and the caller may reuse or discard the input buffer
+// while the plan lives on.
 package codec
 
 import (
@@ -85,12 +79,11 @@ import (
 	"uplan/internal/core"
 )
 
-// The three-byte magics and the format version. A version bump is a
+// The three-byte magic and the format version. A version bump is a
 // breaking change: decoders reject versions they do not know.
 const (
-	planMagic   = "UPB"
-	corpusMagic = "UPC"
-	Version     = 1
+	planMagic = "UPB"
+	Version   = 1
 )
 
 // Defensive bounds. They exist so a corrupt or hostile length prefix fails
@@ -109,20 +102,26 @@ const (
 const maxZigzagInt = 1 << 53
 
 // ErrCorrupt is wrapped by every decode error: the input is not a valid
-// plan blob or corpus (bad magic, unknown version, truncated or
-// non-canonical varint, out-of-range reference, inconsistent tree shape).
+// plan blob (bad magic, unknown version, truncated or non-canonical
+// varint, out-of-range reference, inconsistent tree shape).
 // Callers distinguish "bad input" from I/O failures with errors.Is.
 var ErrCorrupt = errors.New("codec: corrupt or truncated plan data")
 
-// encoder accumulates the string table while plan records are appended.
-// Errors are sticky: ref keeps returning indexes after a failure so record
+// Encoder encodes plan blobs, reusing its string table and record
+// scratch from one plan to the next, so a warm Encoder encodes without
+// allocating. The zero value is ready to use. An Encoder is not safe for
+// concurrent use.
+//
+// The string table accumulates while the plan record is appended. Errors
+// are sticky: ref keeps returning indexes after a failure so record
 // encoding can run unconditionally, and the caller checks err once at the
 // end — the same discipline as the store's sticky write failures.
-type encoder struct {
+type Encoder struct {
 	index   map[string]uint64
 	entries []string
 	nbytes  int
 	err     error
+	rec     []byte
 }
 
 // ref returns the table index for s, adding it on first use. The
@@ -130,7 +129,7 @@ type encoder struct {
 // fixed point under decode→encode.
 //
 //uplan:hotpath
-func (e *encoder) ref(s string) uint64 {
+func (e *Encoder) ref(s string) uint64 {
 	if i, ok := e.index[s]; ok {
 		return i
 	}
@@ -159,7 +158,7 @@ func (e *encoder) ref(s string) uint64 {
 // concatenated bytes.
 //
 //uplan:hotpath
-func (e *encoder) appendTable(dst []byte) []byte {
+func (e *Encoder) appendTable(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(e.entries)))
 	for _, s := range e.entries {
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -171,10 +170,10 @@ func (e *encoder) appendTable(dst []byte) []byte {
 }
 
 // appendPlan appends p's plan record to dst, registering every string in
-// the encoder's table.
+// the Encoder's table.
 //
 //uplan:hotpath
-func (e *encoder) appendPlan(dst []byte, p *core.Plan) ([]byte, error) {
+func (e *Encoder) appendPlan(dst []byte, p *core.Plan) ([]byte, error) {
 	if p == nil {
 		return dst, errors.New("codec: cannot encode a nil plan")
 	}
@@ -194,7 +193,7 @@ func (e *encoder) appendPlan(dst []byte, p *core.Plan) ([]byte, error) {
 // appendNode appends n's node record and, pre-order, its subtree's.
 //
 //uplan:hotpath
-func (e *encoder) appendNode(dst []byte, n *core.Node) []byte {
+func (e *Encoder) appendNode(dst []byte, n *core.Node) []byte {
 	if ci := core.CategoryIndex(n.Op.Category); ci >= 0 {
 		dst = binary.AppendUvarint(dst, uint64(ci))
 	} else {
@@ -212,7 +211,7 @@ func (e *encoder) appendNode(dst []byte, n *core.Node) []byte {
 // appendProps appends a property-list section: count, then properties.
 //
 //uplan:hotpath
-func (e *encoder) appendProps(dst []byte, props []core.Property) []byte {
+func (e *Encoder) appendProps(dst []byte, props []core.Property) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(props)))
 	for i := range props {
 		pr := &props[i]
@@ -243,7 +242,7 @@ const (
 // fingerprints identically).
 //
 //uplan:hotpath
-func (e *encoder) appendValue(dst []byte, v core.Value) []byte {
+func (e *Encoder) appendValue(dst []byte, v core.Value) []byte {
 	switch v.Kind {
 	case core.KindString:
 		dst = append(dst, valString)
@@ -267,24 +266,15 @@ func (e *encoder) appendValue(dst []byte, v core.Value) []byte {
 	}
 }
 
-// Encoder encodes plan blobs, reusing its string table and record
-// scratch from one plan to the next, so a warm Encoder encodes without
-// allocating. The zero value is ready to use. An Encoder is not safe for
-// concurrent use.
-type Encoder struct {
-	enc encoder
-	rec []byte
-}
-
 // reset clears the table and truncates the scratch for the next plan.
 // clear(entries) drops the previous plan's string references, so a pooled
 // Encoder does not pin them.
 func (e *Encoder) reset() {
-	clear(e.enc.index)
-	clear(e.enc.entries)
-	e.enc.entries = e.enc.entries[:0]
-	e.enc.nbytes = 0
-	e.enc.err = nil
+	clear(e.index)
+	clear(e.entries)
+	e.entries = e.entries[:0]
+	e.nbytes = 0
+	e.err = nil
 	e.rec = e.rec[:0]
 }
 
@@ -294,7 +284,7 @@ func (e *Encoder) reset() {
 //uplan:hotpath
 func (e *Encoder) encode(p *core.Plan) error {
 	e.reset()
-	rec, err := e.enc.appendPlan(e.rec, p)
+	rec, err := e.appendPlan(e.rec, p)
 	e.rec = rec
 	return err
 }
@@ -302,8 +292,8 @@ func (e *Encoder) encode(p *core.Plan) error {
 // blobLen is the byte length of the blob appendBlob will write, known
 // from the table and record sizes without copying anything.
 func (e *Encoder) blobLen() int {
-	n := len(planMagic) + 1 + uvarintLen(uint64(len(e.enc.entries))) + e.enc.nbytes + len(e.rec)
-	for _, s := range e.enc.entries {
+	n := len(planMagic) + 1 + uvarintLen(uint64(len(e.entries))) + e.nbytes + len(e.rec)
+	for _, s := range e.entries {
 		n += uvarintLen(uint64(len(s)))
 	}
 	return n
@@ -315,7 +305,7 @@ func (e *Encoder) blobLen() int {
 func (e *Encoder) appendBlob(dst []byte) []byte {
 	dst = append(dst, planMagic...)
 	dst = append(dst, Version)
-	dst = e.enc.appendTable(dst)
+	dst = e.appendTable(dst)
 	return append(dst, e.rec...)
 }
 
@@ -359,7 +349,7 @@ var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
 func getEncoder() *Encoder { return encoderPool.Get().(*Encoder) }
 
 func putEncoder(e *Encoder) {
-	if cap(e.enc.entries) <= maxPooledEntries && cap(e.rec) <= maxPooledRecord {
+	if cap(e.entries) <= maxPooledEntries && cap(e.rec) <= maxPooledRecord {
 		encoderPool.Put(e)
 	}
 }
@@ -375,13 +365,4 @@ func Encode(p *core.Plan) ([]byte, error) {
 		return nil, err
 	}
 	return e.appendBlob(make([]byte, 0, e.blobLen())), nil
-}
-
-// AppendEncode appends p's blob to dst and returns the extended slice,
-// letting callers reuse one buffer across many encodes. It borrows a
-// pooled Encoder; a caller encoding many plans in a row can hold its own.
-func AppendEncode(dst []byte, p *core.Plan) ([]byte, error) {
-	e := getEncoder()
-	defer putEncoder(e)
-	return e.AppendEncode(dst, p)
 }

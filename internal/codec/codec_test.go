@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -176,7 +173,7 @@ func TestDecodeRejectsNonCanonicalVarint(t *testing.T) {
 // TestDecodeRejectsInconsistentTree covers shape corruption the varint
 // layer cannot catch: child counts that over- or under-promise nodes.
 func TestDecodeRejectsInconsistentTree(t *testing.T) {
-	var e encoder
+	var e Encoder
 	// Record claiming 2 nodes whose root declares 0 children.
 	rec := []byte{2}                             // node count
 	rec = append(rec, byte(e.ref("src")))        // source ref
@@ -189,7 +186,7 @@ func TestDecodeRejectsInconsistentTree(t *testing.T) {
 		t.Fatalf("orphan node accepted (err=%v)", err)
 	}
 
-	var e2 encoder
+	var e2 Encoder
 	// Record claiming 2 nodes whose root promises 2 children.
 	rec = []byte{2}
 	rec = append(rec, byte(e2.ref("src")))
@@ -207,7 +204,7 @@ func TestDecodeRejectsInconsistentTree(t *testing.T) {
 // a pathological linear chain that would overflow a recursive decoder.
 func TestDecodeDeepChainNoOverflow(t *testing.T) {
 	const depth = 200_000
-	var e encoder
+	var e Encoder
 	rec := make([]byte, 0, depth*4)
 	rec = appendUvarintTest(rec, depth)
 	rec = appendUvarintTest(rec, e.ref(""))
@@ -241,137 +238,21 @@ func appendUvarintTest(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
-// TestCorpusRoundTrip packs a corpus through a file, reads it back via
-// OpenCorpus (the mmap path on unix), and checks every plan and the
-// Rewind/Close contracts.
-func TestCorpusRoundTrip(t *testing.T) {
-	plans := []*core.Plan{samplePlan(), {}, {Source: "mysql", Root: core.NewNode(core.Producer, "Index Scan")}}
-	path := filepath.Join(t.TempDir(), "plans.upc")
-	if err := WriteCorpusFile(path, plans); err != nil {
-		t.Fatalf("WriteCorpusFile: %v", err)
-	}
-	r, err := OpenCorpus(path)
-	if err != nil {
-		t.Fatalf("OpenCorpus: %v", err)
-	}
-	if r.Len() != len(plans) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(plans))
-	}
-	ar := core.NewPlanArena()
-	for pass := 0; pass < 2; pass++ {
-		for i, want := range plans {
-			ar.Reset()
-			got, err := r.Next(ar)
-			if err != nil {
-				t.Fatalf("pass %d plan %d: %v", pass, i, err)
-			}
-			if !got.Equal(want) || got.Source != want.Source {
-				t.Fatalf("pass %d plan %d diverges", pass, i)
-			}
-		}
-		if _, err := r.Next(ar); err != io.EOF {
-			t.Fatalf("pass %d: after last plan err = %v, want io.EOF", pass, err)
-		}
-		r.Rewind()
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-	if _, err := r.Next(ar); err == nil {
-		t.Fatal("Next succeeded on a closed reader")
-	}
-}
-
-func TestCorpusWriterSingleUse(t *testing.T) {
-	var buf bytes.Buffer
-	cw := NewCorpusWriter(&buf)
-	if err := cw.Add(samplePlan()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Add(samplePlan()); err == nil {
-		t.Fatal("Add after Flush succeeded")
-	}
-	if err := cw.Flush(); err == nil {
-		t.Fatal("second Flush succeeded")
-	}
-	// The flushed bytes must read back.
-	r, err := NewCorpusReader(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
-	}
-}
-
-func TestCorpusRejectsTrailingGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	cw := NewCorpusWriter(&buf)
-	if err := cw.Add(samplePlan()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := append(buf.Bytes(), 0xEE)
-	r, err := NewCorpusReader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Next(nil); err != nil {
-		t.Fatalf("first plan: %v", err)
-	}
-	if _, err := r.Next(nil); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailing garbage not reported: err = %v", err)
-	}
-}
-
-// TestCorpusEmptyFile: zero plans is a valid corpus (mmap of an empty
-// region is the edge the size check guards).
-func TestCorpusEmptyCorpus(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.upc")
-	if err := WriteCorpusFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenCorpus(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", r.Len())
-	}
-	if _, err := r.Next(nil); err != io.EOF {
-		t.Fatalf("err = %v, want io.EOF", err)
-	}
-}
-
-// TestTableSharing pins the factorised-representation property: a corpus
-// of N identical plans is far smaller than N single-plan blobs because
-// the table is stored once.
+// TestTableSharing pins the factorised-representation property within a
+// blob: a plan of N identical subtrees is far smaller than N blobs of the
+// subtree, because every repeated string is stored once in the table.
 func TestTableSharing(t *testing.T) {
-	p := samplePlan()
-	single := mustEncode(t, p)
-	var buf bytes.Buffer
-	cw := NewCorpusWriter(&buf)
+	sub := samplePlan().Root
+	single := mustEncode(t, &core.Plan{Source: "postgresql", Root: sub})
 	const n = 50
+	root := core.NewNode(core.Combinator, "Append")
 	for i := 0; i < n; i++ {
-		if err := cw.Add(p); err != nil {
-			t.Fatal(err)
-		}
+		root.AddChild(sub)
 	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= n*len(single)/2 {
-		t.Fatalf("corpus of %d identical plans is %d bytes; %d single blobs are %d — table not shared",
-			n, buf.Len(), n, n*len(single))
+	shared := mustEncode(t, &core.Plan{Source: "postgresql", Root: root})
+	if len(shared) >= n*len(single)/2 {
+		t.Fatalf("plan of %d identical subtrees is %d bytes; %d single blobs are %d — table not shared",
+			n, len(shared), n, n*len(single))
 	}
 }
 
@@ -399,30 +280,15 @@ func TestDecodeIntoWarmArena(t *testing.T) {
 	}
 }
 
-// TestDecodedPlanSurvivesClose proves the no-alias contract: plans decoded
-// from a corpus stay intact after the reader is closed and its buffer
-// conceptually unmapped.
-func TestDecodedPlanSurvivesClose(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.upc")
+// TestDecodedPlanSurvivesInputReuse proves the no-alias contract: a plan
+// decoded with DecodeInto stays intact after the caller overwrites the
+// input buffer.
+func TestDecodedPlanSurvivesInputReuse(t *testing.T) {
 	want := samplePlan()
-	if err := WriteCorpusFile(path, []*core.Plan{want}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenCorpus(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Next(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) || !strings.Contains(got.MarshalText(), "Hash_Join") {
-		t.Fatal("decoded plan corrupted after reader Close")
+	blob := mustEncode(t, want)
+	got := mustDecode(t, blob, core.NewPlanArena())
+	clear(blob)
+	if !got.Equal(want) || got.Source != want.Source || !strings.Contains(got.MarshalText(), "Hash_Join") {
+		t.Fatal("decoded plan changed after its input buffer was zeroed")
 	}
 }

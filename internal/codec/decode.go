@@ -15,17 +15,17 @@ func corrupt(format string, args ...any) error {
 
 // checkHeader validates the four-byte magic/version prefix and returns the
 // bytes after it.
-func checkHeader(data []byte, magic string) ([]byte, error) {
-	if len(data) < len(magic)+1 {
+func checkHeader(data []byte) ([]byte, error) {
+	if len(data) < len(planMagic)+1 {
 		return nil, corrupt("input of %d bytes is shorter than the header", len(data))
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, corrupt("bad magic %q (want %q)", data[:len(magic)], magic)
+	if string(data[:len(planMagic)]) != planMagic {
+		return nil, corrupt("bad magic %q (want %q)", data[:len(planMagic)], planMagic)
 	}
-	if v := data[len(magic)]; v != Version {
+	if v := data[len(planMagic)]; v != Version {
 		return nil, corrupt("unknown format version %d (have %d)", v, Version)
 	}
-	return data[len(magic)+1:], nil
+	return data[len(planMagic)+1:], nil
 }
 
 // parseTable reads the string table section, materializing each entry
@@ -88,8 +88,7 @@ func readUvarint(data []byte, off int) (uint64, int, error) {
 }
 
 // decoder is the forward-pass cursor over a plan record. The table is
-// parsed up front (per blob for DecodeInto, once per file for a
-// CorpusReader), so record decoding itself touches only data and table.
+// parsed up front, so record decoding itself touches only data and table.
 type decoder struct {
 	data  []byte
 	off   int
@@ -310,7 +309,7 @@ func (d *decoder) decodeValue() (core.Value, error) {
 // ar.InternBytes — so the caller may discard or reuse the input buffer
 // immediately. All failures wrap ErrCorrupt.
 func DecodeInto(data []byte, ar *core.PlanArena) (*core.Plan, error) {
-	rest, err := checkHeader(data, planMagic)
+	rest, err := checkHeader(data)
 	if err != nil {
 		return nil, err
 	}

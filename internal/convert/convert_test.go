@@ -348,6 +348,11 @@ func TestConverterErrors(t *testing.T) {
 			t.Errorf("%s: expected error for %q", dialect, in)
 		}
 	}
+	// A MySQL tabular row with fewer cells than its header is an error,
+	// not an index past the end of the row.
+	if _, err := Convert("mysql", "+--\n|EXtrA|\n|"); err == nil {
+		t.Error("mysql: a short tabular row must fail")
+	}
 }
 
 func TestDialectsComplete(t *testing.T) {

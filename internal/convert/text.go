@@ -365,7 +365,10 @@ func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		col("table"), col("type"), col("key"), col("rows"), col("Extra")
 	plan := &core.Plan{Source: "mysql"}
 	var prev *core.Node
-	for _, r := range rows {
+	for i, r := range rows {
+		if len(r) < len(header) {
+			return nil, fmt.Errorf("convert: MySQL tabular row %d has %d cells, header has %d", i+1, len(r), len(header))
+		}
 		opName := "Table scan"
 		if typeIdx >= 0 {
 			switch strings.ToLower(r[typeIdx]) {

@@ -49,13 +49,9 @@ var OracleErrDeny = []string{
 	"uplan/internal/store.Store.Close",
 	// Binary codec surface: a dropped Encode/DecodeInto error hands a
 	// half-built or silently-wrong plan downstream (the differential
-	// oracle then compares garbage), a dropped Flush truncates the packed
-	// corpus, and a dropped Close leaks the mmap or hides an unmap
-	// failure.
+	// oracle then compares garbage).
 	"uplan/internal/codec.Encode",
 	"uplan/internal/codec.DecodeInto",
-	"uplan/internal/codec.CorpusWriter.Flush",
-	"uplan/internal/codec.CorpusReader.Close",
 	// Service response-writing and shutdown surface: a dropped write error
 	// means a client silently got half a response (the serve metrics count
 	// these instead of ignoring them), and a dropped Shutdown/Close error

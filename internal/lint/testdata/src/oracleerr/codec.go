@@ -1,9 +1,6 @@
 // The codec-surface cases: a dropped Encode/DecodeInto error hands
-// garbage to the differential oracle, a dropped Flush truncates the
-// packed corpus, a dropped Close leaks the mmap. The handled variants at
-// the bottom are the false-positive corpus, including CorpusWriter.Add —
-// deliberately off the deny-list because its errors are sticky and
-// resurface at Flush.
+// garbage to the differential oracle. The handled variants at the bottom
+// are the false-positive corpus.
 
 package oracleerr
 
@@ -26,23 +23,6 @@ func dropDecodeErr(data []byte, ar *core.PlanArena) *core.Plan {
 	return p
 }
 
-// bareFlush truncates the packed corpus silently: nothing before the
-// final Flush is durable.
-func bareFlush(w *codec.CorpusWriter) {
-	w.Flush() // want `error result of codec\.CorpusWriter\.Flush discarded \(bare call\)`
-}
-
-// blankReaderClose drops the unmap failure that distinguishes a released
-// mapping from a leaked one.
-func blankReaderClose(r *codec.CorpusReader) {
-	_ = r.Close() // want `error result of codec\.CorpusReader\.Close assigned to _`
-}
-
-// bareReaderClose drops the same signal without even a blank assignment.
-func bareReaderClose(r *codec.CorpusReader) {
-	r.Close() // want `error result of codec\.CorpusReader\.Close discarded \(bare call\)`
-}
-
 // handledEncode is the correct shape: the error travels to the caller
 // with the blob.
 func handledEncode(p *core.Plan) ([]byte, error) {
@@ -56,26 +36,4 @@ func handledDecode(data []byte, ar *core.PlanArena) *core.Plan {
 		return nil
 	}
 	return p
-}
-
-// deferredClose keeps the close error via the named return — handled,
-// not dropped.
-func deferredClose(r *codec.CorpusReader, ar *core.PlanArena) (err error) {
-	defer func() {
-		if cerr := r.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	_, err = r.Next(ar)
-	return err
-}
-
-// stickyAddIsClean: CorpusWriter.Add is off the deny-list — its errors
-// are sticky and resurface at Flush, which IS listed, so a bare Add in a
-// loop body is the supported usage, not a dropped signal.
-func stickyAddIsClean(w *codec.CorpusWriter, plans []*core.Plan) error {
-	for _, p := range plans {
-		w.Add(p)
-	}
-	return w.Flush()
 }

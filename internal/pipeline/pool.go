@@ -38,6 +38,13 @@ func ForEachChunked[S any](n, workers, chunk int, newState func() S, body func(s
 // claimed at cancellation are simply never processed; the caller decides
 // what an unprocessed index means (the campaign orchestrator checkpoints
 // them as unfinished, ConvertBatch marks them with ctx's error).
+//
+// A panicking body behaves the same at one worker and at many: the panic
+// reaches the calling goroutine. A pooled worker recovers it, the other
+// workers stop claiming chunks and drain, and the first panic value is
+// re-raised on the caller once every worker has exited — so a body bug
+// never kills the process from a goroutine the caller cannot recover on.
+// The panicking worker itself does not drain, as an inline run would not.
 func ForEachChunkedCtx[S any](ctx context.Context, n, workers, chunk int, newState func() S, body func(s S, lo, hi int), drain func(s S)) {
 	if n <= 0 {
 		return
@@ -67,16 +74,25 @@ func ForEachChunkedCtx[S any](ctx context.Context, n, workers, chunk int, newSta
 		return
 	}
 	var (
-		cursor atomic.Int64
-		mu     sync.Mutex
-		wg     sync.WaitGroup
+		cursor    atomic.Int64
+		mu        sync.Mutex
+		wg        sync.WaitGroup
+		stop      atomic.Bool
+		panicOnce sync.Once
+		panicVal  any
 	)
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					stop.Store(true)
+					panicOnce.Do(func() { panicVal = v })
+				}
+			}()
 			s := newState()
-			for ctx.Err() == nil {
+			for ctx.Err() == nil && !stop.Load() {
 				hi := int(cursor.Add(int64(chunk)))
 				lo := hi - chunk
 				if lo >= n {
@@ -88,9 +104,12 @@ func ForEachChunkedCtx[S any](ctx context.Context, n, workers, chunk int, newSta
 				body(s, lo, hi)
 			}
 			mu.Lock()
+			defer mu.Unlock()
 			drain(s)
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 }

@@ -3,9 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForEachChunkedCtxCancel: after cancellation workers stop claiming,
@@ -115,5 +117,42 @@ func TestForEachChunkedDrainsOnce(t *testing.T) {
 	}
 	if drains == 0 {
 		t.Error("no drains ran")
+	}
+}
+
+// TestForEachChunkedBodyPanicReachesCaller: at two workers a panicking
+// body does not kill the process from a worker goroutine. The other
+// worker stops claiming and drains, and the panic value is re-raised on
+// the calling goroutine, where it can be recovered as it can inline.
+func TestForEachChunkedBodyPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 1000
+	var processed, drains atomic.Int32
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		ForEachChunkedCtx(context.Background(), n, 2, 1,
+			func() struct{} { return struct{}{} },
+			func(_ struct{}, lo, hi int) {
+				if lo == 40 {
+					panic("body bug at 40")
+				}
+				if lo > 40 {
+					// Slow enough that a worker ignoring the panic would
+					// still be claiming long after the panic is recovered.
+					time.Sleep(100 * time.Microsecond)
+				}
+				processed.Add(int32(hi - lo))
+			},
+			func(struct{}) { drains.Add(1) })
+		return nil
+	}()
+	if got != "body bug at 40" {
+		t.Fatalf("recovered %v, want the body's panic value", got)
+	}
+	if d := drains.Load(); d != 1 {
+		t.Errorf("%d drains, want 1 (the worker that did not panic)", d)
+	}
+	if p := processed.Load(); p >= n/2 {
+		t.Errorf("processed %d of %d indexes: the other worker kept claiming after the panic", p, n)
 	}
 }

@@ -469,6 +469,20 @@ func (s *Server) delay(ctx context.Context) {
 	}
 }
 
+// delayInDeadline runs the HandlerDelay hook for a single-plan request
+// and reports whether the request's deadline is still open afterwards.
+// If it is not, the request is answered 503 and counted as
+// deadline_exceeded, so no handler starts work its client has given up on.
+func (s *Server) delayInDeadline(ctx context.Context, w http.ResponseWriter) bool {
+	s.delay(ctx)
+	if ctx.Err() == nil {
+		return true
+	}
+	s.metrics.deadlineExceeded.Add(1)
+	s.writeError(w, http.StatusServiceUnavailable, "request deadline expired", 1)
+	return false
+}
+
 // convertInPooledArena converts one record inside an arena borrowed from
 // convert's pool and hands the in-arena plan to use before the arena is
 // returned. The plan must not escape use (build the response inside it);
@@ -557,10 +571,7 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.delay(ctx)
-	if err := ctx.Err(); err != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		s.writeError(w, http.StatusServiceUnavailable, "request deadline expired", 1)
+	if !s.delayInDeadline(ctx, w) {
 		return
 	}
 
@@ -703,7 +714,9 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.delay(ctx)
+	if !s.delayInDeadline(ctx, w) {
+		return
+	}
 
 	var resp FingerprintResponse
 	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
@@ -736,7 +749,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.delay(ctx)
+	if !s.delayInDeadline(ctx, w) {
+		return
+	}
 
 	// Convert A and detach it, so one pooled arena serves both plans
 	// sequentially; B is compared in-arena and never escapes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -398,5 +399,59 @@ func TestServeDrainCleanExitBatch(t *testing.T) {
 	c := &http.Client{Timeout: time.Second}
 	if _, err := c.Get(url + "/healthz"); err == nil {
 		t.Error("drained server still accepts connections")
+	}
+}
+
+// mysqlShortRow is a MySQL tabular explain whose only row has fewer cells
+// than its header. It once indexed past the row and panicked.
+const mysqlShortRow = "+--\n|EXtrA|\n|"
+
+// TestServeBatchSurvivesShortTableRow puts the short-row input at slot 40
+// of a 64-record batch, so under -cpu=2 it lands on a pool worker
+// goroutine, where a converter panic used to kill the process. The batch
+// must be answered with one error item and 63 plans.
+func TestServeBatchSurvivesShortTableRow(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	req := BatchRequest{Records: make([]ConvertRequest, 64)}
+	for i := range req.Records {
+		req.Records[i] = ConvertRequest{
+			Dialect:    "postgresql",
+			Serialized: fmt.Sprintf("Seq Scan on t%d  (cost=0.00..1.00 rows=%d width=4)", i, i+1),
+		}
+	}
+	req.Records[40] = ConvertRequest{Dialect: "mysql", Serialized: mysqlShortRow}
+	var resp BatchResponse
+	if hr := postJSON(t, ts.URL+"/v1/batch-convert", req, &resp); hr.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d, want 200", hr.StatusCode)
+	}
+	if resp.Converted != 63 || resp.Errors != 1 || len(resp.Results) != 64 {
+		t.Fatalf("converted/errors/results = %d/%d/%d, want 63/1/64", resp.Converted, resp.Errors, len(resp.Results))
+	}
+	if resp.Results[40].Error == "" {
+		t.Error("slot 40 carries no error")
+	}
+}
+
+// TestServeDeadlineExpiredDuringDelay: a request whose deadline expires
+// during the handler delay is refused with 503 by every single-plan
+// endpoint, and each refusal counts as deadline_exceeded.
+func TestServeDeadlineExpiredDuringDelay(t *testing.T) {
+	s, ts := newTestServer(t, Options{
+		HandlerDelay:   50 * time.Millisecond,
+		RequestTimeout: 10 * time.Millisecond,
+		CacheSize:      -1,
+	})
+	one := ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}
+	for path, body := range map[string]any{
+		"/v1/convert":     one,
+		"/v1/fingerprint": one,
+		"/v1/compare":     CompareRequest{A: one, B: ConvertRequest{Dialect: "postgresql", Serialized: pgPlanJoin}},
+	} {
+		if resp := postJSON(t, ts.URL+path, body, nil); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s status = %d, want 503", path, resp.StatusCode)
+		}
+	}
+	if got := s.Metrics().DeadlineExceeded; got != 3 {
+		t.Errorf("deadline_exceeded = %d, want 3", got)
 	}
 }

@@ -52,7 +52,7 @@ func BenchmarkStoreAppendPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreOpen measures recovery: replaying a 4-shard log of mixed
+// BenchmarkStoreOpen measures recovery: replaying a log of mixed
 // records (checksum verification, payload decode, index rebuild).
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()

@@ -12,8 +12,8 @@ import (
 )
 
 // faultyOpener returns an Opener that wraps the default OS file in a
-// faultio.Writer driven by one shared Faults value. With a single shard
-// the byte offsets are deterministic.
+// faultio.Writer driven by one shared Faults value. Every record goes to
+// one log file, so the byte offsets are deterministic.
 func faultyOpener(f *faultio.Faults) Opener {
 	return func(path string) (WriteSyncer, error) {
 		ws, err := OpenFile(path)
@@ -31,7 +31,7 @@ func faultyOpener(f *faultio.Faults) Opener {
 func TestAppendFailureSticksAndSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	faults := faultio.NewFaults()
-	s := mustOpen(t, dir, Options{Shards: 1, Open: faultyOpener(faults)})
+	s := mustOpen(t, dir, Options{Open: faultyOpener(faults)})
 
 	// Let a few records through, then fail mid-frame.
 	good := 0
@@ -67,14 +67,14 @@ func TestAppendFailureSticksAndSurfaces(t *testing.T) {
 	}
 
 	// The torn tail truncates on reopen; the intact prefix survives.
-	r := mustOpen(t, dir, Options{Shards: 1})
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Findings) != good {
 		t.Fatalf("recovered %d findings, want %d", len(rec.Findings), good)
 	}
 	if rec.Truncated != 1 || rec.DroppedBytes != 5 {
-		t.Errorf("truncation report = %d shards / %d bytes, want 1 / 5", rec.Truncated, rec.DroppedBytes)
+		t.Errorf("truncation report = %d files / %d bytes, want 1 / 5", rec.Truncated, rec.DroppedBytes)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestAppendFailureSticksAndSurfaces(t *testing.T) {
 func TestShortWriteDefended(t *testing.T) {
 	dir := t.TempDir()
 	faults := faultio.NewFaults()
-	s := mustOpen(t, dir, Options{Shards: 1, Open: faultyOpener(faults)})
+	s := mustOpen(t, dir, Options{Open: faultyOpener(faults)})
 	if _, err := s.AppendFinding(testFinding(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestShortWriteDefended(t *testing.T) {
 		t.Fatal("store must stick after a short write")
 	}
 	_ = s.Close() // reports the sticky fault; the handle still closes
-	r := mustOpen(t, dir, Options{Shards: 1})
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
 	if got := len(r.Recovered().Findings); got != 1 {
 		t.Errorf("recovered %d findings, want exactly the pre-fault record", got)
@@ -113,7 +113,7 @@ func TestSyncFailureSurfaces(t *testing.T) {
 	dir := t.TempDir()
 	faults := faultio.NewFaults()
 	faults.SyncErr = fmt.Errorf("%w: EIO on fsync", faultio.ErrInjected)
-	s := mustOpen(t, dir, Options{Shards: 1, Open: faultyOpener(faults)})
+	s := mustOpen(t, dir, Options{Open: faultyOpener(faults)})
 	if _, err := s.AppendFinding(testFinding(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestInFlightBitFlipRejected(t *testing.T) {
 	faults := faultio.NewFaults()
 	// Flip a bit inside the second frame's payload region. The first
 	// frame's size is discovered after writing it.
-	s := mustOpen(t, dir, Options{Shards: 1, Open: faultyOpener(faults)})
+	s := mustOpen(t, dir, Options{Open: faultyOpener(faults)})
 	if _, err := s.AppendFinding(testFinding(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestInFlightBitFlipRejected(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r := mustOpen(t, dir, Options{Shards: 1})
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Findings) != 1 {
@@ -169,7 +169,7 @@ func TestInFlightBitFlipRejected(t *testing.T) {
 // log: same contract, corruption at rest.
 func TestAtRestBitFlipRejected(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{Shards: 1})
+	s := mustOpen(t, dir, Options{})
 	for i := 0; i < 4; i++ {
 		if _, err := s.AppendPlan(testPlanKey(i)); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestAtRestBitFlipRejected(t *testing.T) {
 	if err := faultio.FlipBitOnDisk(path, (2*frame+3)*8); err != nil {
 		t.Fatal(err)
 	}
-	r := mustOpen(t, dir, Options{Shards: 1})
+	r := mustOpen(t, dir, Options{})
 	defer r.Close()
 	if got := len(r.Recovered().Plans); got != 2 {
 		t.Errorf("recovered %d plans, want 2", got)

@@ -5,19 +5,21 @@
 // stream their discoveries through it, survive a crash at any byte, and
 // resume from the recovered state with a byte-identical outcome.
 //
-// On disk, a log is a directory of shard files (shard-NNN.log), each a
-// sequence of frames:
+// On disk, a log is a directory holding one append-only file,
+// shard-000.log, that is a sequence of frames:
 //
 //	frame := magic(1) type(1) payload-length(uvarint) payload crc32c(4, LE)
 //
 // The CRC (Castagnoli) covers everything after the magic byte — type,
 // length, and payload — so a bit flip anywhere in a frame is detected,
-// never silently decoded. Open replays every shard: it verifies each
-// frame's checksum, stops at the first torn or corrupt frame, truncates
-// that tail off the file, and rebuilds the fingerprint index, finding
-// set, and per-task progress map in one pass. The recovered prefix is
-// exactly the sequence of intact frames — the truncate-anywhere property
-// TestRecoverTruncateAnywhere pins.
+// never silently decoded. Open replays every shard-*.log in the directory
+// (older versions spread appends over several): it verifies each frame's
+// checksum, stops at the first torn or corrupt frame, truncates that tail
+// off the file, and rebuilds the fingerprint index, finding set, and
+// per-task progress map in one pass. The recovered prefix is exactly the
+// sequence of intact frames — the truncate-anywhere property
+// TestRecoverTruncateAnywhere pins — so a recovered checkpoint implies
+// every frame written before it was recovered too.
 package store
 
 import (
@@ -41,12 +43,15 @@ const (
 
 // Record types. Unknown types are CRC-verified and skipped during
 // recovery (forward compatibility), never misparsed.
+//
+// 0x05 is reserved: it once carried a fingerprint plus a full binary plan
+// blob. Logs that still hold such frames recover with them skipped like
+// any unknown type; never reuse the byte for a different record.
 const (
 	recMeta     byte = 0x01 // opaque campaign configuration blob
 	recPlan     byte = 0x02 // 32-byte plan fingerprint key
 	recFinding  byte = 0x03 // one campaign finding (5 length-prefixed strings)
 	recProgress byte = 0x04 // per-task checkpoint (identity + counters)
-	recPlanBlob byte = 0x05 // 32-byte fingerprint + binary plan payload (internal/codec blob)
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -123,7 +128,7 @@ func parseFrame(b []byte) (typ byte, payload []byte, size int, err error) {
 	return typ, payload, size, nil
 }
 
-// scanFrames walks the frames of one shard's bytes, invoking fn for each
+// scanFrames walks the frames of one log file's bytes, invoking fn for each
 // intact frame, and returns the length of the valid prefix. Scanning
 // stops — without error — at the first torn or corrupt frame: everything
 // after it is the tail recovery truncates. An fn error aborts the scan

@@ -23,7 +23,7 @@ type WriteSyncer interface {
 	Close() error
 }
 
-// Opener produces the WriteSyncer for one shard file path.
+// Opener produces the WriteSyncer for the log file's path.
 type Opener func(path string) (WriteSyncer, error)
 
 // OpenFile is the default Opener: an O_APPEND|O_CREATE OS file.
@@ -33,30 +33,15 @@ func OpenFile(path string) (WriteSyncer, error) {
 
 // Options configure Open.
 type Options struct {
-	// Shards is how many shard files new appends spread across; records
-	// route by fingerprint, so one hot key cannot serialize a fleet on a
-	// single file. Non-positive means DefaultShards. Recovery always reads
-	// every shard file present regardless of this value, so reopening a
-	// directory with a different shard count loses nothing (duplicate
-	// fingerprints that land in different shards dedup during the scan).
-	Shards int
-	// Open produces each shard's WriteSyncer; nil means OpenFile. Tests
+	// Open produces the log file's WriteSyncer; nil means OpenFile. Tests
 	// inject faulty writers here.
 	Open Opener
 }
 
-// DefaultShards is the shard-file count when Options.Shards is unset.
-const DefaultShards = 4
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
-	if o.Open == nil {
-		o.Open = OpenFile
-	}
-	return o
-}
+// logName is the file appends go to. Open also replays every other
+// shard-*.log in the directory, so one written by an earlier version that
+// spread appends over several shard files recovers unchanged.
+const logName = "shard-000.log"
 
 // TaskKey ordering for deterministic Recovered snapshots.
 func taskKeyLess(a, b TaskKey) bool {
@@ -75,15 +60,12 @@ type Recovered struct {
 	Meta []byte
 	// Plans are the distinct plan fingerprint keys, in log order.
 	Plans [][32]byte
-	// PlanBlobs are the distinct full plan payloads (binary-codec blobs,
-	// opaque to the store), in log order. Decoded with codec.DecodeInto.
-	PlanBlobs []PlanBlob
 	// Findings are the distinct findings, in log order.
 	Findings []Finding
 	// Progress maps each task to its most recent checkpoint.
 	Progress map[TaskKey]TaskProgress
 	// DroppedBytes counts torn/corrupt tail bytes truncated across all
-	// shards; Truncated counts how many shards lost a tail.
+	// log files; Truncated counts how many files lost a tail.
 	DroppedBytes int64
 	Truncated    int
 }
@@ -101,24 +83,7 @@ func (r *Recovered) Tasks() []TaskKey {
 // Empty reports whether recovery found nothing at all — the fresh-
 // directory case a non-resuming campaign requires.
 func (r *Recovered) Empty() bool {
-	return r.Meta == nil && len(r.Plans) == 0 && len(r.PlanBlobs) == 0 &&
-		len(r.Findings) == 0 && len(r.Progress) == 0
-}
-
-// PlanBlob is one journaled full plan: its collision-resistant
-// fingerprint (the dedup key) and its binary-codec serialization. The
-// store treats Data as opaque bytes — the codec dependency points from
-// callers to internal/codec, never through the store.
-type PlanBlob struct {
-	Fingerprint [32]byte
-	Data        []byte
-}
-
-// shard is one open shard file.
-type shard struct {
-	path  string
-	ws    WriteSyncer // nil until the first append touches the shard
-	dirty bool        // bytes written since the last Sync
+	return r.Meta == nil && len(r.Plans) == 0 && len(r.Findings) == 0 && len(r.Progress) == 0
 }
 
 // Store is the crash-safe plan-and-finding log. All methods are safe for
@@ -126,21 +91,21 @@ type shard struct {
 // (disk frames are tiny next to the oracle work producing them).
 //
 // Durability model: Append* buffers nothing — every record is one write
-// to the shard's WriteSyncer — but only Sync/Checkpoint/Close force
-// bytes to stable storage. Checkpoint orders durability: it syncs every
-// dirty shard BEFORE appending the checkpoint record and syncing its own
-// shard, so a recovered Done checkpoint proves every record its task
-// appended is on disk too. A write failure is sticky: the shard's tail
-// is in an unknown state, so every subsequent append fails with the
-// original error until the store is reopened (recovery then truncates
-// the torn tail).
+// to the log's WriteSyncer — but only Sync/Checkpoint/Close force bytes
+// to stable storage. Every record goes to one append-only file, and
+// recovery keeps exactly the prefix of CRC-valid frames, so the file
+// itself orders durability: a recovered Done checkpoint proves every
+// record its task appended before it is recovered too. A write failure
+// is sticky: the log's tail is in an unknown state, so every subsequent
+// append fails with the original error until the store is reopened
+// (recovery then truncates the torn tail).
 type Store struct {
 	mu        sync.Mutex
 	dir       string
-	opts      Options
-	shards    []*shard
+	open      Opener
+	ws        WriteSyncer // nil until the first append
+	dirty     bool        // bytes written since the last Sync
 	planIdx   map[[32]byte]struct{}
-	blobIdx   map[[32]byte]struct{}
 	findIdx   map[uint64]struct{}
 	meta      []byte
 	recovered Recovered
@@ -149,47 +114,41 @@ type Store struct {
 	closed    bool
 }
 
-// Open opens (creating if needed) the log directory, replays every shard
+// Open opens (creating if needed) the log directory, replays every log
 // file — verifying checksums and truncating torn tails — and returns a
 // store ready for appends, with the recovered state snapshotted.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
+	if opts.Open == nil {
+		opts.Open = OpenFile
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
 		dir:     dir,
-		opts:    opts,
+		open:    opts.Open,
 		planIdx: map[[32]byte]struct{}{},
-		blobIdx: map[[32]byte]struct{}{},
 		findIdx: map[uint64]struct{}{},
 	}
 	s.recovered.Progress = map[TaskKey]TaskProgress{}
 
-	// Recover every shard file present — not just the ones the current
-	// shard count would route to — so shard-count changes and partially
-	// created directories lose nothing.
+	// Duplicate records across files dedup during the scan.
 	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.log"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		if err := s.recoverShard(p); err != nil {
+		if err := s.recoverFile(p); err != nil {
 			return nil, err
 		}
-	}
-
-	s.shards = make([]*shard, opts.Shards)
-	for i := range s.shards {
-		s.shards[i] = &shard{path: filepath.Join(dir, fmt.Sprintf("shard-%03d.log", i))}
 	}
 	return s, nil
 }
 
-// recoverShard replays one shard file into the store's indexes and
+// recoverFile replays one log file into the store's indexes and
 // truncates any torn or corrupt tail in place.
-func (s *Store) recoverShard(path string) error {
+func (s *Store) recoverFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("store: recover %s: %w", filepath.Base(path), err)
@@ -214,8 +173,8 @@ func (s *Store) recoverShard(path string) error {
 // frame whose payload does not decode fails Open loudly: the checksum
 // proves the bytes are what the writer wrote, so a bad payload is a
 // writer bug — silently truncating there would hide it. Unknown record
-// types are skipped, so a newer writer's log still recovers under an
-// older reader.
+// types, the reserved 0x05 among them, are skipped, so a newer writer's
+// log still recovers under an older reader.
 func (s *Store) replay(typ byte, payload []byte) error {
 	switch typ {
 	case recMeta:
@@ -232,19 +191,6 @@ func (s *Store) replay(typ byte, payload []byte) error {
 		if _, dup := s.planIdx[fp]; !dup {
 			s.planIdx[fp] = struct{}{}
 			s.recovered.Plans = append(s.recovered.Plans, fp)
-		}
-	case recPlanBlob:
-		if len(payload) < 32 {
-			return errBadPayload
-		}
-		var fp [32]byte
-		copy(fp[:], payload)
-		if _, dup := s.blobIdx[fp]; !dup {
-			s.blobIdx[fp] = struct{}{}
-			s.recovered.PlanBlobs = append(s.recovered.PlanBlobs, PlanBlob{
-				Fingerprint: fp,
-				Data:        append([]byte(nil), payload[32:]...),
-			})
 		}
 	case recFinding:
 		f, err := decodeFindingPayload(payload)
@@ -279,36 +225,36 @@ func (s *Store) Meta() []byte {
 	return s.meta
 }
 
-// append encodes one frame and writes it to the shard in a single Write.
+// append encodes one frame and writes it to the log in a single Write.
 // Callers hold s.mu.
-func (s *Store) append(sh *shard, typ byte, payload []byte) error {
+func (s *Store) append(typ byte, payload []byte) error {
 	if s.closed {
 		return errors.New("store: closed")
 	}
 	if s.failed != nil {
 		return s.failed
 	}
-	if sh.ws == nil {
-		ws, err := s.opts.Open(sh.path)
+	if s.ws == nil {
+		ws, err := s.open(filepath.Join(s.dir, logName))
 		if err != nil {
-			return s.fail(fmt.Errorf("store: open %s: %w", filepath.Base(sh.path), err))
+			return s.fail(fmt.Errorf("store: open %s: %w", logName, err))
 		}
-		sh.ws = ws
+		s.ws = ws
 	}
 	s.buf = appendFrame(s.buf[:0], typ, payload)
-	n, err := sh.ws.Write(s.buf)
+	n, err := s.ws.Write(s.buf)
 	if err == nil && n != len(s.buf) {
 		// Defend against writers that violate io.Writer's short-write
 		// contract (faultio deliberately does): a silent short write would
 		// leave a torn frame that the NEXT append buries mid-log.
 		err = io.ErrShortWrite
 	}
-	sh.dirty = true
+	s.dirty = true
 	if err != nil {
-		// The shard tail is now unknown — a retry would append after a
+		// The log's tail is now unknown — a retry would append after a
 		// partial frame and corrupt everything that follows. Fail sticky;
 		// recovery truncates the torn tail on reopen.
-		return s.fail(fmt.Errorf("store: append %s: %w", filepath.Base(sh.path), err))
+		return s.fail(fmt.Errorf("store: append %s: %w", logName, err))
 	}
 	return nil
 }
@@ -321,11 +267,6 @@ func (s *Store) fail(err error) error {
 	return s.failed
 }
 
-// planShard routes a fingerprint to its shard.
-func (s *Store) planShard(fp [32]byte) *shard {
-	return s.shards[int(fp[0])%len(s.shards)]
-}
-
 // AppendPlan records a plan fingerprint key, writing a frame only when
 // the key is new to the log, and reports whether it was. The error is
 // oracle-grade signal: a dropped disk failure here silently shrinks the
@@ -336,41 +277,11 @@ func (s *Store) AppendPlan(fp [32]byte) (bool, error) {
 	if _, dup := s.planIdx[fp]; dup {
 		return false, nil
 	}
-	if err := s.append(s.planShard(fp), recPlan, fp[:]); err != nil {
+	if err := s.append(recPlan, fp[:]); err != nil {
 		return false, err
 	}
 	s.planIdx[fp] = struct{}{}
 	return true, nil
-}
-
-// AppendPlanBlob records a full plan payload — by convention a binary-
-// codec blob, though the store treats it as opaque bytes — keyed and
-// deduplicated by its fingerprint, and reports whether the payload was
-// new to the log. The frame is the fingerprint followed by the blob;
-// recovery surfaces both through Recovered.PlanBlobs. Blob records are a
-// separate space from AppendPlan's fingerprint-only records: a campaign
-// may journal every fingerprint but only the plans worth replaying.
-func (s *Store) AppendPlanBlob(fp [32]byte, blob []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.blobIdx[fp]; dup {
-		return false, nil
-	}
-	payload := make([]byte, 0, 32+len(blob))
-	payload = append(payload, fp[:]...)
-	payload = append(payload, blob...)
-	if err := s.append(s.planShard(fp), recPlanBlob, payload); err != nil {
-		return false, err
-	}
-	s.blobIdx[fp] = struct{}{}
-	return true, nil
-}
-
-// PlanBlobs returns how many distinct plan payloads the log holds.
-func (s *Store) PlanBlobs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blobIdx)
 }
 
 // AppendFinding records a finding, writing a frame only when its full
@@ -383,7 +294,7 @@ func (s *Store) AppendFinding(f Finding) (bool, error) {
 		return false, nil
 	}
 	payload := appendFindingPayload(nil, f)
-	if err := s.append(s.shards[int(key%uint64(len(s.shards)))], recFinding, payload); err != nil {
+	if err := s.append(recFinding, payload); err != nil {
 		return false, err
 	}
 	s.findIdx[key] = struct{}{}
@@ -403,33 +314,29 @@ func (s *Store) AppendMeta(meta []byte) error {
 		}
 		return fmt.Errorf("store: meta already set to %q", s.meta)
 	}
-	if err := s.append(s.shards[0], recMeta, meta); err != nil {
+	if err := s.append(recMeta, meta); err != nil {
 		return err
 	}
 	s.meta = append([]byte(nil), meta...)
 	return nil
 }
 
-// Checkpoint appends a task-progress record and makes everything before
-// it durable: all dirty shards are synced first, then the checkpoint
-// frame lands in shard 0 and that shard is synced. A Done checkpoint
-// recovered later therefore guarantees every plan and finding its task
-// appended is recovered too — the ordering the resume determinism
-// contract stands on.
+// Checkpoint appends a task-progress record and makes it, and everything
+// before it, durable with one Sync. Recovery keeps only the prefix of
+// intact frames, so a Done checkpoint recovered later guarantees every
+// plan and finding its task appended is recovered too — the ordering the
+// resume determinism contract stands on.
 func (s *Store) Checkpoint(p TaskProgress) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
 	payload := appendProgressPayload(nil, p)
-	if err := s.append(s.shards[0], recProgress, payload); err != nil {
+	if err := s.append(recProgress, payload); err != nil {
 		return err
 	}
 	return s.syncLocked()
 }
 
-// Sync forces every dirty shard to stable storage.
+// Sync forces everything appended so far to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,19 +347,17 @@ func (s *Store) syncLocked() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	for _, sh := range s.shards {
-		if sh.ws == nil || !sh.dirty {
-			continue
-		}
-		if err := sh.ws.Sync(); err != nil {
-			return s.fail(fmt.Errorf("store: sync %s: %w", filepath.Base(sh.path), err))
-		}
-		sh.dirty = false
+	if !s.dirty {
+		return nil
 	}
+	if err := s.ws.Sync(); err != nil {
+		return s.fail(fmt.Errorf("store: sync %s: %w", logName, err))
+	}
+	s.dirty = false
 	return nil
 }
 
-// Close syncs and closes every shard. The store is unusable afterwards;
+// Close syncs and closes the log. The store is unusable afterwards;
 // reopen the directory to resume. Close after a sticky write failure
 // still closes the file handles but reports the original failure.
 func (s *Store) Close() error {
@@ -466,14 +371,11 @@ func (s *Store) Close() error {
 	if s.failed == nil {
 		errs = append(errs, s.syncLocked())
 	}
-	for _, sh := range s.shards {
-		if sh.ws == nil {
-			continue
+	if s.ws != nil {
+		if err := s.ws.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("store: close %s: %w", logName, err))
 		}
-		if err := sh.ws.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("store: close %s: %w", filepath.Base(sh.path), err))
-		}
-		sh.ws = nil
+		s.ws = nil
 	}
 	return errors.Join(errs...)
 }

@@ -143,16 +143,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// buildSingleShardLog writes a known record sequence through a
-// single-shard store and returns the shard file path plus the expected
-// per-record recovery states: after k intact records, expect[k] counts.
+// buildLog writes a known record sequence through a store and returns
+// the log file path plus the expected per-record recovery states: after
+// k intact records, expect[k] counts.
 type logState struct {
 	plans, findings, progress int
 }
 
-func buildSingleShardLog(t *testing.T, dir string) (path string, states []logState, boundaries []int) {
+func buildLog(t *testing.T, dir string) (path string, states []logState, boundaries []int) {
 	t.Helper()
-	s := mustOpen(t, dir, Options{Shards: 1})
+	s := mustOpen(t, dir, Options{})
 	appendOne := func(i int) {
 		switch i % 3 {
 		case 0:
@@ -211,10 +211,13 @@ func buildSingleShardLog(t *testing.T, dir string) (path string, states []logSta
 
 // TestRecoverTruncateAnywhere is the tentpole property: for EVERY byte
 // offset of a multi-record log, Open succeeds and recovers exactly the
-// record prefix that is fully intact, truncating the rest.
+// record prefix that is fully intact, truncating the rest. In particular
+// every recovered checkpoint comes with every plan and finding appended
+// before it: the ordering resume relies on, which one append-only file
+// provides without syncing anything ahead of the checkpoint frame.
 func TestRecoverTruncateAnywhere(t *testing.T) {
 	srcDir := t.TempDir()
-	path, states, boundaries := buildSingleShardLog(t, srcDir)
+	path, states, boundaries := buildLog(t, srcDir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +235,7 @@ func TestRecoverTruncateAnywhere(t *testing.T) {
 		if err := os.WriteFile(workPath, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(workDir, Options{Shards: 1})
+		s, err := Open(workDir, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: Open failed: %v", cut, err)
 		}
@@ -240,6 +243,23 @@ func TestRecoverTruncateAnywhere(t *testing.T) {
 		if len(rec.Plans) != want.plans || len(rec.Findings) != want.findings || len(rec.Progress) != want.progress {
 			t.Fatalf("cut %d: recovered {%d %d %d}, want %+v",
 				cut, len(rec.Plans), len(rec.Findings), len(rec.Progress), want)
+		}
+		plans := map[[32]byte]bool{}
+		for _, fp := range rec.Plans {
+			plans[fp] = true
+		}
+		findings := map[Finding]bool{}
+		for _, f := range rec.Findings {
+			findings[f] = true
+		}
+		// buildLog's checkpoint i records Queries: i; records j < i with
+		// j%3 == 0 are plans and with j%3 == 1 findings.
+		for _, p := range rec.Progress {
+			for j := 0; j < p.Queries; j++ {
+				if (j%3 == 0 && !plans[testPlanKey(j)]) || (j%3 == 1 && !findings[testFinding(j)]) {
+					t.Fatalf("cut %d: checkpoint %d recovered without record %d before it", cut, p.Queries, j)
+				}
+			}
 		}
 		wantDrop := int64(cut - boundaries[intact])
 		if rec.DroppedBytes != wantDrop {
@@ -266,7 +286,7 @@ func TestRecoverTruncateAnywhere(t *testing.T) {
 // frame.
 func TestRecoverBitFlipAnywhere(t *testing.T) {
 	srcDir := t.TempDir()
-	path, states, boundaries := buildSingleShardLog(t, srcDir)
+	path, states, boundaries := buildLog(t, srcDir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +305,7 @@ func TestRecoverBitFlipAnywhere(t *testing.T) {
 			frame++
 		}
 		want := states[frame]
-		s, err := Open(workDir, Options{Shards: 1})
+		s, err := Open(workDir, Options{})
 		if err != nil {
 			t.Fatalf("bit %d: Open failed: %v", bit, err)
 		}
@@ -300,6 +320,54 @@ func TestRecoverBitFlipAnywhere(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("bit %d: close: %v", bit, err)
 		}
+	}
+}
+
+// countingSyncer counts the Sync calls that reach the log file.
+type countingSyncer struct {
+	WriteSyncer
+	syncs *int
+}
+
+func (c countingSyncer) Sync() error {
+	*c.syncs++
+	return c.WriteSyncer.Sync()
+}
+
+// TestCheckpointSyncsOnce pins the durability cost: every record goes to
+// one file, so a Checkpoint after any number of appends is exactly one
+// Sync, and closing a log with nothing new to flush adds none.
+func TestCheckpointSyncsOnce(t *testing.T) {
+	var syncs int
+	s := mustOpen(t, t.TempDir(), Options{Open: func(path string) (WriteSyncer, error) {
+		ws, err := OpenFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return countingSyncer{ws, &syncs}, nil
+	}})
+	const checkpoints = 25
+	for k := 0; k < checkpoints; k++ {
+		for j := 0; j < 8; j++ {
+			if _, err := s.AppendPlan(testPlanKey(8*k + j)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendFinding(testFinding(8*k + j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(TaskProgress{Engine: "tidb", Oracle: "qpg", Queries: k}); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != k+1 {
+			t.Fatalf("after %d checkpoints: %d syncs, want %d", k+1, syncs, k+1)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != checkpoints {
+		t.Fatalf("Close on a clean log synced: %d syncs, want %d", syncs, checkpoints)
 	}
 }
 
@@ -353,8 +421,9 @@ func TestRecoverEdgeCases(t *testing.T) {
 		}
 	})
 	t.Run("duplicate-fingerprints-across-shards", func(t *testing.T) {
-		// A shard-count change can land the same fingerprint in two shard
-		// files; recovery must dedup across shards, not per file.
+		// A directory written when appends fanned out over several shard
+		// files can hold the same fingerprint in two of them; recovery
+		// must dedup across files, not per file.
 		dir := t.TempDir()
 		fp := testPlanKey(9)
 		f := testFinding(9)
@@ -366,15 +435,53 @@ func TestRecoverEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s := mustOpen(t, dir, Options{Shards: 8})
+		sizes := func() map[string]int64 {
+			m := map[string]int64{}
+			paths, err := filepath.Glob(filepath.Join(dir, "*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths {
+				fi, err := os.Stat(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m[filepath.Base(p)] = fi.Size()
+			}
+			return m
+		}
+		before := sizes()
+		s := mustOpen(t, dir, Options{})
 		defer s.Close()
 		rec := s.Recovered()
 		if len(rec.Plans) != 1 || len(rec.Findings) != 1 {
-			t.Errorf("cross-shard dedup failed: %d plans, %d findings", len(rec.Plans), len(rec.Findings))
+			t.Errorf("cross-file dedup failed: %d plans, %d findings", len(rec.Plans), len(rec.Findings))
 		}
 		// And the rebuilt index still dedups new appends.
 		if fresh, err := s.AppendPlan(fp); err != nil || fresh {
-			t.Errorf("AppendPlan after cross-shard recovery: fresh=%v err=%v", fresh, err)
+			t.Errorf("AppendPlan after cross-file recovery: fresh=%v err=%v", fresh, err)
+		}
+		// New records all go to shard-000.log; no other file grows or
+		// appears.
+		for i := 0; i < 20; i++ {
+			if _, err := s.AppendPlan(testPlanKey(100 + i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.AppendFinding(testFinding(100 + i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(TaskProgress{Engine: "mysql", Oracle: "qpg"}); err != nil {
+			t.Fatal(err)
+		}
+		after := sizes()
+		if len(after) != len(before) {
+			t.Errorf("appends changed the file set: %v -> %v", before, after)
+		}
+		for name, size := range after {
+			if grew := size > before[name]; grew != (name == "shard-000.log") {
+				t.Errorf("%s: %d -> %d bytes; only shard-000.log may grow", name, before[name], size)
+			}
 		}
 	})
 	t.Run("unknown-record-type-skipped", func(t *testing.T) {
@@ -383,6 +490,10 @@ func TestRecoverEdgeCases(t *testing.T) {
 		fp := testPlanKey(1)
 		b = appendFrame(b, recPlan, fp[:])
 		b = appendFrame(b, 0x7F, []byte("future record type"))
+		// 0x05 is the reserved former plan-blob type: skipped whatever
+		// its payload, even one shorter than a fingerprint.
+		b = appendFrame(b, 0x05, append(fp[:], "blob"...))
+		b = appendFrame(b, 0x05, []byte("short"))
 		fp2 := testPlanKey(2)
 		b = appendFrame(b, recPlan, fp2[:])
 		if err := os.WriteFile(filepath.Join(dir, "shard-000.log"), b, 0o644); err != nil {
@@ -390,7 +501,7 @@ func TestRecoverEdgeCases(t *testing.T) {
 		}
 		s := mustOpen(t, dir, Options{})
 		defer s.Close()
-		if len(s.Recovered().Plans) != 2 {
+		if s.Recovered().DroppedBytes != 0 || len(s.Recovered().Plans) != 2 {
 			t.Errorf("records after an unknown type lost: %+v", s.Recovered())
 		}
 	})

@@ -200,7 +200,7 @@ type (
 	// campaign; reopen after a crash and set CampaignOptions.Resume to
 	// continue it with a byte-identical outcome.
 	PlanStore = store.Store
-	// PlanStoreOptions tunes OpenStore (shard count, file opener).
+	// PlanStoreOptions tunes OpenStore (the log file opener).
 	PlanStoreOptions = store.Options
 	// PlanStoreRecovered is the state OpenStore rebuilt from the log:
 	// plans, findings, per-task checkpoints, and what a torn tail cost.
@@ -211,8 +211,8 @@ type (
 )
 
 // OpenStore opens (creating if needed) a durable plan-and-finding log
-// directory, replaying and checksum-verifying every shard and truncating
-// any torn tail left by a crash.
+// directory, replaying and checksum-verifying its log and truncating any
+// torn tail left by a crash.
 //
 //	log, err := uplan.OpenStore(dir, uplan.PlanStoreOptions{})
 //	if err != nil { ... }
