@@ -245,10 +245,12 @@ func looksNumeric(t string) bool {
 }
 
 // addProp resolves a native property name through the registry and appends
-// it to the node, allocating from ar when non-nil.
+// it to the node, allocating from ar when non-nil. A property whose name
+// resolves blank is dropped: the unified grammar has no unnamed property.
 func addProp(reg *core.Registry, dialect string, ar *core.PlanArena, n *core.Node, nativeKey, rawVal string) {
-	name, cat := reg.ResolveProperty(dialect, nativeKey)
-	ar.AddPropertyIn(n, cat, name, parseScalar(rawVal))
+	if name, cat := reg.ResolveProperty(dialect, nativeKey); name != "" {
+		ar.AddPropertyIn(n, cat, name, parseScalar(rawVal))
+	}
 }
 
 // addTypedProp appends a property with an explicit category override,
@@ -258,10 +260,12 @@ func addTypedProp(ar *core.PlanArena, n *core.Node, cat core.PropertyCategory, n
 }
 
 // addPlanProp resolves and appends a plan-level property, allocating from
-// ar when non-nil.
+// ar when non-nil; like addProp, it drops a property whose name resolves
+// blank.
 func addPlanProp(reg *core.Registry, dialect string, ar *core.PlanArena, p *core.Plan, nativeKey, rawVal string) {
-	name, cat := reg.ResolveProperty(dialect, nativeKey)
-	ar.AddPlanPropertyIn(p, cat, name, parseScalar(rawVal))
+	if name, cat := reg.ResolveProperty(dialect, nativeKey); name != "" {
+		ar.AddPlanPropertyIn(p, cat, name, parseScalar(rawVal))
+	}
 }
 
 // indentDepth counts leading spaces.

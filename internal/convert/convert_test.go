@@ -353,6 +353,12 @@ func TestConverterErrors(t *testing.T) {
 	if _, err := Convert("mysql", "+--\n|EXtrA|\n|"); err == nil {
 		t.Error("mysql: a short tabular row must fail")
 	}
+	// A second top-level PostgreSQL YAML node is an error, as in the other
+	// strict line formats, not a subtree silently dropped.
+	yaml := "- Plan:\n    Node Type: \"Seq Scan\"\n    Total Cost: 1\n    Node Type: \"Index Scan\"\n    Total Cost: 2\n    Plans:\n      - Node Type: \"Sort\"\n"
+	if p, err := Convert("postgresql", yaml); err == nil {
+		t.Errorf("postgresql yaml: two roots converted to a %d-node plan", p.NodeCount())
+	}
 }
 
 func TestDialectsComplete(t *testing.T) {

@@ -330,11 +330,7 @@ func xmlTag(ar *core.PlanArena, local string) string {
 // items).
 func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "postgresql"}
-	type frame struct {
-		node   *core.Node
-		indent int
-	}
-	stack := make([]frame, 0, 8)
+	var tree treeBuilder
 	for it := newLineIter(s); it.next(); {
 		raw := it.line
 		if strings.TrimSpace(raw) == "" || strings.TrimSpace(raw) == "- Plan:" {
@@ -356,26 +352,16 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 		}
 		if key == "Node Type" {
 			op := c.reg.ResolveOperation("postgresql", val)
-			node := ar.NewNodeIn(op.Category, op.Name)
-			for len(stack) > 0 && stack[len(stack)-1].indent >= indent {
-				stack = stack[:len(stack)-1]
+			if err := tree.add(ar, ar.NewNodeIn(op.Category, op.Name), indent); err != nil {
+				return nil, fmt.Errorf("convert: postgres yaml: line %d: %w", it.n, err)
 			}
-			if len(stack) == 0 {
-				if plan.Root == nil {
-					plan.Root = node
-				}
-			} else {
-				ar.AddChildIn(stack[len(stack)-1].node, node)
-			}
-			stack = append(stack, frame{node, indent})
 			continue
 		}
-		if len(stack) == 0 {
-			name, cat := c.reg.ResolveProperty("postgresql", key)
-			addPlanPropTyped(ar, plan, cat, name, parseScalar(strings.TrimSuffix(val, " ms")))
+		node := tree.last()
+		if node == nil {
+			addPlanProp(c.reg, "postgresql", ar, plan, key, strings.TrimSuffix(val, " ms"))
 			continue
 		}
-		node := stack[len(stack)-1].node
 		switch key {
 		case "Startup Cost":
 			addTypedProp(ar, node, core.Cost, "startup cost", parseScalar(val))
@@ -391,6 +377,7 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 			addProp(c.reg, "postgresql", ar, node, key, val)
 		}
 	}
+	plan.Root = tree.root
 	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: postgres yaml: no plan found")
 	}
@@ -1121,34 +1108,18 @@ func setElement(elems []ssElement, key, val string) []ssElement {
 // convertProfileTable parses SET STATISTICS PROFILE tabular output: the
 // StmtText column carries a "|--" tree indented two spaces per level.
 func (c *sqlserverConverter) convertProfileTable(s string, ar *core.PlanArena) (*core.Plan, error) {
-	rows, header, err := parseAlignedTable(s)
+	t, err := parseAlignedTable(s)
 	if err != nil {
 		return nil, err
 	}
-	stmtIdx, estIdx, costIdx, rowsIdx := -1, -1, -1, -1
-	for i, h := range header {
-		switch h {
-		case "StmtText":
-			stmtIdx = i
-		case "EstimateRows":
-			estIdx = i
-		case "TotalSubtreeCost":
-			costIdx = i
-		case "Rows":
-			rowsIdx = i
-		}
-	}
+	stmtIdx, estIdx, costIdx, rowsIdx :=
+		t.col("StmtText"), t.col("EstimateRows"), t.col("TotalSubtreeCost"), t.col("Rows")
 	if stmtIdx < 0 {
 		return nil, fmt.Errorf("convert: sqlserver table lacks StmtText column")
 	}
-	plan := &core.Plan{Source: "sqlserver"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
-	for _, r := range rows {
-		cell := r[stmtIdx]
+	var tree treeBuilder
+	for r := range t.rows {
+		cell := t.cell(r, stmtIdx)
 		bar := strings.Index(cell, "|--")
 		depth := 0
 		body := strings.TrimSpace(cell)
@@ -1168,42 +1139,28 @@ func (c *sqlserverConverter) convertProfileTable(s string, ar *core.PlanArena) (
 				addTypedProp(ar, node, core.Configuration, "name object", core.Str(rest[:j]))
 			}
 		}
-		if estIdx >= 0 && strings.TrimSpace(r[estIdx]) != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(r[estIdx]))
+		if v := t.cell(r, estIdx); strings.TrimSpace(v) != "" {
+			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
 		}
-		if costIdx >= 0 && strings.TrimSpace(r[costIdx]) != "" {
-			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(r[costIdx]))
+		if v := t.cell(r, costIdx); strings.TrimSpace(v) != "" {
+			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(v))
 		}
-		if rowsIdx >= 0 && strings.TrimSpace(r[rowsIdx]) != "" {
-			addTypedProp(ar, node, core.Cardinality, "actual rows", parseScalar(r[rowsIdx]))
+		if v := t.cell(r, rowsIdx); strings.TrimSpace(v) != "" {
+			addTypedProp(ar, node, core.Cardinality, "actual rows", parseScalar(v))
 		}
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, node, depth); err != nil {
+			return nil, fmt.Errorf("convert: sqlserver table: row %d: %w", r+1, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root != nil {
-				return nil, fmt.Errorf("convert: sqlserver table: multiple roots")
-			}
-			plan.Root = node
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
-	if plan.Root == nil {
+	if tree.root == nil {
 		return nil, fmt.Errorf("convert: sqlserver table: empty plan")
 	}
-	return plan, nil
+	return &core.Plan{Source: "sqlserver", Root: tree.root}, nil
 }
 
 // convertText parses SHOWPLAN_TEXT output: "|--" nesting.
 func (c *sqlserverConverter) convertText(s string, ar *core.PlanArena) (*core.Plan, error) {
-	plan := &core.Plan{Source: "sqlserver"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
+	var tree treeBuilder
 	for it := newLineIter(s); it.next(); {
 		line := strings.TrimRight(it.line, " ")
 		t := strings.TrimSpace(line)
@@ -1239,21 +1196,12 @@ func (c *sqlserverConverter) convertText(s string, ar *core.PlanArena) (*core.Pl
 				addTypedProp(ar, node, cat, name, core.Str(rest[:j]))
 			}
 		}
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, node, depth); err != nil {
+			return nil, fmt.Errorf("convert: sqlserver text: line %d: %w", it.n, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root != nil {
-				return nil, fmt.Errorf("convert: sqlserver text: multiple roots")
-			}
-			plan.Root = node
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
-	if plan.Root == nil {
+	if tree.root == nil {
 		return nil, fmt.Errorf("convert: sqlserver text: no plan found")
 	}
-	return plan, nil
+	return &core.Plan{Source: "sqlserver", Root: tree.root}, nil
 }

@@ -49,12 +49,7 @@ func (c *postgresConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan,
 //uplan:hotpath
 func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "postgresql"}
-	type frame struct {
-		node *core.Node
-		col  int // column of the operator name
-	}
-	stack := make([]frame, 0, 8)
-	sawTree := false
+	var tree treeBuilder // keyed by the column of the operator name
 	for it := newLineIter(s); it.next(); {
 		raw := it.line
 		if strings.TrimSpace(raw) == "" {
@@ -72,22 +67,12 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 				text = raw[arrow+2:]
 			}
 			node, err := c.parseNodeLine(strings.TrimSpace(text), ar)
+			if err == nil {
+				err = tree.add(ar, node, nameCol)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
 			}
-			for len(stack) > 0 && stack[len(stack)-1].col >= nameCol {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) == 0 {
-				if plan.Root != nil {
-					return nil, fmt.Errorf("convert: line %d: multiple root operators", it.n)
-				}
-				plan.Root = node
-			} else {
-				ar.AddChildIn(stack[len(stack)-1].node, node)
-			}
-			stack = append(stack, frame{node: node, col: nameCol})
-			sawTree = true
 		case indentDepth(raw) == 0:
 			// Plan-level property ("Planning Time: 0.124 ms").
 			key, val, ok := splitKV(raw)
@@ -97,17 +82,19 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 			addPlanProp(c.reg, "postgresql", ar, plan, key, strings.TrimSuffix(val, " ms"))
 		default:
 			// Node property line; belongs to the deepest open node.
-			if len(stack) == 0 {
+			node := tree.last()
+			if node == nil {
 				return nil, fmt.Errorf("convert: line %d: property before any operator", it.n)
 			}
 			key, val, ok := splitKV(raw)
 			if !ok {
 				continue // tolerate free-form annotation lines
 			}
-			addProp(c.reg, "postgresql", ar, stack[len(stack)-1].node, key, val)
+			addProp(c.reg, "postgresql", ar, node, key, val)
 		}
 	}
-	if !sawTree && plan.Root == nil && len(plan.Properties) == 0 {
+	plan.Root = tree.root
+	if plan.Root == nil && len(plan.Properties) == 0 {
 		return nil, fmt.Errorf("convert: no PostgreSQL plan found in input")
 	}
 	return plan, nil
@@ -250,37 +237,18 @@ func (c *mysqlConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 //
 //uplan:hotpath
 func (c *mysqlConverter) convertTree(s string, ar *core.PlanArena) (*core.Plan, error) {
-	plan := &core.Plan{Source: "mysql"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
+	var tree treeBuilder
 	for it := newLineIter(s); it.next(); {
-		raw := it.line
-		if strings.TrimSpace(raw) == "" {
-			continue
-		}
-		arrow := strings.Index(raw, "-> ")
+		arrow := strings.Index(it.line, "-> ")
 		if arrow < 0 {
 			continue
 		}
-		depth := arrow / 4
-		title := strings.TrimSpace(raw[arrow+3:])
-		node := c.parseTreeLine(title, ar)
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		node := c.parseTreeLine(strings.TrimSpace(it.line[arrow+3:]), ar)
+		if err := tree.add(ar, node, arrow/4); err != nil {
+			return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root != nil {
-				return nil, fmt.Errorf("convert: line %d: multiple MySQL roots", it.n)
-			}
-			plan.Root = node
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
+	plan := &core.Plan{Source: "mysql", Root: tree.root}
 	if plan.Root == nil {
 		return nil, fmt.Errorf("convert: no MySQL TREE plan found in input")
 	}
@@ -349,50 +317,40 @@ func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *co
 //
 //uplan:hotpath
 func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, error) {
-	rows, header, err := parseASCIITable(s)
+	t, err := parseASCIITable(s)
 	if err != nil {
 		return nil, err
 	}
-	col := func(name string) int {
-		for i, h := range header {
-			if strings.EqualFold(h, name) {
-				return i
-			}
-		}
-		return -1
-	}
 	tableIdx, typeIdx, keyIdx, rowsIdx, extraIdx :=
-		col("table"), col("type"), col("key"), col("rows"), col("Extra")
+		t.col("table"), t.col("type"), t.col("key"), t.col("rows"), t.col("Extra")
 	plan := &core.Plan{Source: "mysql"}
 	var prev *core.Node
-	for i, r := range rows {
-		if len(r) < len(header) {
-			return nil, fmt.Errorf("convert: MySQL tabular row %d has %d cells, header has %d", i+1, len(r), len(header))
+	for i := range t.rows {
+		if len(t.rows[i]) < len(t.header) {
+			return nil, fmt.Errorf("convert: MySQL tabular row %d has %d cells, header has %d", i+1, len(t.rows[i]), len(t.header))
 		}
 		opName := "Table scan"
-		if typeIdx >= 0 {
-			switch strings.ToLower(r[typeIdx]) {
-			case "ref", "eq_ref", "const":
-				opName = "Index lookup"
-			case "range":
-				opName = "Index range scan"
-			case "index":
-				opName = "Covering index scan"
-			}
+		switch strings.ToLower(t.cell(i, typeIdx)) {
+		case "ref", "eq_ref", "const":
+			opName = "Index lookup"
+		case "range":
+			opName = "Index range scan"
+		case "index":
+			opName = "Covering index scan"
 		}
 		op := c.reg.ResolveOperation("mysql", opName)
 		node := ar.NewNodeIn(op.Category, op.Name)
-		if tableIdx >= 0 && r[tableIdx] != "" {
-			addTypedProp(ar, node, core.Configuration, "name object", core.Str(r[tableIdx]))
+		if v := t.cell(i, tableIdx); v != "" {
+			addTypedProp(ar, node, core.Configuration, "name object", core.Str(v))
 		}
-		if keyIdx >= 0 && r[keyIdx] != "" && r[keyIdx] != "NULL" {
-			addTypedProp(ar, node, core.Configuration, "access object", core.Str(r[keyIdx]))
+		if v := t.cell(i, keyIdx); v != "" && v != "NULL" {
+			addTypedProp(ar, node, core.Configuration, "access object", core.Str(v))
 		}
-		if rowsIdx >= 0 && r[rowsIdx] != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(r[rowsIdx]))
+		if v := t.cell(i, rowsIdx); v != "" {
+			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
 		}
-		if extraIdx >= 0 && r[extraIdx] != "" && r[extraIdx] != "NULL" {
-			addTypedProp(ar, node, core.Configuration, "extra", core.Str(r[extraIdx]))
+		if v := t.cell(i, extraIdx); v != "" && v != "NULL" {
+			addTypedProp(ar, node, core.Configuration, "extra", core.Str(v))
 		}
 		if plan.Root == nil {
 			plan.Root = node
@@ -405,103 +363,6 @@ func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		return nil, fmt.Errorf("convert: empty MySQL tabular plan")
 	}
 	return plan, nil
-}
-
-// parseAlignedTable parses a +---+ bordered table by column offsets taken
-// from the border line, preserving leading whitespace inside cells (needed
-// for tree-art columns). Cells are right-trimmed only.
-func parseAlignedTable(s string) ([][]string, []string, error) {
-	var spans [][2]int
-	var header []string
-	var rows [][]string
-	for it := newLineIter(s); it.next(); {
-		line := strings.TrimRight(it.line, " \r")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "+") && spans == nil {
-			// Border line: derive column spans between '+' markers.
-			start := 0
-			for i := 1; i < len(line); i++ {
-				if line[i] == '+' {
-					spans = append(spans, [2]int{start + 1, i})
-					start = i
-				}
-			}
-			continue
-		}
-		if spans == nil || !strings.HasPrefix(line, "|") {
-			continue
-		}
-		if strings.HasPrefix(line, "+") {
-			continue
-		}
-		cells := make([]string, 0, len(spans))
-		for _, sp := range spans {
-			lo, hi := sp[0], sp[1]
-			if lo >= len(line) {
-				cells = append(cells, "")
-				continue
-			}
-			if hi > len(line) {
-				hi = len(line)
-			}
-			cell := strings.TrimRight(line[lo:hi], " ")
-			// Drop the single leading padding space the renderer adds.
-			cell = strings.TrimPrefix(cell, " ")
-			cells = append(cells, cell)
-		}
-		if header == nil {
-			for i := range cells {
-				cells[i] = strings.TrimSpace(cells[i])
-			}
-			header = cells
-			continue
-		}
-		rows = append(rows, cells)
-	}
-	if header == nil {
-		return nil, nil, fmt.Errorf("convert: no aligned table found in input")
-	}
-	return rows, header, nil
-}
-
-// parseASCIITable parses a +---+ bordered table into header + rows.
-func parseASCIITable(s string) ([][]string, []string, error) {
-	var header []string
-	var rows [][]string
-	for it := newLineIter(s); it.next(); {
-		line := strings.TrimSpace(it.line)
-		if line == "" || strings.HasPrefix(line, "+") {
-			continue
-		}
-		if !strings.HasPrefix(line, "|") {
-			continue
-		}
-		// Walk the "|"-separated cells in place; the segment after the last
-		// "|" (usually empty) is dropped, as strings.Split-and-trim did.
-		var cells []string
-		if header != nil {
-			cells = make([]string, 0, len(header))
-		}
-		for rest := line[1:]; ; {
-			i := strings.IndexByte(rest, '|')
-			if i < 0 {
-				break
-			}
-			cells = append(cells, strings.TrimSpace(rest[:i]))
-			rest = rest[i+1:]
-		}
-		if header == nil {
-			header = cells
-			continue
-		}
-		rows = append(rows, cells)
-	}
-	if header == nil {
-		return nil, nil, fmt.Errorf("convert: no table found in input")
-	}
-	return rows, header, nil
 }
 
 // ------------------------------------------------------------------- TiDB
@@ -524,31 +385,18 @@ func (c *tidbConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, err
 
 //uplan:hotpath
 func (c *tidbConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, error) {
-	rows, header, err := parseAlignedTable(s)
+	t, err := parseAlignedTable(s)
 	if err != nil {
 		return nil, err
 	}
-	col := func(name string) int {
-		for i, h := range header {
-			if strings.EqualFold(h, name) {
-				return i
-			}
-		}
-		return -1
-	}
 	idIdx, estIdx, taskIdx, objIdx, infoIdx :=
-		col("id"), col("estRows"), col("task"), col("access object"), col("operator info")
+		t.col("id"), t.col("estRows"), t.col("task"), t.col("access object"), t.col("operator info")
 	if idIdx < 0 {
 		return nil, fmt.Errorf("convert: TiDB table lacks id column")
 	}
-	plan := &core.Plan{Source: "tidb"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
-	for _, r := range rows {
-		id := r[idIdx]
+	var tree treeBuilder
+	for r := range t.rows {
+		id := t.cell(r, idIdx)
 		depth := 0
 		namePart := strings.TrimSpace(id)
 		if i := strings.IndexAny(id, "└├"); i >= 0 {
@@ -564,38 +412,28 @@ func (c *tidbConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, 
 		if suffix != "" {
 			addTypedProp(ar, node, core.Status, "operator id", core.Str(suffix))
 		}
-		if estIdx >= 0 && r[estIdx] != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(r[estIdx]))
+		if v := t.cell(r, estIdx); v != "" {
+			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
 		}
-		if taskIdx >= 0 && r[taskIdx] != "" {
+		if v := t.cell(r, taskIdx); v != "" {
 			name, cat := c.reg.ResolveProperty("tidb", "task")
-			addTypedProp(ar, node, cat, name, core.Str(r[taskIdx]))
+			addTypedProp(ar, node, cat, name, core.Str(v))
 		}
-		if objIdx >= 0 && r[objIdx] != "" {
-			addTypedProp(ar, node, core.Configuration, "access object", core.Str(r[objIdx]))
+		if v := t.cell(r, objIdx); v != "" {
+			addTypedProp(ar, node, core.Configuration, "access object", core.Str(v))
 		}
-		if infoIdx >= 0 && r[infoIdx] != "" {
+		if v := t.cell(r, infoIdx); v != "" {
 			name, cat := c.reg.ResolveProperty("tidb", "operator info")
-			addTypedProp(ar, node, cat, name, core.Str(r[infoIdx]))
+			addTypedProp(ar, node, cat, name, core.Str(v))
 		}
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, node, depth); err != nil {
+			return nil, fmt.Errorf("convert: TiDB row %d: %w", r+1, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root != nil {
-				return nil, fmt.Errorf("convert: multiple TiDB roots")
-			}
-			plan.Root = node
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
-	if plan.Root == nil {
+	if tree.root == nil {
 		return nil, fmt.Errorf("convert: empty TiDB plan")
 	}
-	plan.Root = foldTiDBSelections(plan.Root)
-	return plan, nil
+	return &core.Plan{Source: "tidb", Root: foldTiDBSelections(tree.root)}, nil
 }
 
 // foldTiDBSelections implements the paper's special case: TiDB's Selection
@@ -641,15 +479,9 @@ func (c *sqliteConverter) Convert(s string) (*core.Plan, error) {
 
 //uplan:hotpath
 func (c *sqliteConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, error) {
-	plan := &core.Plan{Source: "sqlite"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
-	// The virtual root only collects top-level steps; it is never part of
-	// the returned tree, so it lives outside the arena.
-	virtualRoot := &core.Node{}
+	// EXPLAIN QUERY PLAN is a list of steps: later top-level steps go
+	// under the first, which keeps their order within one tree.
+	tree := treeBuilder{adopt: true}
 	for it := newLineIter(s); it.next(); {
 		line := strings.TrimRight(it.line, " ")
 		if strings.TrimSpace(line) == "" || strings.TrimSpace(line) == "QUERY PLAN" {
@@ -673,31 +505,14 @@ func (c *sqliteConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, e
 			body = strings.TrimSpace(line)
 			break
 		}
-		node := c.parseLine(body, ar)
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, c.parseLine(body, ar), depth); err != nil {
+			return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
 		}
-		if len(stack) == 0 {
-			virtualRoot.Children = append(virtualRoot.Children, node)
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
-	switch len(virtualRoot.Children) {
-	case 0:
+	if tree.root == nil {
 		return nil, fmt.Errorf("convert: empty SQLite plan")
-	case 1:
-		plan.Root = virtualRoot.Children[0]
-	default:
-		// Multiple top-level steps: SQLite's EQP is a list; wrap them under
-		// the first step to preserve order within one tree.
-		plan.Root = virtualRoot.Children[0]
-		for _, extra := range virtualRoot.Children[1:] {
-			ar.AddChildIn(plan.Root, extra)
-		}
 	}
-	return plan, nil
+	return &core.Plan{Source: "sqlite", Root: tree.root}, nil
 }
 
 //uplan:hotpath
@@ -757,12 +572,7 @@ func (c *sparkConverter) Convert(s string) (*core.Plan, error) {
 
 //uplan:hotpath
 func (c *sparkConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, error) {
-	plan := &core.Plan{Source: "sparksql"}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
+	var tree treeBuilder
 	for it := newLineIter(s); it.next(); {
 		line := strings.TrimRight(it.line, " ")
 		if strings.TrimSpace(line) == "" || strings.HasPrefix(line, "== ") {
@@ -787,23 +597,14 @@ func (c *sparkConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 		if args != "" {
 			addTypedProp(ar, node, core.Configuration, "args", core.Str(args))
 		}
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, node, depth); err != nil {
+			return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root != nil {
-				return nil, fmt.Errorf("convert: multiple Spark roots")
-			}
-			plan.Root = node
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
-	if plan.Root == nil {
+	if tree.root == nil {
 		return nil, fmt.Errorf("convert: no Spark physical plan found")
 	}
-	return plan, nil
+	return &core.Plan{Source: "sparksql", Root: tree.root}, nil
 }
 
 // ------------------------------------------------------------------- Neo4j
@@ -849,20 +650,18 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 	// The plan table itself parses straight from the input: aligned-table
 	// parsing skips the prefix/summary lines above on its own, so no
 	// filtered copy of the table lines is built.
-	rows, header, err := parseAlignedTable(s)
+	t, err := parseAlignedTable(s)
 	if err != nil {
 		if len(plan.Properties) > 0 {
 			return plan, nil
 		}
 		return nil, fmt.Errorf("convert: no Neo4j plan found")
 	}
-	type frame struct {
-		node  *core.Node
-		depth int
-	}
-	stack := make([]frame, 0, 8)
-	for _, cells := range rows {
-		opCell := cells[0]
+	// Like SQLite's, Neo4j's plan is a list of steps: later top-level
+	// operators go under the first.
+	tree := treeBuilder{adopt: true}
+	for r := range t.rows {
+		opCell := t.cell(r, 0)
 		plus := strings.Index(opCell, "+")
 		if plus < 0 {
 			continue
@@ -872,32 +671,23 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		name := strings.TrimSpace(opCell[plus+1:])
 		op := c.reg.ResolveOperation("neo4j", name)
 		node := ar.NewNodeIn(op.Category, op.Name)
-		for i := 1; i < len(cells) && i < len(header); i++ {
-			val := strings.TrimSpace(cells[i])
+		for i := 1; i < len(t.header); i++ {
+			val := strings.TrimSpace(t.cell(r, i))
 			if val == "" {
 				continue
 			}
-			key := header[i]
+			key := t.header[i]
 			if strings.EqualFold(key, "Estimated Rows") {
 				addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
 				continue
 			}
 			addProp(c.reg, "neo4j", ar, node, key, val)
 		}
-		for len(stack) > 0 && stack[len(stack)-1].depth >= depth {
-			stack = stack[:len(stack)-1]
+		if err := tree.add(ar, node, depth); err != nil {
+			return nil, fmt.Errorf("convert: Neo4j row %d: %w", r+1, err)
 		}
-		if len(stack) == 0 {
-			if plan.Root == nil {
-				plan.Root = node
-			} else {
-				ar.AddChildIn(plan.Root, node)
-			}
-		} else {
-			ar.AddChildIn(stack[len(stack)-1].node, node)
-		}
-		stack = append(stack, frame{node, depth})
 	}
+	plan.Root = tree.root
 	if plan.Root == nil && len(plan.Properties) == 0 {
 		return nil, fmt.Errorf("convert: no Neo4j plan found")
 	}
