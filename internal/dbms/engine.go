@@ -246,6 +246,13 @@ func (e *Engine) explainStmt(stmt sql.Statement, format explain.Format, analyze 
 		}
 		stats = ng.Stats
 	}
+	return e.serialize(plan, stats, format)
+}
+
+// serialize shapes a physical plan into the engine's native tree and
+// renders it in format. stats carries EXPLAIN ANALYZE actuals (nil for
+// plain EXPLAIN).
+func (e *Engine) serialize(plan *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats, format explain.Format) (string, error) {
 	native := e.shaper(e, plan, stats)
 	native.Dialect = e.Info.Name
 	return explain.Serialize(native, format)
