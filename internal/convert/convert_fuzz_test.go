@@ -65,7 +65,9 @@ func allocated(fn func()) uint64 {
 // input of L lines yields a plan that passes Validate and has at most
 // 2·(L+1) nodes (every seed is under one node per line). The seeds are
 // the benchmark's text samples, Neo4j text, PostgreSQL YAML and SQL
-// Server table explains of TPC-H Q5, a MySQL table row shorter than its
+// Server table explains of TPC-H Q5, EXPLAIN ANALYZE output of TPC-H Q5
+// (PostgreSQL text and YAML, MySQL text, SQL Server table) and of WDBench
+// Q5 (Neo4j text), a MySQL table row shorter than its
 // header that once indexed past the row, three inputs that once converted
 // to a blank property or operator name, and a 12 KB table that once
 // allocated 250 MB. Explore with
@@ -78,23 +80,39 @@ func FuzzConvert(f *testing.F) {
 	for _, s := range samples {
 		f.Add(dialectPick(f, s.Dialect), s.Raw)
 	}
-	q := bench.TPCHQueries()[4]
 	for _, s := range []struct {
 		dialect string
 		format  explain.Format
+		analyze bool
 	}{
-		{"neo4j", explain.FormatText},
-		{"postgresql", explain.FormatYAML},
-		{"sqlserver", explain.FormatTable},
+		{"neo4j", explain.FormatText, false},
+		{"postgresql", explain.FormatYAML, false},
+		{"sqlserver", explain.FormatTable, false},
+		{"postgresql", explain.FormatText, true},
+		{"postgresql", explain.FormatYAML, true},
+		{"mysql", explain.FormatText, true},
+		{"sqlserver", explain.FormatTable, true},
+		{"neo4j", explain.FormatText, true},
 	} {
 		e, err := dbms.New(s.dialect)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := bench.LoadTPCH(e, 42, bench.DefaultSizes()); err != nil {
+		q := bench.TPCHQueries()[4]
+		explainQuery := e.Explain
+		if s.analyze {
+			explainQuery = e.ExplainAnalyze
+		}
+		if s.analyze && s.dialect == "neo4j" {
+			err = bench.LoadWDBench(e, 42, 120, 300)
+			q = bench.WDBenchQueries(42, 5)[4]
+		} else {
+			err = bench.LoadTPCH(e, 42, bench.DefaultSizes())
+		}
+		if err != nil {
 			f.Fatal(err)
 		}
-		raw, err := e.Explain(q, s.format)
+		raw, err := explainQuery(q, s.format)
 		if err != nil {
 			f.Fatal(err)
 		}

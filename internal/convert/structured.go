@@ -132,24 +132,8 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 				ar.AddChildIn(node, child)
 				return nil
 			})
-		case "Parent Relationship":
-			return prop(core.Configuration, "parent relationship")
-		case "Startup Cost":
-			return prop(core.Cost, "startup cost")
-		case "Total Cost":
-			return prop(core.Cost, "total cost")
-		case "Plan Rows":
-			return prop(core.Cardinality, "estimated rows")
-		case "Plan Width":
-			return prop(core.Cardinality, "estimated width")
-		case "Actual Rows":
-			return prop(core.Cardinality, "actual rows")
-		case "Actual Total Time":
-			return prop(core.Status, "actual time")
-		case "Relation Name":
-			return prop(core.Configuration, "name object")
 		default:
-			pname, cat := c.reg.ResolveProperty("postgresql", key)
+			pname, cat := c.nodeProperty(key)
 			return prop(cat, pname)
 		}
 	})
@@ -160,6 +144,31 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 		node.Op = c.reg.ResolveOperation("postgresql", "")
 	}
 	return node, nil
+}
+
+// nodeProperty resolves a key of a PostgreSQL JSON or YAML plan node: the
+// estimate, actual and relation keys to fixed unified properties, any
+// other key through the registry.
+func (c *postgresConverter) nodeProperty(key string) (string, core.PropertyCategory) {
+	switch key {
+	case "Parent Relationship":
+		return "parent relationship", core.Configuration
+	case "Startup Cost":
+		return "startup cost", core.Cost
+	case "Total Cost":
+		return "total cost", core.Cost
+	case "Plan Rows":
+		return "estimated rows", core.Cardinality
+	case "Plan Width":
+		return "estimated width", core.Cardinality
+	case "Actual Rows":
+		return "actual rows", core.Cardinality
+	case "Actual Total Time":
+		return "actual time", core.Status
+	case "Relation Name":
+		return "name object", core.Configuration
+	}
+	return c.reg.ResolveProperty("postgresql", key)
 }
 
 // -------------------------------------------------------- PostgreSQL (XML)
@@ -327,15 +336,14 @@ func xmlTag(ar *core.PlanArena, local string) string {
 
 // convertYAML parses the PostgreSQL YAML explain format (the subset the
 // serializer emits: two-space indentation, "Plans:" lists with "- "
-// items).
+// items). Node keys resolve as in the JSON format; keys at the indentation
+// of the "Plan" key are plan properties.
 func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Plan, error) {
 	plan := &core.Plan{Source: "postgresql"}
 	var tree treeBuilder
+	planIndent := -1
 	for it := newLineIter(s); it.next(); {
 		raw := it.line
-		if strings.TrimSpace(raw) == "" || strings.TrimSpace(raw) == "- Plan:" {
-			continue
-		}
 		indent := indentDepth(raw)
 		line := strings.TrimSpace(raw)
 		if strings.HasPrefix(line, "- ") {
@@ -347,34 +355,21 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 			continue
 		}
 		val = strings.Trim(val, `"`)
-		if key == "Plans" {
-			continue
-		}
-		if key == "Node Type" {
+		switch {
+		case key == "Plan" && val == "":
+			planIndent = indent
+		case key == "Plans":
+		case key == "Node Type":
 			op := c.reg.ResolveOperation("postgresql", val)
 			if err := tree.add(ar, ar.NewNodeIn(op.Category, op.Name), indent); err != nil {
 				return nil, fmt.Errorf("convert: postgres yaml: line %d: %w", it.n, err)
 			}
-			continue
-		}
-		node := tree.last()
-		if node == nil {
+		case tree.last() == nil || indent <= planIndent:
 			addPlanProp(c.reg, "postgresql", ar, plan, key, strings.TrimSuffix(val, " ms"))
-			continue
-		}
-		switch key {
-		case "Startup Cost":
-			addTypedProp(ar, node, core.Cost, "startup cost", parseScalar(val))
-		case "Total Cost":
-			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(val))
-		case "Rows":
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
-		case "Width":
-			addTypedProp(ar, node, core.Cardinality, "estimated width", parseScalar(val))
-		case "Relation Name":
-			addTypedProp(ar, node, core.Configuration, "name object", parseScalar(val))
 		default:
-			addProp(c.reg, "postgresql", ar, node, key, val)
+			if name, cat := c.nodeProperty(key); name != "" {
+				addTypedProp(ar, tree.last(), cat, name, parseScalar(val))
+			}
 		}
 	}
 	plan.Root = tree.root

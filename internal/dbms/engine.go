@@ -76,9 +76,9 @@ func InfoFor(name string) (Info, bool) {
 }
 
 // shaperFunc converts an engine-neutral physical plan into the engine's
-// native operator tree. stats carries EXPLAIN ANALYZE actuals (nil for
-// plain EXPLAIN).
-type shaperFunc func(e *Engine, op *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan
+// native operator tree, marking the nodes decorate attaches estimates and
+// actuals to.
+type shaperFunc func(e *Engine, op *planner.PhysOp) *explain.Plan
 
 // Engine is one simulated DBMS instance with its own storage.
 type Engine struct {
@@ -88,6 +88,9 @@ type Engine struct {
 	Quirks exec.Quirks
 
 	shaper shaperFunc
+	decor  decoration
+	// marks are the current shaping's own and helper records.
+	marks []mark
 	// opSeq numbers operators across the engine's lifetime, reproducing
 	// TiDB-style unstable operator identifiers (TableFullScan_17).
 	opSeq int
@@ -107,30 +110,36 @@ func New(name string) (*Engine, error) {
 	case "postgresql":
 		e.Opts = planner.Options{Join: planner.JoinPreferHash, Agg: planner.AggPreferHash}
 		e.shaper = shapePostgres
+		e.decor = decoration{estimates: costBlock, actuals: true, execTime: true}
 	case "mysql":
 		e.Opts = planner.Options{Join: planner.JoinPreferNL, PreferIndexProbes: true}
 		e.shaper = shapeMySQL
+		e.decor = decoration{estimates: costBlock, actuals: true}
 	case "tidb":
 		e.Opts = planner.Options{
 			Join: planner.JoinAuto, FuseTopN: true,
 			PreferIndexProbes: true, PreferIndexOnly: true,
 		}
 		e.shaper = shapeTiDB
+		e.decor = decoration{estimates: tidbEstimates, actuals: true}
 	case "sqlite":
 		e.Opts = planner.Options{Join: planner.JoinPreferNL, PreferIndexProbes: true}
 		e.shaper = shapeSQLite
 	case "sqlserver":
 		e.Opts = planner.Options{Join: planner.JoinAuto, Agg: planner.AggPreferSort}
 		e.shaper = shapeSQLServer
+		e.decor = decoration{estimates: costBlock, actuals: true}
 	case "sparksql":
 		e.Opts = planner.Options{Join: planner.JoinPreferMerge, Agg: planner.AggPreferHash}
 		e.shaper = shapeSpark
 	case "mongodb":
 		e.Opts = planner.Options{Join: planner.JoinPreferNL, PreferIndexProbes: true}
 		e.shaper = shapeMongo
+		e.decor = decoration{actuals: true}
 	case "neo4j":
 		e.Opts = planner.Options{Join: planner.JoinPreferHash}
 		e.shaper = shapeNeo4j
+		e.decor = decoration{estimates: estRows, actuals: true}
 	case "influxdb":
 		e.Opts = planner.Options{}
 		e.shaper = shapeInflux
@@ -253,9 +262,16 @@ func (e *Engine) explainStmt(stmt sql.Statement, format explain.Format, analyze 
 // renders it in format. stats carries EXPLAIN ANALYZE actuals (nil for
 // plain EXPLAIN).
 func (e *Engine) serialize(plan *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats, format explain.Format) (string, error) {
-	native := e.shaper(e, plan, stats)
+	return explain.Serialize(e.shape(plan, stats), format)
+}
+
+// shape builds the engine's native plan and decorates it. stats carries
+// EXPLAIN ANALYZE actuals (nil for plain EXPLAIN).
+func (e *Engine) shape(plan *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+	native := e.shaper(e, plan)
+	e.decorate(native, plan, stats)
 	native.Dialect = e.Info.Name
-	return explain.Serialize(native, format)
+	return native
 }
 
 // NativePlan shapes a statement's plan without serialization (used by
@@ -272,9 +288,7 @@ func (e *Engine) NativePlan(query string) (*explain.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	native := e.shaper(e, plan, nil)
-	native.Dialect = e.Info.Name
-	return native, nil
+	return e.shape(plan, nil), nil
 }
 
 // PhysicalPlan exposes the engine-neutral plan (used by CERT to read the

@@ -57,26 +57,26 @@ var goldenDigests = map[string]string{
 	"mongodb/JSON/EXPLAIN":     "1ae5f6fb8df7a31f99678e6778a3eb03e10b2998a78f66358aab49dff0630760",
 	"mysql/GRAPH/ANALYZE":      "6ff9548fb9cd644adc2caf173776556e0cbba616ec17eda151a13d3230a51c7d",
 	"mysql/GRAPH/EXPLAIN":      "226e2aed42b5396f6843cd2bcbed8ab92fd36a4c0d006d855d5dd60fea6fbf85",
-	"mysql/JSON/ANALYZE":       "a7a271a8940bcc2be54b9f48ac2e0d9400e74d5dfdb708e0b4b34a98512c07c3",
+	"mysql/JSON/ANALYZE":       "1485046f089ac87ed766e28b375d1759d08c4036000d9bcf193328e7a884d17f",
 	"mysql/JSON/EXPLAIN":       "9914188356268b60f893f08fb37dfe91e1afed1845815fbc3d9d7c8f7f374c61",
-	"mysql/TEXT/ANALYZE":       "09071e2e376799c22db6db7dbd76d981c4a4280c80669dd097bed6676032f42f",
+	"mysql/TEXT/ANALYZE":       "b7bcf1b7bd051df34715731b849e0e1d049ccc5969ba2fb972b822795b78232e",
 	"mysql/TEXT/EXPLAIN":       "900ac9f4a69330057a7d43caa7b02607ebc30a4f6c09c8579d6a2682df4f3e4b",
 	"neo4j/GRAPH/ANALYZE":      "34e642b5d4f23006601f905fc2a4a8cf0b5997ac73cff38aceb2e4d1ef7c0d48",
 	"neo4j/GRAPH/EXPLAIN":      "b472a091e01f68dfca3470720752fd906b7eee69604a9907d80dcbd3fc9f2afd",
-	"neo4j/JSON/ANALYZE":       "8791db31bd3930753bd198c242691dca6ef051e533d46043469d07cb3bde86ef",
-	"neo4j/JSON/EXPLAIN":       "d3e733d421f57c26a8e73f484c660c4a0d91e5dc5f2f05b5f71b81f8f631b3da",
-	"neo4j/TEXT/ANALYZE":       "a7b0b1c2d1ab64a0c64f1fb3c4837303cae4d93a1bb5ee504b5c2fe98f2210ac",
-	"neo4j/TEXT/EXPLAIN":       "85914e53c6f980ccbfc1984b9b312a20716c7ac79feaee6de84c767164ffbea5",
+	"neo4j/JSON/ANALYZE":       "9398a19c1ffcb4776c2d60e7d53ecdcc5156b30c0d1e95c47bd2ec4d4dbc3af1",
+	"neo4j/JSON/EXPLAIN":       "a57ace62edcd6ea03f975f29acccd50ebc7bc120a3cfd3a8f7cc109c2dc47303",
+	"neo4j/TEXT/ANALYZE":       "4289754efe565e43c80bb561bf6bccf1ed664c0eb65b16df40524601e7bbc638",
+	"neo4j/TEXT/EXPLAIN":       "18eea38c138d65bb923cad4bf9014b69848df356c0abbfcdfeeac3fabebc0439",
 	"postgresql/GRAPH/ANALYZE": "9f9771d89db0fbd451d11090eeef9b356245866d29144865050e1a2bbbe4931e",
 	"postgresql/GRAPH/EXPLAIN": "120d25a79450a11ca94704a357c7a659a7b1bdb720dfc9f45c1febfc989f52ba",
-	"postgresql/JSON/ANALYZE":  "6ef28c590f3d9ac0434b374655a7db0367910de457088a6d31bcafee5332196b",
+	"postgresql/JSON/ANALYZE":  "064f98eca86ee1bc871524e055c1d152f52410ee3047d8b1bb0c5d565381e00f",
 	"postgresql/JSON/EXPLAIN":  "bd2bb7281db2b2daffcdc830245b9bf6fa7e3a073fb501a8f6d2bb3b3b7084fa",
-	"postgresql/TEXT/ANALYZE":  "b2924b69c8f63517269beff54258b7101944de2d3c1e74a2024f2c6f2fe3c00b",
+	"postgresql/TEXT/ANALYZE":  "f27e637a777c6dfeff5b21408edac362210eef827040284a717c55c7513ac7e8",
 	"postgresql/TEXT/EXPLAIN":  "9fec39845e037eb72d5ddd158185a4f642f745abcb84b7a6a09846edef3f5b23",
-	"postgresql/XML/ANALYZE":   "71c6abb2f01a202b3e1f13bacd9bef7529eaa73fbc84dcad7be62bef47d6c0b9",
-	"postgresql/XML/EXPLAIN":   "34c2e94097611c11c3fde80d266b9bd31573898a073b0ee51a038359514b722d",
-	"postgresql/YAML/ANALYZE":  "43ac994b9663c784a1c32447a8d56a1a9fc8ecb532464988fd28202e5b554881",
-	"postgresql/YAML/EXPLAIN":  "f73ecaaa7e1f5d345f58c48af8b2c0adb0b7ba1ca1d49d5893754ebbfa0942f5",
+	"postgresql/XML/ANALYZE":   "a70dc2faece10e3ae986122678c2e8abf3228dd6ddabefda6efbc0d64aef9977",
+	"postgresql/XML/EXPLAIN":   "161a04363e66ba14f2695c86896cb13d6ff6974a4d508d6ab0c6bd06092c811a",
+	"postgresql/YAML/ANALYZE":  "ea649baeaff8e0fc56b9dd892f5d09868b00e3ac1758e968e3e6236da8059e87",
+	"postgresql/YAML/EXPLAIN":  "8349e3915fbd20e8f3a5b14cdc2e4da6600e9972af8b1ab7ab070fcdb810c50e",
 	"sparksql/GRAPH/ANALYZE":   "47416e2f7f0e7e483c591f50f91d7494da9813947e8e6097c152dd6372580e17",
 	"sparksql/GRAPH/EXPLAIN":   "e82b3f682f4ebac3be4f1f778feccbb7de704566df3bed89a448742cc91835d2",
 	"sparksql/TEXT/ANALYZE":    "02c78129ec1e221baf777ba93a1dda29149789edbc2534f929563a1fb8f1c1e0",
@@ -85,15 +85,15 @@ var goldenDigests = map[string]string{
 	"sqlite/TEXT/EXPLAIN":      "c24eae104b00a89e49d37c6e3d175c44dc08e16aac2def04a3773ac345b53540",
 	"sqlserver/GRAPH/ANALYZE":  "e61e982cb54bb329d2594d3b1fdf14f5aa4879a20804a28357d28c4da5678b41",
 	"sqlserver/GRAPH/EXPLAIN":  "d4391df0aa2088c936ed8e064eb19b4e906989f9b1ce53a254aec2d4ebb93118",
-	"sqlserver/TABLE/ANALYZE":  "048d071fa4ed8814dcceeb8a91b1276e7155201e01ed45d71c14305d1f9c2721",
+	"sqlserver/TABLE/ANALYZE":  "b11f222dc88182ea7425093c7997c93f79aeb3a4c32c8200433040eed58fd29a",
 	"sqlserver/TABLE/EXPLAIN":  "532d0c0d285fd4bb1037c87b1af11203fb2f1382e7c41e325f320d27c6eb9082",
 	"sqlserver/TEXT/ANALYZE":   "15c99305b9406b3b7efa77caa2be7f5b5571605e09b0cb20af14fa835f47882c",
 	"sqlserver/TEXT/EXPLAIN":   "9661fb838eb92aeff162aa8de0841bb169706dd6593c9f39eff200de007a9686",
-	"sqlserver/XML/ANALYZE":    "74159a1fd01eacc1a843b5018f398a5093223ca914bba892bdd9c1a259eb2354",
+	"sqlserver/XML/ANALYZE":    "48aa728807b4dfbf21fb1ccf7ff781119c7c9598d443fe927b4637cf5aa0b853",
 	"sqlserver/XML/EXPLAIN":    "072763b106a920b379bc042f42bafc0432120a2da1b2682b5e59b128ce8f24f6",
 	"tidb/GRAPH/ANALYZE":       "845fe90294c33397504a932f612b5df8e048230550cd5a5255c98da14ad53384",
 	"tidb/GRAPH/EXPLAIN":       "4d0e75b1295f2bb9c1592bb37aad9c5de04668b47d9fdd0ef1abffe2dd379436",
-	"tidb/JSON/ANALYZE":        "5b1aebe6d4e38a09838fe66bd64726f74ea0140e7c7d5cff9fdb46830c20b778",
+	"tidb/JSON/ANALYZE":        "50fd66c859fa594c0eac310e8c3a883473c277a045d248fc303ded59bd1b8669",
 	"tidb/JSON/EXPLAIN":        "b32ec60c634e83a8efe2584c8ec43bdcfa093e6645e35564367e4b905f25240c",
 	"tidb/TABLE/ANALYZE":       "296b3ced7e1a9c7bac31fab065e30c0cde2c415cf2db376d530404beb3ee82e7",
 	"tidb/TABLE/EXPLAIN":       "d77e310d74b9bca8cebcb605fbc3ea94d397a6d6406632cebfbaecf61a11f1d0",

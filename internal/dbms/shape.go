@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uplan/internal/exec"
 	"uplan/internal/explain"
 	"uplan/internal/planner"
 	"uplan/internal/sql"
@@ -14,29 +13,10 @@ import (
 // native operator tree, reproducing the representational differences the
 // paper documents: operator vocabularies, implicit vs explicit filter and
 // projection operators, transport operators of distributed engines, and
-// unstable operator identifiers.
-
-// costProps attaches the standard estimate properties.
-func costProps(n *explain.Node, op *planner.PhysOp) *explain.Node {
-	n.Add("startup_cost", round2(op.StartCost)).
-		Add("total_cost", round2(op.TotalCost)).
-		Add("rows", round2(op.EstRows)).
-		Add("width", op.Width)
-	return n
-}
-
-// actuals attaches EXPLAIN ANALYZE data when available.
-func actuals(n *explain.Node, op *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Node {
-	if stats == nil {
-		return n
-	}
-	if st := stats[op]; st != nil {
-		n.Add("actual_rows", st.ActualRows)
-		n.Add("actual_time_ms", round3(float64(st.Duration.Microseconds())/1000))
-		n.Add("loops", st.Loops)
-	}
-	return n
-}
+// unstable operator identifiers. Shapers add only those engine-specific
+// properties; where a shaper builds a node it records which PhysOp the
+// node stands for (own, helper), and decorate (decorate.go) then attaches
+// every estimate and actual in one pass.
 
 func exprSQL(e sql.Expr) string {
 	if e == nil {
@@ -87,12 +67,21 @@ func scanObject(op *planner.PhysOp) string {
 // appendSubplans shapes any subqueries attached to the operator and adds
 // them as extra children (how PostgreSQL renders SubPlans, and the reason
 // paper Listing 4 shows two aggregation trees for q11).
-func appendSubplans(e *Engine, n *explain.Node, op *planner.PhysOp,
-	stats map[*planner.PhysOp]*exec.OpStats,
-	shape func(op *planner.PhysOp) *explain.Node) {
+func appendSubplans(n *explain.Node, op *planner.PhysOp, shape func(op *planner.PhysOp) *explain.Node) {
 	for _, sp := range op.Subplans {
 		n.Children = append(n.Children, shape(sp.Plan))
 	}
+}
+
+// dmlNode shapes an INSERT, UPDATE or DELETE: the operator name writes
+// op's table from the rows of its inputs.
+func dmlNode(name string, op *planner.PhysOp, shape func(op *planner.PhysOp) *explain.Node) *explain.Node {
+	n := explain.NewNode(name)
+	n.Object = op.Table
+	for _, c := range op.Children {
+		n.Children = append(n.Children, shape(c))
+	}
+	return n
 }
 
 // -------------------------------------------------------------- PostgreSQL
@@ -103,56 +92,38 @@ func appendSubplans(e *Engine, n *explain.Node, op *planner.PhysOp,
 // to real ones).
 const pgParallelThreshold = 150
 
-func shapePostgres(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapePostgres(e *Engine, root *planner.PhysOp) *explain.Plan {
 	var shape func(op *planner.PhysOp) *explain.Node
 	shape = func(op *planner.PhysOp) *explain.Node {
 		var n *explain.Node
 		switch op.Kind {
 		case planner.OpSeqScan:
+			n = explain.NewNode("Seq Scan")
+			n.Object = scanObject(op)
+			if op.Filter != nil {
+				n.Add("Filter", exprSQL(op.Filter))
+			}
 			if op.EstRows > pgParallelThreshold {
-				scan := explain.NewNode("Parallel Seq Scan")
-				scan.Object = scanObject(op)
-				costProps(scan, op)
-				if op.Filter != nil {
-					scan.Add("Filter", exprSQL(op.Filter))
-				}
-				actuals(scan, op, stats)
-				n = explain.NewNode("Gather", scan)
+				n.Name = "Parallel Seq Scan"
+				n = explain.NewNode("Gather", e.own(n, op))
 				n.Add("Workers Planned", 2)
-				costProps(n, op)
-			} else {
-				n = explain.NewNode("Seq Scan")
-				n.Object = scanObject(op)
-				costProps(n, op)
-				if op.Filter != nil {
-					n.Add("Filter", exprSQL(op.Filter))
-				}
-				actuals(n, op, stats)
 			}
 		case planner.OpIndexScan:
 			if condHasRange(op.IndexCond) {
 				inner := explain.NewNode("Bitmap Index Scan")
 				inner.Object = op.Index
 				inner.Add("Index Cond", exprSQL(op.IndexCond))
-				costProps(inner, op)
-				n = explain.NewNode("Bitmap Heap Scan", inner)
+				n = explain.NewNode("Bitmap Heap Scan", e.helper(inner, op))
 				n.Object = scanObject(op)
 				n.Add("Recheck Cond", exprSQL(op.IndexCond))
-				if op.Filter != nil {
-					n.Add("Filter", exprSQL(op.Filter))
-				}
-				costProps(n, op)
-				actuals(n, op, stats)
 			} else {
 				n = explain.NewNode("Index Scan")
 				n.Object = scanObject(op)
 				n.Add("Index Name", op.Index)
 				n.Add("Index Cond", exprSQL(op.IndexCond))
-				if op.Filter != nil {
-					n.Add("Filter", exprSQL(op.Filter))
-				}
-				costProps(n, op)
-				actuals(n, op, stats)
+			}
+			if op.Filter != nil {
+				n.Add("Filter", exprSQL(op.Filter))
 			}
 		case planner.OpIndexOnlyScan:
 			n = explain.NewNode("Index Only Scan")
@@ -161,57 +132,44 @@ func shapePostgres(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*e
 			if op.IndexCond != nil {
 				n.Add("Index Cond", exprSQL(op.IndexCond))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpValues:
 			n = explain.NewNode("Result")
-			costProps(n, op)
 		case planner.OpFilter:
 			// PostgreSQL renders residual predicates as a property of the
 			// node below, not as a standalone operator.
 			n = shape(op.Children[0])
 			n.Add("Filter", exprSQL(op.Filter))
-			appendSubplans(e, n, op, stats, shape)
+			appendSubplans(n, op, shape)
 			return n
 		case planner.OpProject:
 			// No explicit projection operator in PostgreSQL plans.
 			n = shape(op.Children[0])
-			appendSubplans(e, n, op, stats, shape)
+			appendSubplans(n, op, shape)
 			return n
 		case planner.OpNLJoin:
 			// PostgreSQL materializes the rescanned inner side.
 			inner := explain.NewNode("Materialize", shape(op.Children[1]))
-			costProps(inner, op.Children[1])
-			n = explain.NewNode("Nested Loop", shape(op.Children[0]), inner)
+			n = explain.NewNode("Nested Loop", shape(op.Children[0]), e.helper(inner, op.Children[1]))
 			if op.JoinCond != nil {
 				n.Add("Join Filter", exprSQL(op.JoinCond))
 			}
 			if op.JoinType == sql.JoinLeft {
 				n.Add("Join Type", "Left")
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashJoin:
 			hash := explain.NewNode("Hash", shape(op.Children[1]))
-			costProps(hash, op.Children[1])
-			n = explain.NewNode("Hash Join", shape(op.Children[0]), hash)
+			n = explain.NewNode("Hash Join", shape(op.Children[0]), e.helper(hash, op.Children[1]))
 			n.Add("Hash Cond", hashCondSQL(op))
 			if op.JoinType == sql.JoinLeft {
 				n.Add("Join Type", "Left")
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpMergeJoin:
 			l := explain.NewNode("Sort", shape(op.Children[0]))
 			l.Add("Sort Key", groupKeySQL(op.HashKeysL))
-			costProps(l, op.Children[0])
 			r := explain.NewNode("Sort", shape(op.Children[1]))
 			r.Add("Sort Key", groupKeySQL(op.HashKeysR))
-			costProps(r, op.Children[1])
-			n = explain.NewNode("Merge Join", l, r)
+			n = explain.NewNode("Merge Join", e.helper(l, op.Children[0]), e.helper(r, op.Children[1]))
 			n.Add("Merge Cond", hashCondSQL(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashAgg:
 			name := "Aggregate"
 			if len(op.GroupBy) > 0 {
@@ -221,85 +179,47 @@ func shapePostgres(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*e
 			if len(op.GroupBy) > 0 {
 				n.Add("Group Key", groupKeySQL(op.GroupBy))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSortAgg:
 			s := explain.NewNode("Sort", shape(op.Children[0]))
 			s.Add("Sort Key", groupKeySQL(op.GroupBy))
-			costProps(s, op.Children[0])
-			n = explain.NewNode("GroupAggregate", s)
+			n = explain.NewNode("GroupAggregate", e.helper(s, op.Children[0]))
 			n.Add("Group Key", groupKeySQL(op.GroupBy))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSort:
 			n = explain.NewNode("Sort", shape(op.Children[0]))
 			n.Add("Sort Key", sortKeySQL(op.SortKeys))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpTopN:
 			s := explain.NewNode("Sort", shape(op.Children[0]))
 			s.Add("Sort Key", sortKeySQL(op.SortKeys))
-			costProps(s, op)
-			n = explain.NewNode("Limit", s)
-			costProps(n, op)
-			actuals(n, op, stats)
+			n = explain.NewNode("Limit", e.helper(s, op))
 		case planner.OpLimit:
 			n = explain.NewNode("Limit", shape(op.Children[0]))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpDistinct:
 			s := explain.NewNode("Sort", shape(op.Children[0]))
-			costProps(s, op.Children[0])
-			n = explain.NewNode("Unique", s)
-			costProps(n, op)
-			actuals(n, op, stats)
+			n = explain.NewNode("Unique", e.helper(s, op.Children[0]))
 		case planner.OpUnionAll:
 			n = explain.NewNode("Append", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpUnion:
 			app := explain.NewNode("Append", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(app, op)
-			srt := explain.NewNode("Sort", app)
-			costProps(srt, op)
-			n = explain.NewNode("Unique", srt)
-			costProps(n, op)
-			actuals(n, op, stats)
+			srt := explain.NewNode("Sort", e.helper(app, op))
+			n = explain.NewNode("Unique", e.helper(srt, op))
 		case planner.OpIntersect, planner.OpExcept:
 			app := explain.NewNode("Append", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(app, op)
-			n = explain.NewNode("SetOp", app)
+			n = explain.NewNode("SetOp", e.helper(app, op))
 			cmd := "Intersect"
 			if op.Kind == planner.OpExcept {
 				cmd = "Except"
 			}
 			n.Add("Command", cmd)
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpInsert, planner.OpUpdate, planner.OpDelete:
-			name := map[planner.OpKind]string{
-				planner.OpInsert: "Insert", planner.OpUpdate: "Update", planner.OpDelete: "Delete",
-			}[op.Kind]
-			n = explain.NewNode(name)
-			n.Object = op.Table
-			for _, c := range op.Children {
-				n.Children = append(n.Children, shape(c))
-			}
-			costProps(n, op)
+			n = dmlNode(string(op.Kind), op, shape)
 		default:
 			n = explain.NewNode(string(op.Kind))
-			costProps(n, op)
 		}
-		appendSubplans(e, n, op, stats, shape)
-		return n
+		appendSubplans(n, op, shape)
+		return e.own(n, op)
 	}
 	p := &explain.Plan{Root: shape(root)}
 	p.PlanProps = append(p.PlanProps, explain.Prop{Key: "Planning Time", Val: fmt.Sprintf("%.3f ms", e.planningTimeMS(root))})
-	if stats != nil {
-		if st := stats[root]; st != nil {
-			p.PlanProps = append(p.PlanProps, explain.Prop{Key: "Execution Time", Val: fmt.Sprintf("%.3f ms", float64(st.Duration.Microseconds())/1000)})
-		}
-	}
 	return p
 }
 
@@ -322,55 +242,38 @@ func condHasRange(cond sql.Expr) bool {
 
 // ------------------------------------------------------------------ MySQL
 
-func shapeMySQL(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeMySQL(e *Engine, root *planner.PhysOp) *explain.Plan {
 	var shape func(op *planner.PhysOp) *explain.Node
 	shape = func(op *planner.PhysOp) *explain.Node {
 		var n *explain.Node
 		switch op.Kind {
-		case planner.OpSeqScan:
-			scan := explain.NewNode("Table scan")
-			scan.Object = op.Alias
-			costProps(scan, op)
-			actuals(scan, op, stats)
+		case planner.OpSeqScan, planner.OpIndexScan, planner.OpIndexOnlyScan:
+			n = explain.NewNode("Table scan")
+			n.Object = op.Alias
+			if op.Kind != planner.OpSeqScan {
+				switch {
+				case op.Kind == planner.OpIndexOnlyScan:
+					n.Name = "Covering index lookup"
+				case condHasRange(op.IndexCond) && !condHasEq(op.IndexCond):
+					n.Name = "Index range scan"
+				default:
+					n.Name = "Index lookup"
+				}
+				n.Add("key", op.Index)
+				n.Add("condition", exprSQL(op.IndexCond))
+			}
 			if op.Filter != nil {
-				n = explain.NewNode("Filter", scan)
+				n = explain.NewNode("Filter", e.own(n, op))
 				n.Add("detail", exprSQL(op.Filter))
-				costProps(n, op)
-			} else {
-				n = scan
-			}
-		case planner.OpIndexScan, planner.OpIndexOnlyScan:
-			name := "Index lookup"
-			if condHasRange(op.IndexCond) && !condHasEq(op.IndexCond) {
-				name = "Index range scan"
-			}
-			if op.Kind == planner.OpIndexOnlyScan {
-				name = "Covering index lookup"
-			}
-			scan := explain.NewNode(name)
-			scan.Object = op.Alias
-			scan.Add("key", op.Index)
-			scan.Add("condition", exprSQL(op.IndexCond))
-			costProps(scan, op)
-			actuals(scan, op, stats)
-			if op.Filter != nil {
-				n = explain.NewNode("Filter", scan)
-				n.Add("detail", exprSQL(op.Filter))
-				costProps(n, op)
-			} else {
-				n = scan
 			}
 		case planner.OpValues:
 			n = explain.NewNode("Rows fetched before execution")
-			costProps(n, op)
 		case planner.OpFilter:
 			n = explain.NewNode("Filter", shape(op.Children[0]))
 			n.Add("detail", exprSQL(op.Filter))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpProject:
 			n = shape(op.Children[0])
-			appendSubplans(e, n, op, stats, shape)
+			appendSubplans(n, op, shape)
 			return n
 		case planner.OpNLJoin:
 			name := "Nested loop inner join"
@@ -381,8 +284,6 @@ func shapeMySQL(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			if op.JoinCond != nil {
 				n.Add("condition", exprSQL(op.JoinCond))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashJoin, planner.OpMergeJoin:
 			name := "Inner hash join"
 			if op.JoinType == sql.JoinLeft {
@@ -390,8 +291,6 @@ func shapeMySQL(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			}
 			n = explain.NewNode(name, shape(op.Children[0]), shape(op.Children[1]))
 			n.Add("condition", hashCondSQL(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashAgg, planner.OpSortAgg:
 			var name string
 			switch {
@@ -404,57 +303,34 @@ func shapeMySQL(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			}
 			n = explain.NewNode(name, shape(op.Children[0]))
 			n.Add("detail", aggDetail(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSort, planner.OpTopN:
 			n = explain.NewNode("Sort", shape(op.Children[0]))
 			n.Add("detail", sortKeySQL(op.SortKeys))
-			costProps(n, op)
-			actuals(n, op, stats)
 			if op.Kind == planner.OpTopN {
-				lim := explain.NewNode("Limit", n)
-				lim.Add("detail", fmt.Sprintf("%d row(s)", op.Limit))
-				costProps(lim, op)
-				n = lim
+				n = explain.NewNode("Limit", e.own(n, op))
+				n.Add("detail", fmt.Sprintf("%d row(s)", op.Limit))
 			}
 		case planner.OpLimit:
 			n = explain.NewNode("Limit", shape(op.Children[0]))
 			n.Add("detail", fmt.Sprintf("%d row(s)", op.Limit))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpDistinct:
 			n = explain.NewNode("Deduplicate", shape(op.Children[0]))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpUnionAll:
 			n = explain.NewNode("Union all", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
 		case planner.OpUnion:
 			n = explain.NewNode("Union materialize", shape(op.Children[0]), shape(op.Children[1]))
 			n.Add("detail", "with deduplication")
-			costProps(n, op)
 		case planner.OpIntersect:
 			n = explain.NewNode("Intersect materialize", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
 		case planner.OpExcept:
 			n = explain.NewNode("Except materialize", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
 		case planner.OpInsert, planner.OpUpdate, planner.OpDelete:
-			name := map[planner.OpKind]string{
-				planner.OpInsert: "Insert", planner.OpUpdate: "Update", planner.OpDelete: "Delete",
-			}[op.Kind]
-			n = explain.NewNode(name)
-			n.Object = op.Table
-			for _, c := range op.Children {
-				n.Children = append(n.Children, shape(c))
-			}
-			costProps(n, op)
+			n = dmlNode(string(op.Kind), op, shape)
 		default:
 			n = explain.NewNode(string(op.Kind))
-			costProps(n, op)
 		}
-		appendSubplans(e, n, op, stats, shape)
-		return n
+		appendSubplans(n, op, shape)
+		return e.own(n, op)
 	}
 	return &explain.Plan{Root: shape(root)}
 }

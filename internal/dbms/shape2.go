@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uplan/internal/exec"
 	"uplan/internal/explain"
 	"uplan/internal/planner"
 	"uplan/internal/sql"
@@ -12,11 +11,14 @@ import (
 
 // -------------------------------------------------------------------- TiDB
 
+// tidbCopTask places a storage-side operator in a TiKV coprocessor task.
+const tidbCopTask = "cop[tikv]"
+
 // shapeTiDB reproduces TiDB's plan idioms: operators carry unstable _N
 // suffixes, storage access is wrapped in root-task reader ("Collect")
 // operators with cop-task children, filters appear as Selection operators,
 // and a Projection caps most queries.
-func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeTiDB(e *Engine, root *planner.PhysOp) *explain.Plan {
 	id := func(name string) string { return fmt.Sprintf("%s_%d", name, e.nextID()) }
 	var shape func(op *planner.PhysOp) *explain.Node
 	shape = func(op *planner.PhysOp) *explain.Node {
@@ -24,45 +26,32 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 		switch op.Kind {
 		case planner.OpSeqScan:
 			scan := explain.NewNode(id("TableFullScan"))
-			scan.Object = op.Table
-			scan.Task = "cop[tikv]"
+			scan.Object, scan.Task = op.Table, tidbCopTask
 			scan.Add("operator info", "keep order:false")
-			scan.Add("rows", op.EstRows)
-			actuals(scan, op, stats)
-			inner := scan
+			inner := e.own(scan, op)
 			if op.Filter != nil {
-				sel := explain.NewNode(id("Selection"), scan)
-				sel.Task = "cop[tikv]"
-				sel.Add("operator info", exprSQL(op.Filter))
-				sel.Add("rows", op.EstRows)
-				inner = sel
+				inner = explain.NewNode(id("Selection"), scan)
+				inner.Task = tidbCopTask
+				inner.Add("operator info", exprSQL(op.Filter))
+				e.helper(inner, op)
 			}
 			n = explain.NewNode(id("TableReader"), inner)
 			n.Add("operator info", "data:"+inner.Name)
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpIndexScan:
 			ixScan := explain.NewNode(id("IndexRangeScan"))
-			ixScan.Object = op.Table
-			ixScan.Task = "cop[tikv]"
+			ixScan.Object, ixScan.Task = op.Table, tidbCopTask
 			ixScan.Add("index", op.Index)
 			ixScan.Add("operator info", "range decided by "+exprSQL(op.IndexCond))
-			ixScan.Add("rows", op.EstRows)
-			rowScan := explain.NewNode(id("TableRowIDScan"))
-			rowScan.Object = op.Table
-			rowScan.Task = "cop[tikv]"
-			rowScan.Add("operator info", "keep order:false")
-			rowScan.Add("rows", op.EstRows)
+			rows := explain.NewNode(id("TableRowIDScan"))
+			rows.Object, rows.Task = op.Table, tidbCopTask
+			rows.Add("operator info", "keep order:false")
 			if op.Filter != nil {
-				sel := explain.NewNode(id("Selection"), rowScan)
-				sel.Task = "cop[tikv]"
-				sel.Add("operator info", exprSQL(op.Filter))
-				n = explain.NewNode(id("IndexLookUp"), ixScan, sel)
-			} else {
-				n = explain.NewNode(id("IndexLookUp"), ixScan, rowScan)
+				e.helper(rows, op)
+				rows = explain.NewNode(id("Selection"), rows)
+				rows.Task = tidbCopTask
+				rows.Add("operator info", exprSQL(op.Filter))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
+			n = explain.NewNode(id("IndexLookUp"), e.helper(ixScan, op), e.helper(rows, op))
 		case planner.OpIndexOnlyScan:
 			ixScan := explain.NewNode(id("IndexFullScan"))
 			if op.IndexCond != nil {
@@ -71,23 +60,16 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 			} else {
 				ixScan.Add("operator info", "keep order:true")
 			}
-			ixScan.Object = op.Table
-			ixScan.Task = "cop[tikv]"
+			ixScan.Object, ixScan.Task = op.Table, tidbCopTask
 			ixScan.Add("index", op.Index)
-			ixScan.Add("rows", op.EstRows)
-			n = explain.NewNode(id("IndexReader"), ixScan)
+			n = explain.NewNode(id("IndexReader"), e.helper(ixScan, op))
 			n.Add("operator info", "index:"+ixScan.Name)
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpValues:
 			n = explain.NewNode(id("TableDual"))
 			n.Add("operator info", "rows:1")
-			costProps(n, op)
 		case planner.OpFilter:
 			n = explain.NewNode(id("Selection"), shape(op.Children[0]))
 			n.Add("operator info", exprSQL(op.Filter))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpProject:
 			n = explain.NewNode(id("Projection"), shape(op.Children[0]))
 			var cols []string
@@ -95,13 +77,9 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 				cols = append(cols, c.Name)
 			}
 			n.Add("operator info", strings.Join(cols, ", "))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpNLJoin:
 			n = explain.NewNode(id("IndexJoin"), shape(op.Children[0]), shape(op.Children[1]))
 			n.Add("operator info", "inner join, "+exprSQL(op.JoinCond))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashJoin, planner.OpMergeJoin:
 			name := "HashJoin"
 			if op.Kind == planner.OpMergeJoin {
@@ -118,8 +96,6 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 				jt = "left outer join"
 			}
 			n.Add("operator info", jt+", equal:["+hashCondSQL(op)+"]")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashAgg, planner.OpSortAgg:
 			name := "HashAgg"
 			if op.Kind == planner.OpSortAgg {
@@ -127,37 +103,24 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 			}
 			n = explain.NewNode(id(name), shape(op.Children[0]))
 			n.Add("operator info", "group by:"+groupKeySQL(op.GroupBy)+", funcs:"+aggDetail(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSort:
 			n = explain.NewNode(id("Sort"), shape(op.Children[0]))
 			n.Add("operator info", sortKeySQL(op.SortKeys))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpTopN:
 			n = explain.NewNode(id("TopN"), shape(op.Children[0]))
 			n.Add("operator info", fmt.Sprintf("%s, offset:%d, count:%d",
 				sortKeySQL(op.SortKeys), op.Offset, op.Limit))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpLimit:
 			n = explain.NewNode(id("Limit"), shape(op.Children[0]))
 			n.Add("operator info", fmt.Sprintf("offset:%d, count:%d", op.Offset, op.Limit))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpDistinct:
 			n = explain.NewNode(id("HashAgg"), shape(op.Children[0]))
 			n.Add("operator info", "group by:all columns")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpUnionAll, planner.OpUnion:
 			n = explain.NewNode(id("Union"), shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
 			if op.Kind == planner.OpUnion {
-				agg := explain.NewNode(id("HashAgg"), n)
-				agg.Add("operator info", "group by:all columns")
-				costProps(agg, op)
-				n = agg
+				n = explain.NewNode(id("HashAgg"), e.helper(n, op))
+				n.Add("operator info", "group by:all columns")
 			}
 		case planner.OpIntersect, planner.OpExcept:
 			n = explain.NewNode(id("HashJoin"), shape(op.Children[0]), shape(op.Children[1]))
@@ -166,23 +129,13 @@ func shapeTiDB(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.
 				info = "anti semi join"
 			}
 			n.Add("operator info", info)
-			costProps(n, op)
 		case planner.OpInsert, planner.OpUpdate, planner.OpDelete:
-			name := map[planner.OpKind]string{
-				planner.OpInsert: "Insert", planner.OpUpdate: "Update", planner.OpDelete: "Delete",
-			}[op.Kind]
-			n = explain.NewNode(id(name))
-			n.Object = op.Table
-			for _, c := range op.Children {
-				n.Children = append(n.Children, shape(c))
-			}
-			costProps(n, op)
+			n = dmlNode(id(string(op.Kind)), op, shape)
 		default:
 			n = explain.NewNode(id(string(op.Kind)))
-			costProps(n, op)
 		}
-		appendSubplans(e, n, op, stats, shape)
-		return n
+		appendSubplans(n, op, shape)
+		return e.own(n, op)
 	}
 	return &explain.Plan{Root: shape(root)}
 }
@@ -202,7 +155,7 @@ func innerUsesIndex(op *planner.PhysOp) bool {
 // shapeSQLite reproduces EXPLAIN QUERY PLAN: a flattened list of
 // SCAN/SEARCH lines per table access in join order, TEMP B-TREE lines for
 // grouping/ordering/distinct, and COMPOUND QUERY trees for set operations.
-func shapeSQLite(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeSQLite(e *Engine, root *planner.PhysOp) *explain.Plan {
 	var shapeQuery func(op *planner.PhysOp) []*explain.Node
 	shapeQuery = func(op *planner.PhysOp) []*explain.Node {
 		switch op.Kind {
@@ -288,7 +241,7 @@ func sqliteCond(cond sql.Expr) string {
 
 // -------------------------------------------------------------- SQL Server
 
-func shapeSQLServer(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeSQLServer(e *Engine, root *planner.PhysOp) *explain.Plan {
 	var shape func(op *planner.PhysOp) *explain.Node
 	shape = func(op *planner.PhysOp) *explain.Node {
 		var n *explain.Node
@@ -299,13 +252,9 @@ func shapeSQLServer(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*
 			if op.Filter != nil {
 				n.Add("Predicate", exprSQL(op.Filter))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 			if op.EstRows > pgParallelThreshold {
-				par := explain.NewNode("Parallelism", n)
-				par.Add("Partitioning Type", "Gather Streams")
-				costProps(par, op)
-				n = par
+				n = explain.NewNode("Parallelism", e.own(n, op))
+				n.Add("Partitioning Type", "Gather Streams")
 			}
 		case planner.OpIndexScan:
 			n = explain.NewNode("Index Seek")
@@ -315,87 +264,57 @@ func shapeSQLServer(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*
 			if op.Filter != nil {
 				n.Add("Predicate", exprSQL(op.Filter))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpIndexOnlyScan:
 			n = explain.NewNode("Index Scan")
 			n.Object = op.Table
 			n.Add("Object Index", op.Index)
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpValues:
 			n = explain.NewNode("Constant Scan")
-			costProps(n, op)
 		case planner.OpFilter:
 			n = explain.NewNode("Filter", shape(op.Children[0]))
 			n.Add("Predicate", exprSQL(op.Filter))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpProject:
 			n = explain.NewNode("Compute Scalar", shape(op.Children[0]))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpNLJoin:
 			n = explain.NewNode("Nested Loops", shape(op.Children[0]), shape(op.Children[1]))
 			if op.JoinCond != nil {
 				n.Add("Predicate", exprSQL(op.JoinCond))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashJoin:
 			n = explain.NewNode("Hash Match", shape(op.Children[0]), shape(op.Children[1]))
 			n.Add("Hash Keys Probe", hashCondSQL(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpMergeJoin:
 			n = explain.NewNode("Merge Join", shape(op.Children[0]), shape(op.Children[1]))
 			n.Add("Predicate", hashCondSQL(op))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashAgg:
 			n = explain.NewNode("Hash Match Aggregate", shape(op.Children[0]))
 			n.Add("Group By", groupKeySQL(op.GroupBy))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSortAgg:
 			s := explain.NewNode("Sort", shape(op.Children[0]))
 			s.Add("Order By", groupKeySQL(op.GroupBy))
-			costProps(s, op.Children[0])
-			n = explain.NewNode("Stream Aggregate", s)
+			n = explain.NewNode("Stream Aggregate", e.helper(s, op.Children[0]))
 			n.Add("Group By", groupKeySQL(op.GroupBy))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSort:
 			n = explain.NewNode("Sort", shape(op.Children[0]))
 			n.Add("Order By", sortKeySQL(op.SortKeys))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpTopN, planner.OpLimit:
-			var child *explain.Node
+			child := shape(op.Children[0])
 			if op.Kind == planner.OpTopN {
-				child = explain.NewNode("Sort", shape(op.Children[0]))
+				child = explain.NewNode("Sort", child)
 				child.Add("Order By", sortKeySQL(op.SortKeys))
-				costProps(child, op)
-			} else {
-				child = shape(op.Children[0])
+				e.helper(child, op)
 			}
 			n = explain.NewNode("Top", child)
 			n.Add("Top Expression", fmt.Sprint(op.Limit))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpDistinct:
 			n = explain.NewNode("Hash Match Aggregate", shape(op.Children[0]))
 			n.Add("Group By", "all output columns")
-			costProps(n, op)
-		case planner.OpUnionAll:
+		case planner.OpUnionAll, planner.OpUnion:
 			n = explain.NewNode("Concatenation", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
-		case planner.OpUnion:
-			cc := explain.NewNode("Concatenation", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(cc, op)
-			n = explain.NewNode("Hash Match Aggregate", cc)
-			n.Add("Group By", "all output columns")
-			costProps(n, op)
+			if op.Kind == planner.OpUnion {
+				n = explain.NewNode("Hash Match Aggregate", e.helper(n, op))
+				n.Add("Group By", "all output columns")
+			}
 		case planner.OpIntersect, planner.OpExcept:
 			n = explain.NewNode("Hash Match", shape(op.Children[0]), shape(op.Children[1]))
 			kind := "Left Semi Join"
@@ -403,24 +322,13 @@ func shapeSQLServer(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*
 				kind = "Left Anti Semi Join"
 			}
 			n.Add("Logical Operation", kind)
-			costProps(n, op)
 		case planner.OpInsert, planner.OpUpdate, planner.OpDelete:
-			name := map[planner.OpKind]string{
-				planner.OpInsert: "Table Insert", planner.OpUpdate: "Table Update",
-				planner.OpDelete: "Table Delete",
-			}[op.Kind]
-			n = explain.NewNode(name)
-			n.Object = op.Table
-			for _, c := range op.Children {
-				n.Children = append(n.Children, shape(c))
-			}
-			costProps(n, op)
+			n = dmlNode("Table "+string(op.Kind), op, shape)
 		default:
 			n = explain.NewNode(string(op.Kind))
-			costProps(n, op)
 		}
-		appendSubplans(e, n, op, stats, shape)
-		return n
+		appendSubplans(n, op, shape)
+		return e.own(n, op)
 	}
 	return &explain.Plan{Root: shape(root)}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uplan/internal/exec"
 	"uplan/internal/explain"
 	"uplan/internal/planner"
 	"uplan/internal/sql"
@@ -16,16 +15,14 @@ import (
 // Filter/Project operators, partial/final aggregation pairs separated by
 // Exchange operators, sort-merge joins over exchanges, and an
 // AdaptiveSparkPlan root.
-func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeSpark(e *Engine, root *planner.PhysOp) *explain.Plan {
 	var shape func(op *planner.PhysOp) *explain.Node
 	shape = func(op *planner.PhysOp) *explain.Node {
 		var n *explain.Node
 		switch op.Kind {
 		case planner.OpSeqScan, planner.OpIndexScan, planner.OpIndexOnlyScan:
-			scan := explain.NewNode("FileScan")
-			scan.Object = "parquet [" + op.Table + "]"
-			scan.Add("rows", op.EstRows)
-			inner := scan
+			n = explain.NewNode("FileScan")
+			n.Object = "parquet [" + op.Table + "]"
 			filter := op.Filter
 			if filter == nil {
 				filter = op.IndexCond
@@ -33,21 +30,14 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 				filter = &sql.Binary{Op: sql.OpAnd, L: op.IndexCond, R: op.Filter}
 			}
 			if filter != nil {
-				f := explain.NewNode("Filter", scan)
-				f.Add("args", "("+exprSQL(filter)+")")
-				costProps(f, op)
-				inner = f
+				n = explain.NewNode("Filter", n)
+				n.Add("args", "("+exprSQL(filter)+")")
 			}
-			n = inner
-			actuals(n, op, stats)
 		case planner.OpValues:
 			n = explain.NewNode("LocalTableScan")
-			costProps(n, op)
 		case planner.OpFilter:
 			n = explain.NewNode("Filter", shape(op.Children[0]))
 			n.Add("args", "("+exprSQL(op.Filter)+")")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpProject:
 			var cols []string
 			for _, c := range op.Schema {
@@ -55,8 +45,6 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			}
 			n = explain.NewNode("Project", shape(op.Children[0]))
 			n.Add("args", " ["+strings.Join(cols, ", ")+"]")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpNLJoin:
 			n = explain.NewNode("BroadcastNestedLoopJoin",
 				shape(op.Children[0]),
@@ -64,14 +52,10 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			if op.JoinCond != nil {
 				n.Add("args", " "+exprSQL(op.JoinCond))
 			}
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashJoin:
 			bc := explain.NewNode("BroadcastExchange", shape(op.Children[1]))
 			n = explain.NewNode("BroadcastHashJoin", shape(op.Children[0]), bc)
 			n.Add("args", " ["+hashCondSQL(op)+"], Inner, BuildRight")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpMergeJoin:
 			l := explain.NewNode("Sort",
 				explain.NewNode("Exchange", shape(op.Children[0])))
@@ -81,8 +65,6 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			r.Add("args", " ["+groupKeySQL(op.HashKeysR)+"]")
 			n = explain.NewNode("SortMergeJoin", l, r)
 			n.Add("args", " ["+hashCondSQL(op)+"], Inner")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpHashAgg, planner.OpSortAgg:
 			name := "HashAggregate"
 			if op.Kind == planner.OpSortAgg {
@@ -96,39 +78,27 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			n = explain.NewNode(name, exch)
 			n.Add("args", fmt.Sprintf("(keys=[%s], functions=[%s])",
 				groupKeySQL(op.GroupBy), strings.ToLower(aggDetail(op))))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpSort:
 			exch := explain.NewNode("Exchange", shape(op.Children[0]))
 			exch.Add("args", " rangepartitioning("+sortKeySQL(op.SortKeys)+", 200)")
 			n = explain.NewNode("Sort", exch)
 			n.Add("args", " ["+sortKeySQL(op.SortKeys)+"], true, 0")
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpTopN:
 			n = explain.NewNode("TakeOrderedAndProject", shape(op.Children[0]))
 			n.Add("args", fmt.Sprintf("(limit=%d, orderBy=[%s])", op.Limit, sortKeySQL(op.SortKeys)))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpLimit:
 			local := explain.NewNode("LocalLimit", shape(op.Children[0]))
 			local.Add("args", fmt.Sprintf(" %d", op.Limit))
 			n = explain.NewNode("GlobalLimit", local)
 			n.Add("args", fmt.Sprintf(" %d", op.Limit))
-			costProps(n, op)
-			actuals(n, op, stats)
 		case planner.OpDistinct:
 			n = explain.NewNode("HashAggregate", shape(op.Children[0]))
 			n.Add("args", "(keys=[all], functions=[])")
-			costProps(n, op)
 		case planner.OpUnionAll, planner.OpUnion:
 			n = explain.NewNode("Union", shape(op.Children[0]), shape(op.Children[1]))
-			costProps(n, op)
 			if op.Kind == planner.OpUnion {
-				agg := explain.NewNode("HashAggregate", n)
-				agg.Add("args", "(keys=[all], functions=[])")
-				costProps(agg, op)
-				n = agg
+				n = explain.NewNode("HashAggregate", n)
+				n.Add("args", "(keys=[all], functions=[])")
 			}
 		case planner.OpIntersect, planner.OpExcept:
 			n = explain.NewNode("BroadcastHashJoin", shape(op.Children[0]),
@@ -138,15 +108,13 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 				kind = "LeftAnti"
 			}
 			n.Add("args", " "+kind)
-			costProps(n, op)
 		default:
 			n = explain.NewNode(string(op.Kind))
 			for _, c := range op.Children {
 				n.Children = append(n.Children, shape(c))
 			}
-			costProps(n, op)
 		}
-		appendSubplans(e, n, op, stats, shape)
+		appendSubplans(n, op, shape)
 		return n
 	}
 	body := shape(root)
@@ -163,7 +131,7 @@ func shapeSpark(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 // projection. Aggregation pipeline stages ($group, $sort) do not appear in
 // the winning plan, which is why the paper's Table VI reports exactly one
 // Producer and one Projector per TPC-H query for MongoDB.
-func shapeMongo(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeMongo(e *Engine, root *planner.PhysOp) *explain.Plan {
 	// Locate the primary scan and overall filter.
 	var scanOp *planner.PhysOp
 	var filters []string
@@ -187,8 +155,7 @@ func shapeMongo(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 		ix.Add("indexName", scanOp.Index)
 		ix.Add("keyPattern", exprSQL(scanOp.IndexCond))
 		ix.Add("direction", "forward")
-		actuals(ix, scanOp, stats)
-		scan = explain.NewNode("FETCH", ix)
+		scan = explain.NewNode("FETCH", e.own(ix, scanOp))
 		if scanOp.Filter != nil {
 			scan.Add("filter", exprSQL(scanOp.Filter))
 		}
@@ -202,7 +169,7 @@ func shapeMongo(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 		if len(filters) > 0 {
 			scan.Add("filter", strings.Join(filters, " AND "))
 		}
-		actuals(scan, scanOp, stats)
+		e.own(scan, scanOp)
 	}
 	// Projection wrapper only when the query projects specific columns.
 	node := scan
@@ -253,7 +220,7 @@ func projectsEverything(proj *planner.PhysOp) bool {
 // table scans become label scans, joins become relationship traversals
 // (classified Join per the paper's study), predicates become Filter
 // operators, and every plan is capped by ProduceResults.
-func shapeNeo4j(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeNeo4j(e *Engine, root *planner.PhysOp) *explain.Plan {
 	dbHits := 0
 	var shape func(op *planner.PhysOp) *explain.Node
 	joinDepth := 0
@@ -266,44 +233,31 @@ func shapeNeo4j(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 	shape = func(op *planner.PhysOp) *explain.Node {
 		var n *explain.Node
 		switch op.Kind {
-		case planner.OpSeqScan, planner.OpIndexOnlyScan:
-			if joinDepth > 0 {
+		case planner.OpSeqScan, planner.OpIndexScan, planner.OpIndexOnlyScan:
+			switch {
+			case op.Kind == planner.OpIndexScan:
+				n = explain.NewNode("NodeIndexSeek")
+				n.Object = ":" + op.Table + "(" + op.Index + ")"
+				n.Add("Details", exprSQL(op.IndexCond))
+			case joinDepth > 0:
 				// In the graph encoding of relational workloads, base data
 				// for joined queries is reached through relationships.
 				n = explain.NewNode("DirectedRelationshipTypeScan")
 				n.Object = "(:" + op.Table + ")-[r]->()"
-			} else {
+			default:
 				n = explain.NewNode("NodeByLabelScan")
 				n.Object = ":" + op.Table
 			}
-			n.Add("rows", op.EstRows)
 			dbHits += int(op.EstRows)
-			actuals(n, op, stats)
 			if op.Filter != nil {
-				f := explain.NewNode("Filter", n)
-				f.Add("Details", exprSQL(op.Filter))
-				costProps(f, op)
-				n = f
-			}
-		case planner.OpIndexScan:
-			n = explain.NewNode("NodeIndexSeek")
-			n.Object = ":" + op.Table + "(" + op.Index + ")"
-			n.Add("Details", exprSQL(op.IndexCond))
-			n.Add("rows", op.EstRows)
-			dbHits += int(op.EstRows)
-			actuals(n, op, stats)
-			if op.Filter != nil {
-				f := explain.NewNode("Filter", n)
-				f.Add("Details", exprSQL(op.Filter))
-				n = f
+				n = explain.NewNode("Filter", e.own(n, op))
+				n.Add("Details", exprSQL(op.Filter))
 			}
 		case planner.OpValues:
 			n = explain.NewNode("Argument")
 		case planner.OpFilter:
 			n = explain.NewNode("Filter", shape(op.Children[0]))
 			n.Add("Details", exprSQL(op.Filter))
-			n.Add("rows", op.EstRows)
-			actuals(n, op, stats)
 		case planner.OpProject:
 			n = explain.NewNode("Projection", shape(op.Children[0]))
 			var cols []string
@@ -311,26 +265,19 @@ func shapeNeo4j(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 				cols = append(cols, c.Name)
 			}
 			n.Add("Details", strings.Join(cols, ", "))
-			n.Add("rows", op.EstRows)
-			actuals(n, op, stats)
 		case planner.OpNLJoin, planner.OpHashJoin, planner.OpMergeJoin:
 			// Relational joins become relationship expansions from the left
 			// input; the right subtree's scans are implied by the expansion.
-			left := shape(op.Children[0])
-			n = explain.NewNode("Expand(All)", left)
+			n = explain.NewNode("Expand(All)", shape(op.Children[0]))
 			n.Add("Details", "("+joinDetail(op)+")")
-			n.Add("rows", op.EstRows)
 			dbHits += int(op.EstRows)
-			actuals(n, op, stats)
 			if op.JoinType == sql.JoinLeft {
 				n.Name = "OptionalExpand(All)"
 			}
 			// A second expansion models reaching the right side's relation.
 			if hasBaseScan(op.Children[1]) {
-				into := explain.NewNode("Expand(Into)", n)
-				into.Add("Details", "("+rightScanDetail(op.Children[1])+")")
-				into.Add("rows", op.EstRows)
-				n = into
+				n = explain.NewNode("Expand(Into)", e.own(n, op))
+				n.Add("Details", "("+rightScanDetail(op.Children[1])+")")
 			}
 		case planner.OpHashAgg, planner.OpSortAgg:
 			name := "EagerAggregation"
@@ -339,31 +286,21 @@ func shapeNeo4j(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 			}
 			n = explain.NewNode(name, shape(op.Children[0]))
 			n.Add("Details", groupKeySQL(op.GroupBy))
-			n.Add("rows", op.EstRows)
-			actuals(n, op, stats)
 		case planner.OpSort:
 			n = explain.NewNode("Sort", shape(op.Children[0]))
 			n.Add("Details", sortKeySQL(op.SortKeys))
-			n.Add("rows", op.EstRows)
-			actuals(n, op, stats)
 		case planner.OpTopN:
 			n = explain.NewNode("Top", shape(op.Children[0]))
 			n.Add("Details", fmt.Sprintf("%s LIMIT %d", sortKeySQL(op.SortKeys), op.Limit))
-			n.Add("rows", op.EstRows)
 		case planner.OpLimit:
 			n = explain.NewNode("Limit", shape(op.Children[0]))
 			n.Add("Details", fmt.Sprint(op.Limit))
-			n.Add("rows", op.EstRows)
 		case planner.OpDistinct:
 			n = explain.NewNode("Distinct", shape(op.Children[0]))
-			n.Add("rows", op.EstRows)
 		case planner.OpUnion, planner.OpUnionAll:
 			n = explain.NewNode("Union", shape(op.Children[0]), shape(op.Children[1]))
-			n.Add("rows", op.EstRows)
 			if op.Kind == planner.OpUnion {
-				d := explain.NewNode("Distinct", n)
-				d.Add("rows", op.EstRows)
-				n = d
+				n = explain.NewNode("Distinct", e.helper(n, op))
 			}
 		default:
 			if len(op.Children) == 1 {
@@ -374,18 +311,16 @@ func shapeNeo4j(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec
 				n.Children = append(n.Children, shape(c))
 			}
 		}
-		appendSubplans(e, n, op, stats, shape)
-		return n
+		appendSubplans(n, op, shape)
+		return e.own(n, op)
 	}
-	body := shape(root)
-	top := explain.NewNode("ProduceResults", body)
+	top := explain.NewNode("ProduceResults", shape(root))
 	var cols []string
 	for _, c := range root.Schema {
 		cols = append(cols, c.Name)
 	}
 	top.Add("Details", strings.Join(cols, ", "))
-	top.Add("rows", root.EstRows)
-	p := &explain.Plan{Root: top}
+	p := &explain.Plan{Root: e.own(top, root)}
 	p.PlanProps = append(p.PlanProps,
 		explain.Prop{Key: "planner", Val: "COST"},
 		explain.Prop{Key: "runtime version", Val: "5.10"},
@@ -428,7 +363,7 @@ func rightScanDetail(op *planner.PhysOp) string {
 // shapeInflux reproduces InfluxDB's EXPLAIN output: no operators at all,
 // only plan-level properties (paper Section III-B: "InfluxDB's query plan
 // representation includes only a list of plan-associated properties").
-func shapeInflux(e *Engine, root *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats) *explain.Plan {
+func shapeInflux(e *Engine, root *planner.PhysOp) *explain.Plan {
 	expr := ""
 	if proj := findProject(root); proj != nil && len(proj.Projections) > 0 {
 		expr = proj.Projections[0].SQL()

@@ -64,8 +64,9 @@ func mongoJSONDoc(p *Plan) any {
 }
 
 // Neo4jTable renders Neo4j's plan table (paper Figure 1): planner/runtime
-// header, an Operator/Details/Estimated Rows table, and the database
-// accesses footer.
+// header, an Operator/Details/Estimated Rows table (with PROFILE's Rows
+// column when the plan carries actuals), and the database accesses
+// footer.
 func Neo4jTable(p *Plan) string {
 	var b strings.Builder
 	planner := "COST"
@@ -84,7 +85,16 @@ func Neo4jTable(p *Plan) string {
 		}
 	}
 	fmt.Fprintf(&b, "Planner %s\nRuntime version %s\n", planner, runtime)
-	rows := [][]string{{"Operator", "Details", "Estimated Rows"}}
+	header := []string{"Operator", "Details", "Estimated Rows"}
+	profiled := false
+	p.Walk(func(n *Node, _ int) {
+		_, ok := n.Prop("actual_rows")
+		profiled = profiled || ok
+	})
+	if profiled {
+		header = append(header, "Rows")
+	}
+	rows := [][]string{header}
 	var walk func(n *Node, depth int)
 	walk = func(n *Node, depth int) {
 		detail, _ := n.Prop("Details")
@@ -99,10 +109,12 @@ func Neo4jTable(p *Plan) string {
 		if r, ok := n.Prop("rows"); ok {
 			est = FormatVal(r)
 		}
-		rows = append(rows, []string{
-			strings.Repeat("| ", depth) + "+" + n.Name,
-			FormatVal(detail), est,
-		})
+		row := []string{strings.Repeat("| ", depth) + "+" + n.Name, FormatVal(detail), est}
+		if profiled {
+			actual, _ := n.Prop("actual_rows")
+			row = append(row, FormatVal(actual))
+		}
+		rows = append(rows, row)
 		for _, c := range n.Children {
 			walk(c, depth+1)
 		}

@@ -86,6 +86,29 @@ func PostgresText(p *Plan) string {
 	return b.String()
 }
 
+// pgKey names a native property the way PostgreSQL's JSON and YAML
+// formats do: the estimate and actual keys take their documented names,
+// every other key is already PostgreSQL's own.
+func pgKey(key string) string {
+	switch key {
+	case "startup_cost":
+		return "Startup Cost"
+	case "total_cost":
+		return "Total Cost"
+	case "rows":
+		return "Plan Rows"
+	case "width":
+		return "Plan Width"
+	case "actual_rows":
+		return "Actual Rows"
+	case "actual_time_ms":
+		return "Actual Total Time"
+	case "loops":
+		return "Actual Loops"
+	}
+	return key
+}
+
 // pgNodeJSON builds the canonical PostgreSQL JSON plan object.
 func pgNodeJSON(n *Node) map[string]any {
 	m := map[string]any{"Node Type": n.Name}
@@ -93,24 +116,7 @@ func pgNodeJSON(n *Node) map[string]any {
 		m["Relation Name"] = n.Object
 	}
 	for _, pr := range n.Props {
-		switch pr.Key {
-		case "startup_cost":
-			m["Startup Cost"] = pr.Val
-		case "total_cost":
-			m["Total Cost"] = pr.Val
-		case "rows":
-			m["Plan Rows"] = pr.Val
-		case "width":
-			m["Plan Width"] = pr.Val
-		case "actual_rows":
-			m["Actual Rows"] = pr.Val
-		case "actual_time_ms":
-			m["Actual Total Time"] = pr.Val
-		case "loops":
-			m["Actual Loops"] = pr.Val
-		default:
-			m[pr.Key] = pr.Val
-		}
+		m[pgKey(pr.Key)] = pr.Val
 	}
 	if len(n.Children) > 0 {
 		var kids []any
@@ -189,48 +195,9 @@ func xmlEscape(s string) string {
 func PostgresYAML(p *Plan) string {
 	var b strings.Builder
 	b.WriteString("- Plan:\n")
-	var walk func(n *Node, indent string)
-	walk = func(n *Node, indent string) {
-		fmt.Fprintf(&b, "%sNode Type: %q\n", indent, n.Name)
-		if n.Object != "" {
-			fmt.Fprintf(&b, "%sRelation Name: %q\n", indent, n.Object)
-		}
-		for _, pr := range n.Props {
-			if s, ok := pr.Val.(string); ok {
-				fmt.Fprintf(&b, "%s%s: %q\n", indent, pr.Key, s)
-			} else {
-				fmt.Fprintf(&b, "%s%s: %s\n", indent, pr.Key, FormatVal(pr.Val))
-			}
-		}
-		if len(n.Children) > 0 {
-			fmt.Fprintf(&b, "%sPlans:\n", indent)
-			for _, c := range n.Children {
-				fmt.Fprintf(&b, "%s- ", indent)
-				// First key inline after the dash, rest indented.
-				inner := indent + "  "
-				fmt.Fprintf(&b, "Node Type: %q\n", c.Name)
-				if c.Object != "" {
-					fmt.Fprintf(&b, "%sRelation Name: %q\n", inner, c.Object)
-				}
-				for _, pr := range c.Props {
-					if s, ok := pr.Val.(string); ok {
-						fmt.Fprintf(&b, "%s%s: %q\n", inner, pr.Key, s)
-					} else {
-						fmt.Fprintf(&b, "%s%s: %s\n", inner, pr.Key, FormatVal(pr.Val))
-					}
-				}
-				if len(c.Children) > 0 {
-					fmt.Fprintf(&b, "%sPlans:\n", inner)
-					for _, cc := range c.Children {
-						fmt.Fprintf(&b, "%s- ", inner)
-						walkInline(&b, cc, inner+"  ")
-					}
-				}
-			}
-		}
-	}
 	if p.Root != nil {
-		walk(p.Root, "    ")
+		b.WriteString("    ")
+		pgYAMLNode(&b, p.Root, "    ")
 	}
 	for _, pr := range p.PlanProps {
 		fmt.Fprintf(&b, "  %s: %s\n", pr.Key, FormatVal(pr.Val))
@@ -238,23 +205,26 @@ func PostgresYAML(p *Plan) string {
 	return b.String()
 }
 
-func walkInline(b *strings.Builder, n *Node, indent string) {
+// pgYAMLNode writes n as a YAML mapping whose first key continues the
+// current line (after the indent or a list dash) and whose other keys sit
+// at indent.
+func pgYAMLNode(b *strings.Builder, n *Node, indent string) {
 	fmt.Fprintf(b, "Node Type: %q\n", n.Name)
 	if n.Object != "" {
 		fmt.Fprintf(b, "%sRelation Name: %q\n", indent, n.Object)
 	}
 	for _, pr := range n.Props {
 		if s, ok := pr.Val.(string); ok {
-			fmt.Fprintf(b, "%s%s: %q\n", indent, pr.Key, s)
+			fmt.Fprintf(b, "%s%s: %q\n", indent, pgKey(pr.Key), s)
 		} else {
-			fmt.Fprintf(b, "%s%s: %s\n", indent, pr.Key, FormatVal(pr.Val))
+			fmt.Fprintf(b, "%s%s: %s\n", indent, pgKey(pr.Key), FormatVal(pr.Val))
 		}
 	}
 	if len(n.Children) > 0 {
 		fmt.Fprintf(b, "%sPlans:\n", indent)
 		for _, c := range n.Children {
 			fmt.Fprintf(b, "%s- ", indent)
-			walkInline(b, c, indent+"  ")
+			pgYAMLNode(b, c, indent+"  ")
 		}
 	}
 }
