@@ -90,7 +90,7 @@ func (e *Engine) decorate(p *explain.Plan, root *planner.PhysOp, stats map[*plan
 				Add("loops", st.Loops)
 		}
 	}
-	clear(e.marks)
+	clear(e.marks) // drop the node pointers so the engine does not pin this plan
 	e.marks = e.marks[:0]
 	if st := stats[root]; d.execTime && st != nil {
 		p.PlanProps = append(p.PlanProps, explain.Prop{Key: "Execution Time", Val: fmt.Sprintf("%.3f ms", float64(st.Duration.Microseconds())/1000)})

@@ -255,13 +255,6 @@ func (e *Engine) explainStmt(stmt sql.Statement, format explain.Format, analyze 
 		}
 		stats = ng.Stats
 	}
-	return e.serialize(plan, stats, format)
-}
-
-// serialize shapes a physical plan into the engine's native tree and
-// renders it in format. stats carries EXPLAIN ANALYZE actuals (nil for
-// plain EXPLAIN).
-func (e *Engine) serialize(plan *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpStats, format explain.Format) (string, error) {
 	return explain.Serialize(e.shape(plan, stats), format)
 }
 

@@ -33,5 +33,5 @@ func ExplainTimeless(e *Engine, query string, format explain.Format, analyze boo
 		}
 		stats = ng.Stats
 	}
-	return e.serialize(plan, stats, format)
+	return explain.Serialize(e.shape(plan, stats), format)
 }
