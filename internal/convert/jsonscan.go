@@ -206,11 +206,19 @@ func (sc *jsonScan) scanString() (string, error) {
 //uplan:hotpath
 func (sc *jsonScan) unescapeString(start int) (string, error) {
 	var b strings.Builder
-	// Grow for the prefix plus a little slack — not the rest of the
-	// document, which would pin a near-document-sized buffer behind
-	// every short escaped string (Builder.String keeps the final
-	// buffer). Longer strings regrow amortized.
-	b.Grow(sc.pos - start + 64)
+	// Grow for this string's raw length, which bounds its decoded
+	// length, so a long escaped string (a plan carried inside a JSON
+	// request body) is built without regrowing — but not for the rest of
+	// the document, which would pin a near-document-sized buffer behind
+	// every short escaped string (Builder.String keeps the final buffer).
+	end := sc.pos
+	for end < len(sc.s) && sc.s[end] != '"' {
+		if sc.s[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	b.Grow(min(end, len(sc.s)) - start)
 	b.WriteString(sc.s[start:sc.pos])
 	for sc.pos < len(sc.s) {
 		c := sc.s[sc.pos]
@@ -274,21 +282,28 @@ func (sc *jsonScan) unescapeString(start int) (string, error) {
 		case c < 0x20:
 			return "", sc.errf("control character %#x in string", c)
 		default:
-			b.WriteByte(c)
-			sc.pos++
+			// Copy the run of plain bytes up to the next quote, escape or
+			// control character in one write.
+			run := sc.pos + 1
+			for run < len(sc.s) && sc.s[run] != '"' && sc.s[run] != '\\' && sc.s[run] >= 0x20 {
+				run++
+			}
+			b.WriteString(sc.s[sc.pos:run])
+			sc.pos = run
 		}
 	}
 	return "", errJSONEOF
 }
 
-// requireEOF errors unless only whitespace remains, for formats whose
-// legacy decoder (json.Unmarshal) consumed the entire input and rejected
-// trailing garbage. It checks the position directly — peek's 0 return
-// would conflate a literal NUL byte with end of input.
-func (sc *jsonScan) requireEOF() error {
+// requireEOF errors unless only whitespace remains after the value just
+// read (a plan, or a wire body), for formats whose legacy decoder
+// (json.Unmarshal) consumed the entire input and rejected trailing
+// garbage. It checks the position directly — peek's 0 return would
+// conflate a literal NUL byte with end of input.
+func (sc *jsonScan) requireEOF(what string) error {
 	sc.skipSpace()
 	if sc.pos < len(sc.s) {
-		return sc.errf("trailing data after plan")
+		return sc.errf("trailing data after %s", what)
 	}
 	return nil
 }

@@ -568,7 +568,7 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 	}
 	// The legacy decoder was json.Unmarshal, which rejects trailing
 	// garbage; keep that strictness.
-	if err := sc.requireEOF(); err != nil {
+	if err := sc.requireEOF("plan"); err != nil {
 		return nil, fmt.Errorf("convert: tidb json: %w", err)
 	}
 	plan := &core.Plan{Source: "tidb"}

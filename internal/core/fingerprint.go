@@ -329,6 +329,11 @@ func HexFingerprint(fp [32]byte) string {
 	return hex.EncodeToString(fp[:16])
 }
 
+// AppendHexFingerprint appends HexFingerprint(fp) to dst.
+func AppendHexFingerprint(dst []byte, fp [32]byte) []byte {
+	return hex.AppendEncode(dst, fp[:16])
+}
+
 // NormalizeUnstable canonicalizes unstable tokens inside a property value:
 // standalone runs of digits become '?' (random identifiers, literal
 // constants, cost numbers) and whitespace is collapsed. Digits directly

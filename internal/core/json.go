@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+
+	"uplan/internal/jsonenc"
 )
 
 // This file implements the structured JSON format of the unified query plan
@@ -51,86 +53,122 @@ type jsonProperty struct {
 	Value    json.RawMessage `json:"value"`
 }
 
-// MarshalJSON implements json.Marshaler for Plan.
+// MarshalJSON implements json.Marshaler for Plan: the plan's canonical
+// JSON, as AppendJSON writes it, built in a pooled buffer and returned as
+// an exact-size copy.
 func (p *Plan) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.toJSON())
+	b := textBufPool.Get().(*bytes.Buffer)
+	b.Reset()
+	b.Write(p.AppendJSON(b.AvailableBuffer()))
+	out := bytes.Clone(b.Bytes())
+	textBufPool.Put(b)
+	return out, nil
 }
 
-// MarshalJSONIndent renders the plan as indented JSON.
+// MarshalJSONIndent renders the plan as indented JSON: AppendJSON's bytes
+// under json.Indent, which is what json.MarshalIndent would produce.
 func (p *Plan) MarshalJSONIndent() ([]byte, error) {
-	return json.MarshalIndent(p.toJSON(), "", "  ")
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, p.AppendJSON(nil), "", "  "); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-func (p *Plan) toJSON() jsonPlan {
-	jp := jsonPlan{Source: p.Source, Properties: propsToJSON(p.Properties)}
-	var conv func(n *Node) *jsonNode
-	conv = func(n *Node) *jsonNode {
-		if n == nil {
-			return nil
-		}
-		jn := &jsonNode{
-			Operation:  jsonOperation{Category: string(n.Op.Category), Name: n.Op.Name},
-			Properties: propsToJSON(n.Properties),
-		}
-		for _, c := range n.Children {
-			jn.Children = append(jn.Children, conv(c))
-		}
-		return jn
+// AppendJSON appends the plan's canonical JSON to dst and returns the
+// extended buffer. The bytes are exactly what json.Marshal writes for the
+// schema above: keys in schema order, empty source, tree and property
+// lists left out, a nil child written as null, strings quoted with
+// encoding/json's HTML escaping (invalid UTF-8 becomes U+FFFD, U+2028 and
+// U+2029 are escaped), and a NaN or infinite number written as null. It
+// walks the plan once and allocates nothing beyond dst's growth.
+//
+//uplan:hotpath
+func (p *Plan) AppendJSON(dst []byte) []byte {
+	dst = append(dst, '{')
+	n0 := len(dst)
+	if p.Source != "" {
+		dst = append(dst, `"source":`...)
+		dst = jsonenc.AppendString(dst, p.Source)
 	}
-	jp.Tree = conv(p.Root)
-	return jp
+	if p.Root != nil {
+		if len(dst) > n0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"tree":`...)
+		dst = appendJSONNode(dst, p.Root)
+	}
+	if len(p.Properties) > 0 {
+		if len(dst) > n0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `"properties":`...)
+		dst = appendJSONProperties(dst, p.Properties)
+	}
+	return append(dst, '}')
 }
 
-func propsToJSON(props []Property) []jsonProperty {
-	if len(props) == 0 {
-		return nil
+// appendJSONNode appends one node and its subtree; a nil node is null.
+func appendJSONNode(dst []byte, n *Node) []byte {
+	if n == nil {
+		return append(dst, "null"...)
 	}
-	out := make([]jsonProperty, 0, len(props))
-	for _, pr := range props {
-		out = append(out, jsonProperty{
-			Category: string(pr.Category),
-			Name:     pr.Name,
-			Value:    valueToRaw(pr.Value),
-		})
+	dst = append(dst, `{"operation":{"category":`...)
+	dst = jsonenc.AppendString(dst, string(n.Op.Category))
+	dst = append(dst, `,"name":`...)
+	dst = jsonenc.AppendString(dst, n.Op.Name)
+	dst = append(dst, '}')
+	if len(n.Properties) > 0 {
+		dst = append(dst, `,"properties":`...)
+		dst = appendJSONProperties(dst, n.Properties)
 	}
-	return out
+	if len(n.Children) > 0 {
+		dst = append(dst, `,"children":[`...)
+		for i, c := range n.Children {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONNode(dst, c)
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
 }
 
-// valueToRaw encodes a scalar Value as raw JSON without boxing it through
-// an interface and the reflective encoder. Strings still go through
-// json.Marshal for correct escaping; non-finite numbers degrade to empty
-// raw (decoded as null), matching the old swallowed-error behavior.
-func valueToRaw(v Value) json.RawMessage {
+// appendJSONProperties appends a non-empty property list.
+func appendJSONProperties(dst []byte, props []Property) []byte {
+	dst = append(dst, '[')
+	for i := range props {
+		pr := &props[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"category":`...)
+		dst = jsonenc.AppendString(dst, string(pr.Category))
+		dst = append(dst, `,"name":`...)
+		dst = jsonenc.AppendString(dst, pr.Name)
+		dst = append(dst, `,"value":`...)
+		dst = appendJSONValue(dst, pr.Value)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// appendJSONValue appends one scalar. A NaN or infinite number has no
+// JSON form and is written as null, which decodes back as Null.
+func appendJSONValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindString:
-		raw, _ := json.Marshal(v.Str)
-		return raw
+		return jsonenc.AppendString(dst, v.Str)
 	case KindNumber:
 		if math.IsNaN(v.Num) || math.IsInf(v.Num, 0) {
-			return nil
+			return append(dst, "null"...)
 		}
-		// Mirror encoding/json's float encoding byte-for-byte: 'f' form in
-		// the human range, 'e' with a compacted exponent outside it.
-		abs := math.Abs(v.Num)
-		format := byte('f')
-		if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-			format = 'e'
-		}
-		b := strconv.AppendFloat(nil, v.Num, format, -1, 64)
-		if format == 'e' {
-			if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-				b[n-2] = b[n-1]
-				b = b[:n-1]
-			}
-		}
-		return b
+		return jsonenc.AppendFloat(dst, v.Num)
 	case KindBool:
-		if v.Bool {
-			return json.RawMessage("true")
-		}
-		return json.RawMessage("false")
+		return strconv.AppendBool(dst, v.Bool)
 	default:
-		return json.RawMessage("null")
+		return append(dst, "null"...)
 	}
 }
 

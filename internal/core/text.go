@@ -27,10 +27,11 @@ import (
 //
 // ParseText accepts both renderings.
 
-// textBufPool recycles the scratch buffers behind MarshalText and
-// MarshalIndentedText so repeated serialization (fingerprint loops, batch
-// pipelines) reuses grown capacity instead of re-growing per call. The
-// returned string is always a fresh copy; pooled buffers never escape.
+// textBufPool recycles the scratch buffers behind MarshalText,
+// MarshalIndentedText and MarshalJSON so repeated serialization
+// (fingerprint loops, batch pipelines) reuses grown capacity instead of
+// re-growing per call. The returned string or slice is always a fresh
+// copy; pooled buffers never escape.
 var textBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // appendValue writes v in text-format syntax directly into b, using the

@@ -7,7 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
+
+	"uplan/internal/jsonenc"
 )
 
 // marshalJSON renders a JSON serializer's document exactly as
@@ -51,7 +52,7 @@ func (e *jsonEncoder) value(v any, depth int) error {
 	case nil:
 		e.buf = append(e.buf, "null"...)
 	case string:
-		e.buf = appendJSONString(e.buf, t)
+		e.buf = jsonenc.AppendString(e.buf, t)
 	case bool:
 		e.buf = strconv.AppendBool(e.buf, t)
 	case int:
@@ -62,7 +63,7 @@ func (e *jsonEncoder) value(v any, depth int) error {
 		if math.IsNaN(t) || math.IsInf(t, 0) {
 			return e.fallback(v, depth)
 		}
-		e.buf = appendJSONFloat(e.buf, t)
+		e.buf = jsonenc.AppendFloat(e.buf, t)
 	case []any:
 		if t == nil {
 			e.buf = append(e.buf, "null"...)
@@ -116,7 +117,7 @@ func (e *jsonEncoder) member(i, depth int) {
 
 func (e *jsonEncoder) field(i int, key string, val any, depth int) error {
 	e.member(i, depth+1)
-	e.buf = appendJSONString(e.buf, key)
+	e.buf = jsonenc.AppendString(e.buf, key)
 	e.buf = append(e.buf, ':', ' ')
 	return e.value(val, depth+1)
 }
@@ -160,9 +161,9 @@ func (e *jsonEncoder) tidbNode(n *tidbJSONNode, depth int) {
 			continue
 		}
 		e.member(fields, depth+1)
-		e.buf = appendJSONString(e.buf, f.key)
+		e.buf = jsonenc.AppendString(e.buf, f.key)
 		e.buf = append(e.buf, ':', ' ')
-		e.buf = appendJSONString(e.buf, f.val)
+		e.buf = jsonenc.AppendString(e.buf, f.val)
 		fields++
 	}
 	if len(n.SubOperators) > 0 {
@@ -181,76 +182,4 @@ func (e *jsonEncoder) fallback(v any, depth int) error {
 	}
 	e.buf = append(e.buf, data...)
 	return nil
-}
-
-// appendJSONFloat formats a finite float64 as encoding/json does: 'f'
-// notation, switching to 'e' below 1e-6 and from 1e21 up, with a
-// two-digit negative exponent shortened (e-07 to e-7).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendJSONString quotes s as encoding/json does with HTML escaping on:
-// <, > and & become \u003c, \u003e and \u0026; control characters use
-// \b \f \n \r \t or \u00XX; invalid UTF-8 becomes \ufffd; U+2028 and
-// U+2029 are escaped.
-func appendJSONString(b []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

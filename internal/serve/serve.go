@@ -45,6 +45,7 @@ import (
 	"uplan/internal/codec"
 	"uplan/internal/convert"
 	"uplan/internal/core"
+	"uplan/internal/jsonenc"
 	"uplan/internal/pipeline"
 	"uplan/internal/store"
 )
@@ -375,20 +376,8 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, batch bool) (
 	return nil, false
 }
 
-// decode reads one bounded JSON request body.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.badBody(w, err)
-		return false
-	}
-	return true
-}
-
-// wireBufPool recycles the buffers binary request bodies are read into
-// and binary batch responses are written from. Buffers that grew past
+// wireBufPool recycles the buffers request bodies are read into and
+// uncached responses are built in. Buffers that grew past
 // maxPooledWireBuf are dropped instead of pooled, so one large batch does
 // not pin its memory for the life of the process.
 var wireBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -405,11 +394,21 @@ func putWireBuf(b *bytes.Buffer) {
 	wireBufPool.Put(b)
 }
 
-// decodeBinary reads one bounded binary request body in full (the wire
-// decoders need the complete message) into a pooled buffer and decodes
-// it. The decoders copy every string out, so the buffer goes back to the
-// pool as soon as decode returns.
-func decodeBinary[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error), dst *T) bool {
+// putWireBody returns buf to the pool after a body was appended to
+// buf.AvailableBuffer() as dst, keeping dst's storage if the body
+// outgrew buf's.
+func putWireBody(buf *bytes.Buffer, dst []byte) {
+	if cap(dst) > buf.Cap() {
+		buf = bytes.NewBuffer(dst[:0])
+	}
+	putWireBuf(buf)
+}
+
+// decodeBody reads one bounded request body in full into a pooled buffer
+// and decodes it, with the JSON or the binary wire decoder. Both copy
+// every string they keep, so the buffer goes back to the pool as soon as
+// decode returns.
+func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error), dst *T) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	buf := getWireBuf()
 	defer putWireBuf(buf)
@@ -439,20 +438,22 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 }
 
 // decodeConvert reads one convert request in its negotiated format:
-// binary when the Content-Type says so, bounded JSON otherwise.
+// binary when the Content-Type says so, JSON otherwise.
 func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request, dst *ConvertRequest) bool {
-	if !isBinaryContent(r) {
-		return s.decode(w, r, dst)
+	decode := decodeConvertRequest
+	if isBinaryContent(r) {
+		decode = DecodeBinaryConvertRequest
 	}
-	return decodeBinary(s, w, r, DecodeBinaryConvertRequest, dst)
+	return decodeBody(s, w, r, decode, dst)
 }
 
 // decodeBatch is decodeConvert's batch-request counterpart.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dst *BatchRequest) bool {
-	if !isBinaryContent(r) {
-		return s.decode(w, r, dst)
+	decode := decodeBatchRequest
+	if isBinaryContent(r) {
+		decode = DecodeBinaryBatchRequest
 	}
-	return decodeBinary(s, w, r, DecodeBinaryBatchRequest, dst)
+	return decodeBody(s, w, r, decode, dst)
 }
 
 // delay is the HandlerDelay fault-injection hook, context-aware so a
@@ -497,27 +498,23 @@ func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *co
 	return use(p)
 }
 
-// buildConvertBody converts one request and marshals the full
-// ConvertResponse body, for the convert handler and its cache fill.
+// buildConvertBody converts one request and builds the full
+// ConvertResponse body, for the convert handler and its cache fill. The
+// body is appended in a pooled buffer and returned as an exact-size
+// copy, so the cache holds no slack.
 func (s *Server) buildConvertBody(req ConvertRequest) ([]byte, error) {
-	var resp ConvertResponse
+	buf := getWireBuf()
+	var dst []byte
 	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		planJSON, merr := p.MarshalJSON()
-		if merr != nil {
-			return fmt.Errorf("marshaling converted plan: %w", merr)
-		}
-		resp = ConvertResponse{
-			Dialect:       req.Dialect,
-			Plan:          planJSON,
-			Fingerprint64: strconv.FormatUint(p.Fingerprint64(core.FingerprintOptions{}), 10),
-			Fingerprint:   core.HexFingerprint(p.FingerprintBytes(core.FingerprintOptions{})),
-		}
+		dst = appendConvertResponse(buf.AvailableBuffer(), req.Dialect, p)
 		return nil
 	})
+	body := bytes.Clone(dst)
+	putWireBody(buf, dst)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(resp)
+	return body, nil
 }
 
 // buildConvertBinary is buildConvertBody on the binary wire: the plan
@@ -643,31 +640,50 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := BatchResponse{
-		Results:          make([]BatchItem, len(results)),
-		Converted:        stats.Converted,
-		DeadlineExceeded: deadlineExceeded,
-		ElapsedSeconds:   stats.Elapsed.Seconds(),
-		PlansPerSec:      stats.PlansPerSec(),
-	}
-	// Errors counts per slot, not from stats: records the deadline cut off
-	// before a worker claimed them carry ctx's error in their slot but are
-	// not conversion errors, and the response must still add up.
+	s.writeJSONBatch(w, results, stats, deadlineExceeded)
+}
+
+// writeJSONBatch builds the JSON batch response in one pooled buffer in a
+// single pass, each plan appended in place by AppendJSON: json.Marshal's
+// bytes for the BatchResponse. Errors counts per slot, not from stats:
+// records the deadline cut off before a worker claimed them carry ctx's
+// error in their slot but are not conversion errors, and the response
+// must still add up.
+func (s *Server) writeJSONBatch(w http.ResponseWriter, results []pipeline.Result, stats pipeline.Stats, deadlineExceeded bool) {
+	buf := getWireBuf()
+	dst := append(buf.AvailableBuffer(), `{"results":[`...)
+	errs := 0
 	for i, res := range results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '{')
 		if res.Err != nil {
-			resp.Results[i] = BatchItem{Error: res.Err.Error()}
-			resp.Errors++
-			continue
+			errs++
+			if msg := res.Err.Error(); msg != "" {
+				dst = append(dst, `"error":`...)
+				dst = jsonenc.AppendString(dst, msg)
+			}
+		} else {
+			dst = append(dst, `"plan":`...)
+			dst = res.Plan.AppendJSON(dst)
 		}
-		planJSON, err := res.Plan.MarshalJSON()
-		if err != nil {
-			resp.Results[i] = BatchItem{Error: err.Error()}
-			resp.Errors++
-			continue
-		}
-		resp.Results[i] = BatchItem{Plan: planJSON}
+		dst = append(dst, '}')
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	dst = append(dst, `],"converted":`...)
+	dst = strconv.AppendInt(dst, int64(stats.Converted), 10)
+	dst = append(dst, `,"errors":`...)
+	dst = strconv.AppendInt(dst, int64(errs), 10)
+	if deadlineExceeded {
+		dst = append(dst, `,"deadline_exceeded":true`...)
+	}
+	dst = append(dst, `,"elapsed_seconds":`...)
+	dst = jsonenc.AppendFloat(dst, stats.Elapsed.Seconds())
+	dst = append(dst, `,"plans_per_sec":`...)
+	dst = jsonenc.AppendFloat(dst, stats.PlansPerSec())
+	dst = append(dst, '}')
+	s.writeBody(w, http.StatusOK, dst)
+	putWireBody(buf, dst)
 }
 
 // writeBinaryBatch streams a binary batch response into one pooled
@@ -693,11 +709,7 @@ func (s *Server) writeBinaryBatch(w http.ResponseWriter, results []pipeline.Resu
 	}
 	dst = appendBatchTrailer(dst, stats.Converted, errs, deadlineExceeded, stats.Elapsed.Seconds(), stats.PlansPerSec())
 	s.writeTyped(w, http.StatusOK, BinaryContentType, dst)
-	if cap(dst) > buf.Cap() {
-		// The response outgrew the pooled buffer; pool the grown storage.
-		buf = bytes.NewBuffer(dst[:0])
-	}
-	putWireBuf(buf)
+	putWireBody(buf, dst)
 }
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
@@ -706,7 +718,7 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var req ConvertRequest
-	if !s.decode(w, r, &req) {
+	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
 		return
 	}
 	release, ok := s.admit(ctx, w, false)
@@ -718,21 +730,19 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var resp FingerprintResponse
+	buf := getWireBuf()
+	var dst []byte
 	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		resp = FingerprintResponse{
-			Dialect:       req.Dialect,
-			Fingerprint64: strconv.FormatUint(p.Fingerprint64(core.FingerprintOptions{}), 10),
-			Fingerprint:   core.HexFingerprint(p.FingerprintBytes(core.FingerprintOptions{})),
-		}
+		dst = appendFingerprintResponse(buf.AvailableBuffer(), req.Dialect, p)
 		return nil
 	})
 	s.metrics.recordOne(req.Dialect, err)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
-		return
+	} else {
+		s.writeBody(w, http.StatusOK, dst)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	putWireBody(buf, dst)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -741,7 +751,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var req CompareRequest
-	if !s.decode(w, r, &req) {
+	if !decodeBody(s, w, r, decodeCompareRequest, &req) {
 		return
 	}
 	release, ok := s.admit(ctx, w, false)

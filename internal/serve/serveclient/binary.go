@@ -9,13 +9,10 @@ package serveclient
 // the retry/backoff discipline is identical to the JSON calls.
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"uplan/internal/codec"
 	"uplan/internal/core"
@@ -41,7 +38,7 @@ type BinaryConvertResult struct {
 // arena's next Reset.
 func (c *Client) ConvertBinary(ctx context.Context, dialect, serialized string, ar *core.PlanArena) (*BinaryConvertResult, error) {
 	body := serve.AppendBinaryConvertRequest(nil, serve.ConvertRequest{Dialect: dialect, Serialized: serialized})
-	raw, err := c.callBinary(ctx, "/v1/convert", body)
+	raw, err := c.call(ctx, "POST", "/v1/convert", body, serve.BinaryContentType)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +82,7 @@ type BinaryBatchResult struct {
 func (c *Client) BatchConvertBinary(ctx context.Context, records []serve.ConvertRequest, ar *core.PlanArena) (*BinaryBatchResult, error) {
 	// AppendBinaryBatchRequest sizes the body exactly before appending.
 	body := serve.AppendBinaryBatchRequest(nil, serve.BatchRequest{Records: records})
-	raw, err := c.callBinary(ctx, "/v1/batch-convert", body)
+	raw, err := c.call(ctx, "POST", "/v1/batch-convert", body, serve.BinaryContentType)
 	if err != nil {
 		return nil, err
 	}
@@ -113,63 +110,6 @@ func (c *Client) BatchConvertBinary(ctx context.Context, records []serve.Convert
 		out.Results[i] = BinaryBatchItem{Plan: p}
 	}
 	return out, nil
-}
-
-// callBinary runs one binary-wire POST with the same
-// retry-backoff-jitter loop as call, returning the raw response body.
-func (c *Client) callBinary(ctx context.Context, path string, body []byte) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		raw, err := c.attemptBinary(ctx, path, body)
-		if err == nil {
-			return raw, nil
-		}
-		lastErr = err
-		var apiErr *APIError
-		retryable := !errors.As(lastErr, &apiErr) || apiErr.Retryable()
-		if !retryable || attempt >= c.opts.MaxRetries {
-			return nil, lastErr
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var hint time.Duration
-		if apiErr != nil {
-			hint = apiErr.RetryAfter
-		}
-		if err := sleepBackoff(ctx, c.opts.Backoff, c.opts.MaxBackoff, attempt, hint); err != nil {
-			return nil, errors.Join(err, lastErr)
-		}
-	}
-}
-
-// attemptBinary performs a single binary-wire round trip, reading the
-// whole 2xx body (the wire decoders need the complete message).
-func (c *Client) attemptBinary(ctx context.Context, path string, body []byte) (raw []byte, err error) {
-	req, err := http.NewRequestWithContext(ctx, "POST", c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: %w", err)
-	}
-	req.Header.Set("Content-Type", serve.BinaryContentType)
-	req.Header.Set("Accept", serve.BinaryContentType)
-	hr, err := c.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: POST %s: %w", path, err)
-	}
-	defer func() {
-		_, _ = io.Copy(io.Discard, hr.Body)
-		if cerr := hr.Body.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	if hr.StatusCode/100 != 2 {
-		return nil, decodeAPIError(hr)
-	}
-	raw, err = readBody(hr)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: reading %s response: %w", path, err)
-	}
-	return raw, nil
 }
 
 // maxPresizedBody bounds how much a response's Content-Length may make

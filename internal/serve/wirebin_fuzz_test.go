@@ -42,10 +42,10 @@ func seedBatches(f *testing.F) [][]ConvertRequest {
 
 // seedRecords picks the first seed-42 corpus record of each dialect, so
 // the fuzz seeds cover all nine engines at a few kilobytes each.
-func seedRecords(f *testing.F) []ConvertRequest {
+func seedRecords(tb testing.TB) []ConvertRequest {
 	seen := map[string]bool{}
 	var picked []ConvertRequest
-	for _, r := range corpusRequests(f, 42) {
+	for _, r := range corpusRequests(tb, 42) {
 		if !seen[r.Dialect] {
 			seen[r.Dialect] = true
 			picked = append(picked, r)
