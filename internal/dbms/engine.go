@@ -174,12 +174,7 @@ func (e *Engine) Execute(query string) (*exec.Result, error) {
 		if ex.Format != "" {
 			format = explain.Format(ex.Format)
 		}
-		var out string
-		if ex.Analyze {
-			out, err = e.explainStmt(ex.Stmt, format, true)
-		} else {
-			out, err = e.explainStmt(ex.Stmt, format, false)
-		}
+		out, err := e.explainStmt(ex.Stmt, format, ex.Analyze)
 		if err != nil {
 			return nil, err
 		}
@@ -214,15 +209,25 @@ func textResult(s string) *exec.Result {
 	return res
 }
 
-// Explain plans the statement and serializes its native plan.
-func (e *Engine) Explain(query string, format explain.Format) (string, error) {
-	e.queries++
+// statement parses query for the explain entry points, unwrapping an
+// EXPLAIN prefix to the statement it explains.
+func statement(query string) (sql.Statement, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if ex, ok := stmt.(*sql.Explain); ok {
 		stmt = ex.Stmt
+	}
+	return stmt, nil
+}
+
+// Explain plans the statement and serializes its native plan.
+func (e *Engine) Explain(query string, format explain.Format) (string, error) {
+	e.queries++
+	stmt, err := statement(query)
+	if err != nil {
+		return "", err
 	}
 	return e.explainStmt(stmt, format, false)
 }
@@ -231,12 +236,9 @@ func (e *Engine) Explain(query string, format explain.Format) (string, error) {
 // with actual row counts and per-operator times.
 func (e *Engine) ExplainAnalyze(query string, format explain.Format) (string, error) {
 	e.queries++
-	stmt, err := sql.Parse(query)
+	stmt, err := statement(query)
 	if err != nil {
 		return "", err
-	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
 	}
 	return e.explainStmt(stmt, format, true)
 }
@@ -248,14 +250,22 @@ func (e *Engine) explainStmt(stmt sql.Statement, format explain.Format, analyze 
 	}
 	var stats map[*planner.PhysOp]*exec.OpStats
 	if analyze {
-		ng := exec.New(e.DB)
-		ng.Quirks = e.Quirks
-		if _, err := ng.Run(plan); err != nil {
+		if stats, err = e.analyze(plan); err != nil {
 			return "", err
 		}
-		stats = ng.Stats
 	}
 	return explain.Serialize(e.shape(plan, stats), format)
+}
+
+// analyze runs plan and returns its per-operator actuals. It is the only
+// caller of RunAnalyze: a plain Execute records no operator statistics.
+func (e *Engine) analyze(plan *planner.PhysOp) (map[*planner.PhysOp]*exec.OpStats, error) {
+	ng := exec.New(e.DB)
+	ng.Quirks = e.Quirks
+	if _, err := ng.RunAnalyze(plan); err != nil {
+		return nil, err
+	}
+	return ng.Stats, nil
 }
 
 // shape builds the engine's native plan and decorates it. stats carries
@@ -270,14 +280,7 @@ func (e *Engine) shape(plan *planner.PhysOp, stats map[*planner.PhysOp]*exec.OpS
 // NativePlan shapes a statement's plan without serialization (used by
 // tests and the benchmark harness).
 func (e *Engine) NativePlan(query string) (*explain.Plan, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
-	}
-	plan, err := e.planner().Plan(stmt)
+	plan, err := e.PhysicalPlan(query)
 	if err != nil {
 		return nil, err
 	}
@@ -287,12 +290,9 @@ func (e *Engine) NativePlan(query string) (*explain.Plan, error) {
 // PhysicalPlan exposes the engine-neutral plan (used by CERT to read the
 // optimizer's estimates directly in tests).
 func (e *Engine) PhysicalPlan(query string) (*planner.PhysOp, error) {
-	stmt, err := sql.Parse(query)
+	stmt, err := statement(query)
 	if err != nil {
 		return nil, err
-	}
-	if ex, ok := stmt.(*sql.Explain); ok {
-		stmt = ex.Stmt
 	}
 	return e.planner().Plan(stmt)
 }

@@ -4,7 +4,6 @@ import (
 	"uplan/internal/exec"
 	"uplan/internal/explain"
 	"uplan/internal/planner"
-	"uplan/internal/sql"
 )
 
 // ExplainTimeless explains query as Explain (analyze false) or
@@ -13,7 +12,7 @@ import (
 // function of the engine's state.
 func ExplainTimeless(e *Engine, query string, format explain.Format, analyze bool) (string, error) {
 	e.queries++
-	stmt, err := sql.Parse(query)
+	stmt, err := statement(query)
 	if err != nil {
 		return "", err
 	}
@@ -23,15 +22,27 @@ func ExplainTimeless(e *Engine, query string, format explain.Format, analyze boo
 	}
 	var stats map[*planner.PhysOp]*exec.OpStats
 	if analyze {
-		ng := exec.New(e.DB)
-		ng.Quirks = e.Quirks
-		if _, err := ng.Run(plan); err != nil {
+		if stats, err = e.analyze(plan); err != nil {
 			return "", err
 		}
-		for _, st := range ng.Stats {
+		for _, st := range stats {
 			st.Duration = 0
 		}
-		stats = ng.Stats
 	}
 	return explain.Serialize(e.shape(plan, stats), format)
+}
+
+// ExecuteWithoutIdentity runs query as Execute does, except that every
+// projection's Identity mark is cleared first, so each projection
+// evaluates its expressions row by row. It is the reference the identity
+// shortcut is checked against.
+func ExecuteWithoutIdentity(e *Engine, query string) (*exec.Result, error) {
+	plan, err := e.PhysicalPlan(query)
+	if err != nil {
+		return nil, err
+	}
+	plan.Walk(func(op *planner.PhysOp, _ int) { op.Identity = false })
+	ng := exec.New(e.DB)
+	ng.Quirks = e.Quirks
+	return ng.Run(plan)
 }

@@ -19,6 +19,14 @@ import (
 // queries.
 func loadGenerated(tb testing.TB, e *dbms.Engine, seed int64) []string {
 	tb.Helper()
+	_, queries := generate(tb, e, seed)
+	return queries
+}
+
+// generate is loadGenerated that also returns the generator, positioned
+// after the 300 queries, for callers that draw more from it.
+func generate(tb testing.TB, e *dbms.Engine, seed int64) (*sqlancer.Generator, []string) {
+	tb.Helper()
 	g := sqlancer.New(seed)
 	for _, s := range g.SchemaSQL(3, 20) {
 		if _, err := e.Execute(s); err != nil {
@@ -32,7 +40,7 @@ func loadGenerated(tb testing.TB, e *dbms.Engine, seed int64) []string {
 	for i := range queries {
 		queries[i] = g.Query()
 	}
-	return queries
+	return g, queries
 }
 
 // forGenerated calls fn for every generated query of seeds 1-5, each seed

@@ -54,8 +54,10 @@ func storedRows(db *storage.DB) map[string][][]datum.D {
 }
 
 // TestResultsSurviveLaterDML: scans hand out stored rows without copying,
-// so storage must be copy-on-write. Rows a scan handed out, and a result
-// taken before an UPDATE, DELETE or INSERT, keep their values afterwards.
+// and a SELECT * projection hands its input through, so a result aliases
+// storage and storage must be copy-on-write. Rows a scan handed out, and
+// a result taken before an UPDATE, DELETE or INSERT, keep their values
+// afterwards.
 func TestResultsSurviveLaterDML(t *testing.T) {
 	h := newHarness(t)
 	h.pl = planner.New(h.db.Schema, planner.Options{PreferIndexProbes: true})
@@ -70,6 +72,9 @@ func TestResultsSurviveLaterDML(t *testing.T) {
 		return true
 	})
 	storedWant := deepCopy(stored)
+	if &scan.Rows[0][0] != &stored[0][0] {
+		t.Error("SELECT * copied the stored rows; its identity projection should hand them through")
+	}
 
 	h.exec("UPDATE t0 SET c1 = 99, c2 = 'z'")
 	h.exec("DELETE FROM t0 WHERE c0 = 1")

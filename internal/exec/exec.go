@@ -54,6 +54,13 @@ type OpStats struct {
 }
 
 // Result is the materialized output of a statement.
+//
+// Results are read-only. Rows may alias rows held in storage or in
+// another operator's output (scans return stored rows, and a SELECT *
+// projection returns its input unchanged), so a caller must not write
+// to them. Storage never writes a stored row in place: UPDATE stores a
+// new row, so a Result taken before a later UPDATE, DELETE or INSERT
+// keeps its values.
 type Result struct {
 	Columns []string
 	Rows    [][]datum.D
@@ -63,7 +70,8 @@ type Result struct {
 type Executor struct {
 	DB     *storage.DB
 	Quirks Quirks
-	// Stats collects per-operator runtime statistics of the last Run.
+	// Stats holds per-operator runtime statistics of the last RunAnalyze;
+	// Run leaves it nil.
 	Stats map[*planner.PhysOp]*OpStats
 
 	subplans map[*sql.Select]*planner.PhysOp
@@ -75,13 +83,27 @@ func New(db *storage.DB) *Executor {
 	return &Executor{DB: db}
 }
 
-// Run executes a plan and returns its result.
+// Run executes a plan and returns its result. It records no operator
+// statistics; RunAnalyze does.
 func (ex *Executor) Run(plan *planner.PhysOp) (*Result, error) {
+	ex.Stats = nil
+	return ex.start(plan)
+}
+
+// RunAnalyze executes a plan as Run does and fills Stats with every
+// operator's actual rows, loops and self time (EXPLAIN ANALYZE data).
+func (ex *Executor) RunAnalyze(plan *planner.PhysOp) (*Result, error) {
 	ex.Stats = map[*planner.PhysOp]*OpStats{}
-	ex.subplans = map[*sql.Select]*planner.PhysOp{}
-	ex.subCache = map[*sql.Select][][]datum.D{}
+	return ex.start(plan)
+}
+
+func (ex *Executor) start(plan *planner.PhysOp) (*Result, error) {
+	ex.subplans, ex.subCache = nil, nil
 	plan.Walk(func(op *planner.PhysOp, _ int) {
 		for _, sp := range op.Subplans {
+			if ex.subplans == nil {
+				ex.subplans = map[*sql.Select]*planner.PhysOp{}
+			}
 			ex.subplans[sp.Sel] = sp.Plan
 		}
 	})
@@ -104,6 +126,9 @@ func (ex *Executor) record(op *planner.PhysOp, rows int, d time.Duration) {
 }
 
 func (ex *Executor) run(op *planner.PhysOp, outer *scope) ([][]datum.D, error) {
+	if ex.Stats == nil {
+		return ex.runInner(op, outer)
+	}
 	start := time.Now()
 	rows, err := ex.runInner(op, outer)
 	if err != nil {
@@ -390,6 +415,12 @@ func (ex *Executor) runProject(op *planner.PhysOp, outer *scope) ([][]datum.D, e
 	in, err := ex.run(op.Children[0], outer)
 	if err != nil {
 		return nil, err
+	}
+	if op.Identity {
+		if in == nil {
+			in = [][]datum.D{} // an evaluated projection's result is never nil
+		}
+		return in, nil
 	}
 	w := len(op.Projections)
 	out := make([][]datum.D, len(in))
@@ -1042,6 +1073,9 @@ func (ex *Executor) runSubquery(sub *sql.Select, sc *scope) ([][]datum.D, error)
 	}
 	if !touched {
 		// Uncorrelated subquery: safe to cache for the rest of the run.
+		if ex.subCache == nil {
+			ex.subCache = map[*sql.Select][][]datum.D{}
+		}
 		ex.subCache[sub] = rows
 	}
 	return rows, nil

@@ -323,6 +323,12 @@ func TestExplainAnalyzeStats(t *testing.T) {
 	if _, err := h.ex.Run(plan); err != nil {
 		t.Fatal(err)
 	}
+	if h.ex.Stats != nil {
+		t.Fatalf("Run recorded stats for %d operators; only RunAnalyze should", len(h.ex.Stats))
+	}
+	if _, err := h.ex.RunAnalyze(plan); err != nil {
+		t.Fatal(err)
+	}
 	var scanOp *planner.PhysOp
 	plan.Walk(func(op *planner.PhysOp, _ int) {
 		if op.Kind == planner.OpSeqScan || op.Kind == planner.OpIndexScan {

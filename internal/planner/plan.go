@@ -90,6 +90,10 @@ type PhysOp struct {
 
 	// Projection fields.
 	Projections []sql.Expr
+	// Identity marks a projection whose output rows are its input rows:
+	// Projections are exactly the input's columns in order, each resolving
+	// to its own position. The executor returns such input unchanged.
+	Identity bool
 
 	// Sort/limit fields.
 	SortKeys []sql.OrderItem

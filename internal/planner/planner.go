@@ -173,6 +173,7 @@ func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]m
 				hidden++
 			}
 			if len(extra) > 0 {
+				op.Identity = false
 				if err := pl.planSubqueriesIn(op, extra, child.Schema); err != nil {
 					return nil, err
 				}
@@ -771,19 +772,35 @@ func (pl *Planner) planAggregate(core *sql.SelectCore, aggs []*sql.FuncCall, inp
 	return agg
 }
 
-// planProject builds the projection for the select items.
+// planProject builds the projection for the select items. A star expands
+// to one column reference per matching input column; those references
+// share one slab.
 func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, error) {
 	proj := NewOp(OpProject, input)
-	var exprs []sql.Expr
-	var schema []OutCol
+	n, stars := 0, 0
+	for _, item := range core.Items {
+		if star, ok := item.Expr.(*sql.Star); ok {
+			k := starWidth(star, input.Schema)
+			n += k
+			stars += k
+		} else {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("planner: empty select list")
+	}
+	exprs := make([]sql.Expr, 0, n)
+	schema := make([]OutCol, 0, n)
+	refs := make([]sql.ColumnRef, 0, stars)
 	for _, item := range core.Items {
 		if star, ok := item.Expr.(*sql.Star); ok {
 			for _, c := range input.Schema {
-				if star.Table != "" && !strings.EqualFold(c.Table, star.Table) {
-					continue
+				if starMatches(star, c) {
+					refs = append(refs, sql.ColumnRef{Table: c.Table, Name: c.Name})
+					exprs = append(exprs, &refs[len(refs)-1])
+					schema = append(schema, c)
 				}
-				exprs = append(exprs, &sql.ColumnRef{Table: c.Table, Name: c.Name})
-				schema = append(schema, c)
 			}
 			continue
 		}
@@ -802,11 +819,9 @@ func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, er
 		}
 		schema = append(schema, col)
 	}
-	if len(exprs) == 0 {
-		return nil, fmt.Errorf("planner: empty select list")
-	}
 	proj.Projections = exprs
 	proj.Schema = schema
+	proj.Identity = isIdentity(exprs, input.Schema)
 	proj.Width = len(schema) * defaultWidth
 	proj.EstRows = input.EstRows
 	proj.StartCost = input.StartCost
@@ -815,6 +830,38 @@ func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, er
 		return nil, err
 	}
 	return proj, nil
+}
+
+func starMatches(star *sql.Star, c OutCol) bool {
+	return star.Table == "" || strings.EqualFold(c.Table, star.Table)
+}
+
+func starWidth(star *sql.Star, schema []OutCol) int {
+	n := 0
+	for _, c := range schema {
+		if starMatches(star, c) {
+			n++
+		}
+	}
+	return n
+}
+
+// isIdentity reports whether exprs evaluated over rows of schema yield
+// those rows unchanged: one column reference per input column, in order,
+// each resolving (as the executor resolves it, first match) to its own
+// position. Two input columns sharing a table and a name make the second
+// reference resolve to the first, so such a projection is not an identity.
+func isIdentity(exprs []sql.Expr, schema []OutCol) bool {
+	if len(exprs) != len(schema) {
+		return false
+	}
+	for i, e := range exprs {
+		ref, ok := e.(*sql.ColumnRef)
+		if !ok || FindColumn(schema, ref.Table, ref.Name) != i {
+			return false
+		}
+	}
+	return true
 }
 
 // planSubqueriesIn plans every subquery appearing in the expressions and

@@ -426,9 +426,14 @@ func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode
 }
 
 // badBody answers a request whose body failed to read or decode: 413 when
-// the bound cut it off, 400 otherwise.
+// the body bound cut it off or the batch has too many records, 400
+// otherwise.
 func (s *Server) badBody(w http.ResponseWriter, err error) {
 	s.metrics.badRequests.Add(1)
+	if errors.Is(err, errBatchOverCap) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, err.Error(), 0)
+		return
+	}
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -447,11 +452,13 @@ func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request, dst *Conv
 	return decodeBody(s, w, r, decode, dst)
 }
 
-// decodeBatch is decodeConvert's batch-request counterpart.
+// decodeBatch is decodeConvert's batch-request counterpart. Both
+// decoders enforce MaxBatchRecords while they decode.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dst *BatchRequest) bool {
-	decode := decodeBatchRequest
+	maxRecords := s.opts.MaxBatchRecords
+	decode := func(b []byte) (BatchRequest, error) { return decodeBatchRequest(b, maxRecords) }
 	if isBinaryContent(r) {
-		decode = DecodeBinaryBatchRequest
+		decode = func(b []byte) (BatchRequest, error) { return DecodeBinaryBatchRequest(b, maxRecords) }
 	}
 	return decodeBody(s, w, r, decode, dst)
 }
@@ -602,13 +609,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Records) == 0 {
 		s.metrics.badRequests.Add(1)
 		s.writeError(w, http.StatusBadRequest, "batch has no records", 0)
-		return
-	}
-	if len(req.Records) > s.opts.MaxBatchRecords {
-		s.metrics.badRequests.Add(1)
-		s.writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d records exceeds the %d-record cap; split it",
-				len(req.Records), s.opts.MaxBatchRecords), 0)
 		return
 	}
 

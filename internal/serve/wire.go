@@ -1,6 +1,10 @@
 package serve
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+)
 
 // The wire types of the plan service's JSON API. The serveclient
 // subpackage shares them, so the request/response shapes are defined
@@ -35,6 +39,15 @@ type ConvertResponse struct {
 // converted ("miss"). A header, not a body field, so a cache hit serves
 // the stored bytes untouched.
 const CacheHeader = "X-Uplan-Cache"
+
+// errBatchOverCap marks a batch request holding more records than the
+// server's MaxBatchRecords. The batch decoders return it as soon as they
+// see the excess record, and the server answers it 413.
+var errBatchOverCap = errors.New("batch exceeds the record cap")
+
+func batchOverCap(maxRecords int) error {
+	return fmt.Errorf("%w of %d; split it", errBatchOverCap, maxRecords)
+}
 
 // BatchRequest asks for a corpus-at-once conversion through the worker
 // pool.

@@ -152,14 +152,20 @@ func AppendBinaryBatchRequest(dst []byte, req BatchRequest) []byte {
 	return dst
 }
 
-// DecodeBinaryBatchRequest decodes one binary batch request.
-func DecodeBinaryBatchRequest(data []byte) (BatchRequest, error) {
+// DecodeBinaryBatchRequest decodes one binary batch request of at most
+// maxRecords records. A well-formed count above maxRecords fails with
+// an error that is not ErrWire (the server answers it 413), before any
+// record storage is allocated.
+func DecodeBinaryBatchRequest(data []byte, maxRecords int) (BatchRequest, error) {
 	count, off, err := readWireUvarint(data, 0)
 	if err != nil {
 		return BatchRequest{}, err
 	}
 	if count > wireMaxItems || count > uint64(len(data)-off)/minWireRecord {
 		return BatchRequest{}, wireErr("batch of %d records exceeds the wire cap or the %d remaining bytes", count, len(data)-off)
+	}
+	if count > uint64(max(maxRecords, 0)) {
+		return BatchRequest{}, batchOverCap(maxRecords)
 	}
 	req := BatchRequest{Records: make([]ConvertRequest, 0, count)}
 	for i := uint64(0); i < count; i++ {

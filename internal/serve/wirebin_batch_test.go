@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,7 +189,7 @@ func TestWireBatchCountBoundedByInput(t *testing.T) {
 		data   []byte
 		decode func([]byte) error
 	}{
-		{"request", count, func(b []byte) error { _, err := DecodeBinaryBatchRequest(b); return err }},
+		{"request", count, func(b []byte) error { _, err := DecodeBinaryBatchRequest(b, wireMaxItems); return err }},
 		{"response", append(count, 0), func(b []byte) error { _, err := DecodeBinaryBatchResponse(b); return err }},
 	}
 	for _, c := range cases {
@@ -209,4 +211,56 @@ func allocated(fn func()) uint64 {
 	fn()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBatchOverCapStopsDecoding is the regression guard for the batch
+// record cap: an 8 MiB JSON body of empty records (about 2.8 million of
+// them) used to decode in full, about 512 MB, before the server refused
+// it with 413. Both decoders now stop at the cap, and both wires are
+// still answered 413.
+func TestBatchOverCapStopsDecoding(t *testing.T) {
+	const maxRecords = DefaultMaxBatchRecords
+	body := []byte(`{"records":[` + strings.Repeat(`{},`, (8<<20)/3) + `{}]}`)
+	var err error
+	alloc := allocated(func() { _, err = decodeBatchRequest(body, maxRecords) })
+	if !errors.Is(err, errBatchOverCap) {
+		t.Fatalf("JSON batch of %d bytes: err = %v, want errBatchOverCap", len(body), err)
+	}
+	// The JSON reader copies the body into a string once; beyond that,
+	// only a record slice of about maxRecords may be allocated.
+	if limit := uint64(len(body)) + 1<<20; alloc > limit {
+		t.Errorf("JSON batch of %d bytes allocated %d bytes, want at most %d", len(body), alloc, limit)
+	}
+
+	data := AppendBinaryBatchRequest(nil, BatchRequest{Records: make([]ConvertRequest, maxRecords+1)})
+	alloc = allocated(func() { _, err = DecodeBinaryBatchRequest(data, maxRecords) })
+	if !errors.Is(err, errBatchOverCap) || errors.Is(err, ErrWire) {
+		t.Fatalf("binary batch of %d records: err = %v, want errBatchOverCap and not ErrWire", maxRecords+1, err)
+	}
+	if alloc >= 64<<10 {
+		t.Errorf("binary batch of %d records allocated %d bytes, want under 64 KiB", maxRecords+1, alloc)
+	}
+
+	_, ts := newTestServer(t, Options{MaxBatchRecords: 4})
+	over := BatchRequest{Records: make([]ConvertRequest, 5)}
+	jsonBody, err := json.Marshal(over)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{jsonContentType, jsonBody},
+		{BinaryContentType, AppendBinaryBatchRequest(nil, over)},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/batch-convert", c.contentType, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s batch of 5 records over a cap of 4: status %d, want 413", c.contentType, resp.StatusCode)
+		}
+	}
 }

@@ -129,7 +129,7 @@ func FuzzWireBatchRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req BatchRequest
 		var err error
-		if alloc := allocated(func() { req, err = DecodeBinaryBatchRequest(data) }); alloc > maxDecodeAlloc(len(data)) {
+		if alloc := allocated(func() { req, err = DecodeBinaryBatchRequest(data, wireMaxItems) }); alloc > maxDecodeAlloc(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
 		}
 		if err != nil {

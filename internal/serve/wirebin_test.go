@@ -30,7 +30,7 @@ func TestWireBinaryRoundTrips(t *testing.T) {
 		{Dialect: "mysql", Serialized: ""},
 		{Dialect: "", Serialized: "x"},
 	}}
-	gotBatch, err := DecodeBinaryBatchRequest(AppendBinaryBatchRequest(nil, batch))
+	gotBatch, err := DecodeBinaryBatchRequest(AppendBinaryBatchRequest(nil, batch), wireMaxItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWireBinaryRejectsCorruption(t *testing.T) {
 	}
 	decode := map[string]func([]byte) error{
 		"convert-request":  func(b []byte) error { _, err := DecodeBinaryConvertRequest(b); return err },
-		"batch-request":    func(b []byte) error { _, err := DecodeBinaryBatchRequest(b); return err },
+		"batch-request":    func(b []byte) error { _, err := DecodeBinaryBatchRequest(b, wireMaxItems); return err },
 		"convert-response": func(b []byte) error { _, err := DecodeBinaryConvertResponse(b); return err },
 		"batch-response":   func(b []byte) error { _, err := DecodeBinaryBatchResponse(b); return err },
 	}
@@ -130,12 +130,12 @@ func TestWireBinaryRejectsCorruption(t *testing.T) {
 		t.Errorf("empty error item: err = %v, want ErrWire", err)
 	}
 	// A non-minimal varint (0 as 0x80 0x00) would re-encode differently.
-	if _, err := DecodeBinaryBatchRequest([]byte{0x80, 0x00}); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBinaryBatchRequest([]byte{0x80, 0x00}, wireMaxItems); !errors.Is(err, ErrWire) {
 		t.Errorf("non-minimal count: err = %v, want ErrWire", err)
 	}
 	// A corrupt count must not drive a huge allocation.
 	huge := appendUvarint(nil, 1<<40)
-	if _, err := DecodeBinaryBatchRequest(huge); !errors.Is(err, ErrWire) {
+	if _, err := DecodeBinaryBatchRequest(huge, wireMaxItems); !errors.Is(err, ErrWire) {
 		t.Errorf("huge batch count: err = %v, want ErrWire", err)
 	}
 }

@@ -57,8 +57,10 @@ func decodeConvertRequest(body []byte) (ConvertRequest, error) {
 	return req, r.End()
 }
 
-// decodeBatchRequest decodes one JSON batch request body.
-func decodeBatchRequest(body []byte) (BatchRequest, error) {
+// decodeBatchRequest decodes one JSON batch request body. It stops at
+// the first record past maxRecords with errBatchOverCap, so an oversized
+// batch costs one record slice of maxRecords, not one of every record.
+func decodeBatchRequest(body []byte, maxRecords int) (BatchRequest, error) {
 	var req BatchRequest
 	r := convert.NewJSONReader(string(body))
 	err := r.Object(func(key string) error {
@@ -73,6 +75,9 @@ func decodeBatchRequest(body []byte) (BatchRequest, error) {
 		// repeated "records" key merges into the earlier records.
 		recs, n := req.Records, 0
 		err := r.Array(func(i int) error {
+			if i >= maxRecords {
+				return batchOverCap(maxRecords)
+			}
 			switch {
 			case i >= cap(recs):
 				recs = append(recs, ConvertRequest{})

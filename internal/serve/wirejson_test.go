@@ -360,7 +360,8 @@ func FuzzJSONWireRequest(f *testing.F) {
 		checkWireDecode(t, body, decodeCompareRequest, func(r CompareRequest) CompareRequest {
 			return CompareRequest{A: coerceRequest(r.A), B: coerceRequest(r.B)}
 		})
-		checkWireDecode(t, body, decodeBatchRequest, func(r BatchRequest) BatchRequest {
+		decodeBatch := func(b []byte) (BatchRequest, error) { return decodeBatchRequest(b, wireMaxItems) }
+		checkWireDecode(t, body, decodeBatch, func(r BatchRequest) BatchRequest {
 			for i, rec := range r.Records {
 				r.Records[i] = coerceRequest(rec)
 			}

@@ -7,6 +7,7 @@ package sql
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -80,9 +81,30 @@ func keyword(word string) string {
 // Lex tokenizes the input. It returns an error for unterminated strings or
 // illegal characters.
 func Lex(input string) ([]Token, error) {
+	toks, err := lexInto(nil, input)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// tokenPool recycles Parse's token slices. No AST node keeps a Token,
+// so a slice is free again once its statement is parsed.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
+
+// maxPooledTokens bounds the slices tokenPool keeps, so one huge
+// statement does not pin its token slice for the life of the process.
+const maxPooledTokens = 1 << 12
+
+// lexInto tokenizes input into toks[:0], growing it as needed. On error
+// it still returns the slice, holding the tokens read so far.
+func lexInto(toks []Token, input string) ([]Token, error) {
 	// Generated statements average three bytes per token and none has
 	// more than one per two bytes, so the slice never regrows on them.
-	toks := make([]Token, 0, len(input)/2+2)
+	if want := len(input)/2 + 2; cap(toks) < want {
+		toks = make([]Token, 0, want)
+	}
+	toks = toks[:0]
 	i := 0
 	n := len(input)
 	for i < n {
@@ -154,7 +176,7 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string at offset %d", start)
+				return toks, fmt.Errorf("sql: unterminated string at offset %d", start)
 			}
 			toks = append(toks, Token{Kind: TString, Text: sb.String(), Pos: start})
 		default:
@@ -174,7 +196,7 @@ func Lex(input string) ([]Token, error) {
 				toks = append(toks, Token{Kind: TSymbol, Text: input[i : i+1], Pos: start})
 				i++
 			default:
-				return nil, fmt.Errorf("sql: illegal character %q at offset %d", c, start)
+				return toks, fmt.Errorf("sql: illegal character %q at offset %d", c, start)
 			}
 		}
 	}

@@ -10,7 +10,10 @@ import (
 
 // Parse parses a single SQL statement.
 func Parse(input string) (Statement, error) {
-	toks, err := Lex(input)
+	buf := tokenPool.Get().(*[]Token)
+	defer putTokens(buf)
+	toks, err := lexInto(*buf, input)
+	*buf = toks
 	if err != nil {
 		return nil, err
 	}
@@ -24,6 +27,17 @@ func Parse(input string) (Statement, error) {
 		return nil, fmt.Errorf("sql: unexpected trailing input at %q", p.peek().Text)
 	}
 	return stmt, nil
+}
+
+// putTokens returns Parse's token slice to tokenPool, dropping its
+// references into the parsed input first.
+func putTokens(buf *[]Token) {
+	if cap(*buf) > maxPooledTokens {
+		return
+	}
+	clear(*buf)
+	*buf = (*buf)[:0]
+	tokenPool.Put(buf)
 }
 
 // ParseSelect parses a statement and requires it to be a SELECT.

@@ -1,7 +1,9 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"uplan/internal/datum"
@@ -312,6 +314,55 @@ func TestSQLRoundTrip(t *testing.T) {
 		if stmt2.SQL() != out {
 			t.Errorf("SQL round trip unstable:\n1st: %s\n2nd: %s", out, stmt2.SQL())
 		}
+	}
+}
+
+// TestParsePooledTokensConcurrent parses statements from several
+// goroutines at once, so Parse's pooled token slices pass between them,
+// and checks every outcome against a sequential parse. The inputs mix
+// valid statements, lexer and parser errors (both return the slice to
+// the pool) and one statement too long for the pool to keep.
+func TestParsePooledTokensConcurrent(t *testing.T) {
+	long := "SELECT c0 FROM t0 WHERE c0 IN (" + strings.Repeat("1, ", maxPooledTokens) + "2)"
+	inputs := []string{
+		"SELECT DISTINCT t1.c0 AS x FROM t0 INNER JOIN t1 ON (t0.c0 = t1.c0) WHERE (t0.c0 < 100) ORDER BY x DESC LIMIT 10",
+		"SELECT * FROM t0 WHERE c1 = 'it''s' AND c2 LIKE 'a%'",
+		"INSERT INTO t0 (c1, c0) VALUES (0, 1.5e3)",
+		"SELECT c0 FROM t0 WHERE c1 = 'open",
+		"SELECT c0 FROM t0 WHERE c1 = #",
+		"SELECT c0 FROM t0 t1 t2",
+		long,
+	}
+	outcome := func(in string) string {
+		stmt, err := Parse(in)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return stmt.SQL()
+	}
+	want := make([]string, len(inputs))
+	for i, in := range inputs {
+		want[i] = outcome(in)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(inputs)
+				if got := outcome(inputs[i]); got != want[i] {
+					errs <- fmt.Errorf("input %d parsed to %q, want %q", i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
