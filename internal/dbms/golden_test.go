@@ -54,6 +54,52 @@ func forGenerated(tb testing.TB, name string, fn func(e *dbms.Engine, seed int64
 	}
 }
 
+// indexedWorkload gives e the generated schema of seed with an index on
+// every column plus a two-column (c1, c0) index per table, created first
+// so that it serves c1 probes, refreshes its statistics, and returns the
+// statements that reach index paths: the seed's 300 generated queries, 50
+// RestrictableQuery pairs (the TLP/CERT SELECT * … WHERE shape) and the
+// UPDATE and DELETE statements among 50 drawn mutations.
+func indexedWorkload(tb testing.TB, e *dbms.Engine, seed int64) []string {
+	tb.Helper()
+	g, stmts := generate(tb, e, seed)
+	for _, t := range g.Tables {
+		ddl := []string{fmt.Sprintf("CREATE INDEX %s_c1_c0 ON %s (c1, c0)", t.Name, t.Name)}
+		for _, c := range t.Columns {
+			ddl = append(ddl, fmt.Sprintf("CREATE INDEX %s_%s ON %s (%s)", t.Name, c.Name, t.Name, c.Name))
+		}
+		for _, s := range ddl {
+			if _, err := e.Execute(s); err != nil {
+				tb.Fatalf("%s seed %d: %q: %v", e.Info.Name, seed, s, err)
+			}
+		}
+	}
+	if err := e.Analyze(); err != nil {
+		tb.Fatal(err)
+	}
+	for range 50 {
+		base, restricted := g.RestrictableQuery()
+		stmts = append(stmts, base, restricted)
+	}
+	for range 50 {
+		if m := g.Mutation(); strings.HasPrefix(m, "UPDATE") || strings.HasPrefix(m, "DELETE") {
+			stmts = append(stmts, m)
+		}
+	}
+	return stmts
+}
+
+// forIndexed calls fn for every statement of the indexed workload of seeds
+// 1-5, each seed on a fresh engine.
+func forIndexed(tb testing.TB, name string, fn func(e *dbms.Engine, seed int64, i int, q string)) {
+	for seed := int64(1); seed <= 5; seed++ {
+		e := dbms.MustNew(name)
+		for i, q := range indexedWorkload(tb, e, seed) {
+			fn(e, seed, i, q)
+		}
+	}
+}
+
 // goldenDigests pins TestExplainGoldenDigest: engine/format/mode →
 // SHA-256 of that path's outputs over the golden workload.
 var goldenDigests = map[string]string{
@@ -158,5 +204,75 @@ func TestExplainGoldenDigest(t *testing.T) {
 	}
 	if len(hashes) != len(goldenDigests) || diff.Len() > 0 {
 		t.Errorf("%d digests (want %d); changed:\n%s", len(hashes), len(goldenDigests), diff.String())
+	}
+}
+
+// indexedGoldenDigests pins TestExplainIndexedGoldenDigest: engine/format
+// → SHA-256 of that path's EXPLAIN outputs over the indexed workload.
+var indexedGoldenDigests = map[string]string{
+	"influxdb/TEXT":    "f4d9bd49c42eb0d8f98f193a27407ec21975c702161d8b696d0695cafcac6d21",
+	"mongodb/GRAPH":    "b14a96d8e83a8208a1bd91cdecad5a683ec1206b6b37ae341bb34808217fa43c",
+	"mongodb/JSON":     "6df7f6701dc7477b84f565275fe2f92cdbe002e1e7e31c66ed4114fac53770bb",
+	"mysql/GRAPH":      "e08fbb774418b65d435340cf1e993f862ae27416e69d75ed6cbbdac3aae16850",
+	"mysql/JSON":       "213e2b95f522c4e89d727e45bbaaba0dc81f8ea3d16dab1793c05216fbcdb7e7",
+	"mysql/TEXT":       "b1b8aaeaaee928c7d9b3993c36e3a8fe75d5560420ac2a18e467a60b3082d5fe",
+	"neo4j/GRAPH":      "94a6e5b0446554c04b917b459c7f38244fd64a990737b48347e54631dddd07a2",
+	"neo4j/JSON":       "f4f00f7cdb81cb70e925d6f935b8c438ca9e6f0890d25ba365d09e8528708277",
+	"neo4j/TEXT":       "32a108d804cb9e680c8133ea7d90ea3f83a05aeb65bb436533bf4ddae38a7820",
+	"postgresql/GRAPH": "c13ff2e777499d47ab8eb6acc1750837eb42479566a4817e0f6cf0583ba973f1",
+	"postgresql/JSON":  "15430c30414d50cd8f185115ce911fda43a720a17c218baba50554ee64333dc7",
+	"postgresql/TEXT":  "dbe2689cda48cf782bd728d9385c032c5ff50099c73e5637ac4a9a3ab9436b10",
+	"postgresql/XML":   "1f85f8f94160f2b4624fe3398bf3fd18edb7b73a5f30546206d0047e4ac5555f",
+	"postgresql/YAML":  "66eed776938c318c7256ffffad32002aabc3dec24ca416a98efd9b322f1dc1ca",
+	"sparksql/GRAPH":   "8fd70f06fee40fd002b506b411c80d5d26edd3cbb40651eeadc4b3b5d97aef0a",
+	"sparksql/TEXT":    "be3aadf9e5974a8ee0d4c02c10e408bc0f70675e5e938b6997d5acba1d18a107",
+	"sqlite/TEXT":      "5f354cf1d0c8e285ef01148350b4ad814955b824e51537e91a48c484384b2db6",
+	"sqlserver/GRAPH":  "75e48ed6d7986ff09bb5572e72633e65f97ba58061b3dce192f116ba78f3edb6",
+	"sqlserver/TABLE":  "ebbb411605442f5f37c4da105961eacf3289713c0b98c0d40b3b0f489499a44c",
+	"sqlserver/TEXT":   "79a44132e6ad88d887b40dc1e8244fbd29e95452a5f301ca4467d770a4adbaa7",
+	"sqlserver/XML":    "2ce5b3665bf23c3396439ec2d4db7fa1db8b2551ace523685d39a7b99c2b3d4b",
+	"tidb/GRAPH":       "00ce651dc3e5d2619c51ba8139408af98586539d5fe35f9a022a2f97374446c8",
+	"tidb/JSON":        "ec114bc4cfea38f411b9eb3526879fcd2a8fd3ce120b4b4a2e8e24d31fe48ac0",
+	"tidb/TABLE":       "6408079c51388c01a391be88c64aa14e3efaa2b24cb00654b824f64524385f74",
+}
+
+// TestExplainIndexedGoldenDigest pins every engine's EXPLAIN output, one
+// SHA-256 per engine and supported format, over the indexed workload of
+// seeds 1-5: the access paths (index, index-only and sequential scans)
+// the golden workload's index-less tables never reach.
+func TestExplainIndexedGoldenDigest(t *testing.T) {
+	hashes := map[string]hash.Hash{}
+	for _, name := range dbms.Names() {
+		forIndexed(t, name, func(e *dbms.Engine, seed int64, i int, q string) {
+			for _, f := range e.SupportedFormats() {
+				key := e.Info.Name + "/" + string(f)
+				h := hashes[key]
+				if h == nil {
+					h = sha256.New()
+					hashes[key] = h
+				}
+				out, err := e.Explain(q, f)
+				if err != nil {
+					fmt.Fprintf(h, "seed%d/s%d error %v\n", seed, i, err)
+					continue
+				}
+				fmt.Fprintf(h, "seed%d/s%d\n%s", seed, i, out)
+			}
+		})
+	}
+	var keys []string
+	for k := range hashes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var diff strings.Builder
+	for _, k := range keys {
+		got := hex.EncodeToString(hashes[k].Sum(nil))
+		if got != indexedGoldenDigests[k] {
+			fmt.Fprintf(&diff, "\t%q: %q,\n", k, got)
+		}
+	}
+	if len(hashes) != len(indexedGoldenDigests) || diff.Len() > 0 {
+		t.Errorf("%d digests (want %d); changed:\n%s", len(hashes), len(indexedGoldenDigests), diff.String())
 	}
 }
