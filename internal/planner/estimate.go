@@ -250,7 +250,7 @@ type IndexMatch struct {
 // predicate on a table, or nil. An index is usable when a conjunct compares
 // its leading column to a constant with =, <, <=, >, >=, or IN-list.
 func (e *Estimator) BestIndex(tbl *catalog.Table, pred sql.Expr) *IndexMatch {
-	if pred == nil || tbl == nil {
+	if pred == nil || tbl == nil || len(tbl.Indexes) == 0 {
 		return nil
 	}
 	conjuncts := SplitConjuncts(pred)

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"strings"
 
@@ -37,9 +38,6 @@ type Options struct {
 	Agg    AggPreference
 	// FuseTopN merges Sort+Limit into a TopN operator (TiDB style).
 	FuseTopN bool
-	// NoIndexes disables index access paths entirely (a dialect that never
-	// uses indexes for the workload, or a pre-index database state).
-	NoIndexes bool
 	// PreferIndexOnly aggressively chooses covering-index scans when the
 	// index covers all referenced columns (TiDB's q11 behaviour).
 	PreferIndexOnly bool
@@ -72,8 +70,7 @@ func (pl *Planner) Estimator() *Estimator { return pl.est }
 func (pl *Planner) Plan(stmt sql.Statement) (*PhysOp, error) {
 	switch t := stmt.(type) {
 	case *sql.Select:
-		refs := collectColumnRefs(t)
-		return pl.planSelect(t, nil, refs)
+		return pl.planSelect(t, t)
 	case *sql.Insert:
 		op := NewOp(OpInsert)
 		op.Table = t.Table
@@ -82,7 +79,7 @@ func (pl *Planner) Plan(stmt sql.Statement) (*PhysOp, error) {
 		op.TotalCost = float64(len(t.Rows)) * costSeqRow
 		return op, nil
 	case *sql.Update:
-		child, err := pl.planMutationScan(t.Table, t.Where, stmt)
+		child, err := pl.planMutationScan(t.Table, t.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +90,7 @@ func (pl *Planner) Plan(stmt sql.Statement) (*PhysOp, error) {
 		op.TotalCost = child.TotalCost + child.EstRows*costSeqRow
 		return op, nil
 	case *sql.Delete:
-		child, err := pl.planMutationScan(t.Table, t.Where, stmt)
+		child, err := pl.planMutationScan(t.Table, t.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -124,32 +121,32 @@ func (pl *Planner) Plan(stmt sql.Statement) (*PhysOp, error) {
 	return nil, fmt.Errorf("planner: unsupported statement %T", stmt)
 }
 
-func (pl *Planner) planMutationScan(table string, where sql.Expr, stmt sql.Statement) (*PhysOp, error) {
+// planMutationScan plans the scan of an UPDATE or DELETE. Only its WHERE
+// references columns, so covering is decided over the WHERE as a select
+// from the table.
+func (pl *Planner) planMutationScan(table string, where sql.Expr) (*PhysOp, error) {
 	tbl := pl.Schema.Table(table)
 	if tbl == nil {
 		return nil, fmt.Errorf("planner: no such table %q", table)
 	}
-	refs := map[string]map[string]bool{}
-	if where != nil {
-		collectRefsFromExpr(where, refs, strings.ToLower(table))
-	}
-	scan := pl.planScan(tbl, table, where, refs)
-	if err := pl.planSubqueriesIn(scan, []sql.Expr{where}, scan.Schema); err != nil {
+	scope := &sql.Select{Core: &sql.SelectCore{From: &sql.BaseTable{Name: table}, Where: where}}
+	scan := pl.planScan(tbl, table, where, scope)
+	if err := pl.planSubqueriesIn(scan, []sql.Expr{where}); err != nil {
 		return nil, err
 	}
 	return scan, nil
 }
 
-// planSelect plans a full select. outer is the schema visible from
-// enclosing queries (for correlated subqueries); refs maps alias →
-// referenced column set for covering-index decisions.
-func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]map[string]bool) (*PhysOp, error) {
+// planSelect plans a full select. scope is the statement whose column
+// references decide covering-index scans: the top-level statement, a
+// derived table or a subquery.
+func (pl *Planner) planSelect(sel *sql.Select, scope *sql.Select) (*PhysOp, error) {
 	var op *PhysOp
 	var err error
 	if sel.Compound != nil {
-		op, err = pl.planCompound(sel.Compound, outer, refs)
+		op, err = pl.planCompound(sel.Compound, scope)
 	} else {
-		op, err = pl.planCore(sel.Core, outer, refs, sel.OrderBy)
+		op, err = pl.planCore(sel.Core, scope, sel.OrderBy)
 	}
 	if err != nil {
 		return nil, err
@@ -160,7 +157,6 @@ func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]m
 	if len(sel.OrderBy) > 0 {
 		hidden := 0
 		if op.Kind == OpProject {
-			child := op.Children[0]
 			var extra []sql.Expr
 			for _, o := range sel.OrderBy {
 				if !resolvesInSchema(o.Expr, op.Schema) {
@@ -174,7 +170,7 @@ func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]m
 			}
 			if len(extra) > 0 {
 				op.Identity = false
-				if err := pl.planSubqueriesIn(op, extra, child.Schema); err != nil {
+				if err := pl.planSubqueriesIn(op, extra); err != nil {
 					return nil, err
 				}
 			}
@@ -225,12 +221,12 @@ func (pl *Planner) planSelect(sel *sql.Select, outer []OutCol, refs map[string]m
 	return op, nil
 }
 
-func (pl *Planner) planCompound(c *sql.Compound, outer []OutCol, refs map[string]map[string]bool) (*PhysOp, error) {
-	left, err := pl.planSelect(c.Left, outer, refs)
+func (pl *Planner) planCompound(c *sql.Compound, scope *sql.Select) (*PhysOp, error) {
+	left, err := pl.planSelect(c.Left, scope)
 	if err != nil {
 		return nil, err
 	}
-	right, err := pl.planSelect(c.Right, outer, refs)
+	right, err := pl.planSelect(c.Right, scope)
 	if err != nil {
 		return nil, err
 	}
@@ -272,7 +268,7 @@ func (pl *Planner) planCompound(c *sql.Compound, outer []OutCol, refs map[string
 	return op, nil
 }
 
-func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[string]map[string]bool, orderBy []sql.OrderItem) (*PhysOp, error) {
+func (pl *Planner) planCore(core *sql.SelectCore, scope *sql.Select, orderBy []sql.OrderItem) (*PhysOp, error) {
 	var input *PhysOp
 	var conjuncts []sql.Expr
 	if core.Where != nil {
@@ -280,7 +276,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 	}
 	if core.From != nil {
 		var err error
-		input, conjuncts, err = pl.planFrom(core.From, conjuncts, refs)
+		input, conjuncts, err = pl.planFrom(core.From, conjuncts, scope)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +296,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 		f.EstRows = math.Max(minRows, input.EstRows*sel)
 		f.StartCost = input.StartCost
 		f.TotalCost = input.TotalCost + input.EstRows*costCPUTuple
-		if err := pl.planSubqueriesIn(f, []sql.Expr{f.Filter}, input.Schema); err != nil {
+		if err := pl.planSubqueriesIn(f, []sql.Expr{f.Filter}); err != nil {
 			return nil, err
 		}
 		input = f
@@ -310,7 +306,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 	aggs := collectAggregates(core, orderBy)
 	if len(core.GroupBy) > 0 || len(aggs) > 0 {
 		agg := pl.planAggregate(core, aggs, input)
-		if err := pl.planSubqueriesIn(agg, exprList(core.GroupBy), input.Schema); err != nil {
+		if err := pl.planSubqueriesIn(agg, core.GroupBy); err != nil {
 			return nil, err
 		}
 		input = agg
@@ -322,7 +318,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 			hf.EstRows = math.Max(minRows, input.EstRows*0.3)
 			hf.StartCost = input.StartCost
 			hf.TotalCost = input.TotalCost + input.EstRows*costCPUTuple
-			if err := pl.planSubqueriesIn(hf, []sql.Expr{core.Having}, input.Schema); err != nil {
+			if err := pl.planSubqueriesIn(hf, []sql.Expr{core.Having}); err != nil {
 				return nil, err
 			}
 			input = hf
@@ -351,7 +347,7 @@ func (pl *Planner) planCore(core *sql.SelectCore, outer []OutCol, refs map[strin
 
 // planFrom builds the join tree, pushing single-alias conjuncts into scans.
 // It returns the remaining conjuncts.
-func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs map[string]map[string]bool) (*PhysOp, []sql.Expr, error) {
+func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, scope *sql.Select) (*PhysOp, []sql.Expr, error) {
 	switch t := ref.(type) {
 	case *sql.BaseTable:
 		tbl := pl.Schema.Table(t.Name)
@@ -363,11 +359,9 @@ func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs map[str
 			alias = t.Name
 		}
 		mine, rest := splitByAlias(conjuncts, alias, tbl)
-		scan := pl.planScanAliased(tbl, alias, JoinConjuncts(mine), refs)
-		return scan, rest, nil
+		return pl.planScan(tbl, alias, JoinConjuncts(mine), scope), rest, nil
 	case *sql.SubqueryRef:
-		subRefs := collectColumnRefs(t.Sub)
-		sub, err := pl.planSelect(t.Sub, nil, subRefs)
+		sub, err := pl.planSelect(t.Sub, t.Sub)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -388,11 +382,11 @@ func (pl *Planner) planFrom(ref sql.TableRef, conjuncts []sql.Expr, refs map[str
 		}
 		return sub, rest, nil
 	case *sql.JoinRef:
-		left, rest, err := pl.planFrom(t.Left, conjuncts, refs)
+		left, rest, err := pl.planFrom(t.Left, conjuncts, scope)
 		if err != nil {
 			return nil, nil, err
 		}
-		right, rest, err := pl.planFrom(t.Right, rest, refs)
+		right, rest, err := pl.planFrom(t.Right, rest, scope)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -435,67 +429,64 @@ func primaryAlias(op *PhysOp) string {
 	return ""
 }
 
-// planScanAliased plans the access path for one base table.
-func (pl *Planner) planScanAliased(tbl *catalog.Table, alias string, filter sql.Expr, refs map[string]map[string]bool) *PhysOp {
-	scan := pl.planScan(tbl, alias, filter, refs)
-	return scan
+// planScan plans the access path for one base table. It prices the
+// sequential scan and the best index first and builds only the operator it
+// returns. An index scan becomes index-only when the index covers scope's
+// references to the table; with PreferIndexOnly, an unfiltered scan reads
+// the first covering index instead of the table.
+func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, scope *sql.Select) *PhysOp {
+	rows := pl.est.TableRows(tbl.Name)
+	if filter == nil && pl.Opts.PreferIndexOnly {
+		for _, def := range tbl.Indexes {
+			if covers(def, tbl, alias, scope) {
+				ix := newScan(OpIndexOnlyScan, tbl, alias, nil)
+				ix.Index = def.Name
+				ix.Width = len(def.Columns) * defaultWidth
+				ix.EstRows = rows
+				ix.TotalCost = rows * (costSeqRow*0.5 + costCPUTuple)
+				return ix
+			}
+		}
+	}
+	seqCost := rows*costSeqRow + rows*costCPUTuple
+	if match := pl.est.BestIndex(tbl, filter); match != nil {
+		matchRows := math.Max(minRows, rows*match.Selectivity)
+		kind := OpIndexScan
+		idxCost := math.Log2(rows+2)*costIndexStep + matchRows*costRandomRow
+		cost := idxCost + matchRows*costCPUTuple
+		if covers(match.Index, tbl, alias, scope) {
+			kind = OpIndexOnlyScan
+			cost = math.Log2(rows+2)*costIndexStep + matchRows*(costSeqRow+costCPUTuple)
+		}
+		if pl.Opts.PreferIndexProbes && condHasProbe(match.IndexCond) || cost < seqCost {
+			ix := newScan(kind, tbl, alias, match.Residual)
+			ix.Index = match.Index.Name
+			ix.IndexCond = match.IndexCond
+			ix.EstRows = math.Max(minRows, matchRows*pl.est.Selectivity(match.Residual, tbl.Name))
+			ix.StartCost = math.Log2(rows + 2)
+			ix.TotalCost = cost
+			return ix
+		}
+	}
+	seq := newScan(OpSeqScan, tbl, alias, filter)
+	seq.EstRows = math.Max(minRows, rows*pl.est.Selectivity(filter, tbl.Name))
+	seq.TotalCost = seqCost
+	return seq
 }
 
-func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, refs map[string]map[string]bool) *PhysOp {
-	rows := pl.est.TableRows(tbl.Name)
-	schema := make([]OutCol, len(tbl.Columns))
+// newScan builds a scan of tbl under alias with the table's columns as its
+// schema.
+func newScan(kind OpKind, tbl *catalog.Table, alias string, filter sql.Expr) *PhysOp {
+	op := NewOp(kind)
+	op.Table = tbl.Name
+	op.Alias = alias
+	op.Filter = filter
+	op.Schema = make([]OutCol, len(tbl.Columns))
 	for i, c := range tbl.Columns {
-		schema[i] = OutCol{Table: alias, Name: c.Name}
+		op.Schema[i] = OutCol{Table: alias, Name: c.Name}
 	}
-	width := len(tbl.Columns) * defaultWidth
-
-	seq := NewOp(OpSeqScan)
-	seq.Table = tbl.Name
-	seq.Alias = alias
-	seq.Filter = filter
-	seq.Schema = schema
-	seq.Width = width
-	sel := pl.est.Selectivity(filter, tbl.Name)
-	seq.EstRows = math.Max(minRows, rows*sel)
-	seq.StartCost = 0
-	seq.TotalCost = rows*costSeqRow + rows*costCPUTuple
-
-	if pl.Opts.NoIndexes || filter == nil {
-		if best := pl.coveringIndexOnly(tbl, alias, refs, rows); best != nil && filter == nil && pl.Opts.PreferIndexOnly {
-			return best
-		}
-		return seq
-	}
-	match := pl.est.BestIndex(tbl, filter)
-	if match == nil {
-		return seq
-	}
-	matchRows := math.Max(minRows, rows*match.Selectivity)
-	idxCost := math.Log2(rows+2)*costIndexStep + matchRows*costRandomRow
-	ix := NewOp(OpIndexScan)
-	ix.Table = tbl.Name
-	ix.Alias = alias
-	ix.Index = match.Index.Name
-	ix.IndexCond = match.IndexCond
-	ix.Filter = match.Residual
-	ix.Schema = schema
-	ix.Width = width
-	resSel := pl.est.Selectivity(match.Residual, tbl.Name)
-	ix.EstRows = math.Max(minRows, matchRows*resSel)
-	ix.StartCost = math.Log2(rows + 2)
-	ix.TotalCost = idxCost + matchRows*costCPUTuple
-	// Covering index: all referenced columns are in the index.
-	if covers(match.Index, neededColumns(tbl, alias, refs)) {
-		ix.Kind = OpIndexOnlyScan
-		ix.TotalCost = math.Log2(rows+2)*costIndexStep + matchRows*(costSeqRow+costCPUTuple)
-	}
-	if pl.Opts.PreferIndexProbes && condHasProbe(match.IndexCond) {
-		return ix
-	}
-	if ix.TotalCost < seq.TotalCost {
-		return ix
-	}
-	return seq
+	op.Width = len(tbl.Columns) * defaultWidth
+	return op
 }
 
 // condHasProbe reports whether the index condition contains a usable probe
@@ -518,66 +509,31 @@ func condHasProbe(cond sql.Expr) bool {
 	return false
 }
 
-// neededColumns merges the alias's qualified references with unqualified
-// ("*") references that name one of the table's columns.
-func neededColumns(tbl *catalog.Table, alias string, refs map[string]map[string]bool) map[string]bool {
-	need := map[string]bool{}
-	for col := range refs[strings.ToLower(alias)] {
-		need[col] = true
-	}
-	for col := range refs["*"] {
-		if tbl.ColumnIndex(col) >= 0 {
-			need[col] = true
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	return need
-}
-
-// coveringIndexOnly builds an unconditional index-only scan when an index
-// covers every referenced column of the alias.
-func (pl *Planner) coveringIndexOnly(tbl *catalog.Table, alias string, refs map[string]map[string]bool, rows float64) *PhysOp {
-	need := neededColumns(tbl, alias, refs)
-	if need == nil {
-		return nil
-	}
-	for _, ixDef := range tbl.Indexes {
-		if !covers(ixDef, need) {
+// covers reports whether ix holds every column that scope references on
+// the table read under alias, and scope references at least one. An
+// unqualified reference in a multi-table scope counts for every table that
+// has the column.
+func covers(ix *catalog.Index, tbl *catalog.Table, alias string, scope *sql.Select) bool {
+	referenced := false
+	for a, col := range columnRefs(scope) {
+		if a == "" && tbl.ColumnIndex(col) < 0 || a != "" && !strings.EqualFold(a, alias) {
 			continue
 		}
-		schema := make([]OutCol, len(tbl.Columns))
-		for i, c := range tbl.Columns {
-			schema[i] = OutCol{Table: alias, Name: c.Name}
-		}
-		ix := NewOp(OpIndexOnlyScan)
-		ix.Table = tbl.Name
-		ix.Alias = alias
-		ix.Index = ixDef.Name
-		ix.Schema = schema
-		ix.Width = len(ixDef.Columns) * defaultWidth
-		ix.EstRows = rows
-		ix.TotalCost = rows * (costSeqRow*0.5 + costCPUTuple)
-		return ix
-	}
-	return nil
-}
-
-func covers(ix *catalog.Index, need map[string]bool) bool {
-	if need == nil || len(need) == 0 {
-		return false
-	}
-	have := map[string]bool{}
-	for _, c := range ix.Columns {
-		have[strings.ToLower(c)] = true
-	}
-	for col := range need {
-		if !have[col] {
+		if !indexHas(ix, col) {
 			return false
 		}
+		referenced = true
 	}
-	return true
+	return referenced
+}
+
+func indexHas(ix *catalog.Index, col string) bool {
+	for _, c := range ix.Columns {
+		if strings.EqualFold(c, col) {
+			return true
+		}
+	}
+	return false
 }
 
 // planJoin selects a join algorithm for one JoinRef.
@@ -826,7 +782,7 @@ func (pl *Planner) planProject(core *sql.SelectCore, input *PhysOp) (*PhysOp, er
 	proj.EstRows = input.EstRows
 	proj.StartCost = input.StartCost
 	proj.TotalCost = input.TotalCost + input.EstRows*costCPUTuple
-	if err := pl.planSubqueriesIn(proj, exprs, input.Schema); err != nil {
+	if err := pl.planSubqueriesIn(proj, exprs); err != nil {
 		return nil, err
 	}
 	return proj, nil
@@ -866,7 +822,7 @@ func isIdentity(exprs []sql.Expr, schema []OutCol) bool {
 
 // planSubqueriesIn plans every subquery appearing in the expressions and
 // attaches the subplans to op.
-func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol) error {
+func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr) error {
 	for _, e := range exprs {
 		var err error
 		sql.WalkExpr(e, func(x sql.Expr) bool {
@@ -890,8 +846,7 @@ func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol
 					return true // already planned for this operator
 				}
 			}
-			refs := collectColumnRefs(sub)
-			plan, perr := pl.planSelect(sub, scope, refs)
+			plan, perr := pl.planSelect(sub, sub)
 			if perr != nil {
 				err = perr
 				return false
@@ -905,8 +860,6 @@ func (pl *Planner) planSubqueriesIn(op *PhysOp, exprs []sql.Expr, scope []OutCol
 	}
 	return nil
 }
-
-func exprList(es []sql.Expr) []sql.Expr { return es }
 
 // resolvesInSchema reports whether an ORDER BY key can be evaluated against
 // the given output schema: it matches a column or expression column, or
@@ -967,120 +920,100 @@ func collectAggregates(core *sql.SelectCore, orderBy []sql.OrderItem) []*sql.Fun
 	return out
 }
 
-// collectColumnRefs maps alias → set of referenced column names for the
-// whole select, used for covering-index decisions.
-func collectColumnRefs(sel *sql.Select) map[string]map[string]bool {
-	refs := map[string]map[string]bool{}
-	var visitSelect func(s *sql.Select)
-	var visitCore func(c *sql.SelectCore)
-	add := func(e sql.Expr, defaultAlias string) {
-		collectRefsFromExpr(e, refs, defaultAlias)
+// columnRefs yields (alias, column) for every column reference in sel that
+// decides covering: select items, WHERE, GROUP BY, HAVING, ORDER BY and
+// join conditions, and the references of derived tables and subqueries,
+// each resolved in its own scope. alias is the reference's qualifier, else
+// its scope's sole base table, else "": an unqualified reference in a
+// multi-table scope.
+func columnRefs(sel *sql.Select) iter.Seq2[string, string] {
+	return func(yield func(alias, column string) bool) {
+		selectRefs(sel, yield)
 	}
-	visitCore = func(c *sql.SelectCore) {
-		if c == nil {
-			return
-		}
-		// Determine the single-table default alias if the FROM clause has
-		// exactly one base table.
-		defaultAlias := soleAlias(c.From)
+}
+
+// selectRefs yields sel's references; it reports false once yield has.
+func selectRefs(s *sql.Select, yield func(alias, column string) bool) bool {
+	if s == nil {
+		return true
+	}
+	if s.Compound != nil && !(selectRefs(s.Compound.Left, yield) && selectRefs(s.Compound.Right, yield)) {
+		return false
+	}
+	sole := ""
+	if c := s.Core; c != nil {
+		sole = soleAlias(c.From)
 		for _, item := range c.Items {
-			add(item.Expr, defaultAlias)
-		}
-		add(c.Where, defaultAlias)
-		for _, g := range c.GroupBy {
-			add(g, defaultAlias)
-		}
-		add(c.Having, defaultAlias)
-		var visitFrom func(r sql.TableRef)
-		visitFrom = func(r sql.TableRef) {
-			switch t := r.(type) {
-			case *sql.JoinRef:
-				add(t.On, "")
-				visitFrom(t.Left)
-				visitFrom(t.Right)
-			case *sql.SubqueryRef:
-				visitSelect(t.Sub)
+			if !exprRefs(item.Expr, sole, yield) {
+				return false
 			}
 		}
-		visitFrom(c.From)
-	}
-	visitSelect = func(s *sql.Select) {
-		if s == nil {
-			return
+		if !exprRefs(c.Where, sole, yield) {
+			return false
 		}
-		if s.Compound != nil {
-			visitSelect(s.Compound.Left)
-			visitSelect(s.Compound.Right)
+		for _, g := range c.GroupBy {
+			if !exprRefs(g, sole, yield) {
+				return false
+			}
 		}
-		visitCore(s.Core)
-		for _, o := range s.OrderBy {
-			add(o.Expr, soleAliasOf(s))
+		if !exprRefs(c.Having, sole, yield) || !fromRefs(c.From, yield) {
+			return false
 		}
 	}
-	visitSelect(sel)
-	return refs
+	for _, o := range s.OrderBy {
+		if !exprRefs(o.Expr, sole, yield) {
+			return false
+		}
+	}
+	return true
 }
 
-func soleAliasOf(s *sql.Select) string {
-	if s.Core != nil {
-		return soleAlias(s.Core.From)
+// fromRefs yields the references of a FROM clause's join conditions and
+// derived tables.
+func fromRefs(r sql.TableRef, yield func(alias, column string) bool) bool {
+	switch t := r.(type) {
+	case *sql.JoinRef:
+		return exprRefs(t.On, "", yield) && fromRefs(t.Left, yield) && fromRefs(t.Right, yield)
+	case *sql.SubqueryRef:
+		return selectRefs(t.Sub, yield)
 	}
-	return ""
+	return true
 }
 
+// exprRefs yields e's references, unqualified ones under sole, and those
+// of the subqueries inside it.
+func exprRefs(e sql.Expr, sole string, yield func(alias, column string) bool) bool {
+	ok := true
+	sql.WalkExpr(e, func(x sql.Expr) bool {
+		if !ok {
+			return false
+		}
+		switch t := x.(type) {
+		case *sql.ColumnRef:
+			alias := t.Table
+			if alias == "" {
+				alias = sole
+			}
+			ok = yield(alias, t.Name)
+		case *sql.ScalarSubquery:
+			ok = selectRefs(t.Sub, yield)
+		case *sql.InSubquery:
+			ok = selectRefs(t.Sub, yield)
+		case *sql.Exists:
+			ok = selectRefs(t.Sub, yield)
+		}
+		return ok
+	})
+	return ok
+}
+
+// soleAlias is the alias of a FROM clause that is one base table, or "".
 func soleAlias(r sql.TableRef) string {
 	if bt, ok := r.(*sql.BaseTable); ok {
 		if bt.Alias != "" {
-			return strings.ToLower(bt.Alias)
+			return bt.Alias
 		}
-		return strings.ToLower(bt.Name)
+		return bt.Name
 	}
 	return ""
-}
-
-func collectRefsFromExpr(e sql.Expr, refs map[string]map[string]bool, defaultAlias string) {
-	sql.WalkExpr(e, func(x sql.Expr) bool {
-		switch t := x.(type) {
-		case *sql.ColumnRef:
-			alias := strings.ToLower(t.Table)
-			if alias == "" {
-				alias = defaultAlias
-			}
-			if alias == "" {
-				// Unqualified reference in a multi-table scope: record it
-				// under the wildcard alias; covering-index checks attribute
-				// it to every table that has such a column.
-				alias = "*"
-			}
-			m := refs[alias]
-			if m == nil {
-				m = map[string]bool{}
-				refs[alias] = m
-			}
-			m[strings.ToLower(t.Name)] = true
-		case *sql.ScalarSubquery:
-			inner := collectColumnRefs(t.Sub)
-			mergeRefs(refs, inner)
-		case *sql.InSubquery:
-			inner := collectColumnRefs(t.Sub)
-			mergeRefs(refs, inner)
-		case *sql.Exists:
-			inner := collectColumnRefs(t.Sub)
-			mergeRefs(refs, inner)
-		}
-		return true
-	})
-}
-
-func mergeRefs(dst, src map[string]map[string]bool) {
-	for alias, cols := range src {
-		m := dst[alias]
-		if m == nil {
-			m = map[string]bool{}
-			dst[alias] = m
-		}
-		for c := range cols {
-			m[c] = true
-		}
-	}
 }
