@@ -48,9 +48,9 @@ func TestCampaignGoldenDigest(t *testing.T) {
 		opts   Options
 		digest string
 	}{
-		{"default/seed1", seeded(1), "afd989c33af73ac01fce5a7f9b9e03199714e2987b99764f4cf156dd0e76fd4a"},
+		{"default/seed1", seeded(1), "64d6937eeccb9e50608b75fa25ea13c88613ed6df889631678cc171c65f0d40e"},
 		{"default/seed2", seeded(2), "0b412efc7f99576aed1f57667469406c577eb8a6abd5db4c8c4213869f900357"},
-		{"default/seed3", seeded(3), "4241be4b209a3f37e613af3f1809a5ec050a99ea9694a6f0c6c4c617cca92ab1"},
+		{"default/seed3", seeded(3), "2182dc2eb1fca64922df1b399f3b49088627b00ece673d4f0d754dcb19343515"},
 		{"injected/seed3", testOptions(1), "59c0bf4293365e1d557e7b345cd8bfbba2ad0609f1c1df389d283dbae631da57"},
 	} {
 		res, err := Run(tc.opts)

@@ -213,27 +213,27 @@ var indexedGoldenDigests = map[string]string{
 	"influxdb/TEXT":    "f4d9bd49c42eb0d8f98f193a27407ec21975c702161d8b696d0695cafcac6d21",
 	"mongodb/GRAPH":    "b14a96d8e83a8208a1bd91cdecad5a683ec1206b6b37ae341bb34808217fa43c",
 	"mongodb/JSON":     "6df7f6701dc7477b84f565275fe2f92cdbe002e1e7e31c66ed4114fac53770bb",
-	"mysql/GRAPH":      "e08fbb774418b65d435340cf1e993f862ae27416e69d75ed6cbbdac3aae16850",
-	"mysql/JSON":       "213e2b95f522c4e89d727e45bbaaba0dc81f8ea3d16dab1793c05216fbcdb7e7",
-	"mysql/TEXT":       "b1b8aaeaaee928c7d9b3993c36e3a8fe75d5560420ac2a18e467a60b3082d5fe",
-	"neo4j/GRAPH":      "94a6e5b0446554c04b917b459c7f38244fd64a990737b48347e54631dddd07a2",
-	"neo4j/JSON":       "f4f00f7cdb81cb70e925d6f935b8c438ca9e6f0890d25ba365d09e8528708277",
-	"neo4j/TEXT":       "32a108d804cb9e680c8133ea7d90ea3f83a05aeb65bb436533bf4ddae38a7820",
-	"postgresql/GRAPH": "c13ff2e777499d47ab8eb6acc1750837eb42479566a4817e0f6cf0583ba973f1",
-	"postgresql/JSON":  "15430c30414d50cd8f185115ce911fda43a720a17c218baba50554ee64333dc7",
-	"postgresql/TEXT":  "dbe2689cda48cf782bd728d9385c032c5ff50099c73e5637ac4a9a3ab9436b10",
-	"postgresql/XML":   "1f85f8f94160f2b4624fe3398bf3fd18edb7b73a5f30546206d0047e4ac5555f",
-	"postgresql/YAML":  "66eed776938c318c7256ffffad32002aabc3dec24ca416a98efd9b322f1dc1ca",
+	"mysql/GRAPH":      "e412f917bf74852b64c416625ee8486b734bbbdec1ab377914ae4f0caf9658ac",
+	"mysql/JSON":       "172e7d0a804d84437bd4dc68539c0f88e27dfe90223267a1686e8a9b280f5ad0",
+	"mysql/TEXT":       "dd997e59d345915edc619b5edf2c3405c5c741fc2eb2f2f077e278141fdac44b",
+	"neo4j/GRAPH":      "7c36baed46f643202787e3ca3dc349b2c49609ac293324b6837d2ea468336de9",
+	"neo4j/JSON":       "b76d437100cefd97a3c437f14f992fd1584fb81e6ebb9d765e7b7f910af4f929",
+	"neo4j/TEXT":       "ee1210ae5928944738e16676c50884e26e5a9bce2bb49c65045a96e04fcd0089",
+	"postgresql/GRAPH": "9cae604ab9729ac99e00ebff453c7bcaea3042d6838d162333ed7ac8fd479c2b",
+	"postgresql/JSON":  "cd889e8d6297bb95ba8f4e91d517ffc57224157a1b2ed0154ee09fe356d8b779",
+	"postgresql/TEXT":  "9ae60162bd6a6697bedbd35c45a0101006b1dcacc635d901506e7085fd9b6e95",
+	"postgresql/XML":   "978b2c2ff0afc75786bd23e29fc87a7521d5995a49924d2396233b18f0984a22",
+	"postgresql/YAML":  "adf5e215315c7605ebb1b6ffe4a935d63ffe1674bec25ba46cb6ddff2ab30716",
 	"sparksql/GRAPH":   "8fd70f06fee40fd002b506b411c80d5d26edd3cbb40651eeadc4b3b5d97aef0a",
-	"sparksql/TEXT":    "be3aadf9e5974a8ee0d4c02c10e408bc0f70675e5e938b6997d5acba1d18a107",
-	"sqlite/TEXT":      "5f354cf1d0c8e285ef01148350b4ad814955b824e51537e91a48c484384b2db6",
-	"sqlserver/GRAPH":  "75e48ed6d7986ff09bb5572e72633e65f97ba58061b3dce192f116ba78f3edb6",
-	"sqlserver/TABLE":  "ebbb411605442f5f37c4da105961eacf3289713c0b98c0d40b3b0f489499a44c",
-	"sqlserver/TEXT":   "79a44132e6ad88d887b40dc1e8244fbd29e95452a5f301ca4467d770a4adbaa7",
-	"sqlserver/XML":    "2ce5b3665bf23c3396439ec2d4db7fa1db8b2551ace523685d39a7b99c2b3d4b",
-	"tidb/GRAPH":       "00ce651dc3e5d2619c51ba8139408af98586539d5fe35f9a022a2f97374446c8",
-	"tidb/JSON":        "ec114bc4cfea38f411b9eb3526879fcd2a8fd3ce120b4b4a2e8e24d31fe48ac0",
-	"tidb/TABLE":       "6408079c51388c01a391be88c64aa14e3efaa2b24cb00654b824f64524385f74",
+	"sparksql/TEXT":    "08dc760051fc7b6f056abc37128d7ca61128796f7fa98c7ef9e7697fc30088ea",
+	"sqlite/TEXT":      "f490a095ceaa8d629651acb14aa46a501569520512e0c545fd5e50ca83c173a5",
+	"sqlserver/GRAPH":  "9f4ad189cdf65aacc4d4241696a045507053b4d87e6ae9bc2625b86371f19a01",
+	"sqlserver/TABLE":  "9222b6bc225bca49cc4bb37fe2bda7a619621f071c79f62e4956fe2306aadead",
+	"sqlserver/TEXT":   "4dd0a362473d93896e07cd314e0e4bd7c84e1bf9b43ec658dca5ea9d17986019",
+	"sqlserver/XML":    "f6b883b29fdf6656ce70c3ba7645fb8279130456b354fca87776dc1c44863c81",
+	"tidb/GRAPH":       "b841b7cec987526fb283d10efb84aefd84cdda89e161481c87f081a260b2696b",
+	"tidb/JSON":        "263c8ee587e53c520012b44400454aa7940d71f22f9769f5f69fb82a830f9ce3",
+	"tidb/TABLE":       "25ff4c4a4841e4d3f6d56ff29069f7fb44bcc2bbbaf6f5374dd70750217f45f0",
 }
 
 // TestExplainIndexedGoldenDigest pins every engine's EXPLAIN output, one

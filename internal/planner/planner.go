@@ -463,7 +463,7 @@ func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, s
 			ix.Index = match.Index.Name
 			ix.IndexCond = match.IndexCond
 			ix.EstRows = math.Max(minRows, matchRows*pl.est.Selectivity(match.Residual, tbl.Name))
-			ix.StartCost = math.Log2(rows + 2)
+			ix.StartCost = math.Log2(rows+2) * costIndexStep
 			ix.TotalCost = cost
 			return ix
 		}
@@ -512,14 +512,23 @@ func condHasProbe(cond sql.Expr) bool {
 // covers reports whether ix holds every column that scope references on
 // the table read under alias, and scope references at least one. An
 // unqualified reference in a multi-table scope counts for every table that
-// has the column.
+// has the column; a star that matches the alias references all of them.
 func covers(ix *catalog.Index, tbl *catalog.Table, alias string, scope *sql.Select) bool {
 	referenced := false
 	for a, col := range columnRefs(scope) {
-		if a == "" && tbl.ColumnIndex(col) < 0 || a != "" && !strings.EqualFold(a, alias) {
+		if a != "" && !strings.EqualFold(a, alias) {
 			continue
 		}
-		if !indexHas(ix, col) {
+		switch {
+		case col == "*":
+			for _, c := range tbl.Columns {
+				if !indexHas(ix, c.Name) {
+					return false
+				}
+			}
+		case a == "" && tbl.ColumnIndex(col) < 0:
+			continue
+		case !indexHas(ix, col):
 			return false
 		}
 		referenced = true
@@ -925,7 +934,7 @@ func collectAggregates(core *sql.SelectCore, orderBy []sql.OrderItem) []*sql.Fun
 // join conditions, and the references of derived tables and subqueries,
 // each resolved in its own scope. alias is the reference's qualifier, else
 // its scope's sole base table, else "": an unqualified reference in a
-// multi-table scope.
+// multi-table scope. A star (* or t.*) yields the column "*".
 func columnRefs(sel *sql.Select) iter.Seq2[string, string] {
 	return func(yield func(alias, column string) bool) {
 		selectRefs(sel, yield)
@@ -990,11 +999,9 @@ func exprRefs(e sql.Expr, sole string, yield func(alias, column string) bool) bo
 		}
 		switch t := x.(type) {
 		case *sql.ColumnRef:
-			alias := t.Table
-			if alias == "" {
-				alias = sole
-			}
-			ok = yield(alias, t.Name)
+			ok = yield(qualifier(t.Table, sole), t.Name)
+		case *sql.Star:
+			ok = yield(qualifier(t.Table, sole), "*")
 		case *sql.ScalarSubquery:
 			ok = selectRefs(t.Sub, yield)
 		case *sql.InSubquery:
@@ -1005,6 +1012,14 @@ func exprRefs(e sql.Expr, sole string, yield func(alias, column string) bool) bo
 		return ok
 	})
 	return ok
+}
+
+// qualifier is table, or sole for an unqualified reference.
+func qualifier(table, sole string) string {
+	if table != "" {
+		return table
+	}
+	return sole
 }
 
 // soleAlias is the alias of a FROM clause that is one base table, or "".
