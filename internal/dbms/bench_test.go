@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"uplan/internal/dbms"
+	"uplan/internal/planner"
+	"uplan/internal/sql"
 )
 
 // statementWorkload loads seed 1's generated schema into a PostgreSQL
@@ -50,14 +52,49 @@ func BenchmarkEngineStatement(b *testing.B) {
 	})
 }
 
+// BenchmarkPlan measures planning alone: every engine's planner over the
+// statements of seed 1's indexed workload that plan without error, each
+// parsed once. One op plans one statement; the workload reaches
+// sequential, index and index-only scans.
+func BenchmarkPlan(b *testing.B) {
+	type job struct {
+		pl   *planner.Planner
+		stmt sql.Statement
+	}
+	var jobs []job
+	for _, name := range dbms.Names() {
+		e := dbms.MustNew(name)
+		pl := planner.New(e.DB.Schema, e.Opts)
+		for _, q := range indexedWorkload(b, e, 1) {
+			stmt, err := sql.Parse(q)
+			if err != nil {
+				continue
+			}
+			if _, err := pl.Plan(stmt); err == nil {
+				jobs = append(jobs, job{pl, stmt})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%len(jobs)]
+		if _, err := j.pl.Plan(j.stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // tlpCheckAllocBudget bounds the heap allocations of one TLP check's four
 // Execute calls in TestEngineStatementAllocs. Measured on go1.24
-// linux/amd64: 97, and 99-100 under the race detector, which makes
-// sync.Pool drop a share of the token slices it is handed. It was 173
-// before SELECT * projections handed their input through, plain runs
-// stopped recording operator statistics and Parse pooled its tokens.
-// The budget leaves about 20% headroom for toolchain drift.
-const tlpCheckAllocBudget = 120
+// linux/amd64: 80, and 83 under the race detector, which makes sync.Pool
+// drop a share of the token slices it is handed. It was 173 before
+// SELECT * projections handed their input through, plain runs stopped
+// recording operator statistics and Parse pooled its tokens, and 97
+// before the covering-index check stopped building column maps for
+// every statement. The budget leaves about 20% headroom for toolchain
+// drift.
+const tlpCheckAllocBudget = 100
 
 // TestEngineStatementAllocs guards the per-statement allocation work of
 // the TLP-shaped Execute path against regressions.

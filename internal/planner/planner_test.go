@@ -294,3 +294,104 @@ func TestBestIndex(t *testing.T) {
 		t.Error("no index on c1")
 	}
 }
+
+// coverSchema has t0 (c0 primary key, c1, c2) with indexes t0_pkey (c0)
+// and t0_c1_c0 (c1, c0), t1 (c0, v) with t1_c0 (c0), and t2 (a, b) with
+// t2_a_b (a, b), an index that holds the whole table.
+func coverSchema(t *testing.T) *catalog.Schema {
+	t.Helper()
+	s := catalog.NewSchema()
+	tables := []*catalog.Table{
+		{Name: "t0", Columns: []catalog.Column{
+			{Name: "c0", Type: catalog.TInt, PrimaryKey: true},
+			{Name: "c1", Type: catalog.TInt},
+			{Name: "c2", Type: catalog.TText},
+		}, Indexes: []*catalog.Index{
+			{Name: "t0_pkey", Table: "t0", Columns: []string{"c0"}, Unique: true, Primary: true},
+			{Name: "t0_c1_c0", Table: "t0", Columns: []string{"c1", "c0"}},
+		}},
+		{Name: "t1", Columns: []catalog.Column{
+			{Name: "c0", Type: catalog.TInt},
+			{Name: "v", Type: catalog.TText},
+		}, Indexes: []*catalog.Index{
+			{Name: "t1_c0", Table: "t1", Columns: []string{"c0"}},
+		}},
+		{Name: "t2", Columns: []catalog.Column{
+			{Name: "a", Type: catalog.TInt},
+			{Name: "b", Type: catalog.TInt},
+		}, Indexes: []*catalog.Index{
+			{Name: "t2_a_b", Table: "t2", Columns: []string{"a", "b"}},
+		}},
+	}
+	for _, tbl := range tables {
+		if err := s.AddTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		s.SetStats(tbl.Name, &catalog.TableStats{RowCount: 1000})
+	}
+	return s
+}
+
+// TestCoveringIndexDecision pins which scans are index-only: the index
+// must hold every column the scan's scope references on its table.
+// PreferIndexProbes makes every probe use its index, so the scan kind
+// shows the covering decision alone.
+func TestCoveringIndexDecision(t *testing.T) {
+	probes := Options{PreferIndexProbes: true}
+	indexOnly := Options{PreferIndexOnly: true}
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		query string
+		alias string // the scanned table's alias
+		kind  OpKind
+		index string
+	}{
+		{"qualified, covered", probes, "SELECT t0.c0 FROM t0 WHERE t0.c1 = 5", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"qualified, not covered", probes, "SELECT t0.c2 FROM t0 WHERE t0.c1 = 5", "t0", OpIndexScan, "t0_c1_c0"},
+		{"alias", probes, "SELECT x.c0 FROM t0 AS x WHERE x.c1 = 5 ORDER BY x.c1", "x", OpIndexOnlyScan, "t0_c1_c0"},
+		{"ORDER BY counts", probes, "SELECT c0 FROM t0 WHERE c1 = 5 ORDER BY c2", "t0", OpIndexScan, "t0_c1_c0"},
+		{"unqualified in a join, other table's column", probes,
+			"SELECT v FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 WHERE t0.c1 = 5", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"unqualified in a join, this table's column", probes,
+			"SELECT c2 FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 WHERE t0.c1 = 5", "t0", OpIndexScan, "t0_c1_c0"},
+		{"WHERE subquery counts for the outer scope", probes,
+			"SELECT t0.c0 FROM t0 WHERE t0.c1 = 5 AND EXISTS (SELECT 1 FROM t1 WHERE t1.v = t0.c2)", "t0", OpIndexScan, "t0_c1_c0"},
+		{"WHERE subquery without outer references", probes,
+			"SELECT t0.c0 FROM t0 WHERE t0.c1 = 5 AND EXISTS (SELECT 1 FROM t1 WHERE t1.v = 'a')", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"subquery scope", probes,
+			"SELECT c2 FROM t0 WHERE c1 IN (SELECT c0 FROM t1 WHERE c0 = 3)", "t1", OpIndexOnlyScan, "t1_c0"},
+		{"derived table, covered", probes,
+			"SELECT s.c0 FROM (SELECT c0, c1 FROM t0 WHERE c1 = 5) AS s", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"derived table, not covered", probes,
+			"SELECT s.c0 FROM (SELECT c0, c2 FROM t0 WHERE c1 = 5) AS s", "t0", OpIndexScan, "t0_c1_c0"},
+		{"UPDATE: only WHERE counts", probes, "UPDATE t0 SET c2 = 'x' WHERE c1 = 5", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"DELETE: WHERE not covered", probes, "DELETE FROM t0 WHERE c1 = 5 AND c2 = 'a'", "t0", OpIndexScan, "t0_c1_c0"},
+		{"no references", indexOnly, "SELECT 1 FROM t0", "t0", OpSeqScan, ""},
+		{"no references, aggregate", indexOnly, "SELECT COUNT(*) FROM t0", "t0", OpSeqScan, ""},
+		{"PreferIndexOnly: first covering index", indexOnly, "SELECT c0 FROM t0", "t0", OpIndexOnlyScan, "t0_pkey"},
+		{"PreferIndexOnly: two-column index", indexOnly, "SELECT c1, c0 FROM t0", "t0", OpIndexOnlyScan, "t0_c1_c0"},
+		{"PreferIndexOnly: nothing covers", indexOnly, "SELECT c2 FROM t0", "t0", OpSeqScan, ""},
+		{"PreferIndexOnly off", Options{}, "SELECT c0 FROM t0", "t0", OpSeqScan, ""},
+		{"star", probes, "SELECT * FROM t0 WHERE c0 = 4", "t0", OpIndexScan, "t0_pkey"},
+		{"star, index holds the table", probes, "SELECT * FROM t2 WHERE a = 4", "t2", OpIndexOnlyScan, "t2_a_b"},
+		{"star in a join", probes,
+			"SELECT * FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 WHERE t1.c0 = 4", "t1", OpIndexScan, "t1_c0"},
+		{"other table's star", probes,
+			"SELECT t0.* FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 WHERE t1.c0 = 4", "t1", OpIndexOnlyScan, "t1_c0"},
+		{"own table's star", probes,
+			"SELECT t1.* FROM t0 INNER JOIN t1 ON t0.c0 = t1.c0 WHERE t1.c0 = 4", "t1", OpIndexScan, "t1_c0"},
+		{"PreferIndexOnly: star", indexOnly, "SELECT * FROM t0", "t0", OpSeqScan, ""},
+	} {
+		p := mustPlan(t, New(coverSchema(t), tc.opts), tc.query)
+		var scan *PhysOp
+		p.Walk(func(op *PhysOp, _ int) {
+			if op.Table != "" && op.Alias == tc.alias && scan == nil {
+				scan = op
+			}
+		})
+		if scan == nil || scan.Kind != tc.kind || scan.Index != tc.index {
+			t.Errorf("%s: %s: want %s using %q, plan:\n%s", tc.name, tc.query, tc.kind, tc.index, p)
+		}
+	}
+}
