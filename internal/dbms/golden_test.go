@@ -159,16 +159,11 @@ var goldenDigests = map[string]string{
 // queries of seeds 1-5 and the 22 TPC-H queries at seed 42. A new digest
 // means some engine's EXPLAIN output changed.
 func TestExplainGoldenDigest(t *testing.T) {
-	hashes := map[string]hash.Hash{}
+	hashes := digests{}
 	explainAll := func(e *dbms.Engine, label string, q string) {
 		for _, f := range e.SupportedFormats() {
 			for _, analyze := range []bool{false, true} {
-				key := fmt.Sprintf("%s/%s/%s", e.Info.Name, f, map[bool]string{false: "EXPLAIN", true: "ANALYZE"}[analyze])
-				h := hashes[key]
-				if h == nil {
-					h = sha256.New()
-					hashes[key] = h
-				}
+				h := hashes.of(fmt.Sprintf("%s/%s/%s", e.Info.Name, f, map[bool]string{false: "EXPLAIN", true: "ANALYZE"}[analyze]))
 				out, err := dbms.ExplainTimeless(e, q, f, analyze)
 				if err != nil {
 					fmt.Fprintf(h, "%s error %v\n", label, err)
@@ -190,21 +185,7 @@ func TestExplainGoldenDigest(t *testing.T) {
 			explainAll(e, fmt.Sprintf("tpch/q%d", i+1), q)
 		}
 	}
-	var keys []string
-	for k := range hashes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var diff strings.Builder
-	for _, k := range keys {
-		got := hex.EncodeToString(hashes[k].Sum(nil))
-		if got != goldenDigests[k] {
-			fmt.Fprintf(&diff, "\t%q: %q,\n", k, got)
-		}
-	}
-	if len(hashes) != len(goldenDigests) || diff.Len() > 0 {
-		t.Errorf("%d digests (want %d); changed:\n%s", len(hashes), len(goldenDigests), diff.String())
-	}
+	hashes.check(t, goldenDigests)
 }
 
 // indexedGoldenDigests pins TestExplainIndexedGoldenDigest: engine/format
@@ -241,16 +222,11 @@ var indexedGoldenDigests = map[string]string{
 // seeds 1-5: the access paths (index, index-only and sequential scans)
 // the golden workload's index-less tables never reach.
 func TestExplainIndexedGoldenDigest(t *testing.T) {
-	hashes := map[string]hash.Hash{}
+	hashes := digests{}
 	for _, name := range dbms.Names() {
 		forIndexed(t, name, func(e *dbms.Engine, seed int64, i int, q string) {
 			for _, f := range e.SupportedFormats() {
-				key := e.Info.Name + "/" + string(f)
-				h := hashes[key]
-				if h == nil {
-					h = sha256.New()
-					hashes[key] = h
-				}
+				h := hashes.of(e.Info.Name + "/" + string(f))
 				out, err := e.Explain(q, f)
 				if err != nil {
 					fmt.Fprintf(h, "seed%d/s%d error %v\n", seed, i, err)
@@ -260,19 +236,38 @@ func TestExplainIndexedGoldenDigest(t *testing.T) {
 			}
 		})
 	}
-	var keys []string
-	for k := range hashes {
-		keys = append(keys, k)
+	hashes.check(t, indexedGoldenDigests)
+}
+
+// digests holds one SHA-256 per output path.
+type digests map[string]hash.Hash
+
+// of returns path's hash, starting it on first use.
+func (d digests) of(path string) hash.Hash {
+	h := d[path]
+	if h == nil {
+		h = sha256.New()
+		d[path] = h
 	}
-	sort.Strings(keys)
+	return h
+}
+
+// check reports a path count other than want's, and every path whose
+// digest differs from want, written as a want entry.
+func (d digests) check(t *testing.T, want map[string]string) {
+	t.Helper()
+	var paths []string
+	for k := range d {
+		paths = append(paths, k)
+	}
+	sort.Strings(paths)
 	var diff strings.Builder
-	for _, k := range keys {
-		got := hex.EncodeToString(hashes[k].Sum(nil))
-		if got != indexedGoldenDigests[k] {
+	for _, k := range paths {
+		if got := hex.EncodeToString(d[k].Sum(nil)); got != want[k] {
 			fmt.Fprintf(&diff, "\t%q: %q,\n", k, got)
 		}
 	}
-	if len(hashes) != len(indexedGoldenDigests) || diff.Len() > 0 {
-		t.Errorf("%d digests (want %d); changed:\n%s", len(hashes), len(indexedGoldenDigests), diff.String())
+	if len(d) != len(want) || diff.Len() > 0 {
+		t.Errorf("%d digests (want %d); changed:\n%s", len(d), len(want), diff.String())
 	}
 }

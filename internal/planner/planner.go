@@ -451,19 +451,17 @@ func (pl *Planner) planScan(tbl *catalog.Table, alias string, filter sql.Expr, s
 	seqCost := rows*costSeqRow + rows*costCPUTuple
 	if match := pl.est.BestIndex(tbl, filter); match != nil {
 		matchRows := math.Max(minRows, rows*match.Selectivity)
-		kind := OpIndexScan
-		idxCost := math.Log2(rows+2)*costIndexStep + matchRows*costRandomRow
-		cost := idxCost + matchRows*costCPUTuple
+		descent := math.Log2(rows+2) * costIndexStep
+		kind, cost := OpIndexScan, descent+matchRows*costRandomRow+matchRows*costCPUTuple
 		if covers(match.Index, tbl, alias, scope) {
-			kind = OpIndexOnlyScan
-			cost = math.Log2(rows+2)*costIndexStep + matchRows*(costSeqRow+costCPUTuple)
+			kind, cost = OpIndexOnlyScan, descent+matchRows*(costSeqRow+costCPUTuple)
 		}
 		if pl.Opts.PreferIndexProbes && condHasProbe(match.IndexCond) || cost < seqCost {
 			ix := newScan(kind, tbl, alias, match.Residual)
 			ix.Index = match.Index.Name
 			ix.IndexCond = match.IndexCond
 			ix.EstRows = math.Max(minRows, matchRows*pl.est.Selectivity(match.Residual, tbl.Name))
-			ix.StartCost = math.Log2(rows+2) * costIndexStep
+			ix.StartCost = descent
 			ix.TotalCost = cost
 			return ix
 		}
