@@ -1,7 +1,8 @@
 // Command uplan-fuzz runs the paper's Table V campaign: QPG and CERT —
 // both implemented once, DBMS-agnostically, over the unified plan
 // representation — hunt the 17 injected defects in the simulated MySQL,
-// PostgreSQL, and TiDB engines.
+// PostgreSQL, and TiDB engines. Each bug is a one-task campaign run
+// (bugs.RunOne) with the defect injected, stopped at its first finding.
 //
 // Usage:
 //

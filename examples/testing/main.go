@@ -1,7 +1,9 @@
 // Testing: the paper's Figure 2 architecture — QPG and CERT implemented
-// once, DBMS-agnostically over the unified plan representation, applied to
-// three engines. This example injects one known defect per engine and
-// shows the testers rediscovering them.
+// once, DBMS-agnostically over the unified plan representation, and run
+// by one campaign runner against any engine. This example hunts the
+// paper's Listing 3 bug over a fixed seed range, runs QPG for plan
+// coverage on a pristine engine, and lets CERT flag an injected
+// estimator defect.
 package main
 
 import (
@@ -9,72 +11,69 @@ import (
 	"log"
 
 	"uplan/internal/bugs"
-	"uplan/internal/cert"
+	"uplan/internal/campaign"
 	"uplan/internal/dbms"
-	"uplan/internal/qpg"
-	"uplan/internal/sqlancer"
 )
 
 func main() {
-	// Part 1: QPG hunts the paper's Listing 3 bug (MySQL #113302): an
-	// index lookup that truncates decimal probe values.
-	fmt.Println("== QPG over UPlan: hunting MySQL #113302 (Listing 3) ==")
+	// Part 1: QPG hunts the paper's Listing 3 bug (MySQL #113302), an
+	// index lookup that truncates decimal probe values, over seeds 1-10.
+	fmt.Println("== QPG over UPlan: hunting MySQL #113302 (Listing 3), seeds 1-10 ==")
 	var listing3 bugs.Bug
 	for _, b := range bugs.TableV {
 		if b.ID == "113302" {
 			listing3 = b
 		}
 	}
-	res, err := bugs.RunOne(listing3, 3, 400)
-	if err != nil {
-		log.Fatal(err)
+	found := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		res, err := bugs.RunOne(listing3, seed, 350)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !res.Found {
+			fmt.Printf("seed %2d: missed in %d queries\n", seed, res.QueriesRun)
+			continue
+		}
+		found++
+		fmt.Printf("seed %2d: found after %d queries\n", seed, res.QueriesRun)
+		if found == 1 {
+			fmt.Printf("         evidence: %s\n", res.Evidence)
+		}
 	}
-	fmt.Printf("rediscovered: %v\n", res.Found)
-	if res.Found {
-		fmt.Printf("evidence: %s\n", res.Evidence)
-	}
+	fmt.Printf("rediscovered on %d of 10 seeds\n", found)
 
 	// Part 2: the same QPG code drives a coverage campaign on a pristine
 	// TiDB engine — no findings, but plan-guided exploration.
 	fmt.Println("\n== QPG coverage on a pristine TiDB engine ==")
-	e := dbms.MustNew("tidb")
-	opts := qpg.DefaultOptions()
+	opts := campaign.DefaultOptions()
+	opts.Engines = []string{"tidb"}
+	opts.Oracles = []campaign.Oracle{campaign.OracleQPG}
 	opts.Queries = 150
-	c, err := qpg.New(e, opts)
+	res, err := campaign.Run(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := c.Setup(2, 12); err != nil {
-		log.Fatal(err)
-	}
-	findings := c.Run(opts)
+	es := res.Stats.Engines["tidb"]
 	fmt.Printf("queries: %d, distinct unified plans: %d, mutations: %d, findings: %d\n",
-		opts.Queries, c.Plans.Size(), c.Mutations, len(findings))
+		es.Queries, es.DistinctPlans, es.Mutations, es.Findings)
 
 	// Part 3: CERT reads cardinality estimates through the unified plan
 	// and flags a restriction that increased the estimate.
 	fmt.Println("\n== CERT over UPlan: estimate monotonicity on PostgreSQL ==")
-	pg := dbms.MustNew("postgresql")
-	pg.Opts.Quirks.PredicateInflatesEstimate = 800 // injected defect
-	gen := sqlancer.New(5)
-	for _, stmt := range gen.SchemaSQL(2, 30) {
-		if _, err := pg.Execute(stmt); err != nil {
-			log.Fatal(err)
-		}
+	opts = campaign.DefaultOptions()
+	opts.Engines = []string{"postgresql"}
+	opts.Oracles = []campaign.Oracle{campaign.OracleCERT}
+	opts.Inject = func(e *dbms.Engine) {
+		e.Opts.Quirks.PredicateInflatesEstimate = 800 // injected defect
 	}
-	if err := pg.Analyze(); err != nil {
-		log.Fatal(err)
-	}
-	checker, err := cert.New(pg)
+	res, err = campaign.Run(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	violations, err := checker.Run(gen, 100)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checked %d pairs, %d violations\n", checker.Checked, len(violations))
-	if len(violations) > 0 {
-		fmt.Println("first violation:", violations[0])
+	fmt.Printf("checked %d pairs, %d violations\n",
+		res.Stats.Oracles[campaign.OracleCERT].Checks, len(res.Findings))
+	if len(res.Findings) > 0 {
+		fmt.Println("first violation:", res.Findings[0])
 	}
 }

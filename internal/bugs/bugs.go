@@ -10,12 +10,11 @@ package bugs
 
 import (
 	"fmt"
+	"strings"
 
-	"uplan/internal/cert"
+	"uplan/internal/campaign"
 	"uplan/internal/dbms"
 	"uplan/internal/planner"
-	"uplan/internal/qpg"
-	"uplan/internal/sqlancer"
 )
 
 // Bug is one Table V entry.
@@ -134,7 +133,9 @@ type CampaignResult struct {
 	Bug      Bug
 	Found    bool
 	Evidence string
-	// QueriesRun is how many generated inputs were needed.
+	// QueriesRun is how many generated queries the task processed: the
+	// queries to the first finding when the bug was found, the whole
+	// budget otherwise.
 	QueriesRun int
 }
 
@@ -154,64 +155,27 @@ func RunTableV(seed int64, queryBudget int) ([]CampaignResult, error) {
 	return results, nil
 }
 
-// RunOne hunts a single injected bug.
+// RunOne hunts a single injected bug: a one-task campaign of the oracle
+// that found it, on its DBMS with the defect injected, stopped at the
+// first finding. A bug whose Apply is nil runs the same task on a
+// pristine engine, the control for the injected run.
 func RunOne(bug Bug, seed int64, queryBudget int) (CampaignResult, error) {
-	e, err := dbms.New(bug.DBMS)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	bug.Apply(e)
-	switch bug.FoundBy {
-	case "CERT":
-		return runCERT(bug, e, seed, queryBudget)
-	default:
-		return runQPG(bug, e, seed, queryBudget)
-	}
-}
-
-func runQPG(bug Bug, e *dbms.Engine, seed int64, budget int) (CampaignResult, error) {
-	opts := qpg.DefaultOptions()
+	opts := campaign.DefaultOptions()
+	opts.Engines = []string{bug.DBMS}
+	opts.Oracles = []campaign.Oracle{strings.ToLower(bug.FoundBy)}
+	opts.Queries = queryBudget
 	opts.Seed = seed
-	opts.Queries = budget
 	opts.MaxFindings = 1
-	c, err := qpg.New(e, opts)
+	opts.Workers = 1
+	opts.Inject = bug.Apply
+	res, err := campaign.Run(opts)
 	if err != nil {
 		return CampaignResult{}, err
 	}
-	if err := c.Setup(2, 12); err != nil {
-		return CampaignResult{}, err
+	out := CampaignResult{Bug: bug, QueriesRun: res.Stats.Queries}
+	if len(res.Findings) > 0 {
+		out.Found = true
+		out.Evidence = res.Findings[0].String()
 	}
-	findings := c.Run(opts)
-	res := CampaignResult{Bug: bug, QueriesRun: c.QueriesRun}
-	if len(findings) > 0 {
-		res.Found = true
-		res.Evidence = findings[0].String()
-	}
-	return res, nil
-}
-
-func runCERT(bug Bug, e *dbms.Engine, seed int64, budget int) (CampaignResult, error) {
-	gen := sqlancer.New(seed)
-	for _, stmt := range gen.SchemaSQL(2, 30) {
-		if _, err := e.Execute(stmt); err != nil {
-			return CampaignResult{}, err
-		}
-	}
-	if err := e.Analyze(); err != nil {
-		return CampaignResult{}, err
-	}
-	checker, err := cert.New(e)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	violations, err := checker.Run(gen, budget)
-	if err != nil {
-		return CampaignResult{}, err
-	}
-	res := CampaignResult{Bug: bug, QueriesRun: checker.Checked}
-	if len(violations) > 0 {
-		res.Found = true
-		res.Evidence = violations[0].String()
-	}
-	return res, nil
+	return out, nil
 }

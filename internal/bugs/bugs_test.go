@@ -1,10 +1,14 @@
 package bugs
 
 import (
+	"errors"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
+	"uplan/internal/campaign"
 	"uplan/internal/dbms"
-	"uplan/internal/qpg"
 	"uplan/internal/tlp"
 )
 
@@ -29,59 +33,204 @@ func TestTableVShape(t *testing.T) {
 	}
 }
 
-func TestInjectedBugsAreOffByDefault(t *testing.T) {
-	// A pristine engine must pass a short campaign with zero findings.
-	for _, name := range []string{"mysql", "postgresql", "tidb"} {
-		e := dbms.MustNew(name)
-		opts := qpg.DefaultOptions()
-		opts.Queries = 60
-		opts.Seed = 7
-		c, err := qpg.New(e, opts)
-		if err != nil {
-			t.Fatal(err)
+// The Table V sweep runs every bug at seeds 1..sweepSeeds with
+// sweepBudget queries each, with the defect injected and, as the
+// control, on a pristine engine. The range and budget were fixed before
+// any measurement and must not be picked to make a bug pass.
+const (
+	sweepSeeds  = 10
+	sweepBudget = 350
+)
+
+// sweepDetections pins, per bug, on how many of the sweep's seeds the
+// campaign finds the injected defect. A change to these counts is a
+// change in what the testers find and must be explained.
+var sweepDetections = map[string]int{
+	"113302": 7, "113304": 10, "113317": 10, "114204": 10, "114217": 10,
+	"114218": 10, "114237": 10, "Email": 10, "49107": 10, "49108": 10,
+	"49109": 9, "49110": 10, "49131": 10, "51490": 10, "51523": 4,
+	"51524": 10, "51525": 10,
+}
+
+var sweep struct {
+	once              sync.Once
+	injected, control [][]CampaignResult // [bug][seed-1]
+	err               error
+}
+
+// tableVSweep runs the sweep once per test binary and shares it. Every
+// series of seeds is an independent set of one-task campaigns, so the
+// series run concurrently; the results do not depend on scheduling. A
+// control run depends only on its engine, oracle and seed, so bugs that
+// share an engine and an oracle share one control series.
+func tableVSweep(t *testing.T) (injected, control [][]CampaignResult) {
+	t.Helper()
+	sweep.once.Do(func() {
+		var (
+			mu     sync.Mutex
+			wg     sync.WaitGroup
+			series = map[string][]CampaignResult{}
+			errs   []error
+		)
+		run := func(key string, bug Bug) {
+			defer wg.Done()
+			var rs []CampaignResult
+			for seed := int64(1); seed <= sweepSeeds; seed++ {
+				r, err := RunOne(bug, seed, sweepBudget)
+				if err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+					return
+				}
+				rs = append(rs, r)
+			}
+			mu.Lock()
+			series[key] = rs
+			mu.Unlock()
 		}
-		if err := c.Setup(2, 10); err != nil {
-			t.Fatal(err)
+		controlKey := func(b Bug) string { return "control " + b.DBMS + "/" + b.FoundBy }
+		started := map[string]bool{}
+		for _, bug := range TableV {
+			wg.Add(1)
+			go run(bug.ID, bug)
+			if key := controlKey(bug); !started[key] {
+				started[key] = true
+				pristine := bug
+				pristine.Apply = nil
+				wg.Add(1)
+				go run(key, pristine)
+			}
 		}
-		findings := c.Run(opts)
-		if len(findings) != 0 {
-			t.Errorf("%s: pristine engine produced findings: %v", name, findings)
+		wg.Wait()
+		if sweep.err = errors.Join(errs...); sweep.err != nil {
+			return
 		}
-		if c.NewPlans == 0 {
-			t.Errorf("%s: QPG observed no plans", name)
+		for _, bug := range TableV {
+			sweep.injected = append(sweep.injected, series[bug.ID])
+			sweep.control = append(sweep.control, series[controlKey(bug)])
+		}
+	})
+	if sweep.err != nil {
+		t.Fatal(sweep.err)
+	}
+	return sweep.injected, sweep.control
+}
+
+// TestTableVSweep: every bug is found on at least one seed, and the
+// per-bug detection counts match the pinned ones.
+func TestTableVSweep(t *testing.T) {
+	injected, _ := tableVSweep(t)
+	total := 0
+	for i, bug := range TableV {
+		found := 0
+		var queries []int
+		for _, r := range injected[i] {
+			if r.Found {
+				found++
+				queries = append(queries, r.QueriesRun)
+			}
+		}
+		total += found
+		if found == 0 {
+			t.Errorf("%s/%s never found over seeds 1-%d (%s)", bug.DBMS, bug.ID, sweepSeeds, bug.Description)
+		}
+		if want := sweepDetections[bug.ID]; found != want {
+			t.Errorf("%s/%s found on %d/%d seeds, pinned %d", bug.DBMS, bug.ID, found, sweepSeeds, want)
+		}
+		t.Logf("%-10s %-6s %-4s found %2d/%d, median queries to first finding %d",
+			bug.DBMS, bug.ID, bug.FoundBy, found, sweepSeeds, median(queries))
+	}
+	t.Logf("sweep: %d of %d runs found their bug", total, len(TableV)*sweepSeeds)
+}
+
+// median of xs (the lower middle for an even count); 0 when empty.
+func median(xs []int) int {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]int(nil), xs...)
+	sort.Ints(s)
+	return s[(len(s)-1)/2]
+}
+
+// TestListing3CampaignFindsBug: bug 113302 is the paper's Listing 3, and
+// the sweep rediscovers it as a wrong result, through QPG on MySQL.
+func TestListing3CampaignFindsBug(t *testing.T) {
+	injected, _ := tableVSweep(t)
+	for i, bug := range TableV {
+		if bug.ID != "113302" {
+			continue
+		}
+		found := false
+		for _, r := range injected[i] {
+			if !r.Found {
+				continue
+			}
+			found = true
+			if !strings.HasPrefix(r.Evidence, "[mysql/qpg/logic]") {
+				t.Errorf("Listing 3 evidence is not a MySQL QPG logic finding: %s", r.Evidence)
+			}
+		}
+		if !found {
+			t.Fatalf("the sweep never found bug 113302")
+		}
+		return
+	}
+	t.Fatal("bug 113302 missing from Table V")
+}
+
+// TestCERTBugsFound: CERT finds each of its four bugs on every seed, as
+// an estimate finding, and stops at the first one.
+func TestCERTBugsFound(t *testing.T) {
+	injected, _ := tableVSweep(t)
+	for i, bug := range TableV {
+		if bug.FoundBy != "CERT" {
+			continue
+		}
+		for seed, r := range injected[i] {
+			if !r.Found {
+				t.Errorf("CERT did not find %s/%s at seed %d (%s)", bug.DBMS, bug.ID, seed+1, bug.Description)
+				continue
+			}
+			if !strings.HasPrefix(r.Evidence, "["+bug.DBMS+"/cert/estimate]") {
+				t.Errorf("%s/%s evidence is not a CERT estimate finding: %s", bug.DBMS, bug.ID, r.Evidence)
+			}
+			if r.QueriesRun >= sweepBudget {
+				t.Errorf("%s/%s at seed %d ran %d queries: the task must stop at its first finding",
+					bug.DBMS, bug.ID, seed+1, r.QueriesRun)
+			}
 		}
 	}
 }
 
-func TestListing3CampaignFindsBug(t *testing.T) {
-	// Bug 113302 is the paper's Listing 3; the campaign must rediscover it.
-	var bug Bug
-	for _, b := range TableV {
-		if b.ID == "113302" {
-			bug = b
+// TestInjectedBugsAreOffByDefault: the sweep's 170 control runs (50
+// distinct engine, oracle and seed combinations) find nothing; so does a QPG campaign over the three
+// Table V engines, which still observes plans on each.
+func TestInjectedBugsAreOffByDefault(t *testing.T) {
+	_, control := tableVSweep(t)
+	for i, bug := range TableV {
+		for seed, r := range control[i] {
+			if r.Found {
+				t.Errorf("control for %s/%s at seed %d found: %s", bug.DBMS, bug.ID, seed+1, r.Evidence)
+			}
 		}
 	}
-	res, err := RunOne(bug, 3, 400)
+	opts := campaign.DefaultOptions()
+	opts.Engines = []string{"mysql", "postgresql", "tidb"}
+	opts.Oracles = []campaign.Oracle{campaign.OracleQPG}
+	opts.Queries = 60
+	opts.Seed = 7
+	res, err := campaign.Run(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Found {
-		t.Fatalf("campaign did not find bug 113302")
+	if len(res.Findings) != 0 {
+		t.Errorf("pristine engines produced findings: %v", res.Findings)
 	}
-	t.Logf("evidence: %s", res.Evidence)
-}
-
-func TestCERTBugsFound(t *testing.T) {
-	for _, b := range TableV {
-		if b.FoundBy != "CERT" {
-			continue
-		}
-		res, err := RunOne(b, 5, 120)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", b.DBMS, b.ID, err)
-		}
-		if !res.Found {
-			t.Errorf("CERT did not find %s/%s (%s)", b.DBMS, b.ID, b.Description)
+	for _, name := range opts.Engines {
+		if res.Stats.Engines[name].NewPlans == 0 {
+			t.Errorf("%s: QPG observed no plans", name)
 		}
 	}
 }

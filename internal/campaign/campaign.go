@@ -311,32 +311,7 @@ func Run(opts Options) (*Result, error) {
 	res := &Result{Stats: Stats{Engines: map[string]*EngineStats{}, Oracles: map[string]*OracleStats{}}}
 	var errs []error
 	for i, d := range deltas {
-		es := res.Stats.engineStats(tasks[i].engine)
-		es.Queries += d.rep.Queries
-		es.Statements += d.statements
-		es.PlanQueries += d.rep.PlanQueries
-		es.NewPlans += d.rep.NewPlans
-		es.DistinctPlans += d.rep.DistinctPlans
-		es.Mutations += d.rep.Mutations
-		es.Checks += d.rep.Checks
-		es.Skipped += d.rep.Skipped
-		os := res.Stats.oracleStats(tasks[i].oracle)
-		os.Queries += d.rep.Queries
-		os.Statements += d.statements
-		os.PlanQueries += d.rep.PlanQueries
-		os.NewPlans += d.rep.NewPlans
-		os.DistinctPlans += d.rep.DistinctPlans
-		os.Mutations += d.rep.Mutations
-		os.Checks += d.rep.Checks
-		os.Skipped += d.rep.Skipped
-		for name, n := range d.rep.Extra {
-			if os.Extra == nil {
-				os.Extra = map[string]int{}
-			}
-			os.Extra[name] += n
-		}
-		res.Stats.Queries += d.rep.Queries
-		res.Stats.Statements += d.statements
+		res.Stats.fold(tasks[i], d)
 		if d.err != nil {
 			errs = append(errs, fmt.Errorf("campaign: %s/%s: %w", tasks[i].engine, tasks[i].oracle, d.err))
 		}

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"uplan/internal/oracle"
 )
 
 // EngineStats aggregates one engine's campaign outcomes across every
@@ -12,30 +14,17 @@ import (
 type EngineStats struct {
 	// Engine is the engine key ("postgresql", …).
 	Engine string
-	// Queries counts generated queries actually processed across the
-	// engine's oracle tasks — less than the configured budget when a task
-	// stopped early (MaxFindings reached, or a CERT task whose plan
-	// format exposes no estimates).
-	Queries int
+	// Counters sums the engine's task reports (see oracle.Counters).
+	// Queries is less than the configured budget when a task stopped
+	// early (MaxFindings reached, or a CERT task whose plan format
+	// exposes no estimates). PlanQueries, NewPlans and Mutations are
+	// QPG's share: its plan-observed queries, the plan structures it had
+	// not seen before (its coverage signal), and the database mutations
+	// it applied when coverage stalled.
+	oracle.Counters
 	// Statements counts the statements the engine instances actually
 	// executed (schema setup, oracle probes, EXPLAINs, mutations).
 	Statements int
-	// PlanQueries is the QPG share of the budget — queries whose unified
-	// plan was observed through the arena-backed conversion path.
-	PlanQueries int
-	// NewPlans counts plan structures the engine's QPG campaign had not
-	// seen before (its coverage signal).
-	NewPlans int
-	// DistinctPlans is the engine-local distinct plan structure count.
-	DistinctPlans int
-	// Mutations counts database mutations QPG applied when coverage
-	// stalled.
-	Mutations int
-	// Checks counts CERT estimate comparisons performed.
-	Checks int
-	// Skipped counts skip-worthy probes: CERT pairs the engine could not
-	// plan and TLP predicates naming columns the table lacks.
-	Skipped int
 	// Findings is how many deduplicated findings name this engine.
 	Findings int
 	// ByKind breaks Findings down by kind.
@@ -55,32 +44,21 @@ func (es *EngineStats) NewPlanRate() float64 {
 // OracleStats aggregates one oracle's campaign outcomes across every
 // engine it ran against — the transpose of EngineStats. The counter set
 // is the generic oracle.Counters vocabulary; technique-specific signals
-// land in Extra under oracle-chosen names, so the orchestrator never
-// grows per-oracle fields.
+// land in Extra under oracle-chosen names (the bounds oracle's
+// "unbounded" and "no-estimate"), so the orchestrator never grows
+// per-oracle fields.
 type OracleStats struct {
 	// Oracle is the oracle's registry name ("qpg", …).
 	Oracle string
-	// Queries counts generated queries the oracle's tasks processed.
-	Queries int
+	// Counters sums the oracle's task reports; an oracle leaves the ones
+	// it has no use for at zero.
+	oracle.Counters
 	// Statements counts statements its engine instances executed.
 	Statements int
-	// PlanQueries, NewPlans, DistinctPlans, Mutations, Checks, and Skipped
-	// mirror the generic per-task counters (see oracle.Counters); an
-	// oracle leaves the ones it has no use for at zero.
-	PlanQueries   int
-	NewPlans      int
-	DistinctPlans int
-	Mutations     int
-	Checks        int
-	Skipped       int
 	// Findings is how many deduplicated findings this oracle produced.
 	Findings int
 	// ByKind breaks Findings down by kind.
 	ByKind map[Kind]int
-	// Extra sums the oracle-owned named counters its tasks reported (the
-	// bounds oracle's "unbounded" and "no-estimate"). Nil when the oracle
-	// reported none.
-	Extra map[string]int
 }
 
 // Stats aggregates a whole campaign run.
@@ -147,6 +125,19 @@ func (s Stats) ByOracle() []*OracleStats {
 	}
 	sort.Slice(rest, func(i, j int) bool { return rest[i].Oracle < rest[j].Oracle })
 	return append(out, rest...)
+}
+
+// fold adds one task's contribution to its engine's and its oracle's
+// aggregates and to the fleet totals.
+func (s *Stats) fold(t task, d taskDelta) {
+	es := s.engineStats(t.engine)
+	es.Add(d.rep.Counters)
+	es.Statements += d.statements
+	os := s.oracleStats(t.oracle)
+	os.Add(d.rep.Counters)
+	os.Statements += d.statements
+	s.Queries += d.rep.Queries
+	s.Statements += d.statements
 }
 
 // engineStats returns (creating if needed) the aggregate for an engine.

@@ -12,11 +12,12 @@ import (
 // store is the race-safe cross-engine finding store: every campaign task
 // pushes its findings and observed plans here, from whichever worker
 // goroutine happens to run it. Findings dedup on a fingerprint of
-// (engine, oracle, kind, detail) — the key QPG's per-campaign store
-// established, widened with the task identity — and plans dedup on their
-// structural fingerprints in one shared core.FingerprintSet, giving the
-// fleet-wide "how many distinct plan shapes did the whole campaign see"
-// number no single-engine run can produce.
+// (engine, oracle, kind, detail) — the only finding dedup the oracles
+// get: they emit every finding as it occurs and count the ones this
+// store reports as new — and plans dedup on their structural
+// fingerprints in one shared core.FingerprintSet, giving the fleet-wide
+// "how many distinct plan shapes did the whole campaign see" number no
+// single-engine run can produce.
 //
 // When a durable log backs the store, every newly observed plan key and
 // every newly added finding is journaled through it. The in-memory store

@@ -13,7 +13,6 @@ import (
 
 	"uplan/internal/dbms"
 	"uplan/internal/oracle"
-	"uplan/internal/sqlancer"
 )
 
 // ErrUnplannable marks pairs the engine could not plan at all (parse or
@@ -25,7 +24,8 @@ var ErrUnplannable = errors.New("cert: query not plannable")
 // ErrNoEstimate flags a plan that converted cleanly but carries no root
 // cardinality estimate. Unlike an unplannable query this IS a signal — the
 // engine planned the query yet its serialized plan exposes no estimate the
-// oracle (or a user) can read — so Run reports it instead of skipping it.
+// oracle (or a user) can read — so the oracle reports it instead of
+// skipping it.
 var ErrNoEstimate = errors.New("cert: no cardinality estimate in plan")
 
 // Violation is one CERT finding: the restricted query got a larger
@@ -56,8 +56,6 @@ type Checker struct {
 	dec *oracle.Decoder
 	// Checked counts performed estimate comparisons.
 	Checked int
-	// Skipped counts pairs the engine could not plan (ErrUnplannable).
-	Skipped int
 }
 
 // New creates a CERT checker for the engine. The decoder's converter
@@ -122,28 +120,4 @@ func (c *Checker) CheckPair(base, restricted string) (*Violation, error) {
 		}, nil
 	}
 	return nil, nil
-}
-
-// Run generates n random base/restricted pairs and returns all violations.
-// Pairs the engine cannot plan are skipped (and counted in Skipped) —
-// CERT only reasons about successfully planned queries. Every other
-// CheckPair failure (a plan that would not convert, a plan with no
-// readable estimate) is reportable: Run finishes the budget, then returns
-// the collected violations together with the joined errors.
-func (c *Checker) Run(gen *sqlancer.Generator, n int) ([]Violation, error) {
-	var out []Violation
-	var errs []error
-	for i := 0; i < n; i++ {
-		base, restricted := gen.RestrictableQuery()
-		v, err := c.CheckPair(base, restricted)
-		switch {
-		case errors.Is(err, ErrUnplannable):
-			c.Skipped++
-		case err != nil:
-			errs = append(errs, err)
-		case v != nil:
-			out = append(out, *v)
-		}
-	}
-	return out, errors.Join(errs...)
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"uplan/internal/dbms"
-	"uplan/internal/sqlancer"
+	"uplan/internal/oracle"
 )
 
 func seeded(t *testing.T, name string) *dbms.Engine {
@@ -81,44 +81,72 @@ func TestViolationDetected(t *testing.T) {
 	}
 }
 
-func TestRunSkipsUnplannable(t *testing.T) {
-	e := seeded(t, "postgresql")
-	c, err := New(e)
+// runTask runs CERT's registered task on e and returns its report and
+// the findings it emitted. The Report hook dedups on (kind, detail) as
+// the campaign store does for one task. drop, when non-empty, names
+// tables removed from e's catalog after the schema is set up and before
+// the first pair, so the generator's model names tables the engine can
+// no longer plan.
+func runTask(t *testing.T, e *dbms.Engine, seed int64, tables, queries int, drop ...string) (oracle.TaskReport, []oracle.Finding) {
+	t.Helper()
+	dec, err := oracle.NewDecoder(e.Info.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := sqlancer.New(3)
-	gen.SchemaSQL(1, 0) // generator schema ≠ engine schema: pairs skipped
-	if _, err := c.Run(gen, 10); err != nil {
-		t.Fatalf("Run must tolerate unplannable pairs: %v", err)
+	var found []oracle.Finding
+	seen := map[string]bool{}
+	tc := &oracle.TaskContext{
+		Engine: e, Seed: seed, Queries: queries, Tables: tables, Rows: 8,
+		Decoder: dec,
+		Report: func(f oracle.Finding) bool {
+			key := string(f.Kind) + "|" + f.Detail
+			if seen[key] {
+				return false
+			}
+			seen[key] = true
+			found = append(found, f)
+			return true
+		},
+		Tick: func(queries int) bool {
+			if queries == 0 {
+				for _, name := range drop {
+					e.DB.Schema.DropTable(name)
+				}
+			}
+			return true
+		},
+	}
+	rep, err := TaskOracle{}.Run(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, found
+}
+
+func TestRunSkipsUnplannable(t *testing.T) {
+	rep, found := runTask(t, dbms.MustNew("postgresql"), 3, 1, 10, "t0")
+	if len(found) != 0 {
+		t.Fatalf("unplannable pairs are not reportable: %v", found)
+	}
+	if rep.Skipped != 10 || rep.Checks != 0 {
+		t.Errorf("skipped %d, checked %d: want all 10 pairs skipped", rep.Skipped, rep.Checks)
 	}
 }
 
-// TestRunReportsMissingEstimates is the regression test for Run's
-// swallowed errors: SQLite's plans carry no cardinality estimate, which
-// is a reportable signal — Run used to `continue` past it and could never
-// return a non-nil error despite its signature.
+// TestRunReportsMissingEstimates is the regression test for swallowed
+// estimate errors: SQLite's plans carry no cardinality estimate, which
+// is a reportable signal. Once it is recorded, a repeat stops the task
+// instead of spending the budget re-deriving it.
 func TestRunReportsMissingEstimates(t *testing.T) {
-	e := dbms.MustNew("sqlite")
-	gen := sqlancer.New(11)
-	for _, s := range gen.SchemaSQL(2, 8) {
-		if _, err := e.Execute(s); err != nil {
-			t.Fatal(err)
-		}
+	rep, found := runTask(t, dbms.MustNew("sqlite"), 11, 2, 5)
+	if len(found) != 1 {
+		t.Fatalf("findings = %v, want the one missing-estimate finding", found)
 	}
-	if err := e.Analyze(); err != nil {
-		t.Fatal(err)
+	if found[0].Kind != oracle.KindEstimate || found[0].Detail != "no cardinality estimate in plan" {
+		t.Errorf("finding = %+v", found[0])
 	}
-	c, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Run(gen, 5)
-	if err == nil {
-		t.Fatal("missing estimates must surface as a Run error")
-	}
-	if !errors.Is(err, ErrNoEstimate) {
-		t.Errorf("error %q must match ErrNoEstimate", err)
+	if rep.Queries >= 5 {
+		t.Errorf("Queries = %d: a repeated missing estimate must stop the task early", rep.Queries)
 	}
 }
 
@@ -152,29 +180,23 @@ func TestEstimateClassifiesFailures(t *testing.T) {
 }
 
 // TestRunCountsSkips: unplannable pairs still skip silently (CERT only
-// reasons about planned queries) but are now counted.
+// reasons about planned queries) but are counted.
 func TestRunCountsSkips(t *testing.T) {
-	c, err := New(seeded(t, "postgresql"))
-	if err != nil {
-		t.Fatal(err)
+	// Three generator tables while the engine keeps only t0: pairs
+	// against t1/t2 cannot plan and must be skipped (and counted), pairs
+	// against t0 plan normally.
+	rep, found := runTask(t, dbms.MustNew("postgresql"), 3, 3, 12, "t1", "t2")
+	if len(found) != 0 {
+		t.Errorf("pristine engine flagged: %v", found)
 	}
-	gen := sqlancer.New(3)
-	// Three generator tables while the engine only has t0: pairs against
-	// t1/t2 cannot plan and must be skipped (and counted), pairs against
-	// t0 plan normally.
-	gen.SchemaSQL(3, 0)
-	vs, err := c.Run(gen, 12)
-	if err != nil {
-		t.Fatalf("unplannable pairs are not reportable: %v", err)
-	}
-	if len(vs) != 0 {
-		t.Errorf("pristine engine flagged: %v", vs)
-	}
-	if c.Skipped == 0 {
+	if rep.Skipped == 0 {
 		t.Error("no unplannable pair was counted as skipped")
 	}
-	if c.Checked+c.Skipped != 12 {
-		t.Errorf("checked %d + skipped %d != 12 pairs", c.Checked, c.Skipped)
+	if rep.Checks == 0 {
+		t.Error("no pair against t0 was checked")
+	}
+	if rep.Checks+rep.Skipped != 12 || rep.Queries != 12 {
+		t.Errorf("checked %d + skipped %d of %d queries, want 12 pairs", rep.Checks, rep.Skipped, rep.Queries)
 	}
 }
 

@@ -265,6 +265,36 @@ func TestIndexScanCorrectness(t *testing.T) {
 	h.mustRows("SELECT c0 FROM t0 WHERE c1 IN (GREATEST(0.1, 0.2))", [][]datum.D{})
 }
 
+// TestIndexScanConjunctsOnLeadingColumn checks index scans whose
+// condition has several conjuncts on the index's leading column. The
+// probe honours only one of them, so the rows it fetches must be
+// rechecked against the whole condition.
+func TestIndexScanConjunctsOnLeadingColumn(t *testing.T) {
+	h := newHarness(t)
+	seedBasic(h)
+	h.exec("CREATE INDEX i1 ON t0 (c1)")
+	h.db.AnalyzeAll()
+	h.pl = planner.New(h.db.Schema, planner.Options{PreferIndexProbes: true})
+	for _, tc := range []struct {
+		pred string
+		want []int64
+	}{
+		{"c1 = 10 AND c1 = 20", nil},
+		{"c1 > 25 AND c1 > 5", []int64{3, 5}},
+		{"c1 = 10 AND c1 > 15", nil},
+		{"c1 > NULL AND c1 < 40", nil},
+		{"c1 IN (10, 20) AND c1 = 20", []int64{2}},
+		{"c1 BETWEEN 5 AND 25 AND c1 BETWEEN 15 AND 60", []int64{2}},
+	} {
+		q := "SELECT c0 FROM t0 WHERE " + tc.pred + " ORDER BY c0"
+		want := make([][]datum.D, len(tc.want))
+		for i, id := range tc.want {
+			want[i] = []datum.D{datum.Int(id)}
+		}
+		h.mustRows(q, want)
+	}
+}
+
 func TestListing3BugReproduction(t *testing.T) {
 	// The paper's Listing 3: same query, wrong answer once an index exists
 	// and the truncation quirk is active.

@@ -26,11 +26,10 @@ var OracleErrDeny = []string{
 	"uplan/internal/oracle.ApplySchema",
 	"uplan/internal/oracle.Decoder.Decode",
 	"uplan/internal/cert.Checker.CheckPair",
-	"uplan/internal/cert.Checker.Run",
 	"uplan/internal/cert.Checker.Estimate",
 	"uplan/internal/bounds.Checker.Check",
 	"uplan/internal/tlp.Check",
-	"uplan/internal/qpg.Campaign.Setup",
+	"uplan/internal/qpg.campaign.setup",
 	// Execution and conversion: a dropped error here silently turns a
 	// finding into a non-finding.
 	"uplan/internal/exec.Executor.Run",

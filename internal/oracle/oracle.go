@@ -74,6 +74,20 @@ type Counters struct {
 	Extra map[string]int
 }
 
+// Add folds another task's counters into c.
+func (c *Counters) Add(o Counters) {
+	c.Queries += o.Queries
+	c.PlanQueries += o.PlanQueries
+	c.NewPlans += o.NewPlans
+	c.DistinctPlans += o.DistinctPlans
+	c.Mutations += o.Mutations
+	c.Checks += o.Checks
+	c.Skipped += o.Skipped
+	for name, n := range o.Extra {
+		c.AddExtra(name, n)
+	}
+}
+
 // AddExtra bumps an oracle-owned counter.
 func (c *Counters) AddExtra(name string, n int) {
 	if c.Extra == nil {

@@ -1,6 +1,7 @@
 package oracle_test
 
 import (
+	"reflect"
 	"testing"
 
 	"uplan/internal/core"
@@ -94,5 +95,21 @@ func TestCountersAddExtra(t *testing.T) {
 	c.AddExtra("no-estimate", 1)
 	if c.Extra["unbounded"] != 5 || c.Extra["no-estimate"] != 1 {
 		t.Errorf("Extra = %v", c.Extra)
+	}
+}
+
+func TestCountersAdd(t *testing.T) {
+	c := oracle.Counters{Queries: 1, Checks: 2}
+	c.Add(oracle.Counters{
+		Queries: 10, PlanQueries: 3, NewPlans: 2, DistinctPlans: 2,
+		Mutations: 1, Checks: 5, Skipped: 4, Extra: map[string]int{"unbounded": 7},
+	})
+	c.Add(oracle.Counters{Extra: map[string]int{"unbounded": 1}})
+	want := oracle.Counters{
+		Queries: 11, PlanQueries: 3, NewPlans: 2, DistinctPlans: 2,
+		Mutations: 1, Checks: 7, Skipped: 4, Extra: map[string]int{"unbounded": 8},
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Errorf("Add = %+v, want %+v", c, want)
 	}
 }

@@ -1,9 +1,6 @@
 package qpg
 
-import (
-	"uplan/internal/core"
-	"uplan/internal/oracle"
-)
+import "uplan/internal/oracle"
 
 // OracleName is QPG's registry key.
 const OracleName = "qpg"
@@ -13,7 +10,8 @@ func init() { oracle.Register(TaskOracle{}, 0) }
 // TaskOracle is QPG's oracle.Oracle implementation: a full plan-guided
 // campaign (plan guidance, differential and TLP oracles, mutation
 // feedback) run as one orchestrator task, streaming every observed
-// unified plan into the shared cross-engine set.
+// unified plan into the shared cross-engine set and every finding
+// through the task context as it occurs.
 type TaskOracle struct{}
 
 // Name implements oracle.Oracle.
@@ -21,34 +19,13 @@ func (TaskOracle) Name() string { return OracleName }
 
 // Run implements oracle.Oracle.
 func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
-	var rep oracle.TaskReport
-	qopts := Options{
-		Queries:        tc.Queries,
-		StallThreshold: tc.StallThreshold,
-		Seed:           tc.Seed,
-		MaxFindings:    tc.MaxFindings,
-	}
-	c, err := New(tc.Engine, qopts)
+	c, err := newCampaign(tc)
 	if err != nil {
-		return rep, err
+		return oracle.TaskReport{}, err
 	}
-	c.SetDecoder(tc.Decoder)
-	if tc.ObservePlan != nil {
-		// The campaign's hot loop decodes plans into a reused arena; the
-		// observer must only fingerprint, never retain.
-		c.Observer = func(p *core.Plan) { tc.Observe(p) }
+	if err := c.setup(); err != nil {
+		return c.rep, err
 	}
-	c.Tick = tc.Tick
-	if err := c.Setup(tc.Tables, tc.Rows); err != nil {
-		return rep, err
-	}
-	for _, f := range c.Run(qopts) {
-		tc.Emit(oracle.Finding{Kind: oracle.Kind(f.Kind), Query: f.Query, Detail: f.Detail})
-	}
-	rep.Queries = c.QueriesRun
-	rep.PlanQueries = c.PlansObserved
-	rep.NewPlans = c.NewPlans
-	rep.DistinctPlans = c.Plans.Size()
-	rep.Mutations = c.Mutations
-	return rep, nil
+	c.run()
+	return c.rep, nil
 }

@@ -20,103 +20,37 @@ import (
 	"uplan/internal/tlp"
 )
 
-// BugKind classifies campaign findings.
-type BugKind string
-
-// Finding kinds.
-const (
-	KindLogic BugKind = "logic"      // wrong results (TLP or differential)
-	KindCrash BugKind = "crash"      // execution error on generated input
-	KindPlan  BugKind = "plan-parse" // converter failed on the engine's plan
-)
-
-// Finding is one campaign discovery.
-type Finding struct {
-	Engine string
-	Kind   BugKind
-	Query  string
-	Detail string
+// campaign is one QPG task: the engine under test, a pristine reference
+// engine of the same dialect for differential checking, and the task's
+// budgets, decoder and hooks, all read from the task context.
+type campaign struct {
+	tc        *oracle.TaskContext
+	engine    *dbms.Engine
+	reference *dbms.Engine
+	gen       *sqlancer.Generator
+	plans     *core.FingerprintSet
+	// rep accumulates the task's counters; DistinctPlans is filled in
+	// from plans when the loop ends.
+	rep oracle.TaskReport
+	// found counts the findings Emit reported as new, for MaxFindings.
+	found int
 }
 
-func (f Finding) String() string {
-	return fmt.Sprintf("[%s/%s] %s — %s", f.Engine, f.Kind, f.Query, f.Detail)
-}
-
-// Options tune a campaign.
-type Options struct {
-	// Queries is the number of generated queries (the time budget).
-	Queries int
-	// StallThreshold is how many queries without a new plan fingerprint
-	// trigger a database mutation (the paper's "specific number of randomly
-	// generated queries").
-	StallThreshold int
-	// Seed drives the generator.
-	Seed int64
-	// MaxFindings stops the campaign early.
-	MaxFindings int
-}
-
-// DefaultOptions returns the defaults used by the Table V reproduction.
-func DefaultOptions() Options {
-	return Options{Queries: 400, StallThreshold: 8, Seed: 1, MaxFindings: 10}
-}
-
-// Campaign runs QPG against one engine, with a pristine reference engine
-// of the same dialect used for differential checking.
-type Campaign struct {
-	Engine    *dbms.Engine
-	Reference *dbms.Engine
-	Gen       *sqlancer.Generator
-	Plans     *core.FingerprintSet
-	Findings  []Finding
-	// NewPlans counts distinct plan fingerprints observed.
-	NewPlans int
-	// QueriesRun counts generated queries actually processed by Run —
-	// less than the budget when MaxFindings stops the campaign early.
-	QueriesRun int
-	// PlansObserved counts queries whose unified plan was successfully
-	// obtained and fingerprinted (the NewPlans denominator).
-	PlansObserved int
-	// Mutations counts applied database mutations.
-	Mutations int
-	// Observer, when set, receives every successfully converted plan
-	// before the campaign fingerprints it. The campaign orchestrator uses
-	// it to feed a cross-engine plan store. Plans built on the campaign's
-	// reused arena are only valid for the duration of the call — an
-	// observer that needs to keep one must Clone it.
-	Observer func(*core.Plan)
-	// Tick, when set, is consulted before each query with the number of
-	// queries run so far; returning false stops the campaign early. The
-	// orchestrator uses it for cooperative cancellation, so a long task
-	// yields mid-run instead of only between tasks.
-	Tick func(queriesRun int) bool
-
-	// dec implements the allocation-lean observation loop: when the
-	// dialect's converter supports arenas, every plan is decoded into one
-	// campaign-owned arena that is reset before the next query, so a
-	// warmed-up campaign observes plans with no slab allocations. The
-	// orchestrator shares its per-task decoder via SetDecoder.
-	dec *oracle.Decoder
-}
-
-// New creates a campaign for the given engine dialect. The reference
-// engine is created fresh with no injected defects.
-func New(target *dbms.Engine, opts Options) (*Campaign, error) {
-	ref, err := dbms.New(target.Info.Name)
+// newCampaign prepares a task against tc.Engine. The reference engine is
+// created fresh with no injected defects.
+func newCampaign(tc *oracle.TaskContext) (*campaign, error) {
+	if tc.Decoder == nil {
+		return nil, errors.New("qpg: task context has no plan decoder")
+	}
+	ref, err := dbms.New(tc.Engine.Info.Name)
 	if err != nil {
 		return nil, err
 	}
-	// The campaign converts one plan per generated query; the shared
-	// cached converter (streaming JSON decoder, lock-free registry
-	// snapshot) behind the decoder keeps that loop allocation-lean.
-	dec, err := oracle.NewDecoder(target.Info.Name)
-	if err != nil {
-		return nil, err
-	}
-	c := &Campaign{
-		Engine:    target,
-		Reference: ref,
-		Gen:       sqlancer.New(opts.Seed),
+	return &campaign{
+		tc:        tc,
+		engine:    tc.Engine,
+		reference: ref,
+		gen:       sqlancer.New(tc.Seed),
 		// Structural fingerprints: operations plus configuration property
 		// names, but not values — predicate constants and identifiers are
 		// exactly the unstable information QPG must ignore, and excluding
@@ -124,149 +58,137 @@ func New(target *dbms.Engine, opts Options) (*Campaign, error) {
 		// The set dedups on binary SHA-256 keys; Observe on an
 		// already-seen plan (the common case once coverage plateaus) does
 		// not allocate.
-		Plans: core.NewFingerprintSet(core.FingerprintOptions{
+		plans: core.NewFingerprintSet(core.FingerprintOptions{
 			IncludeConfiguration: true,
 		}),
-		dec: dec,
-	}
-	return c, nil
+	}, nil
 }
 
-// SetDecoder replaces the campaign's plan decoder. The orchestrator uses
-// it to share the task-owned decoder it already built for the engine's
-// dialect instead of carrying two arenas per task.
-func (c *Campaign) SetDecoder(dec *oracle.Decoder) {
-	if dec != nil {
-		c.dec = dec
-	}
-}
-
-// Setup creates the random schema on both engines.
-func (c *Campaign) Setup(tables, rows int) error {
-	for _, stmt := range c.Gen.SchemaSQL(tables, rows) {
+// setup creates the random schema on both engines.
+func (c *campaign) setup() error {
+	for _, stmt := range c.gen.SchemaSQL(c.tc.Tables, c.tc.Rows) {
 		if err := c.applyBoth(stmt); err != nil {
 			return err
 		}
 	}
-	if err := c.Engine.Analyze(); err != nil {
+	if err := c.engine.Analyze(); err != nil {
 		return err
 	}
-	return c.Reference.Analyze()
+	return c.reference.Analyze()
 }
 
 // applyBoth runs a mutating statement on target and reference.
-func (c *Campaign) applyBoth(stmt string) error {
-	if _, err := c.Engine.Execute(stmt); err != nil {
+func (c *campaign) applyBoth(stmt string) error {
+	if _, err := c.engine.Execute(stmt); err != nil {
 		return fmt.Errorf("qpg: target %q: %w", stmt, err)
 	}
-	if _, err := c.Reference.Execute(stmt); err != nil {
+	if _, err := c.reference.Execute(stmt); err != nil {
 		return fmt.Errorf("qpg: reference %q: %w", stmt, err)
 	}
 	return nil
 }
 
-// Run executes the campaign loop.
-func (c *Campaign) Run(opts Options) []Finding {
+// run executes the campaign loop until the budget is spent, MaxFindings
+// new findings were emitted, or the task is told to stop.
+func (c *campaign) run() {
 	stall := 0
-	for i := 0; i < opts.Queries; i++ {
-		if opts.MaxFindings > 0 && len(c.Findings) >= opts.MaxFindings {
+	for i := 0; i < c.tc.Queries; i++ {
+		if c.tc.MaxFindings > 0 && c.found >= c.tc.MaxFindings {
 			break
 		}
-		if c.Tick != nil && !c.Tick(c.QueriesRun) {
+		if !c.tc.Alive(c.rep.Queries) {
 			break
 		}
-		query := c.Gen.Query()
-		c.QueriesRun++
+		query := c.gen.Query()
+		c.rep.Queries++
 		// 1. Plan guidance: observe the unified plan of the query.
 		fresh, ok := c.observePlan(query)
 		if ok {
-			c.PlansObserved++
+			c.rep.PlanQueries++
 		}
 		if ok && fresh {
-			c.NewPlans++
+			c.rep.NewPlans++
 			stall = 0
 		} else {
 			stall++
 		}
 		// 2. Oracles.
 		c.checkDifferential(query)
-		table, pred := c.Gen.PartitionableQuery()
+		table, pred := c.gen.PartitionableQuery()
 		c.checkTLP(table, pred)
 		// 3. Mutate the database when plan coverage stalls.
-		if stall >= opts.StallThreshold {
+		if stall >= c.tc.StallThreshold {
 			stall = 0
 			c.mutate()
 		}
 	}
-	return c.Findings
+	c.rep.DistinctPlans = c.plans.Size()
 }
 
 // observePlan converts the engine's serialized plan to the unified
 // representation and records its fingerprint. The second result is false
 // when the plan could not be obtained.
-func (c *Campaign) observePlan(query string) (fresh, ok bool) {
-	serialized, err := c.Engine.Explain(query, c.Engine.DefaultFormat())
+func (c *campaign) observePlan(query string) (fresh, ok bool) {
+	serialized, err := c.engine.Explain(query, c.engine.DefaultFormat())
 	if err != nil {
-		c.report(KindCrash, query, "EXPLAIN failed: "+err.Error())
+		c.report(oracle.KindCrash, query, "EXPLAIN failed: "+err.Error())
 		return false, false
 	}
-	// Arena-backed decode path: the plan lives in the campaign's reused
-	// arena until the next observation resets it; the fingerprint set and
-	// the observer only read it.
-	plan, err := c.dec.Decode(serialized)
+	// Arena-backed decode path: the plan lives in the task's reused arena
+	// until the next observation resets it; the fingerprint set and the
+	// shared plan set only read it.
+	plan, err := c.tc.Decoder.Decode(serialized)
 	if err != nil {
-		c.report(KindPlan, query, err.Error())
+		c.report(oracle.KindPlan, query, err.Error())
 		return false, false
 	}
-	if c.Observer != nil {
-		c.Observer(plan)
-	}
-	return c.Plans.Observe(plan), true
+	c.tc.Observe(plan)
+	return c.plans.Observe(plan), true
 }
 
-func (c *Campaign) checkDifferential(query string) {
-	got, err1 := c.Engine.Execute(query)
-	want, err2 := c.Reference.Execute(query)
+func (c *campaign) checkDifferential(query string) {
+	got, err1 := c.engine.Execute(query)
+	want, err2 := c.reference.Execute(query)
 	switch {
 	case err1 != nil && err2 == nil:
-		c.report(KindCrash, query, err1.Error())
+		c.report(oracle.KindCrash, query, err1.Error())
 	case err1 == nil && err2 != nil:
 		// The reference rejects a query the target accepts: just as
 		// asymmetric as the inverse case, and exactly the class of signal
 		// the differential oracle exists to surface.
-		c.report(KindCrash, query, "reference failed where target succeeded: "+err2.Error())
+		c.report(oracle.KindCrash, query, "reference failed where target succeeded: "+err2.Error())
 	case err1 == nil && err2 == nil:
 		if diff := tlp.CompareResults(got, want); diff != "" {
-			c.report(KindLogic, query, "differs from reference: "+diff)
+			c.report(oracle.KindLogic, query, "differs from reference: "+diff)
 		}
 	}
 }
 
-func (c *Campaign) checkTLP(table, pred string) {
-	v, err := tlp.Check(c.Engine, table, pred)
+func (c *campaign) checkTLP(table, pred string) {
+	v, err := tlp.Check(c.engine, table, pred)
 	if err != nil {
 		// The generator guesses predicates against its own schema model, so
 		// a column the table lacks is expected noise, not a defect. Match
 		// the executor's sentinel instead of its message text: messages
 		// change, and unrelated errors may contain the same words.
 		if !errors.Is(err, exec.ErrUnresolvedColumn) {
-			c.report(KindCrash, "TLP "+table+" / "+pred, err.Error())
+			c.report(oracle.KindCrash, "TLP "+table+" / "+pred, err.Error())
 		}
 		return
 	}
 	if v != nil {
-		c.report(KindLogic, v.Base+" WHERE "+pred, v.Detail)
+		c.report(oracle.KindLogic, v.Base+" WHERE "+pred, v.Detail)
 	}
 }
 
 // mutate applies one database mutation to both engines; QPG's coverage
 // feedback loop. Occasionally an update-swap statement is used, which also
 // serves as a differential probe for update-path bugs.
-func (c *Campaign) mutate() {
-	c.Mutations++
-	stmt := c.Gen.Mutation()
-	if c.Mutations%2 == 0 {
-		stmt = c.Gen.UpdateWithSwap()
+func (c *campaign) mutate() {
+	c.rep.Mutations++
+	stmt := c.gen.Mutation()
+	if c.rep.Mutations%2 == 0 {
+		stmt = c.gen.UpdateWithSwap()
 	}
 	if err := c.applyBoth(stmt); err != nil {
 		// Expected for e.g. unique violations; both engines stay in sync
@@ -278,42 +200,36 @@ func (c *Campaign) mutate() {
 	// failure is exactly the class the differential oracle reports; a
 	// symmetric one means neither engine has comparable post-mutation
 	// state, so the divergence probe below would compare stale data.
-	errT := c.Engine.Analyze()
-	errR := c.Reference.Analyze()
+	errT := c.engine.Analyze()
+	errR := c.reference.Analyze()
 	switch {
 	case errT != nil && errR == nil:
-		c.report(KindCrash, stmt, "ANALYZE after mutation failed on target: "+errT.Error())
+		c.report(oracle.KindCrash, stmt, "ANALYZE after mutation failed on target: "+errT.Error())
 		return
 	case errT == nil && errR != nil:
-		c.report(KindCrash, stmt, "reference ANALYZE failed where target succeeded: "+errR.Error())
+		c.report(oracle.KindCrash, stmt, "reference ANALYZE failed where target succeeded: "+errR.Error())
 		return
 	case errT != nil && errR != nil:
 		return
 	}
 	// After a mutation, update-path defects surface as data divergence.
-	for _, t := range c.Gen.Tables {
+	for _, t := range c.gen.Tables {
 		q := "SELECT * FROM " + t.Name
-		got, err1 := c.Engine.Execute(q)
-		want, err2 := c.Reference.Execute(q)
+		got, err1 := c.engine.Execute(q)
+		want, err2 := c.reference.Execute(q)
 		if err1 == nil && err2 == nil {
 			if diff := tlp.CompareResults(got, want); diff != "" {
-				c.report(KindLogic, stmt, "state divergence after mutation: "+diff)
+				c.report(oracle.KindLogic, stmt, "state divergence after mutation: "+diff)
 			}
 		}
 	}
 }
 
-func (c *Campaign) report(kind BugKind, query, detail string) {
-	// Deduplicate by kind+detail class to keep findings unique.
-	for _, f := range c.Findings {
-		if f.Kind == kind && f.Detail == detail {
-			return
-		}
+// report emits a finding as it occurs. Deduplication is the task
+// context's: Emit reports whether the finding was new, and only new
+// findings count toward MaxFindings.
+func (c *campaign) report(kind oracle.Kind, query, detail string) {
+	if c.tc.Emit(oracle.Finding{Kind: kind, Query: query, Detail: detail}) {
+		c.found++
 	}
-	c.Findings = append(c.Findings, Finding{
-		Engine: c.Engine.Info.Name,
-		Kind:   kind,
-		Query:  query,
-		Detail: detail,
-	})
 }

@@ -7,28 +7,61 @@ import (
 	"uplan/internal/catalog"
 	uplancore "uplan/internal/core"
 	"uplan/internal/dbms"
+	"uplan/internal/oracle"
 )
 
-func TestCampaignPlanGuidance(t *testing.T) {
-	e := dbms.MustNew("postgresql")
-	opts := DefaultOptions()
-	opts.Queries = 120
-	opts.Seed = 4
-	c, err := New(e, opts)
+// taskContext is a standalone task context for e with the budgets the
+// campaign defaults use. Its Report hook records every finding it is
+// given and counts each one as new.
+func taskContext(t *testing.T, e *dbms.Engine, found *[]oracle.Finding) *oracle.TaskContext {
+	t.Helper()
+	dec, err := oracle.NewDecoder(e.Info.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Setup(2, 10); err != nil {
+	return &oracle.TaskContext{
+		Engine:         e,
+		Seed:           1,
+		Queries:        100,
+		StallThreshold: 8,
+		Tables:         2,
+		Rows:           12,
+		Decoder:        dec,
+		Report: func(f oracle.Finding) bool {
+			*found = append(*found, f)
+			return true
+		},
+	}
+}
+
+// setupCampaign builds a campaign over tc and applies its schema.
+func setupCampaign(t *testing.T, tc *oracle.TaskContext) *campaign {
+	t.Helper()
+	c, err := newCampaign(tc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	findings := c.Run(opts)
-	if len(findings) != 0 {
-		t.Errorf("pristine engine produced findings: %v", findings)
+	if err := c.setup(); err != nil {
+		t.Fatal(err)
 	}
-	if c.Plans.Size() < 5 {
-		t.Errorf("plan coverage too low: %d distinct plans", c.Plans.Size())
+	return c
+}
+
+func TestCampaignPlanGuidance(t *testing.T) {
+	var found []oracle.Finding
+	tc := taskContext(t, dbms.MustNew("postgresql"), &found)
+	tc.Queries, tc.Seed, tc.Rows = 120, 4, 10
+	rep, err := TaskOracle{}.Run(tc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Mutations == 0 {
+	if len(found) != 0 {
+		t.Errorf("pristine engine produced findings: %v", found)
+	}
+	if rep.DistinctPlans < 5 {
+		t.Errorf("plan coverage too low: %d distinct plans", rep.DistinctPlans)
+	}
+	if rep.Mutations == 0 {
 		t.Error("coverage stall never triggered a mutation — the QPG feedback loop is dead")
 	}
 }
@@ -36,51 +69,45 @@ func TestCampaignPlanGuidance(t *testing.T) {
 func TestCampaignFindsInjectedDefect(t *testing.T) {
 	e := dbms.MustNew("mysql")
 	e.Quirks.LeftJoinAsInner = true
-	opts := DefaultOptions()
-	opts.Queries = 200
-	opts.Seed = 2
-	opts.MaxFindings = 1
-	c, err := New(e, opts)
+	var found []oracle.Finding
+	tc := taskContext(t, e, &found)
+	tc.Queries, tc.Seed, tc.MaxFindings = 200, 2, 1
+	rep, err := TaskOracle{}.Run(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Setup(2, 12); err != nil {
-		t.Fatal(err)
+	if len(found) != 1 {
+		t.Fatalf("LEFT JOIN defect: %d findings, want exactly 1 under MaxFindings 1", len(found))
 	}
-	findings := c.Run(opts)
-	if len(findings) == 0 {
-		t.Fatal("LEFT JOIN defect not found")
+	if found[0].Kind != oracle.KindLogic {
+		t.Errorf("finding kind = %v", found[0].Kind)
 	}
-	if findings[0].Kind != KindLogic {
-		t.Errorf("finding kind = %v", findings[0].Kind)
-	}
-	if findings[0].String() == "" {
-		t.Error("finding must render")
+	if rep.Queries >= tc.Queries {
+		t.Errorf("Queries = %d: MaxFindings must stop the task before its budget of %d", rep.Queries, tc.Queries)
 	}
 }
 
-func TestFindingsDeduplicated(t *testing.T) {
-	e := dbms.MustNew("tidb")
-	e.Quirks.DistinctDropsNulls = true
-	opts := DefaultOptions()
-	opts.Queries = 250
-	opts.Seed = 6
-	opts.MaxFindings = 50
-	c, err := New(e, opts)
+// TestMaxFindingsCountsNewOnly: a finding the task context reports as
+// already known does not count toward MaxFindings.
+func TestMaxFindingsCountsNewOnly(t *testing.T) {
+	e := dbms.MustNew("mysql")
+	e.Quirks.LeftJoinAsInner = true
+	var found []oracle.Finding
+	tc := taskContext(t, e, &found)
+	tc.Queries, tc.Seed, tc.MaxFindings = 200, 2, 1
+	tc.Report = func(f oracle.Finding) bool {
+		found = append(found, f)
+		return false
+	}
+	rep, err := TaskOracle{}.Run(tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Setup(2, 12); err != nil {
-		t.Fatal(err)
+	if len(found) == 0 {
+		t.Fatal("LEFT JOIN defect not found")
 	}
-	findings := c.Run(opts)
-	seen := map[string]bool{}
-	for _, f := range findings {
-		key := string(f.Kind) + "|" + f.Detail
-		if seen[key] {
-			t.Fatalf("duplicate finding: %v", f)
-		}
-		seen[key] = true
+	if rep.Queries != tc.Queries {
+		t.Errorf("Queries = %d, want the full budget %d when no finding is new", rep.Queries, tc.Queries)
 	}
 }
 
@@ -88,27 +115,22 @@ func TestFindingsDeduplicated(t *testing.T) {
 // asymmetric differential oracle: the reference engine failing where the
 // target succeeds used to be silently dropped.
 func TestDifferentialReportsReferenceError(t *testing.T) {
-	e := dbms.MustNew("postgresql")
-	opts := DefaultOptions()
-	c, err := New(e, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Setup(1, 4); err != nil {
-		t.Fatal(err)
-	}
+	var found []oracle.Finding
+	tc := taskContext(t, dbms.MustNew("postgresql"), &found)
+	tc.Tables, tc.Rows = 1, 4
+	c := setupCampaign(t, tc)
 	// Desynchronize the engines: a table only the target knows makes the
 	// reference reject a query the target accepts.
-	if _, err := c.Engine.Execute("CREATE TABLE only_target (c0 INT)"); err != nil {
+	if _, err := c.engine.Execute("CREATE TABLE only_target (c0 INT)"); err != nil {
 		t.Fatal(err)
 	}
 	c.checkDifferential("SELECT * FROM only_target")
-	if len(c.Findings) != 1 {
-		t.Fatalf("reference-only error must be reported, findings = %v", c.Findings)
+	if len(found) != 1 {
+		t.Fatalf("reference-only error must be reported, findings = %v", found)
 	}
-	f := c.Findings[0]
-	if f.Kind != KindCrash {
-		t.Errorf("kind = %v, want %v", f.Kind, KindCrash)
+	f := found[0]
+	if f.Kind != oracle.KindCrash {
+		t.Errorf("kind = %v, want %v", f.Kind, oracle.KindCrash)
 	}
 	if !strings.Contains(f.Detail, "reference failed where target succeeded") {
 		t.Errorf("detail = %q", f.Detail)
@@ -116,18 +138,18 @@ func TestDifferentialReportsReferenceError(t *testing.T) {
 
 	// The inverse asymmetry (target fails, reference succeeds) must still
 	// be reported, and symmetric failures must not be.
-	c.Findings = nil
-	if _, err := c.Reference.Execute("CREATE TABLE only_ref (c0 INT)"); err != nil {
+	found = nil
+	if _, err := c.reference.Execute("CREATE TABLE only_ref (c0 INT)"); err != nil {
 		t.Fatal(err)
 	}
 	c.checkDifferential("SELECT * FROM only_ref")
-	if len(c.Findings) != 1 || c.Findings[0].Kind != KindCrash {
-		t.Fatalf("target-only error must be reported, findings = %v", c.Findings)
+	if len(found) != 1 || found[0].Kind != oracle.KindCrash {
+		t.Fatalf("target-only error must be reported, findings = %v", found)
 	}
-	c.Findings = nil
+	found = nil
 	c.checkDifferential("SELECT * FROM neither_has_this")
-	if len(c.Findings) != 0 {
-		t.Errorf("symmetric failure is not a finding: %v", c.Findings)
+	if len(found) != 0 {
+		t.Errorf("symmetric failure is not a finding: %v", found)
 	}
 }
 
@@ -136,57 +158,62 @@ func TestDifferentialReportsReferenceError(t *testing.T) {
 // errors.Is on exec.ErrUnresolvedColumn, while every other execution
 // failure — including ones that merely mention columns — is reported.
 func TestTLPFilterUsesSentinel(t *testing.T) {
-	e := dbms.MustNew("sqlite")
-	c, err := New(e, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Setup(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	table := c.Gen.Tables[0].Name
+	var found []oracle.Finding
+	tc := taskContext(t, dbms.MustNew("sqlite"), &found)
+	tc.Tables, tc.Rows = 1, 4
+	c := setupCampaign(t, tc)
+	table := c.gen.Tables[0].Name
 
 	c.checkTLP(table, "no_such_column = 1")
-	if len(c.Findings) != 0 {
-		t.Fatalf("unresolved-column noise must be skipped: %v", c.Findings)
+	if len(found) != 0 {
+		t.Fatalf("unresolved-column noise must be skipped: %v", found)
 	}
 
 	c.checkTLP(table, "c0 = = 1") // malformed predicate: a genuine failure
-	if len(c.Findings) != 1 {
-		t.Fatalf("non-sentinel error must be reported, findings = %v", c.Findings)
+	if len(found) != 1 {
+		t.Fatalf("non-sentinel error must be reported, findings = %v", found)
 	}
-	if c.Findings[0].Kind != KindCrash {
-		t.Errorf("kind = %v, want %v", c.Findings[0].Kind, KindCrash)
+	if found[0].Kind != oracle.KindCrash {
+		t.Errorf("kind = %v, want %v", found[0].Kind, oracle.KindCrash)
 	}
 }
 
-// TestObserverSeesPlans pins the campaign-orchestrator hook: every
-// successfully converted plan flows through Observer before being
-// fingerprinted, on the arena-backed decode path.
+// TestObserverSeesPlans pins the orchestrator hook: every successfully
+// converted plan flows through the task context's ObservePlan before
+// being fingerprinted, on the arena-backed decode path.
 func TestObserverSeesPlans(t *testing.T) {
-	e := dbms.MustNew("postgresql")
-	opts := DefaultOptions()
-	opts.Queries = 25
-	c, err := New(e, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var found []oracle.Finding
+	tc := taskContext(t, dbms.MustNew("postgresql"), &found)
+	tc.Queries, tc.Rows = 25, 8
 	observed := 0
-	c.Observer = func(p *uplancore.Plan) {
+	tc.ObservePlan = func(p *uplancore.Plan) bool {
 		if p == nil || p.Root == nil {
 			t.Error("observer received an invalid plan")
 		}
 		observed++
+		return false
 	}
-	if err := c.Setup(2, 8); err != nil {
+	rep, err := TaskOracle{}.Run(tc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(opts)
 	if observed == 0 {
 		t.Error("observer never called")
 	}
-	if observed < c.NewPlans {
-		t.Errorf("observed %d plans < %d new fingerprints", observed, c.NewPlans)
+	if observed != rep.PlanQueries {
+		t.Errorf("observed %d plans, task counted %d plan queries", observed, rep.PlanQueries)
+	}
+	if observed < rep.NewPlans {
+		t.Errorf("observed %d plans < %d new fingerprints", observed, rep.NewPlans)
+	}
+}
+
+// TestRunNeedsDecoder: QPG decodes every plan, so a context without a
+// decoder is a hard setup error rather than a silently plan-blind task.
+func TestRunNeedsDecoder(t *testing.T) {
+	tc := &oracle.TaskContext{Engine: dbms.MustNew("postgresql"), Queries: 5}
+	if _, err := (TaskOracle{}).Run(tc); err == nil {
+		t.Fatal("a task context without a decoder must fail")
 	}
 }
 
@@ -197,35 +224,32 @@ func TestObserverSeesPlans(t *testing.T) {
 // silently comparing stale estimates.
 func TestMutateReportsAnalyzeFailure(t *testing.T) {
 	for _, side := range []string{"target", "reference"} {
-		c, err := New(dbms.MustNew("sqlite"), DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Setup(2, 8); err != nil {
-			t.Fatal(err)
-		}
+		var found []oracle.Finding
+		tc := taskContext(t, dbms.MustNew("sqlite"), &found)
+		tc.Rows = 8
+		c := setupCampaign(t, tc)
 		// A catalog entry with no backing storage table makes AnalyzeAll
 		// fail on exactly one engine.
-		victim := c.Engine
+		victim := c.engine
 		if side == "reference" {
-			victim = c.Reference
+			victim = c.reference
 		}
 		if err := victim.DB.Schema.AddTable(&catalog.Table{Name: "ghost"}); err != nil {
 			t.Fatal(err)
 		}
 		// Mutations may legitimately fail (unique violations) before the
 		// ANALYZE step; a few attempts make the path deterministic.
-		for i := 0; i < 8 && len(c.Findings) == 0; i++ {
+		for i := 0; i < 8 && len(found) == 0; i++ {
 			c.mutate()
 		}
-		found := false
-		for _, f := range c.Findings {
-			if f.Kind == KindCrash && strings.Contains(f.Detail, "ANALYZE") {
-				found = true
+		ok := false
+		for _, f := range found {
+			if f.Kind == oracle.KindCrash && strings.Contains(f.Detail, "ANALYZE") {
+				ok = true
 			}
 		}
-		if !found {
-			t.Errorf("%s-side ANALYZE failure after mutation was not reported; findings: %v", side, c.Findings)
+		if !ok {
+			t.Errorf("%s-side ANALYZE failure after mutation was not reported; findings: %v", side, found)
 		}
 	}
 }
