@@ -23,6 +23,11 @@
 // the plan's root chain (core.Plan.RootCardinality walks below
 // single-child operators on partial-exposure engines), and the FROM
 // bound is the one number that provably caps every such node.
+//
+// Check compares one query's surfaced estimate against its bound, given
+// the engine and the task's plan decoder; TaskOracle.Run applies the
+// task's schema and hands one generated query per step to the task
+// context's Loop.
 package bounds
 
 import (

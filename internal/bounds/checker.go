@@ -37,54 +37,29 @@ func (v Violation) String() string {
 		v.Engine, v.Query, v.Est, v.Bound)
 }
 
-// Checker runs the bounds oracle against one engine: parse the query,
-// derive the static bound from the engine's own catalog, read the
-// engine's surfaced estimate through CERT's ErrNoEstimate-aware plan
-// conversion, and compare.
-type Checker struct {
-	Engine *dbms.Engine
-	est    *cert.Checker
-	// Checked counts performed bound/estimate comparisons.
-	Checked int
-	// Skipped counts queries without a provable bound or a readable
-	// estimate.
-	Skipped int
-}
-
-// New creates a bounds checker for the engine.
-func New(e *dbms.Engine) (*Checker, error) {
-	est, err := cert.New(e)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{Engine: e, est: est}, nil
-}
-
-// SetDecoder replaces the underlying estimate reader's plan decoder; the
-// orchestrator uses it to share the task-owned decoder it already built.
-func (c *Checker) SetDecoder(dec *oracle.Decoder) { c.est.SetDecoder(dec) }
-
 // Check compares the engine's estimate for the query against the
-// provable bound. It returns a Violation when the estimate exceeds the
-// bound beyond tolerance; an error matching ErrNoBound when the query
-// cannot be bounded, cert.ErrUnplannable when the engine cannot plan
-// it, and cert.ErrNoEstimate when the plan exposes no estimate.
-func (c *Checker) Check(query string) (*Violation, error) {
+// provable bound derived from the engine's own catalog; the estimate is
+// read through cert.Estimate with the task's decoder. It returns a
+// Violation when the estimate exceeds the bound beyond tolerance; an
+// error matching ErrNoBound when the query cannot be bounded,
+// cert.ErrUnplannable when the engine cannot plan it, and
+// cert.ErrNoEstimate when the plan exposes no estimate. A nil error
+// means the comparison was performed.
+func Check(e *dbms.Engine, dec *oracle.Decoder, query string) (*Violation, error) {
 	stmt, err := sql.ParseSelect(query)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoBound, err)
 	}
-	bound, ok := Bound(stmt, c.Engine.DB.Schema)
+	bound, ok := Bound(stmt, e.DB.Schema)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoBound, query)
 	}
-	est, err := c.est.Estimate(query)
+	est, err := cert.Estimate(e, dec, query)
 	if err != nil {
 		return nil, err
 	}
-	c.Checked++
 	if est > bound*cert.Tolerance+Slack {
-		return &Violation{Engine: c.Engine.Info.Name, Query: query, Bound: bound, Est: est}, nil
+		return &Violation{Engine: e.Info.Name, Query: query, Bound: bound, Est: est}, nil
 	}
 	return nil, nil
 }

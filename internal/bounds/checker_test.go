@@ -28,17 +28,25 @@ func seeded(t *testing.T, name string) *dbms.Engine {
 	return e
 }
 
-func TestCheckHonestEstimatePasses(t *testing.T) {
-	c, err := New(seeded(t, "postgresql"))
+// decoder is the task decoder the campaign would give a task on e.
+func decoder(t *testing.T, e *dbms.Engine) *oracle.Decoder {
+	t.Helper()
+	dec, err := oracle.NewDecoder(e.Info.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dec
+}
+
+func TestCheckHonestEstimatePasses(t *testing.T) {
+	e := seeded(t, "postgresql")
+	dec := decoder(t, e)
 	for _, q := range []string{
 		"SELECT * FROM t0",
 		"SELECT * FROM t0 WHERE c1 > 15",
 		"SELECT 1",
 	} {
-		v, err := c.Check(q)
+		v, err := Check(e, dec, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -46,21 +54,14 @@ func TestCheckHonestEstimatePasses(t *testing.T) {
 			t.Errorf("honest engine flagged: %v", v)
 		}
 	}
-	if c.Checked == 0 {
-		t.Error("no comparisons counted")
-	}
 }
 
 func TestCheckInflatedEstimateFlagged(t *testing.T) {
 	e := seeded(t, "tidb")
 	e.Opts.Quirks.PredicateInflatesEstimate = 900
-	c, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The quirk inflates equality-predicate selectivity past 1, so the
 	// estimate escapes the provable σ(R) ≤ |R| bound.
-	v, err := c.Check("SELECT * FROM t0 WHERE c1 = 20")
+	v, err := Check(e, decoder(t, e), "SELECT * FROM t0 WHERE c1 = 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,23 +77,18 @@ func TestCheckInflatedEstimateFlagged(t *testing.T) {
 }
 
 func TestCheckSentinels(t *testing.T) {
-	c, err := New(seeded(t, "postgresql"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Check("SELECT * FROM nope"); !errors.Is(err, ErrNoBound) {
+	pg := seeded(t, "postgresql")
+	dec := decoder(t, pg)
+	if _, err := Check(pg, dec, "SELECT * FROM nope"); !errors.Is(err, ErrNoBound) {
 		t.Errorf("unboundable query: %v", err)
 	}
-	if _, err := c.Check("NOT SQL AT ALL"); !errors.Is(err, ErrNoBound) {
+	if _, err := Check(pg, dec, "NOT SQL AT ALL"); !errors.Is(err, ErrNoBound) {
 		t.Errorf("unparsable query: %v", err)
 	}
 	// sqlite's plan format exposes no cardinality estimates; the CERT
 	// sentinel must pass through so the oracle can classify the skip.
-	sq, err := New(seeded(t, "sqlite"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sq.Check("SELECT * FROM t0"); !errors.Is(err, cert.ErrNoEstimate) {
+	sq := seeded(t, "sqlite")
+	if _, err := Check(sq, decoder(t, sq), "SELECT * FROM t0"); !errors.Is(err, cert.ErrNoEstimate) {
 		t.Errorf("no-estimate engine: %v", err)
 	}
 }
@@ -105,10 +101,6 @@ func runTask(t *testing.T, engine string, inject func(e *dbms.Engine)) ([]oracle
 	if inject != nil {
 		inject(e)
 	}
-	dec, err := oracle.NewDecoder(e.Info.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var findings []oracle.Finding
 	tc := &oracle.TaskContext{
 		Engine:  e,
@@ -116,7 +108,7 @@ func runTask(t *testing.T, engine string, inject func(e *dbms.Engine)) ([]oracle
 		Queries: 40,
 		Tables:  2,
 		Rows:    12,
-		Decoder: dec,
+		Decoder: decoder(t, e),
 		Report:  func(f oracle.Finding) bool { findings = append(findings, f); return true },
 	}
 	rep, err := TaskOracle{}.Run(tc)
@@ -140,6 +132,12 @@ func TestOracleHonestEnginesClean(t *testing.T) {
 		}
 		if rep.Queries == 0 {
 			t.Errorf("%s: task processed no queries", engine)
+		}
+		// Every query is compared, skipped, or reported as a plan that
+		// did not convert.
+		if rep.Checks+rep.Skipped+len(findings) != rep.Queries {
+			t.Errorf("%s: %d checks + %d skips + %d findings != %d queries",
+				engine, rep.Checks, rep.Skipped, len(findings), rep.Queries)
 		}
 	}
 }

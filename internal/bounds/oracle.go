@@ -30,34 +30,27 @@ func (TaskOracle) Name() string { return OracleName }
 // Run implements oracle.Oracle.
 func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
 	var rep oracle.TaskReport
+	if tc.Decoder == nil {
+		return rep, errors.New("bounds: task context has no plan decoder")
+	}
 	gen := sqlancer.New(tc.Seed)
 	if err := oracle.ApplySchema(tc.Engine, gen, tc.Tables, tc.Rows); err != nil {
 		return rep, err
 	}
-	checker, err := New(tc.Engine)
-	if err != nil {
-		return rep, err
-	}
-	checker.SetDecoder(tc.Decoder)
-	found := 0
-	for i := 0; i < tc.Queries; i++ {
-		if tc.MaxFindings > 0 && found >= tc.MaxFindings {
-			break
-		}
-		if !tc.Alive(rep.Queries) {
-			break
-		}
-		rep.Queries++
+	tc.Loop(&rep, func() bool {
 		query := gen.Query()
-		v, err := checker.Check(query)
+		v, err := Check(tc.Engine, tc.Decoder, query)
 		switch {
+		case err == nil:
+			rep.Checks++
+			if v != nil {
+				tc.Emit(oracle.Finding{Kind: KindBoundViolation, Query: query, Detail: v.String()})
+			}
 		case errors.Is(err, ErrNoBound):
 			rep.Skipped++
 			rep.AddExtra("unbounded", 1)
-			continue
 		case errors.Is(err, cert.ErrUnplannable):
 			rep.Skipped++
-			continue
 		case errors.Is(err, cert.ErrNoEstimate):
 			// CERT already reports the no-estimate signal once per engine;
 			// re-reporting it under a second oracle would double-count the
@@ -65,18 +58,10 @@ func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
 			// exposure means other query shapes may still surface one.
 			rep.Skipped++
 			rep.AddExtra("no-estimate", 1)
-			continue
-		case err != nil:
-			if tc.Emit(oracle.Finding{Kind: oracle.KindPlan, Query: query, Detail: err.Error()}) {
-				found++
-			}
-			continue
-		case v != nil:
-			if tc.Emit(oracle.Finding{Kind: KindBoundViolation, Query: query, Detail: v.String()}) {
-				found++
-			}
+		default:
+			tc.Emit(oracle.Finding{Kind: oracle.KindPlan, Query: query, Detail: err.Error()})
 		}
-	}
-	rep.Checks = checker.Checked
+		return true
+	})
 	return rep, nil
 }

@@ -5,6 +5,10 @@
 // have a larger estimated cardinality. The estimate is read from the
 // unified plan (Cardinality category), so one implementation serves every
 // engine with a converter.
+//
+// Estimate and CheckPair are free functions over an engine and the
+// task's plan decoder; TaskOracle.Run applies the task's schema and hands
+// one base/restricted pair per query to the task context's Loop.
 package cert
 
 import (
@@ -47,72 +51,44 @@ func (v Violation) String() string {
 // are noisy; the paper filters by expert triage).
 const Tolerance = 1.01
 
-// Checker runs CERT against one engine.
-type Checker struct {
-	Engine *dbms.Engine
-	// dec gives Estimate the allocation-lean arena-backed decode path:
-	// the plan is read for one property and discarded, so it lives in a
-	// checker-owned arena that is reset before the next decode.
-	dec *oracle.Decoder
-	// Checked counts performed estimate comparisons.
-	Checked int
-}
-
-// New creates a CERT checker for the engine. The decoder's converter
-// comes from the shared per-dialect cache (one registry per process),
-// not a per-checker registry build.
-func New(e *dbms.Engine) (*Checker, error) {
-	dec, err := oracle.NewDecoder(e.Info.Name)
-	if err != nil {
-		return nil, err
-	}
-	return &Checker{Engine: e, dec: dec}, nil
-}
-
-// SetDecoder replaces the checker's plan decoder; the orchestrator uses
-// it to share the task-owned decoder it already built.
-func (c *Checker) SetDecoder(dec *oracle.Decoder) {
-	if dec != nil {
-		c.dec = dec
-	}
-}
-
 // Estimate returns the optimizer's root cardinality estimate for the
-// query, read from the unified plan. A query the engine cannot plan
-// returns an error matching ErrUnplannable; a plan without a readable
-// estimate returns one matching ErrNoEstimate.
-func (c *Checker) Estimate(query string) (float64, error) {
-	serialized, err := c.Engine.Explain(query, c.Engine.DefaultFormat())
+// query on e, read from the unified plan that dec decodes. A query the
+// engine cannot plan returns an error matching ErrUnplannable; a plan
+// without a readable estimate returns one matching ErrNoEstimate. The
+// plan is read for one property and discarded, so it lives in the
+// decoder's reused arena.
+func Estimate(e *dbms.Engine, dec *oracle.Decoder, query string) (float64, error) {
+	serialized, err := e.Explain(query, e.DefaultFormat())
 	if err != nil {
 		return 0, fmt.Errorf("%w: %q: %v", ErrUnplannable, query, err)
 	}
-	plan, err := c.dec.Decode(serialized)
+	plan, err := dec.Decode(serialized)
 	if err != nil {
 		return 0, fmt.Errorf("cert: %s plan for %q did not convert: %w",
-			c.Engine.Info.Name, query, err)
+			e.Info.Name, query, err)
 	}
 	est, ok := plan.RootCardinality()
 	if !ok {
-		return 0, fmt.Errorf("%w (%s, %q)", ErrNoEstimate, c.Engine.Info.Name, query)
+		return 0, fmt.Errorf("%w (%s, %q)", ErrNoEstimate, e.Info.Name, query)
 	}
 	return est, nil
 }
 
 // CheckPair compares the estimates of a base query and a more restrictive
-// variant. It returns a Violation when monotonicity is broken.
-func (c *Checker) CheckPair(base, restricted string) (*Violation, error) {
-	baseEst, err := c.Estimate(base)
+// variant. It returns a Violation when monotonicity is broken; a nil
+// error means the comparison was performed.
+func CheckPair(e *dbms.Engine, dec *oracle.Decoder, base, restricted string) (*Violation, error) {
+	baseEst, err := Estimate(e, dec, base)
 	if err != nil {
 		return nil, err
 	}
-	restEst, err := c.Estimate(restricted)
+	restEst, err := Estimate(e, dec, restricted)
 	if err != nil {
 		return nil, err
 	}
-	c.Checked++
 	if restEst > baseEst*Tolerance {
 		return &Violation{
-			Engine:        c.Engine.Info.Name,
+			Engine:        e.Info.Name,
 			Base:          base,
 			Restricted:    restricted,
 			BaseEst:       baseEst,

@@ -25,13 +25,20 @@ func seeded(t *testing.T, name string) *dbms.Engine {
 	return e
 }
 
+// decoder is the task decoder the campaign would give a task on e.
+func decoder(t *testing.T, e *dbms.Engine) *oracle.Decoder {
+	t.Helper()
+	dec, err := oracle.NewDecoder(e.Info.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
 func TestEstimateReadsUnifiedPlan(t *testing.T) {
 	for _, name := range []string{"postgresql", "mysql", "tidb"} {
-		c, err := New(seeded(t, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := c.Estimate("SELECT * FROM t0")
+		e := seeded(t, name)
+		est, err := Estimate(e, decoder(t, e), "SELECT * FROM t0")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -42,11 +49,8 @@ func TestEstimateReadsUnifiedPlan(t *testing.T) {
 }
 
 func TestMonotonicityHoldsOnCorrectEngine(t *testing.T) {
-	c, err := New(seeded(t, "postgresql"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.CheckPair(
+	e := seeded(t, "postgresql")
+	v, err := CheckPair(e, decoder(t, e),
 		"SELECT * FROM t0 WHERE c1 > 15",
 		"SELECT * FROM t0 WHERE c1 > 15 AND c2 = 'b'")
 	if err != nil {
@@ -60,11 +64,7 @@ func TestMonotonicityHoldsOnCorrectEngine(t *testing.T) {
 func TestViolationDetected(t *testing.T) {
 	e := seeded(t, "tidb")
 	e.Opts.Quirks.PredicateInflatesEstimate = 1000
-	c, err := New(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.CheckPair(
+	v, err := CheckPair(e, decoder(t, e),
 		"SELECT * FROM t0 WHERE c1 > 15",
 		"SELECT * FROM t0 WHERE c1 > 15 AND c0 = 2")
 	if err != nil {
@@ -89,15 +89,11 @@ func TestViolationDetected(t *testing.T) {
 // no longer plan.
 func runTask(t *testing.T, e *dbms.Engine, seed int64, tables, queries int, drop ...string) (oracle.TaskReport, []oracle.Finding) {
 	t.Helper()
-	dec, err := oracle.NewDecoder(e.Info.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var found []oracle.Finding
 	seen := map[string]bool{}
 	tc := &oracle.TaskContext{
 		Engine: e, Seed: seed, Queries: queries, Tables: tables, Rows: 8,
-		Decoder: dec,
+		Decoder: decoder(t, e),
 		Report: func(f oracle.Finding) bool {
 			key := string(f.Kind) + "|" + f.Detail
 			if seen[key] {
@@ -154,11 +150,8 @@ func TestRunReportsMissingEstimates(t *testing.T) {
 // distinguishes: unplannable queries (skip-worthy) versus plans without a
 // readable estimate (reportable).
 func TestEstimateClassifiesFailures(t *testing.T) {
-	c, err := New(seeded(t, "postgresql"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Estimate("SELECT * FROM no_such_table")
+	pg := seeded(t, "postgresql")
+	_, err := Estimate(pg, decoder(t, pg), "SELECT * FROM no_such_table")
 	if !errors.Is(err, ErrUnplannable) {
 		t.Errorf("unknown table: %q must match ErrUnplannable", err)
 	}
@@ -166,11 +159,8 @@ func TestEstimateClassifiesFailures(t *testing.T) {
 		t.Errorf("unknown table must not match ErrNoEstimate: %q", err)
 	}
 
-	s, err := New(seeded(t, "sqlite"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Estimate("SELECT * FROM t0")
+	sq := seeded(t, "sqlite")
+	_, err = Estimate(sq, decoder(t, sq), "SELECT * FROM t0")
 	if !errors.Is(err, ErrNoEstimate) {
 		t.Errorf("estimate-free plan: %q must match ErrNoEstimate", err)
 	}
@@ -197,22 +187,5 @@ func TestRunCountsSkips(t *testing.T) {
 	}
 	if rep.Checks+rep.Skipped != 12 || rep.Queries != 12 {
 		t.Errorf("checked %d + skipped %d of %d queries, want 12 pairs", rep.Checks, rep.Skipped, rep.Queries)
-	}
-}
-
-// TestCheckerSharesCachedConverter is the regression test for per-checker
-// registry rebuilds: every checker for a dialect must reuse the shared
-// cached converter instead of building a fresh registry.
-func TestCheckerSharesCachedConverter(t *testing.T) {
-	a, err := New(seeded(t, "mysql"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(seeded(t, "mysql"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.dec.Converter() != b.dec.Converter() {
-		t.Error("checkers built separate converters — the registry is being rebuilt per checker")
 	}
 }

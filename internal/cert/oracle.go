@@ -25,31 +25,24 @@ func (TaskOracle) Name() string { return OracleName }
 // Run implements oracle.Oracle.
 func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
 	var rep oracle.TaskReport
+	if tc.Decoder == nil {
+		return rep, errors.New("cert: task context has no plan decoder")
+	}
 	gen := sqlancer.New(tc.Seed)
 	if err := oracle.ApplySchema(tc.Engine, gen, tc.Tables, tc.Rows); err != nil {
 		return rep, err
 	}
-	checker, err := New(tc.Engine)
-	if err != nil {
-		return rep, err
-	}
-	checker.SetDecoder(tc.Decoder)
-	found := 0
-	for i := 0; i < tc.Queries; i++ {
-		if tc.MaxFindings > 0 && found >= tc.MaxFindings {
-			break
-		}
-		if !tc.Alive(rep.Queries) {
-			break
-		}
-		rep.Queries++
+	tc.Loop(&rep, func() bool {
 		base, restricted := gen.RestrictableQuery()
-		v, err := checker.CheckPair(base, restricted)
+		v, err := CheckPair(tc.Engine, tc.Decoder, base, restricted)
+		if err == nil {
+			rep.Checks++
+		}
 		var f oracle.Finding
 		switch {
 		case errors.Is(err, ErrUnplannable):
 			rep.Skipped++
-			continue
+			return true
 		case errors.Is(err, ErrNoEstimate):
 			f = oracle.Finding{
 				Kind: oracle.KindEstimate, Query: base,
@@ -60,20 +53,13 @@ func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
 		case v != nil:
 			f = oracle.Finding{Kind: oracle.KindEstimate, Query: v.Restricted, Detail: v.String()}
 		default:
-			continue
+			return true
 		}
-		added := tc.Emit(f)
-		if added {
-			found++
-		}
-		if !added && errors.Is(err, ErrNoEstimate) {
-			// A plan format that exposes no estimate for one query exposes
-			// none for any (the finding is already recorded); spending the
-			// rest of the budget would only re-derive it at two
-			// EXPLAIN-plus-convert round trips per pair.
-			break
-		}
-	}
-	rep.Checks = checker.Checked
+		// A plan format that exposes no estimate for one query exposes
+		// none for any: once that finding is recorded, spending the rest
+		// of the budget would only re-derive it at two EXPLAIN-plus-convert
+		// round trips per pair.
+		return tc.Emit(f) || !errors.Is(err, ErrNoEstimate)
+	})
 	return rep, nil
 }

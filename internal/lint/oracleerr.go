@@ -25,9 +25,9 @@ var OracleErrDeny = []string{
 	"uplan/internal/oracle.Oracle.Run",
 	"uplan/internal/oracle.ApplySchema",
 	"uplan/internal/oracle.Decoder.Decode",
-	"uplan/internal/cert.Checker.CheckPair",
-	"uplan/internal/cert.Checker.Estimate",
-	"uplan/internal/bounds.Checker.Check",
+	"uplan/internal/cert.CheckPair",
+	"uplan/internal/cert.Estimate",
+	"uplan/internal/bounds.Check",
 	"uplan/internal/tlp.Check",
 	"uplan/internal/qpg.campaign.setup",
 	// Execution and conversion: a dropped error here silently turns a

@@ -86,8 +86,8 @@ func dropSchemaAndDecode(e *dbms.Engine, gen *sqlancer.Generator, d *oracle.Deco
 
 // dropBoundsCheck keeps the violation but discards the error that
 // distinguishes an unbounded skip from a plan-conversion finding.
-func dropBoundsCheck(c *bounds.Checker, q string) *bounds.Violation {
-	v, _ := c.Check(q) // want `error result of bounds\.Checker\.Check assigned to _`
+func dropBoundsCheck(e *dbms.Engine, dec *oracle.Decoder, q string) *bounds.Violation {
+	v, _ := bounds.Check(e, dec, q) // want `error result of bounds\.Check assigned to _`
 	return v
 }
 

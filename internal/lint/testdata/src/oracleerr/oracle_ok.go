@@ -63,8 +63,8 @@ func dispatchHandled(o oracle.Oracle, tc *oracle.TaskContext) (oracle.TaskReport
 }
 
 // boundsSentinelMatch classifies bounds skips the approved way.
-func boundsSentinelMatch(c *bounds.Checker, q string) (bool, error) {
-	v, err := c.Check(q)
+func boundsSentinelMatch(e *dbms.Engine, dec *oracle.Decoder, q string) (bool, error) {
+	v, err := bounds.Check(e, dec, q)
 	if errors.Is(err, bounds.ErrNoBound) {
 		return false, nil
 	}

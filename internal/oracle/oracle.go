@@ -143,15 +143,40 @@ type TaskContext struct {
 	// returning false stops the task at that boundary (cooperative
 	// cancellation). It also drives periodic durable checkpoints.
 	Tick func(queries int) bool
+
+	// found counts the findings Emit reported as new, for MaxFindings.
+	found int
 }
 
-// Emit reports a finding through the Report hook. With no hook attached
-// every finding counts as new.
+// Emit reports a finding through the Report hook and returns whether it
+// was new. With no hook attached every finding counts as new. New
+// findings count toward MaxFindings.
 func (tc *TaskContext) Emit(f Finding) bool {
-	if tc.Report == nil {
-		return true
+	added := tc.Report == nil || tc.Report(f)
+	if added {
+		tc.found++
 	}
-	return tc.Report(f)
+	return added
+}
+
+// Loop is every oracle's query loop: it runs step once per query and
+// counts rep.Queries. It stops when the budget is spent, when
+// MaxFindings new findings have been emitted, when Alive says stop (the
+// query is then not counted), or when step returns false (after the
+// query is counted).
+func (tc *TaskContext) Loop(rep *TaskReport, step func() bool) {
+	for rep.Queries < tc.Queries {
+		if tc.MaxFindings > 0 && tc.found >= tc.MaxFindings {
+			return
+		}
+		if !tc.Alive(rep.Queries) {
+			return
+		}
+		rep.Queries++
+		if !step() {
+			return
+		}
+	}
 }
 
 // Observe feeds a plan to the ObservePlan hook, if attached.
@@ -179,9 +204,9 @@ type Oracle interface {
 	// the identity used in seeds, finding dedup keys, config stamps, and
 	// checkpoint records. Renaming an oracle invalidates stored runs.
 	Name() string
-	// Run executes one full task against tc.Engine: apply a schema,
-	// generate queries from tc.Seed, emit findings through tc, and return
-	// the counter report. The error is for hard failures (setup, engine
+	// Run executes one full task against tc.Engine: apply a schema, hand
+	// a per-query step (generate from tc.Seed, emit findings through tc)
+	// to tc.Loop, and return the counter report. The error is for hard failures (setup, engine
 	// construction) only; per-query failures are findings or skips.
 	Run(tc *TaskContext) (TaskReport, error)
 }
@@ -259,8 +284,8 @@ func ApplySchema(e *dbms.Engine, gen *sqlancer.Generator, tables, rows int) erro
 }
 
 // Decoder converts serialized native plans into unified plans through a
-// reused task-owned arena — the allocation-lean observation path QPG and
-// CERT each built by hand before the oracle layer existed.
+// reused task-owned arena — the allocation-lean observation path of every
+// oracle that reads plans (QPG, CERT, bounds).
 type Decoder struct {
 	conv  convert.Converter
 	arena *core.PlanArena
@@ -275,11 +300,6 @@ func NewDecoder(dialect string) (*Decoder, error) {
 	}
 	return &Decoder{conv: conv, arena: core.NewPlanArena()}, nil
 }
-
-// Converter exposes the decoder's underlying converter — the shared
-// per-dialect instance. Regression tests compare it across decoders to
-// prove the registry is not being rebuilt per task.
-func (d *Decoder) Converter() convert.Converter { return d.conv }
 
 // Decode converts one serialized plan. The returned plan lives in the
 // decoder's reused arena and is valid only until the next Decode — Clone

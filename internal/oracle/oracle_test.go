@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uplan/internal/core"
+	"uplan/internal/dbms"
 	"uplan/internal/oracle"
 	_ "uplan/internal/oracle/all"
 )
@@ -85,6 +86,93 @@ func TestTaskContextNilHooks(t *testing.T) {
 	}
 	if !tc.Alive(5) {
 		t.Error("Alive without a Tick hook must keep running")
+	}
+}
+
+// TestTaskContextLoop pins the budget policy every oracle's query loop
+// shares: what stops the loop, and which queries it counts.
+func TestTaskContextLoop(t *testing.T) {
+	acceptEveryOther := func() func(oracle.Finding) bool {
+		n := 0
+		return func(oracle.Finding) bool { n++; return n%2 == 1 }
+	}
+	for _, tt := range []struct {
+		name        string
+		tc          oracle.TaskContext
+		emit        bool // the step emits one finding per query
+		stopAt      int  // the step returns false on this call; 0 never
+		wantQueries int
+	}{
+		{
+			name:        "budget spent",
+			tc:          oracle.TaskContext{Queries: 5, MaxFindings: 1},
+			wantQueries: 5,
+		},
+		{
+			name:        "MaxFindings counts only findings Report accepts",
+			tc:          oracle.TaskContext{Queries: 10, MaxFindings: 2, Report: acceptEveryOther()},
+			emit:        true,
+			wantQueries: 3,
+		},
+		{
+			name:        "Alive false stops before a query is counted",
+			tc:          oracle.TaskContext{Queries: 10, Tick: func(queries int) bool { return queries < 2 }},
+			wantQueries: 2,
+		},
+		{
+			name:        "step false stops after its query is counted",
+			tc:          oracle.TaskContext{Queries: 10},
+			stopAt:      3,
+			wantQueries: 3,
+		},
+		{
+			name:        "nil Report counts every Emit",
+			tc:          oracle.TaskContext{Queries: 10, MaxFindings: 4},
+			emit:        true,
+			wantQueries: 4,
+		},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := tt.tc
+			var rep oracle.TaskReport
+			steps := 0
+			tc.Loop(&rep, func() bool {
+				steps++
+				if rep.Queries != steps {
+					t.Errorf("step %d sees Queries = %d", steps, rep.Queries)
+				}
+				if tt.emit {
+					tc.Emit(oracle.Finding{Kind: oracle.KindLogic})
+				}
+				return steps != tt.stopAt
+			})
+			if rep.Queries != tt.wantQueries || steps != tt.wantQueries {
+				t.Errorf("Queries = %d after %d steps, want %d", rep.Queries, steps, tt.wantQueries)
+			}
+		})
+	}
+}
+
+// TestRunNeedsDecoder: every oracle that decodes plans refuses a context
+// without a decoder as a hard setup error, instead of running plan-blind
+// or building a decoder of its own. TLP never decodes, so it runs.
+func TestRunNeedsDecoder(t *testing.T) {
+	decodes := map[string]bool{"qpg": true, "cert": true, "tlp": false, "bounds": true}
+	for _, name := range oracle.Names() {
+		want, ok := decodes[name]
+		if !ok {
+			t.Errorf("oracle %q: the table must say whether it decodes plans", name)
+			continue
+		}
+		o, _ := oracle.Lookup(name)
+		tc := &oracle.TaskContext{Engine: dbms.MustNew("postgresql"), Queries: 5, Tables: 1, Rows: 4}
+		_, err := o.Run(tc)
+		switch {
+		case want && err == nil:
+			t.Errorf("%s: a task context without a decoder must fail", name)
+		case !want && err != nil:
+			t.Errorf("%s never decodes, yet failed without a decoder: %v", name, err)
+		}
 	}
 }
 

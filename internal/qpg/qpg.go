@@ -14,7 +14,6 @@ import (
 
 	"uplan/internal/core"
 	"uplan/internal/dbms"
-	"uplan/internal/exec"
 	"uplan/internal/oracle"
 	"uplan/internal/sqlancer"
 	"uplan/internal/tlp"
@@ -32,8 +31,6 @@ type campaign struct {
 	// rep accumulates the task's counters; DistinctPlans is filled in
 	// from plans when the loop ends.
 	rep oracle.TaskReport
-	// found counts the findings Emit reported as new, for MaxFindings.
-	found int
 }
 
 // newCampaign prepares a task against tc.Engine. The reference engine is
@@ -88,19 +85,13 @@ func (c *campaign) applyBoth(stmt string) error {
 	return nil
 }
 
-// run executes the campaign loop until the budget is spent, MaxFindings
-// new findings were emitted, or the task is told to stop.
+// run spends the task's budget through the task context's Loop. Each
+// step observes one query's unified plan, runs the differential and TLP
+// oracles, and mutates the database when plan coverage stalls.
 func (c *campaign) run() {
 	stall := 0
-	for i := 0; i < c.tc.Queries; i++ {
-		if c.tc.MaxFindings > 0 && c.found >= c.tc.MaxFindings {
-			break
-		}
-		if !c.tc.Alive(c.rep.Queries) {
-			break
-		}
+	c.tc.Loop(&c.rep, func() bool {
 		query := c.gen.Query()
-		c.rep.Queries++
 		// 1. Plan guidance: observe the unified plan of the query.
 		fresh, ok := c.observePlan(query)
 		if ok {
@@ -115,13 +106,14 @@ func (c *campaign) run() {
 		// 2. Oracles.
 		c.checkDifferential(query)
 		table, pred := c.gen.PartitionableQuery()
-		c.checkTLP(table, pred)
+		tlp.Probe(c.tc, table, pred)
 		// 3. Mutate the database when plan coverage stalls.
 		if stall >= c.tc.StallThreshold {
 			stall = 0
 			c.mutate()
 		}
-	}
+		return true
+	})
 	c.rep.DistinctPlans = c.plans.Size()
 }
 
@@ -161,23 +153,6 @@ func (c *campaign) checkDifferential(query string) {
 		if diff := tlp.CompareResults(got, want); diff != "" {
 			c.report(oracle.KindLogic, query, "differs from reference: "+diff)
 		}
-	}
-}
-
-func (c *campaign) checkTLP(table, pred string) {
-	v, err := tlp.Check(c.engine, table, pred)
-	if err != nil {
-		// The generator guesses predicates against its own schema model, so
-		// a column the table lacks is expected noise, not a defect. Match
-		// the executor's sentinel instead of its message text: messages
-		// change, and unrelated errors may contain the same words.
-		if !errors.Is(err, exec.ErrUnresolvedColumn) {
-			c.report(oracle.KindCrash, "TLP "+table+" / "+pred, err.Error())
-		}
-		return
-	}
-	if v != nil {
-		c.report(oracle.KindLogic, v.Base+" WHERE "+pred, v.Detail)
 	}
 }
 
@@ -225,11 +200,8 @@ func (c *campaign) mutate() {
 	}
 }
 
-// report emits a finding as it occurs. Deduplication is the task
-// context's: Emit reports whether the finding was new, and only new
-// findings count toward MaxFindings.
+// report emits a finding through the task context as it occurs; the
+// context dedups it and counts it toward the task's finding cap.
 func (c *campaign) report(kind oracle.Kind, query, detail string) {
-	if c.tc.Emit(oracle.Finding{Kind: kind, Query: query, Detail: detail}) {
-		c.found++
-	}
+	c.tc.Emit(oracle.Finding{Kind: kind, Query: query, Detail: detail})
 }

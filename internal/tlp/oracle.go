@@ -28,40 +28,38 @@ func (TaskOracle) Run(tc *oracle.TaskContext) (oracle.TaskReport, error) {
 	if err := oracle.ApplySchema(tc.Engine, gen, tc.Tables, tc.Rows); err != nil {
 		return rep, err
 	}
-	found := 0
-	for i := 0; i < tc.Queries; i++ {
-		if tc.MaxFindings > 0 && found >= tc.MaxFindings {
-			break
-		}
-		if !tc.Alive(rep.Queries) {
-			break
-		}
-		rep.Queries++
+	tc.Loop(&rep, func() bool {
 		table, pred := gen.PartitionableQuery()
-		v, err := Check(tc.Engine, table, pred)
-		var f oracle.Finding
-		switch {
-		case errors.Is(err, exec.ErrUnresolvedColumn):
-			// Generator noise: the predicate names a column this table
-			// lacks.
+		if !Probe(tc, table, pred) {
 			rep.Skipped++
-			continue
-		case err != nil:
-			f = oracle.Finding{
-				Kind: oracle.KindCrash, Query: "TLP " + table + " / " + pred,
-				Detail: err.Error(),
-			}
-		case v != nil:
-			f = oracle.Finding{
-				Kind: oracle.KindLogic, Query: v.Base + " WHERE " + pred,
-				Detail: v.Detail,
-			}
-		default:
-			continue
 		}
-		if tc.Emit(f) {
-			found++
-		}
-	}
+		return true
+	})
 	return rep, nil
+}
+
+// Probe runs one TLP check of predicate over table on tc.Engine and
+// emits what it finds through tc: an execution failure is a crash
+// finding, a partition mismatch a logic finding. It returns false when
+// the probe was skipped because the predicate names a column the table
+// lacks — the generator guesses predicates against its own schema
+// model, so that is expected noise, matched by the executor's sentinel
+// rather than its message text.
+func Probe(tc *oracle.TaskContext, table, predicate string) bool {
+	v, err := Check(tc.Engine, table, predicate)
+	switch {
+	case errors.Is(err, exec.ErrUnresolvedColumn):
+		return false
+	case err != nil:
+		tc.Emit(oracle.Finding{
+			Kind: oracle.KindCrash, Query: "TLP " + table + " / " + predicate,
+			Detail: err.Error(),
+		})
+	case v != nil:
+		tc.Emit(oracle.Finding{
+			Kind: oracle.KindLogic, Query: v.Base + " WHERE " + predicate,
+			Detail: v.Detail,
+		})
+	}
+	return true
 }

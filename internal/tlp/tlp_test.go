@@ -10,6 +10,7 @@ import (
 	"uplan/internal/datum"
 	"uplan/internal/dbms"
 	"uplan/internal/exec"
+	"uplan/internal/oracle"
 )
 
 func engine(t *testing.T) *dbms.Engine {
@@ -61,6 +62,39 @@ func TestCheckPropagatesExecutionErrors(t *testing.T) {
 	e := engine(t)
 	if _, err := Check(e, "missing_table", "c1 > 6"); err == nil {
 		t.Error("missing table must surface as an error")
+	}
+}
+
+// TestProbeUsesSentinel pins Probe's classification, which QPG and the
+// TLP task share: unresolved-column noise is skipped via errors.Is on
+// exec.ErrUnresolvedColumn, while every other execution failure —
+// including ones that merely mention columns — is a crash finding, and a
+// partition mismatch is a logic finding.
+func TestProbeUsesSentinel(t *testing.T) {
+	var found []oracle.Finding
+	tc := &oracle.TaskContext{
+		Engine: engine(t),
+		Report: func(f oracle.Finding) bool { found = append(found, f); return true },
+	}
+	if Probe(tc, "t0", "no_such_column = 1") {
+		t.Error("unresolved-column noise must be skipped")
+	}
+	if !Probe(tc, "t0", "c1 > 6") || len(found) != 0 {
+		t.Fatalf("consistent predicate: findings = %v", found)
+	}
+	if !Probe(tc, "t0", "c0 = = 1") { // malformed predicate: a genuine failure
+		t.Error("a non-sentinel error is not a skip")
+	}
+	if len(found) != 1 || found[0].Kind != oracle.KindCrash {
+		t.Fatalf("non-sentinel error must be a crash finding, findings = %v", found)
+	}
+	tc.Engine.Quirks.NotIgnoresNull = true
+	if !Probe(tc, "t0", "c1 > 6") {
+		t.Error("a violation is not a skip")
+	}
+	if len(found) != 2 || found[1].Kind != oracle.KindLogic ||
+		found[1].Query != "SELECT * FROM t0 WHERE c1 > 6" {
+		t.Fatalf("partition mismatch must be a logic finding, findings = %v", found)
 	}
 }
 
