@@ -49,8 +49,9 @@
 // the next, so a warm Encoder encodes without allocating. Because the
 // table and record sizes are known before any byte of the blob is
 // written, AppendEncodeLen writes a blob behind its uvarint length
-// straight into a wire message — the serve batch path streams a whole
-// response through one Encoder this way. The package-level Encode
+// straight into a wire message — the plan service encodes each of its
+// binary responses, and each chunk of a batch response, through one
+// pooled Encoder this way. The package-level Encode
 // borrows an Encoder from a sync.Pool; encoders whose table or scratch
 // grew past a fixed size are dropped instead of pooled.
 //

@@ -1,6 +1,7 @@
 package convert
 
 import (
+	"fmt"
 	"testing"
 
 	"uplan/internal/core"
@@ -107,26 +108,70 @@ func TestConvertIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestLooksNumericNeverRejectsFloats pins the parseScalar fast path: the
-// pre-filter may only skip ParseFloat when ParseFloat would fail, never
-// the other way around.
+// TestLooksNumericNeverRejectsFloats pins the parseScalar filter: it
+// never rejects a decimal literal, so every finite number a plan prints
+// still converts to a number, and it rejects the other literals
+// ParseFloat accepts (NaN, infinities, hex and underscore forms), so
+// converters produce finite numbers only.
 func TestLooksNumericNeverRejectsFloats(t *testing.T) {
-	accepts := []string{
-		"0", "-1", "+1", "3.14", ".5", "1e9", "1E-9", "0x1p-2", "-0X2P4",
-		"inf", "+Inf", "-INFINITY", "nan", "NaN", "1_0.0_1", "9007199254740993",
-	}
+	accepts := []string{"0", "-1", "+1", "3.14", ".5", "1e9", "1E-9", "9007199254740993", "1e999"}
 	for _, s := range accepts {
 		if !looksNumeric(s) {
-			t.Errorf("looksNumeric(%q) = false, but ParseFloat may accept it", s)
+			t.Errorf("looksNumeric(%q) = false, but it is a decimal literal", s)
 		}
 	}
-	rejects := []string{"Seq Scan", "t0.c0 > 5", "root", "cop[tikv]", "", "hello"}
+	rejects := []string{
+		"Seq Scan", "t0.c0 > 5", "root", "cop[tikv]", "", "hello", "e5",
+		"NaN", "nan", "Inf", "+Inf", "-Infinity", "0x1p-2", "-0X2P4", "1_0.0_1",
+	}
 	for _, s := range rejects {
 		if looksNumeric(s) {
-			// Allowed (false positives only cost a ParseFloat call), but
-			// these particular strings must stay filtered: they are the
-			// hot-path property values the fix was measured on.
-			t.Errorf("looksNumeric(%q) = true; hot-path filter regressed", s)
+			t.Errorf("looksNumeric(%q) = true; only decimal literals may reach ParseFloat", s)
+		}
+	}
+	for _, s := range nonDecimalLiterals {
+		if v := parseScalar(s); v.Kind != core.KindString || v.Str != s {
+			t.Errorf("parseScalar(%q) = %+v, want the string kept", s, v)
+		}
+	}
+}
+
+// nonDecimalLiterals are number-like strings a converter must keep as
+// strings: ParseFloat reads them as non-finite, hex or underscore
+// numbers, or (1e999) rejects them as out of range.
+var nonDecimalLiterals = []string{"NaN", "nan", "Inf", "+Inf", "-Infinity", "0x1p-2", "-0X2P4", "1_0.0_1", "1e999"}
+
+// TestNonDecimalLiteralsFixedPoint: a plan whose values are non-decimal
+// literals converts, and each of its serializations is a fixed point: the
+// canonical text read back by ParseText, and the JSON read back by
+// ParseJSON, each give an equal plan with an equal fingerprint. Before
+// the literals stayed strings, rows=NaN converted to a number that
+// MarshalText printed and ParseText rejected, and that AppendJSON wrote
+// as null.
+func TestNonDecimalLiteralsFixedPoint(t *testing.T) {
+	opts := core.FingerprintOptions{IncludeConfiguration: true, IncludeConfigurationValues: true}
+	for _, v := range nonDecimalLiterals {
+		inputs := []struct{ path, dialect, raw string }{
+			{"postgresql text", "postgresql", fmt.Sprintf("Seq Scan on t1  (cost=0.00..%[1]s rows=%[1]s width=4)\n  Filter: %[1]s\nPlanning Time: %[1]s ms\n", v)},
+			{"postgresql json", "postgresql", fmt.Sprintf(`[{"Plan": {"Node Type": "Seq Scan", "Relation Name": "t1", "Total Cost": %[1]q, "Plan Rows": %[1]q}, "Planning Time": %[1]q}]`, v)},
+		}
+		for _, in := range inputs {
+			p, err := Convert(in.dialect, in.raw)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", in.path, v, err)
+			}
+			fromText, err := core.ParseText(p.MarshalText())
+			if err != nil || !fromText.Equal(p) || fromText.FingerprintBytes(opts) != p.FingerprintBytes(opts) {
+				t.Errorf("%s, %s: text is no fixed point (err %v)\n%s", in.path, v, err, p.MarshalText())
+			}
+			js, err := p.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromJSON, err := core.ParseJSON(js)
+			if err != nil || !fromJSON.Equal(p) || fromJSON.FingerprintBytes(opts) != p.FingerprintBytes(opts) {
+				t.Errorf("%s, %s: JSON is no fixed point (err %v)\n%s", in.path, v, err, js)
+			}
 		}
 	}
 }

@@ -209,34 +209,24 @@ func parseScalar(s string) core.Value {
 	return core.Str(t)
 }
 
-// looksNumeric cheaply rejects strings ParseFloat would reject. ParseFloat
-// allocates its syntax error, and most property values are not numbers, so
-// without this filter the error construction alone was ~13% of the batch
-// path's allocations. The byte set is a superset of every literal
-// ParseFloat accepts (digits, sign/exponent/hex punctuation, and the
-// letters of inf/infinity/nan in either case), so no valid number is ever
-// filtered out — only guaranteed failures skip the call.
+// looksNumeric admits only the decimal grammar: digits, a sign, '.',
+// and 'e' or 'E'. Converters produce finite numbers only, so NaN, Inf,
+// Infinity, hex floats and underscore literals stay strings, which every
+// serialization of a plan (canonical text, JSON, codec) carries alike; an
+// overflow such as 1e999 stays a string too, because ParseFloat rejects
+// it. The filter also keeps ParseFloat off most property values, which
+// are not numbers: its syntax error allocates, and that construction
+// alone was ~13% of the batch path's allocations.
 //
 //uplan:hotpath
 func looksNumeric(t string) bool {
-	if len(t) == 0 {
+	if len(t) == 0 || t[0] == 'e' || t[0] == 'E' {
 		return false
 	}
-	switch c := t[0]; {
-	case c >= '0' && c <= '9':
-	case c == '+' || c == '-' || c == '.':
-	case c == 'i' || c == 'I' || c == 'n' || c == 'N': // inf / nan
-	default:
-		return false
-	}
-	for i := 1; i < len(t); i++ {
+	for i := 0; i < len(t); i++ {
 		switch c := t[i]; {
 		case c >= '0' && c <= '9':
-		case c == '+' || c == '-' || c == '.' || c == '_':
-		case c == 'e' || c == 'E' || c == 'x' || c == 'X' || c == 'p' || c == 'P':
-		case c == 'i' || c == 'I' || c == 'n' || c == 'N' || c == 'f' || c == 'F':
-		case c == 'a' || c == 'A' || c == 't' || c == 'T' || c == 'y' || c == 'Y':
-		case c == 'b' || c == 'B' || c == 'c' || c == 'C' || c == 'd' || c == 'D': // hex digits
+		case c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E':
 		default:
 			return false
 		}

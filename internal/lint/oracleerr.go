@@ -66,8 +66,8 @@ var OracleErrDeny = []string{
 // deny-listed callees), because a worker closure has no caller to hand
 // the error to — signal dropped there is dropped for good.
 var OracleErrWorkerAPIs = []string{
-	"uplan/internal/pipeline.ForEachChunked",
 	"uplan/internal/pipeline.ForEachChunkedCtx",
+	"uplan/internal/pipeline.Run",
 }
 
 // oracleErrSentinels maps known error-message fragments to the errors.Is

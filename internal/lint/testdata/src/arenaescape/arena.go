@@ -3,6 +3,7 @@
 package arenaescape
 
 import (
+	"context"
 	"sync"
 
 	"uplan/internal/convert"
@@ -97,7 +98,7 @@ func (c *nodeCache) keepNode() {
 // Reset between records, so plans escaping into out must be detached
 // first — these are not.
 func convertChunk(ac convert.Converter, raws []string, out []result) {
-	pipeline.ForEachChunked(len(raws), 4, 8,
+	pipeline.ForEachChunkedCtx(context.Background(), len(raws), 4, 8,
 		func() *core.PlanArena { return core.NewPlanArena() },
 		func(ar *core.PlanArena, lo, hi int) {
 			for i := lo; i < hi; i++ {

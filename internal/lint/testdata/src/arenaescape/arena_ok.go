@@ -1,6 +1,8 @@
 package arenaescape
 
 import (
+	"context"
+
 	"uplan/internal/convert"
 	"uplan/internal/core"
 	"uplan/internal/pipeline"
@@ -66,7 +68,7 @@ func errClears(ac convert.Converter, raw string, out []*core.Plan, i int) {
 // convertChunkDetached is the corrected batch worker: every plan is
 // detached before it reaches the shared result slice.
 func convertChunkDetached(ac convert.Converter, raws []string, out []result) {
-	pipeline.ForEachChunked(len(raws), 4, 8,
+	pipeline.ForEachChunkedCtx(context.Background(), len(raws), 4, 8,
 		func() *core.PlanArena { return core.NewPlanArena() },
 		func(ar *core.PlanArena, lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -7,6 +7,7 @@ package oracleerr
 import (
 	"uplan/internal/codec"
 	"uplan/internal/core"
+	"uplan/internal/pipeline"
 )
 
 // dropEncodeErr keeps the blob but loses the error that said it is not a
@@ -36,4 +37,26 @@ func handledDecode(data []byte, ar *core.PlanArena) *core.Plan {
 		return nil
 	}
 	return p
+}
+
+// encodeInSink drops the encoder's error inside a batch sink, where the
+// plan is encoded in its worker's arena: the record silently vanishes
+// from the response.
+func encodeInSink(recs []pipeline.Record, encs []codec.Encoder, bufs [][]byte) {
+	pipeline.Run(recs, pipeline.Options{}, func(chunk, i int, p *core.Plan, err error) {
+		if err == nil {
+			bufs[chunk], _ = encs[chunk].AppendEncodeLen(bufs[chunk], p) // want `error result of codec\.Encoder\.AppendEncodeLen discarded inside a worker closure`
+		}
+	})
+}
+
+// encodeInSinkHandled records the encoder's error in the record's slot,
+// the shape the serve batch sink uses.
+func encodeInSinkHandled(recs []pipeline.Record, encs []codec.Encoder, bufs [][]byte, errs []error) {
+	pipeline.Run(recs, pipeline.Options{}, func(chunk, i int, p *core.Plan, err error) {
+		if err == nil {
+			bufs[chunk], err = encs[chunk].AppendEncodeLen(bufs[chunk], p)
+		}
+		errs[i] = err
+	})
 }

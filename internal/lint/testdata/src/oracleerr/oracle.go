@@ -5,6 +5,7 @@
 package oracleerr
 
 import (
+	"context"
 	"strings"
 
 	"uplan/internal/bounds"
@@ -39,7 +40,7 @@ func dropExecuteErr(e *dbms.Engine, q string) int {
 // campaignWorkers swallows a non-deny-listed error inside a worker
 // closure, where no caller can ever observe it.
 func campaignWorkers(e *dbms.Engine, qs []string) {
-	pipeline.ForEachChunked(len(qs), 2, 4,
+	pipeline.ForEachChunkedCtx(context.Background(), len(qs), 2, 4,
 		func() int { return 0 },
 		func(s, lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -1,6 +1,7 @@
 package oracleerr
 
 import (
+	"context"
 	"errors"
 	"strings"
 
@@ -45,7 +46,7 @@ func localErr() error { return nil }
 // campaignWorkersRecord routes every worker error into the result slice
 // the drain step inspects.
 func campaignWorkersRecord(e *dbms.Engine, qs []string, errs []error) {
-	pipeline.ForEachChunked(len(qs), 2, 4,
+	pipeline.ForEachChunkedCtx(context.Background(), len(qs), 2, 4,
 		func() int { return 0 },
 		func(s, lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"uplan/internal/core"
 )
 
 // TestForEachChunkedCtxDeadlineMidChunk: a deadline that expires while
@@ -174,5 +176,66 @@ func TestForEachChunkedCtxGoroutineSettle(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunSinkCancelAfterFirstChunk: a context cancelled from inside the
+// sink once the first chunk is emitted stops the pool at its next claim.
+// Every record is still emitted exactly once, in order within its chunk
+// (the race detector flags a chunk emitted from two goroutines); the
+// records no worker claimed carry the context's error; and the converted
+// and the cancelled records add up to the batch. The sink holds every
+// other chunk until the first is done, so at most one more chunk (the
+// other worker's) converts whatever the scheduling. CI runs it at
+// -cpu=1,2: the inline pool and the goroutine pool.
+func TestRunSinkCancelAfterFirstChunk(t *testing.T) {
+	base := fixtures(t)
+	var recs []Record
+	for len(recs) < 10*ChunkSize {
+		recs = append(recs, base...)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstDone := make(chan struct{})
+	emitted := make([]int, len(recs))
+	next := make([]int, (len(recs)+ChunkSize-1)/ChunkSize)
+	var converted, cancelled atomic.Int32
+	stats := Run(recs, Options{Workers: 2, Context: ctx}, func(c, i int, p *core.Plan, err error) {
+		if c != 0 {
+			<-firstDone
+		}
+		if want := c*ChunkSize + next[c]; i != want || c != i/ChunkSize {
+			t.Errorf("chunk %d emitted record %d, want %d", c, i, want)
+		}
+		next[c]++
+		emitted[i]++
+		switch {
+		case p != nil && err == nil:
+			converted.Add(1)
+		case p == nil && errors.Is(err, context.Canceled):
+			cancelled.Add(1)
+		default:
+			t.Errorf("record %d: Plan=%v Err=%v", i, p != nil, err)
+		}
+		if i == ChunkSize-1 {
+			cancel()
+			close(firstDone)
+		}
+	})
+	for i, n := range emitted {
+		if n != 1 {
+			t.Fatalf("record %d emitted %d times", i, n)
+		}
+	}
+	got, cut := int(converted.Load()), int(cancelled.Load())
+	if got+cut != len(recs) {
+		t.Errorf("%d converted + %d cancelled != %d records", got, cut, len(recs))
+	}
+	if got < ChunkSize || got > 2*ChunkSize {
+		t.Errorf("%d records converted, want the first chunk and at most one more", got)
+	}
+	if stats.Converted != got || stats.Errors != 0 || stats.Records != got {
+		t.Errorf("stats = %d records, %d converted, %d errors; want %d converted and no errors (unclaimed records are not conversion errors)",
+			stats.Records, stats.Converted, stats.Errors, got)
 	}
 }

@@ -1,29 +1,29 @@
-// Package pipeline implements UPlan's concurrent batch conversion:
-// ConvertBatch fans a slice of (dialect, serialized-plan) records out over
-// a worker pool, converts each record to the unified representation, and
-// aggregates per-dialect statistics (throughput, parse errors, merged
-// operation histograms).
+// Package pipeline implements UPlan's concurrent batch conversion: Run
+// fans a slice of (dialect, serialized-plan) records out over a worker
+// pool, converts each record to the unified representation, hands each
+// outcome to a sink, and aggregates per-dialect statistics (throughput,
+// parse errors, merged operation histograms).
 //
 // Dispatch is chunked: the input slice itself is the work queue, carved
-// into chunks of 32 records by an atomic cursor (see
-// ForEachChunkedCtx), and workers write results straight into disjoint
-// slots of the output slice, so a batch performs no per-record
-// synchronization at all. Each worker folds its statistics into
-// thread-local aggregates that merge exactly once, at drain.
+// into chunks of ChunkSize records by an atomic cursor (see
+// ForEachChunkedCtx), so a batch performs no per-record synchronization.
+// Each worker folds its statistics into thread-local aggregates that
+// merge exactly once, at drain.
 //
 // Workers convert through the process-wide cached converters
 // (convert.Cached), so a batch of n records performs n parses — not n
-// registry constructions, which is what the one-shot convert.Convert path
-// costs. Name resolution reads the shared registry's immutable snapshot
-// (see core.Registry), so workers never serialize on a registry lock even
-// while a client concurrently registers new keywords.
+// registry constructions. Name resolution reads the shared registry's
+// immutable snapshot (see core.Registry), so workers never serialize on a
+// registry lock even while a client concurrently registers new keywords.
 //
 // Each worker borrows one arena from convert's pool when it starts,
-// builds every record it claims in that arena, detaches each plan with
-// Plan.Clone, resets the arena before the next record, and returns it to
-// the pool when it drains — a cancelled batch included. A warmed-up
-// worker therefore builds plans with zero slab allocations and pays one
-// compact copy per result.
+// builds every record it claims in that arena, hands the in-arena plan
+// to the sink, resets the arena before the next record, and returns it
+// to the pool when it drains — a cancelled batch included. A warmed-up
+// worker builds plans with zero slab allocations, and a sink that
+// encodes each plan where it lies (the plan service's batch responses)
+// copies nothing. ConvertBatch, whose results outlive the arena, is the
+// one caller that detaches plans with Plan.Clone.
 package pipeline
 
 import (
@@ -55,22 +55,22 @@ type Result struct {
 	Err    error
 }
 
-// chunkSize is the records-per-dispatch unit of ConvertBatch: large
-// enough to amortize the cursor claim, small enough to balance load and
-// keep cancellation fine-grained.
-const chunkSize = 32
+// ChunkSize is the records-per-dispatch unit of Run: large enough to
+// amortize the cursor claim, small enough to balance load and keep
+// cancellation fine-grained. Record i belongs to chunk i/ChunkSize.
+const ChunkSize = 32
 
-// Options configures ConvertBatch.
+// Options configures Run and ConvertBatch.
 type Options struct {
 	// Workers is the number of concurrent conversion workers.
-	// Non-positive values use GOMAXPROCS. ConvertBatch additionally
-	// clamps the count to GOMAXPROCS (and to the number of chunks):
-	// conversion is CPU-bound, so goroutines beyond the schedulable
-	// cores only add overhead.
+	// Non-positive values use GOMAXPROCS. Run additionally clamps the
+	// count to GOMAXPROCS (and to the number of chunks): conversion is
+	// CPU-bound, so goroutines beyond the schedulable cores only add
+	// overhead.
 	Workers int
-	// Context, when non-nil, cancels a ConvertBatch run between chunks:
-	// records not yet claimed when the context is done are skipped, and
-	// their Results carry the context's error instead of a Plan.
+	// Context, when non-nil, cancels a run between chunks: records not
+	// yet claimed when the context is done are not converted, and their
+	// outcomes carry the context's error instead of a Plan.
 	Context context.Context
 }
 
@@ -95,35 +95,32 @@ type localDialect struct {
 // convert's pool plus thread-local statistics, merged into the shared
 // aggregate once when the worker drains.
 type worker struct {
-	arena *core.PlanArena
-	local map[string]*localDialect
+	arena   *core.PlanArena
+	local   map[string]*localDialect
+	claimed int // end of the last chunk converted
 }
 
 func newWorker() *worker {
 	return &worker{arena: convert.BorrowArena(), local: map[string]*localDialect{}}
 }
 
-// do converts one record into res — written in place, so workers fill
-// their output slots without an intermediate copy — and updates the
-// worker-local stats. The plan is built in the worker's arena and
-// detached with Plan.Clone before it escapes: the Result must stay valid
-// after the arena is reset for the next record.
+// Sink receives record i's outcome, from chunk i/ChunkSize: exactly one
+// of p and err is non-nil. p lives in the converting worker's arena and
+// is valid only until the sink returns.
+type Sink func(chunk, i int, p *core.Plan, err error)
+
+// do converts record i in the worker's arena, updates the worker-local
+// stats, hands the outcome to emit and resets the arena for the next
+// record.
 //
 //uplan:hotpath
-func (w *worker) do(res *Result, seq int, rec Record) {
+func (w *worker) do(i int, rec Record, emit Sink) {
 	key := strings.ToLower(rec.Dialect)
-	res.Seq, res.Record = seq, rec
 	conv, err := convert.Cached(key)
+	var p *core.Plan
 	if err == nil {
-		res.Plan, err = conv.ConvertIn(rec.Serialized, w.arena)
-		if err == nil {
-			res.Plan = res.Plan.Clone() // detach from the reused arena
-		} else {
-			res.Plan = nil
-		}
-		w.arena.Reset()
+		p, err = conv.ConvertIn(rec.Serialized, w.arena)
 	}
-	res.Err = err
 
 	ld := w.local[key]
 	if ld == nil {
@@ -131,15 +128,18 @@ func (w *worker) do(res *Result, seq int, rec Record) {
 		w.local[key] = ld
 	}
 	ld.ds.Records++
-	if res.Err != nil {
+	if err != nil {
+		p = nil
 		ld.ds.Errors++
 		if ld.ds.FirstError == nil {
-			ld.ds.FirstError = res.Err
+			ld.ds.FirstError = err
 		}
 	} else {
 		ld.ds.Converted++
-		ld.countOps(res.Plan.Root)
+		ld.countOps(p.Root)
 	}
+	emit(i/ChunkSize, i, p, err)
+	w.arena.Reset()
 }
 
 // countOps tallies the subtree's operations: canonical categories go to
@@ -170,49 +170,58 @@ func (ld *localDialect) drain() *DialectStats {
 	return ld.ds
 }
 
-// ConvertBatch converts records through a transient chunked worker pool
-// and returns the results indexed like the input (results[i] is
-// records[i]'s outcome) plus the aggregate statistics. Per-record
-// failures — unknown dialects, malformed plans — are reported in the
-// matching Result.Err and counted in the stats; they do not stop the
-// batch.
-func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
+// Run converts records on a transient chunked worker pool, hands every
+// record's outcome to emit exactly once, and returns the statistics. A
+// record's failure (an unknown dialect, a malformed plan) reaches emit
+// as its err and does not stop the batch. emit runs in the converting worker, and one chunk's records are
+// emitted in order on one goroutine, so a sink may append to a per-chunk
+// buffer without a lock. Records unclaimed when Options.Context is done
+// are emitted after the pool drains, with the context's error, and are
+// not counted as conversion errors. Elapsed includes the sink's work.
+func Run(records []Record, opts Options, emit Sink) Stats {
 	opts = opts.withDefaults()
-	out := make([]Result, len(records))
 	stats := Stats{Dialects: map[string]*DialectStats{}}
 	start := time.Now()
-
-	// The claim-a-chunk/private-worker-state/merge-once-at-drain machinery
-	// lives in ForEachChunkedCtx (clamping workers to GOMAXPROCS and to
-	// the chunk count, running single-worker pools inline); ConvertBatch
-	// supplies the conversion worker and its stat merge.
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ForEachChunkedCtx(ctx, len(records), opts.Workers, chunkSize,
+	// Workers claim chunks in cursor order, so the claimed records are
+	// always the prefix [0, claimed).
+	claimed := 0
+	ForEachChunkedCtx(ctx, len(records), opts.Workers, ChunkSize,
 		newWorker,
 		func(w *worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				w.do(&out[i], i, records[i])
+				w.do(i, records[i], emit)
 			}
+			w.claimed = hi
 		},
 		func(w *worker) {
 			convert.ReturnArena(w.arena)
+			claimed = max(claimed, w.claimed)
 			for key, ld := range w.local {
 				stats.merge(key, ld.drain())
 			}
 		})
-	if err := ctx.Err(); err != nil {
-		// Chunks unclaimed at cancellation were never converted; their
-		// slots still hold the zero Result. Mark them so the "exactly one
-		// of Plan and Err" contract holds for every returned slot.
-		for i := range out {
-			if out[i].Plan == nil && out[i].Err == nil {
-				out[i] = Result{Seq: i, Record: records[i], Err: err}
-			}
-		}
+	for i := claimed; i < len(records); i++ {
+		emit(i/ChunkSize, i, nil, ctx.Err())
 	}
 	stats.Elapsed = time.Since(start)
+	return stats
+}
+
+// ConvertBatch converts records with Run and returns the results indexed
+// like the input (results[i] is records[i]'s outcome) plus the aggregate
+// statistics. Each plan is detached from its worker's arena with
+// Plan.Clone, so the results stay valid after the batch.
+func ConvertBatch(records []Record, opts Options) ([]Result, Stats) {
+	out := make([]Result, len(records))
+	stats := Run(records, opts, func(_, i int, p *core.Plan, err error) {
+		if p != nil {
+			p = p.Clone() // detach from the reused arena
+		}
+		out[i] = Result{Seq: i, Record: records[i], Plan: p, Err: err}
+	})
 	return out, stats
 }

@@ -91,7 +91,7 @@ func TestConvertBatchReuseArenas(t *testing.T) {
 	for i := 0; i < 16; i++ { // several chunks, so every worker reuses its arena
 		recs = append(recs, base...)
 	}
-	if len(recs) <= 2*chunkSize {
+	if len(recs) <= 2*ChunkSize {
 		t.Fatalf("%d records fill under three chunks", len(recs))
 	}
 	got, stats := ConvertBatch(recs, Options{Workers: 4})
@@ -249,7 +249,7 @@ func TestConvertBatchConcurrentCallers(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		recs = append(recs, fixtures(t)...)
 	}
-	if len(recs) <= 2*chunkSize {
+	if len(recs) <= 2*ChunkSize {
 		t.Fatalf("%d records fill under three chunks", len(recs))
 	}
 	want, _ := ConvertBatch(recs, Options{Workers: 1})
@@ -342,7 +342,7 @@ func TestConvertBatchChunkBoundaries(t *testing.T) {
 		{Dialect: "oracle", Serialized: "x"},
 		{Dialect: "postgresql", Serialized: "garbage {{{"},
 	}
-	for _, n := range []int{1, chunkSize - 1, chunkSize, chunkSize + 1, 3*chunkSize + 5} {
+	for _, n := range []int{1, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 5} {
 		batch := make([]Record, n)
 		wantErrs := 0
 		for i := range batch {

@@ -7,13 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// ForEachChunked is the chunked-dispatch worker-pool core that ConvertBatch
-// pioneered, extracted so other fan-out subsystems (the campaign
-// orchestrator) reuse the same pattern: workers claim chunk-sized,
-// half-open index ranges [lo, hi) covering [0, n) through an atomic
-// cursor — no channels, no per-item synchronization — and each worker
-// carries a private state value S for its whole lifetime (converter
-// caches, arenas, local stat aggregates).
+// ForEachChunkedCtx is the chunked-dispatch worker-pool core behind Run
+// and the campaign orchestrator: workers claim chunk-sized, half-open
+// index ranges [lo, hi) covering [0, n) through an atomic cursor — no
+// channels, no per-item synchronization — and each worker carries a
+// private state value S for its whole lifetime (converter caches,
+// arenas, local stat aggregates).
 //
 // newState builds one S per worker that runs; body processes one claimed
 // range and runs sequentially within its worker; drain is called exactly
@@ -23,21 +22,18 @@ import (
 // The pool is bounded: the worker count is clamped to the chunk count and
 // to GOMAXPROCS (the workloads are CPU-bound — goroutines beyond the
 // schedulable cores only add overhead), and a single-worker pool runs
-// inline on the calling goroutine. ForEachChunked returns once every index
-// has been processed and every drain has completed.
-func ForEachChunked[S any](n, workers, chunk int, newState func() S, body func(s S, lo, hi int), drain func(s S)) {
-	ForEachChunkedCtx(context.Background(), n, workers, chunk, newState, body, drain)
-}
-
-// ForEachChunkedCtx is ForEachChunked with cooperative cancellation: once
-// ctx is done, workers stop claiming new chunks. The chunk a worker is
-// mid-way through still completes (the pool cannot preempt a body; bodies
-// that run long should watch ctx themselves), every started worker still
-// drains, and the call returns only when all workers have exited — so
-// aggregates stay consistent even on a cancelled run. Indexes not yet
-// claimed at cancellation are simply never processed; the caller decides
-// what an unprocessed index means (the campaign orchestrator checkpoints
-// them as unfinished, ConvertBatch marks them with ctx's error).
+// inline on the calling goroutine.
+//
+// Cancellation is cooperative: once ctx is done, workers stop claiming
+// new chunks. The chunk a worker is mid-way through still completes (the
+// pool cannot preempt a body; bodies that run long should watch ctx
+// themselves), every started worker still drains, and the call returns
+// only when all workers have exited — so aggregates stay consistent even
+// on a cancelled run. Chunks are claimed in index order, so the indexes
+// processed are always a prefix of [0, n); the rest are never processed,
+// and the caller decides what an unprocessed index means (the campaign
+// orchestrator checkpoints them as unfinished, Run emits them with ctx's
+// error).
 //
 // A panicking body behaves the same at one worker and at many: the panic
 // reaches the calling goroutine. A pooled worker recovers it, the other

@@ -97,13 +97,13 @@ func TestConvertBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestForEachChunkedDrainsOnce: the uncancellable wrapper still drains each
-// worker exactly once (guards the delegation refactor).
+// TestForEachChunkedDrainsOnce: a pool that is never cancelled processes
+// every index and drains each worker exactly once.
 func TestForEachChunkedDrainsOnce(t *testing.T) {
 	var mu sync.Mutex
 	total := 0
 	drains := 0
-	ForEachChunked(1000, 8, 16,
+	ForEachChunkedCtx(context.Background(), 1000, 8, 16,
 		func() *int { v := 0; return &v },
 		func(s *int, lo, hi int) { *s += hi - lo },
 		func(s *int) {

@@ -26,7 +26,7 @@ type DialectStats struct {
 	Operations core.CategoryHistogram
 }
 
-// Stats aggregates a ConvertBatch run.
+// Stats aggregates a Run.
 type Stats struct {
 	// Records, Converted, and Errors total the per-dialect counts.
 	Records   int

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -90,13 +91,14 @@ func (c *responseCache) Get(key cacheKeyHash) ([]byte, bool) {
 	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores one response body, evicting the least recently used entry
-// when the cache is at capacity. Storing an existing key refreshes its
-// recency and replaces the body.
+// Put stores an exact-size copy of one response body, evicting the
+// least recently used entry when the cache is at capacity. Storing an
+// existing key refreshes its recency and replaces the body.
 func (c *responseCache) Put(key cacheKeyHash, body []byte) {
 	if c.capacity <= 0 {
 		return
 	}
+	body = bytes.Clone(body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

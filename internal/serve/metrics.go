@@ -69,7 +69,7 @@ func (m *metrics) recordOne(dialect string, err error) {
 	m.stats.Converted++
 }
 
-// recordBatch folds one ConvertBatch run's aggregate in. Operation
+// recordBatch folds one batch run's aggregate in. Operation
 // histograms ride along so /metrics exposes the per-dialect shape that
 // pipeline.Stats prints.
 func (m *metrics) recordBatch(st pipeline.Stats) {

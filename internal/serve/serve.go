@@ -9,19 +9,23 @@
 //     accumulating goroutines; batch requests shed at half the queue bound
 //     so interactive converts degrade last.
 //   - Per-request deadlines: every admitted request runs under a timeout
-//     threaded through pipeline.ForEachChunkedCtx, so a slow batch cannot
-//     hold a worker slot past its budget.
+//     threaded into pipeline.Run, so a slow batch cannot hold a worker
+//     slot past its budget.
 //   - Panic isolation: a handler panic is recovered, counted, and answered
 //     with a 500 — one poisoned request never takes the process down.
 //   - Graceful drain: Drain stops accepting, lets in-flight work finish or
 //     deadline-cancels it, syncs any attached campaign store, and leaves
 //     health probes answering truthfully throughout (/readyz flips to 503
 //     the moment draining starts; /healthz stays 200 while alive).
-//   - One arena lifecycle: single conversions borrow an arena from
-//     convert's shared pool per request and return it afterwards; batch
-//     workers borrow one from the same pool per worker. Plans never
-//     outlive their arena without a Clone detach (the arenaescape lint
-//     enforces this).
+//   - One arena lifecycle, one response path per wire format: single
+//     conversions borrow an arena from convert's shared pool per request,
+//     batch workers one per worker. Every response body, convert,
+//     fingerprint or batch, JSON or binary, is appended to a pooled
+//     wireBuf while the plan is still in its arena, so no served
+//     plan is cloned; a batch's items are encoded by the worker that
+//     converted them, so its elapsed_seconds and plans_per_sec include
+//     encoding. Plans never outlive their arena without a Clone detach
+//     (the arenaescape lint enforces this).
 //
 // cmd/uplan-serve is the binary; serveclient is the matching retrying
 // client; cmd/uplan-perf is the load generator.
@@ -30,7 +34,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,10 +45,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uplan/internal/codec"
 	"uplan/internal/convert"
 	"uplan/internal/core"
-	"uplan/internal/jsonenc"
 	"uplan/internal/pipeline"
 	"uplan/internal/store"
 )
@@ -57,7 +58,7 @@ type Options struct {
 	// DefaultAddr.
 	Addr string
 	// Workers bounds the batch conversion pool per request. Non-positive
-	// means GOMAXPROCS (ConvertBatch clamps further).
+	// means GOMAXPROCS (pipeline.Run clamps further).
 	Workers int
 	// MaxInFlight is the admission slot count: how many requests may hold
 	// conversion work concurrently. Non-positive means 2×GOMAXPROCS.
@@ -323,22 +324,25 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
-	s.writeBody(w, status, body)
-}
-
-// writeBody writes a pre-marshaled JSON body.
-func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	s.writeTyped(w, status, jsonContentType, body)
 }
 
-// writeTyped writes a pre-marshaled body under an explicit media type —
-// the shared tail of the JSON and binary response paths.
-func (s *Server) writeTyped(w http.ResponseWriter, status int, contentType string, body []byte) {
+// writeTyped writes a body, given as consecutive parts, under one media
+// type and Content-Length. The first failed write (client gone
+// mid-response) is counted and ends the response.
+func (s *Server) writeTyped(w http.ResponseWriter, status int, contentType string, parts ...[]byte) {
+	n := 0
+	for _, b := range parts {
+		n += len(b)
+	}
 	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		s.metrics.writeErrors.Add(1)
+	for _, b := range parts {
+		if _, err := w.Write(b); err != nil {
+			s.metrics.writeErrors.Add(1)
+			return
+		}
 	}
 }
 
@@ -376,47 +380,22 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, batch bool) (
 	return nil, false
 }
 
-// wireBufPool recycles the buffers request bodies are read into and
-// uncached responses are built in. Buffers that grew past
-// maxPooledWireBuf are dropped instead of pooled, so one large batch does
-// not pin its memory for the life of the process.
-var wireBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledWireBuf = 1 << 20
-
-func getWireBuf() *bytes.Buffer { return wireBufPool.Get().(*bytes.Buffer) }
-
-func putWireBuf(b *bytes.Buffer) {
-	if b.Cap() > maxPooledWireBuf {
-		return
-	}
-	b.Reset()
-	wireBufPool.Put(b)
-}
-
-// putWireBody returns buf to the pool after a body was appended to
-// buf.AvailableBuffer() as dst, keeping dst's storage if the body
-// outgrew buf's.
-func putWireBody(buf *bytes.Buffer, dst []byte) {
-	if cap(dst) > buf.Cap() {
-		buf = bytes.NewBuffer(dst[:0])
-	}
-	putWireBuf(buf)
-}
-
 // decodeBody reads one bounded request body in full into a pooled buffer
 // and decodes it, with the JSON or the binary wire decoder. Both copy
 // every string they keep, so the buffer goes back to the pool as soon as
 // decode returns.
 func decodeBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error), dst *T) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	buf := getWireBuf()
-	defer putWireBuf(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
+	buf := getWireBuf(false)
+	defer buf.put()
+	rd := bytes.NewBuffer(buf.body)
+	_, err := rd.ReadFrom(r.Body)
+	buf.body = rd.Bytes()
+	if err != nil {
 		s.badBody(w, err)
 		return false
 	}
-	req, err := decode(buf.Bytes())
+	req, err := decode(buf.body)
 	if err != nil {
 		s.badBody(w, err)
 		return false
@@ -505,54 +484,40 @@ func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *co
 	return use(p)
 }
 
-// buildConvertBody converts one request and builds the full
-// ConvertResponse body, for the convert handler and its cache fill. The
-// body is appended in a pooled buffer and returned as an exact-size
-// copy, so the cache holds no slack.
-func (s *Server) buildConvertBody(req ConvertRequest) ([]byte, error) {
-	buf := getWireBuf()
-	var dst []byte
-	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		dst = appendConvertResponse(buf.AvailableBuffer(), req.Dialect, p)
-		return nil
-	})
-	body := bytes.Clone(dst)
-	putWireBody(buf, dst)
-	if err != nil {
-		return nil, err
+// convertOne answers one single-plan request: admit, delay, convert in a
+// pooled arena, append the response (with the plan when withPlan) while
+// the plan is in the arena, write. done, when non-nil, sees the pooled
+// body before it is written and must copy what it keeps.
+func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertRequest, binary, withPlan bool, done func(body []byte)) {
+	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	defer cancel()
+	release, ok := s.admit(ctx, w, false)
+	if !ok {
+		return
 	}
-	return body, nil
-}
+	defer release()
+	if !s.delayInDeadline(ctx, w) {
+		return
+	}
 
-// buildConvertBinary is buildConvertBody on the binary wire: the plan
-// leaves as an internal/codec blob instead of canonical JSON, the
-// fingerprints in their natural binary forms.
-func (s *Server) buildConvertBinary(req ConvertRequest) ([]byte, error) {
-	var body []byte
+	resp := getWireBuf(binary)
+	defer resp.put()
 	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		blob, merr := codec.Encode(p)
-		if merr != nil {
-			return fmt.Errorf("encoding converted plan: %w", merr)
-		}
-		body = AppendBinaryConvertResponse(nil, BinaryConvertResponse{
-			Dialect:       req.Dialect,
-			Fingerprint64: p.Fingerprint64(core.FingerprintOptions{}),
-			Fingerprint:   p.FingerprintBytes(core.FingerprintOptions{}),
-			PlanBlob:      blob,
-		})
-		return nil
+		return resp.single(req.Dialect, p, withPlan)
 	})
+	s.metrics.recordOne(req.Dialect, err)
 	if err != nil {
-		return nil, err
+		s.writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
+		return
 	}
-	return body, nil
+	if done != nil {
+		done(resp.body)
+	}
+	s.writeTyped(w, http.StatusOK, negotiatedType(binary), resp.body)
 }
 
 func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 	s.metrics.convert.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-
 	var req ConvertRequest
 	if !s.decodeConvert(w, r, &req) {
 		return
@@ -569,31 +534,10 @@ func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 		s.writeTyped(w, http.StatusOK, negotiatedType(binary), body)
 		return
 	}
-
-	release, ok := s.admit(ctx, w, false)
-	if !ok {
-		return
-	}
-	defer release()
-	if !s.delayInDeadline(ctx, w) {
-		return
-	}
-
-	var body []byte
-	var err error
-	if binary {
-		body, err = s.buildConvertBinary(req)
-	} else {
-		body, err = s.buildConvertBody(req)
-	}
-	s.metrics.recordOne(req.Dialect, err)
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
-		return
-	}
-	s.cache.Put(key, body)
-	w.Header().Set(CacheHeader, "miss")
-	s.writeTyped(w, http.StatusOK, negotiatedType(binary), body)
+	s.convertOne(w, r, req, binary, true, func(body []byte) {
+		s.cache.Put(key, body)
+		w.Header().Set(CacheHeader, "miss")
+	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -623,126 +567,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, cr := range req.Records {
 		records[i] = pipeline.Record{Dialect: cr.Dialect, Serialized: cr.Serialized}
 	}
-	results, stats := pipeline.ConvertBatch(records, pipeline.Options{
-		Workers: s.opts.Workers,
-		Context: ctx,
-	})
+	batch := newBatchBody(len(records), binary)
+	stats := pipeline.Run(records, pipeline.Options{Workers: s.opts.Workers, Context: ctx}, batch.emit)
 	s.metrics.recordBatch(stats)
-
-	deadlineExceeded := false
-	if err := ctx.Err(); err != nil {
-		s.metrics.deadlineExceeded.Add(1)
-		deadlineExceeded = true
-	}
-
-	if binary {
-		s.writeBinaryBatch(w, results, stats, deadlineExceeded)
-		return
-	}
-
-	s.writeJSONBatch(w, results, stats, deadlineExceeded)
-}
-
-// writeJSONBatch builds the JSON batch response in one pooled buffer in a
-// single pass, each plan appended in place by AppendJSON: json.Marshal's
-// bytes for the BatchResponse. Errors counts per slot, not from stats:
-// records the deadline cut off before a worker claimed them carry ctx's
-// error in their slot but are not conversion errors, and the response
-// must still add up.
-func (s *Server) writeJSONBatch(w http.ResponseWriter, results []pipeline.Result, stats pipeline.Stats, deadlineExceeded bool) {
-	buf := getWireBuf()
-	dst := append(buf.AvailableBuffer(), `{"results":[`...)
-	errs := 0
-	for i, res := range results {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, '{')
-		if res.Err != nil {
-			errs++
-			if msg := res.Err.Error(); msg != "" {
-				dst = append(dst, `"error":`...)
-				dst = jsonenc.AppendString(dst, msg)
-			}
-		} else {
-			dst = append(dst, `"plan":`...)
-			dst = res.Plan.AppendJSON(dst)
-		}
-		dst = append(dst, '}')
-	}
-	dst = append(dst, `],"converted":`...)
-	dst = strconv.AppendInt(dst, int64(stats.Converted), 10)
-	dst = append(dst, `,"errors":`...)
-	dst = strconv.AppendInt(dst, int64(errs), 10)
+	deadlineExceeded := ctx.Err() != nil
 	if deadlineExceeded {
-		dst = append(dst, `,"deadline_exceeded":true`...)
+		s.metrics.deadlineExceeded.Add(1)
 	}
-	dst = append(dst, `,"elapsed_seconds":`...)
-	dst = jsonenc.AppendFloat(dst, stats.Elapsed.Seconds())
-	dst = append(dst, `,"plans_per_sec":`...)
-	dst = jsonenc.AppendFloat(dst, stats.PlansPerSec())
-	dst = append(dst, '}')
-	s.writeBody(w, http.StatusOK, dst)
-	putWireBody(buf, dst)
+	s.writeBatch(w, batch, stats, deadlineExceeded)
 }
 
-// writeBinaryBatch streams a binary batch response into one pooled
-// buffer in a single pass: each converted plan is encoded by one reused
-// codec.Encoder straight behind its item tag and length, so no per-plan
-// blob or BinaryBatchResponse is built. The bytes equal
-// AppendBinaryBatchResponse over codec.Encode blobs of the same results.
-// Errors counts per slot, as in the JSON response.
-func (s *Server) writeBinaryBatch(w http.ResponseWriter, results []pipeline.Result, stats pipeline.Stats, deadlineExceeded bool) {
-	buf := getWireBuf()
-	var enc codec.Encoder
-	dst := binary.AppendUvarint(buf.AvailableBuffer(), uint64(len(results)))
-	errs := 0
-	for _, res := range results {
-		err := res.Err
-		if err == nil {
-			dst, err = appendBatchPlan(dst, &enc, res.Plan)
-		}
-		if err != nil {
-			dst = appendBatchError(dst, err.Error())
-			errs++
-		}
+// writeBatch closes batch with its trailer and writes the chunks in
+// record order under one Content-Length, then returns them to the pool.
+func (s *Server) writeBatch(w http.ResponseWriter, batch *batchBody, stats pipeline.Stats, deadlineExceeded bool) {
+	errs, last := 0, batch.chunks[len(batch.chunks)-1]
+	for _, c := range batch.chunks {
+		errs += c.errs
 	}
-	dst = appendBatchTrailer(dst, stats.Converted, errs, deadlineExceeded, stats.Elapsed.Seconds(), stats.PlansPerSec())
-	s.writeTyped(w, http.StatusOK, BinaryContentType, dst)
-	putWireBody(buf, dst)
+	last.trailer(stats, errs, deadlineExceeded)
+	parts := make([][]byte, len(batch.chunks))
+	for i, c := range batch.chunks {
+		parts[i] = c.body
+	}
+	s.writeTyped(w, http.StatusOK, negotiatedType(batch.binary), parts...)
+	for _, c := range batch.chunks {
+		c.put()
+	}
 }
 
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	s.metrics.fingerprint.Add(1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-
 	var req ConvertRequest
 	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
 		return
 	}
-	release, ok := s.admit(ctx, w, false)
-	if !ok {
-		return
-	}
-	defer release()
-	if !s.delayInDeadline(ctx, w) {
-		return
-	}
-
-	buf := getWireBuf()
-	var dst []byte
-	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		dst = appendFingerprintResponse(buf.AvailableBuffer(), req.Dialect, p)
-		return nil
-	})
-	s.metrics.recordOne(req.Dialect, err)
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error(), 0)
-	} else {
-		s.writeBody(w, http.StatusOK, dst)
-	}
-	putWireBody(buf, dst)
+	s.convertOne(w, r, req, false, false, nil)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {

@@ -34,9 +34,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"uplan/internal/codec"
-	"uplan/internal/core"
 )
 
 // BinaryContentType is the media type of every binary wire message. Send
@@ -256,8 +253,8 @@ const (
 )
 
 // AppendBinaryBatchResponse appends resp's binary encoding to dst. The
-// server streams the same layout through appendBatchPlan,
-// appendBatchError and appendBatchTrailer without building resp.
+// server appends the same layout through wireBuf.item and
+// wireBuf.trailer without building resp.
 func AppendBinaryBatchResponse(dst []byte, resp BinaryBatchResponse) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(resp.Results)))
 	for _, it := range resp.Results {
@@ -269,16 +266,6 @@ func AppendBinaryBatchResponse(dst []byte, resp BinaryBatchResponse) []byte {
 		dst = appendWireBytes(dst, it.PlanBlob)
 	}
 	return appendBatchTrailer(dst, resp.Converted, resp.Errors, resp.DeadlineExceeded, resp.ElapsedSeconds, resp.PlansPerSec)
-}
-
-// appendBatchPlan appends one converted batch item, encoding p with enc
-// straight behind its tag and length. On error dst is returned unchanged.
-func appendBatchPlan(dst []byte, enc *codec.Encoder, p *core.Plan) ([]byte, error) {
-	out, err := enc.AppendEncodeLen(append(dst, wireItemPlan), p)
-	if err != nil {
-		return dst, err
-	}
-	return out, nil
 }
 
 // appendBatchError appends one failed batch item. The wire requires a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"uplan/internal/bench"
 	"uplan/internal/codec"
+	"uplan/internal/core"
 	"uplan/internal/pipeline"
 )
 
@@ -261,6 +263,76 @@ func TestBatchOverCapStopsDecoding(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("%s batch of 5 records over a cap of 4: status %d, want 413", c.contentType, resp.StatusCode)
+		}
+	}
+}
+
+// TestServeBatchSinkCancel runs the batch handler's sink and writer with
+// the context cancelled from inside the sink after the first chunk, in
+// both wire formats. The body must hold one item per record, the records
+// no worker claimed must carry the context's error, converted + errors
+// must be the record count, and deadline_exceeded must be set. The sink
+// holds every other chunk until the first is done, so at most one more
+// chunk converts; CI runs it at -cpu=1,2, inline and pooled.
+func TestServeBatchSinkCancel(t *testing.T) {
+	var records []pipeline.Record
+	for _, r := range corpusRequests(t, 42, 43)[:10*pipeline.ChunkSize] {
+		records = append(records, pipeline.Record{Dialect: r.Dialect, Serialized: r.Serialized})
+	}
+	s := New(Options{})
+	for _, binary := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		firstDone := make(chan struct{})
+		batch := newBatchBody(len(records), binary)
+		stats := pipeline.Run(records, pipeline.Options{Workers: 2, Context: ctx}, func(c, i int, p *core.Plan, err error) {
+			if c != 0 {
+				<-firstDone
+			}
+			batch.emit(c, i, p, err)
+			if i == pipeline.ChunkSize-1 {
+				cancel()
+				close(firstDone)
+			}
+		})
+		rec := httptest.NewRecorder()
+		s.writeBatch(rec, batch, stats, ctx.Err() != nil)
+
+		var errs []string
+		var resp BatchResponse
+		if binary {
+			dec, err := DecodeBinaryBatchResponse(rec.Body.Bytes())
+			if err != nil {
+				t.Fatalf("binary: %v", err)
+			}
+			for _, it := range dec.Results {
+				errs = append(errs, it.Error)
+			}
+			resp = BatchResponse{Converted: dec.Converted, Errors: dec.Errors, DeadlineExceeded: dec.DeadlineExceeded}
+		} else {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("json: %v", err)
+			}
+			for _, it := range resp.Results {
+				errs = append(errs, it.Error)
+			}
+		}
+		if len(errs) != len(records) {
+			t.Fatalf("binary=%v: %d items for %d records", binary, len(errs), len(records))
+		}
+		if resp.Converted+resp.Errors != len(records) || !resp.DeadlineExceeded {
+			t.Errorf("binary=%v: converted %d + errors %d of %d records, deadline_exceeded %v",
+				binary, resp.Converted, resp.Errors, len(records), resp.DeadlineExceeded)
+		}
+		if resp.Converted < pipeline.ChunkSize || resp.Converted > 2*pipeline.ChunkSize {
+			t.Errorf("binary=%v: %d records converted, want the first chunk and at most one more", binary, resp.Converted)
+		}
+		for i, msg := range errs {
+			switch {
+			case i < pipeline.ChunkSize && msg != "":
+				t.Errorf("binary=%v: record %d of the first chunk failed: %s", binary, i, msg)
+			case i >= 2*pipeline.ChunkSize && msg != context.Canceled.Error():
+				t.Errorf("binary=%v: unclaimed record %d carries %q, want the context's error", binary, i, msg)
+			}
 		}
 	}
 }

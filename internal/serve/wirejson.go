@@ -3,10 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"uplan/internal/convert"
-	"uplan/internal/core"
 	"uplan/internal/jsonenc"
 )
 
@@ -20,8 +18,9 @@ import (
 // with invalid UTF-8 pass through unchanged instead of becoming U+FFFD.
 //
 // Response bodies are appended around core's AppendJSON with jsonenc's
-// quoter, and are byte-identical to json.Marshal of the wire types
-// (TestServeConvertBodyMatchesReference and its batch twin check it).
+// quoter (see wireBuf), and are byte-identical to json.Marshal of the
+// wire types (TestServeConvertBodyMatchesReference and its batch twin
+// check it).
 
 // unknownField rejects a request key the wire type does not have, with
 // the error json.Decoder.DisallowUnknownFields gives.
@@ -163,34 +162,4 @@ func AppendConvertRequest(dst []byte, req ConvertRequest) []byte {
 	dst = append(dst, `,"serialized":`...)
 	dst = jsonenc.AppendString(dst, req.Serialized)
 	return append(dst, '}')
-}
-
-// appendConvertResponse appends the ConvertResponse body for plan p,
-// converted from dialect: json.Marshal's bytes for the ConvertResponse,
-// with the plan written in place by AppendJSON.
-//
-//uplan:hotpath
-func appendConvertResponse(dst []byte, dialect string, p *core.Plan) []byte {
-	dst = append(dst, `{"dialect":`...)
-	dst = jsonenc.AppendString(dst, dialect)
-	dst = append(dst, `,"plan":`...)
-	dst = p.AppendJSON(dst)
-	return appendFingerprints(dst, p)
-}
-
-// appendFingerprintResponse appends the FingerprintResponse body for p.
-func appendFingerprintResponse(dst []byte, dialect string, p *core.Plan) []byte {
-	dst = append(dst, `{"dialect":`...)
-	dst = jsonenc.AppendString(dst, dialect)
-	return appendFingerprints(dst, p)
-}
-
-// appendFingerprints closes a convert or fingerprint response with p's
-// two fingerprint fields.
-func appendFingerprints(dst []byte, p *core.Plan) []byte {
-	dst = append(dst, `,"fingerprint64":"`...)
-	dst = strconv.AppendUint(dst, p.Fingerprint64(core.FingerprintOptions{}), 10)
-	dst = append(dst, `","fingerprint":"`...)
-	dst = core.AppendHexFingerprint(dst, p.FingerprintBytes(core.FingerprintOptions{}))
-	return append(dst, `"}`...)
 }

@@ -430,7 +430,11 @@ func BenchmarkWireJSONDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		resps = append(resps, appendConvertResponse(nil, r.Dialect, p))
+		var resp wireBuf
+		if err := resp.single(r.Dialect, p, true); err != nil {
+			b.Fatal(err)
+		}
+		resps = append(resps, resp.body)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
