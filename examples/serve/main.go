@@ -107,17 +107,10 @@ func main() {
 	}
 	fmt.Printf("converted=%d errors=%d of %d\n", batch.Converted, batch.Errors, len(batch.Results))
 
-	fmt.Println("\n== binary wire (negotiated via Content-Type/Accept) ==")
-	// The same convert on the compact binary wire: the plan comes back as
-	// an internal/codec blob, decoded client-side — same fingerprints,
-	// a fraction of the bytes. The JSON cache entry is not reused: the
-	// response cache keys on (input, negotiated format).
-	bin, err := c.ConvertBinary(ctx, "postgresql", pgPlan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("fingerprint64=%d nodes=%d (decoded from the binary blob)\n",
-		bin.Fingerprint64, bin.Plan.NodeCount())
+	fmt.Println("\n== binary batch-convert (negotiated via Content-Type/Accept) ==")
+	// The compact binary wire carries batches only: plans come back as
+	// internal/codec blobs, decoded client-side. One plan is a batch of
+	// one record.
 	binBatch, err := c.BatchConvertBinary(ctx, []serve.ConvertRequest{
 		{Dialect: "postgresql", Serialized: pgPlan},
 		{Dialect: "postgresql", Serialized: "Seq Scan on t1  (cost=0.00..431.00 rows=20100 width=4)"},

@@ -175,3 +175,39 @@ func TestNonDecimalLiteralsFixedPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCostRangeKeepsFiniteEnd: a PostgreSQL range with one non-decimal
+// end keeps its other end: cost=0.00..Inf still carries the startup cost
+// 0, cost=NaN..35.50 the total cost 35.5, and actual time=NaN..2.50 the
+// actual time 2.5 and its actual rows.
+func TestCostRangeKeepsFiniteEnd(t *testing.T) {
+	for _, v := range nonDecimalLiterals {
+		cases := []struct {
+			raw  string
+			want map[string]float64 // property name → value; absent names must be missing
+		}{
+			{fmt.Sprintf("Seq Scan on t1  (cost=0.00..%s rows=5 width=4)", v),
+				map[string]float64{"startup cost": 0}},
+			{fmt.Sprintf("Seq Scan on t1  (cost=%s..35.50 rows=5 width=4)", v),
+				map[string]float64{"total cost": 35.5}},
+			{fmt.Sprintf("Seq Scan on t1  (cost=0.00..1.00 rows=5 width=4) (actual time=%s..2.50 rows=3 loops=1)", v),
+				map[string]float64{"startup cost": 0, "total cost": 1, "actual time": 2.5, "actual rows": 3}},
+		}
+		for _, c := range cases {
+			p, err := Convert("postgresql", c.raw)
+			if err != nil {
+				t.Fatalf("%s: %v", c.raw, err)
+			}
+			for _, name := range []string{"startup cost", "total cost", "actual time", "actual rows"} {
+				got, ok := p.Root.Property(name)
+				want, wantOK := c.want[name]
+				switch {
+				case ok != wantOK:
+					t.Errorf("%s: %s present %v, want %v", c.raw, name, ok, wantOK)
+				case ok && !got.Value.Equal(core.Num(want)):
+					t.Errorf("%s: %s = %v, want %v", c.raw, name, got.Value, want)
+				}
+			}
+		}
+	}
+}

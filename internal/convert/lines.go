@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"uplan/internal/core"
 )
@@ -154,7 +155,11 @@ func (t *table) cell(r, i int) string {
 
 // parseAlignedTable parses a +---+ bordered table by column offsets taken
 // from the border line, preserving leading whitespace inside cells (needed
-// for tree-art columns). Cells are right-trimmed only.
+// for tree-art columns). Cells are right-trimmed only. The renderer pads
+// cells to a count of runes, so border column k is a row's k-th rune: an
+// ASCII row is cut at the border's byte offsets, and a row holding
+// multi-byte runes (TiDB's ├─, │ and └─ tree art) at the byte offsets of
+// those runes.
 //
 //uplan:hotpath
 func parseAlignedTable(s string) (table, error) {
@@ -179,15 +184,28 @@ func parseAlignedTable(s string) (table, error) {
 		if spans == nil || !strings.HasPrefix(line, "|") {
 			continue
 		}
-		// Span starts are distinct positive offsets, so this loop stops
-		// within len(line) steps however wide the border is.
+		// A row of single-byte runes (invalid UTF-8 bytes count as one
+		// each) is cut at byte offsets directly.
+		width := utf8.RuneCountInString(line)
+		bytewise := width == len(line)
+		// Span starts are distinct positive columns, so this loop stops
+		// within width steps however wide the border is.
 		n := 0
-		for n < len(spans) && spans[n][0] < len(line) {
+		for n < len(spans) && spans[n][0] < width {
 			n++
 		}
 		cells := make([]string, n)
+		col, off := 0, 0 // a rune column of line and its byte offset
 		for i, sp := range spans[:n] {
-			cell := strings.TrimRight(line[sp[0]:min(sp[1], len(line))], " ")
+			lo, hi := sp[0], min(sp[1], width)
+			if !bytewise {
+				// Spans ascend, so one walk over the row maps them all.
+				col, off = runeOffset(line, col, off, lo)
+				lo = off
+				col, off = runeOffset(line, col, off, hi)
+				hi = off
+			}
+			cell := strings.TrimRight(line[lo:hi], " ")
 			// Drop the single leading padding space the renderer adds.
 			cells[i] = strings.TrimPrefix(cell, " ")
 		}
@@ -204,6 +222,17 @@ func parseAlignedTable(s string) (table, error) {
 		return t, fmt.Errorf("convert: no aligned table found in input")
 	}
 	return t, nil
+}
+
+// runeOffset advances from rune column col at byte offset off of s to
+// rune column target (at most s's rune count) and returns the new column
+// and its byte offset.
+func runeOffset(s string, col, off, target int) (int, int) {
+	for ; col < target; col++ {
+		_, size := utf8.DecodeRuneInString(s[off:])
+		off += size
+	}
+	return col, off
 }
 
 // parseASCIITable parses a +---+ bordered table into header + rows.

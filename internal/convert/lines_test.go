@@ -103,6 +103,8 @@ func TestAlignedTableAllocLinear(t *testing.T) {
 		{"tidb", aligned},
 		{"neo4j", aligned},
 		{"sqlserver", aligned},
+		// Tree-art rows are cut by rune, which must stay linear too.
+		{"tidb", strings.Repeat("+", n) + "\n" + strings.Repeat("|│\n", n)},
 		{"mysql", "+--\n" + strings.Repeat("|", n) + "\n" + strings.Repeat("|\n", n)},
 	} {
 		c, err := Cached(tc.dialect)
@@ -124,4 +126,80 @@ func TestAlignedTableAllocLinear(t *testing.T) {
 // lines: n column spans over n rows.
 func quadraticTable(n int) string {
 	return strings.Repeat("+", n) + "\n" + strings.Repeat("|\n", n)
+}
+
+// tidbNestedTable is TiDB's tabular EXPLAIN of a join: the tree art
+// (├─, │, └─) takes three bytes per display column, and the renderer pads
+// every cell to a count of runes.
+const tidbNestedTable = `+-------------------------------+---------+-----------+----------------+-------------------------------+
+| id                            | estRows | task      | access object  | operator info                 |
++-------------------------------+---------+-----------+----------------+-------------------------------+
+| HashJoin_5                    | 95.63   | root      |                | inner join                    |
+| ├─TableReader_8               | 6.00    | root      |                | data:Selection_7              |
+| │ └─Selection_7               | 6.00    | cop[tikv] |                | (c_mktsegment = 'BUILDING')   |
+| │   └─TableFullScan_6         | 6.00    | cop[tikv] | table:customer | keep order:false              |
+| └─TableReader_11              | 31.88   | root      |                | data:TableFullScan_10         |
+|   └─TableFullScan_10          | 31.88   | cop[tikv] | table:orders   | keep order:false              |
++-------------------------------+---------+-----------+----------------+-------------------------------+
+`
+
+// TestTiDBTableNestedRows: every nested row of a TiDB table reads its
+// own cells, so the estimates are numbers and the task and access object
+// are the row's, not bytes of the neighbouring columns.
+func TestTiDBTableNestedRows(t *testing.T) {
+	p, err := Convert("tidb", tidbNestedTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type row struct {
+		op     string
+		est    float64
+		task   string
+		object string
+	}
+	var got []row
+	var walk func(n *core.Node)
+	walk = func(n *core.Node) {
+		r := row{op: n.Op.Name, est: -1}
+		if pr, ok := n.Property("estimated rows"); ok {
+			if pr.Value.Kind != core.KindNumber {
+				t.Errorf("%s: estimated rows %v is not a number", n.Op.Name, pr.Value)
+			}
+			r.est = pr.Value.Num
+		}
+		if pr, ok := n.Property("task type"); ok {
+			r.task = pr.Value.Str
+		}
+		if pr, ok := n.Property("access object"); ok {
+			r.object = pr.Value.Str
+		}
+		got = append(got, r)
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(p.Root)
+	// The Selection folds into its scan as a filter.
+	want := []row{
+		{"Hash Join", 95.63, "root", ""},
+		{"Collect", 6, "root", ""},
+		{"Full Table Scan", 6, "cop[tikv]", "table:customer"},
+		{"Collect", 31.88, "root", ""},
+		{"Full Table Scan", 31.88, "cop[tikv]", "table:orders"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("converted %d nodes %+v, want %d", len(got), got, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("node %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	folded := false
+	for _, pr := range p.Root.Children[0].Children[0].Properties {
+		folded = folded || pr.Name == "filter" && strings.Contains(pr.Value.Str, "BUILDING")
+	}
+	if !folded {
+		t.Error("the customer scan lacks the folded Selection's BUILDING filter")
+	}
 }

@@ -122,8 +122,11 @@ func (c *postgresConverter) parseNodeLine(line string, ar *core.PlanArena) (*cor
 		addTypedProp(ar, node, core.Configuration, "name object", core.Str(object))
 	}
 	// Parse cost annotation pieces.
-	if se, te, ok := parseCostRange(ann, "cost="); ok {
+	se, te, seOK, teOK := parseCostRange(ann, "cost=")
+	if seOK {
 		addTypedProp(ar, node, core.Cost, "startup cost", core.Num(se))
+	}
+	if teOK {
 		addTypedProp(ar, node, core.Cost, "total cost", core.Num(te))
 	}
 	if v, ok := parseKVNum(ann, "rows=", false); ok {
@@ -132,7 +135,7 @@ func (c *postgresConverter) parseNodeLine(line string, ar *core.PlanArena) (*cor
 	if v, ok := parseKVNum(ann, "width=", false); ok {
 		addTypedProp(ar, node, core.Cardinality, "estimated width", core.Num(v))
 	}
-	if _, at, ok := parseCostRange(ann, "actual time="); ok {
+	if _, at, _, ok := parseCostRange(ann, "actual time="); ok {
 		addTypedProp(ar, node, core.Status, "actual time", core.Num(at))
 		if v, ok := parseKVNum(ann, "rows=", true); ok {
 			addTypedProp(ar, node, core.Cardinality, "actual rows", core.Num(v))
@@ -153,12 +156,13 @@ func splitKV(raw string) (string, string, bool) {
 	return t[:i], t[i+2:], true
 }
 
-// parseCostRange extracts "key=a..b" returning both numbers; the range is
-// split in place (no intermediate slice).
-func parseCostRange(s, key string) (float64, float64, bool) {
+// parseCostRange extracts "key=a..b", returning each end with its own
+// validity, so a finite end survives a non-number on the other side; the
+// range is split in place (no intermediate slice).
+func parseCostRange(s, key string) (a, b float64, aok, bok bool) {
 	i := strings.Index(s, key)
 	if i < 0 {
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 	rest := s[i+len(key):]
 	end := strings.IndexAny(rest, " )")
@@ -168,14 +172,11 @@ func parseCostRange(s, key string) (float64, float64, bool) {
 	rest = rest[:end]
 	dots := strings.Index(rest, "..")
 	if dots < 0 {
-		return 0, 0, false
+		return 0, 0, false, false
 	}
-	a := parseScalar(rest[:dots])
-	b := parseScalar(rest[dots+2:])
-	if a.Kind != core.KindNumber || b.Kind != core.KindNumber {
-		return 0, 0, false
-	}
-	return a.Num, b.Num, true
+	av := parseScalar(rest[:dots])
+	bv := parseScalar(rest[dots+2:])
+	return av.Num, bv.Num, av.Kind == core.KindNumber, bv.Kind == core.KindNumber
 }
 
 // parseKVNum extracts "key=N"; when last is true the final occurrence is

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
-	"strings"
 	"sync"
 	"unicode/utf8"
 )
@@ -175,7 +174,7 @@ func valueLess(a, b Value) bool {
 }
 
 // writeNormalizedValue streams a property value with unstable tokens
-// canonicalized (see NormalizeUnstable) and the value kind preserved:
+// canonicalized (see writeNormalized) and the value kind preserved:
 // strings are quoted, so Str("5") and Num(5) stay distinct.
 //
 //uplan:hotpath
@@ -199,9 +198,15 @@ func (w *fpState) writeNormalizedValue(v Value) {
 	}
 }
 
-// writeNormalized streams NormalizeUnstable(s) without building the
-// intermediate string: standalone digit runs become '?', whitespace
-// collapses, and leading/trailing spaces drop.
+// writeNormalized streams s with its unstable tokens canonicalized:
+// standalone runs of digits become '?' (random identifiers, literal
+// constants, cost numbers), runs of spaces, tabs and newlines collapse
+// to one space, and leading and trailing ones drop. Digits directly
+// following a letter are kept, so column names like "c0" survive while
+// operator suffixes like "TableFullScan_17" normalize. The original QPG
+// implementation for TiDB had a bug in exactly this step (Section
+// V-A.1); centralizing it here is the paper's argument for the unified
+// representation.
 //
 //uplan:hotpath
 func (w *fpState) writeNormalized(s string) {
@@ -332,49 +337,6 @@ func HexFingerprint(fp [32]byte) string {
 // AppendHexFingerprint appends HexFingerprint(fp) to dst.
 func AppendHexFingerprint(dst []byte, fp [32]byte) []byte {
 	return hex.AppendEncode(dst, fp[:16])
-}
-
-// NormalizeUnstable canonicalizes unstable tokens inside a property value:
-// standalone runs of digits become '?' (random identifiers, literal
-// constants, cost numbers) and whitespace is collapsed. Digits directly
-// following a letter are kept, so column names like "c0" survive while
-// operator suffixes like "TableFullScan_17" normalize. The original QPG
-// implementation for TiDB had a bug in exactly this step (Section V-A.1);
-// centralizing it here is the paper's argument for the unified
-// representation.
-func NormalizeUnstable(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	inDigits := false
-	lastSpace := false
-	prevLetter := false
-	for _, r := range s {
-		isLetter := r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z'
-		switch {
-		case r >= '0' && r <= '9':
-			if prevLetter {
-				// Digits glued to a letter are part of an identifier.
-				b.WriteRune(r)
-			} else if !inDigits {
-				b.WriteByte('?')
-				inDigits = true
-			}
-			lastSpace = false
-		case r == ' ' || r == '\t' || r == '\n':
-			inDigits = false
-			prevLetter = false
-			if !lastSpace {
-				b.WriteByte(' ')
-				lastSpace = true
-			}
-		default:
-			inDigits = false
-			prevLetter = isLetter
-			lastSpace = false
-			b.WriteRune(r)
-		}
-	}
-	return strings.TrimSpace(b.String())
 }
 
 // FingerprintSet tracks observed plan fingerprints; it is QPG's coverage

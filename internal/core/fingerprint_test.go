@@ -72,6 +72,21 @@ func TestFingerprintNormalizesConstants(t *testing.T) {
 	if mk("c0 < 100").Fingerprint(opts) == mk("c1 < 100").Fingerprint(opts) {
 		t.Error("different columns must not collide")
 	}
+	// Each value fingerprints like its normalized form: standalone digit
+	// runs read as '?', digits glued to a letter stay, and whitespace
+	// collapses.
+	for in, normalized := range map[string]string{
+		"TableFullScan_17": "TableFullScan_?",
+		"cost=12.5..99.1":  "cost=?.?..?.?",
+		"c0 < 100":         "c0 < ?",
+		"a   b":            "a b",
+		" \ta\n":           "a",
+		"":                 "",
+	} {
+		if mk(in).Fingerprint(opts) != mk(normalized).Fingerprint(opts) {
+			t.Errorf("%q and %q fingerprint differently", in, normalized)
+		}
+	}
 }
 
 func TestFingerprintPlanProperties(t *testing.T) {

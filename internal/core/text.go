@@ -201,14 +201,6 @@ func (l *textLexer) eof() bool {
 	return l.pos >= len(l.in)
 }
 
-func (l *textLexer) peekByte() byte {
-	l.skipSpace()
-	if l.pos >= len(l.in) {
-		return 0
-	}
-	return l.in[l.pos]
-}
-
 func (l *textLexer) consume(tok string) bool {
 	l.skipSpace()
 	if strings.HasPrefix(l.in[l.pos:], tok) {

@@ -250,21 +250,6 @@ func TestQuickIndentedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNormalizeUnstable(t *testing.T) {
-	cases := map[string]string{
-		"TableFullScan_17": "TableFullScan_?",
-		"cost=12.5..99.1":  "cost=?.?..?.?",
-		"c0 < 100":         "c0 < ?",
-		"a   b":            "a b",
-		"":                 "",
-	}
-	for in, want := range cases {
-		if got := NormalizeUnstable(in); got != want {
-			t.Errorf("NormalizeUnstable(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestParseIndentedPropertyOwnership(t *testing.T) {
 	in := "Folder->Aggregate\n" +
 		"  Configuration->group key: \"c0\"\n" +

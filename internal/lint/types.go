@@ -99,12 +99,3 @@ func isPlanArenaPtr(t types.Type) bool {
 	}
 	return n.Obj().Pkg().Path() == corePkgPath && n.Obj().Name() == "PlanArena"
 }
-
-// exprObj resolves a simple identifier expression to its object.
-func exprObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return info.ObjectOf(id)
-}

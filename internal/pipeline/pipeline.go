@@ -159,15 +159,22 @@ func (ld *localDialect) countOps(n *core.Node) {
 	}
 }
 
-// drain folds the array counts into the histogram and returns the
-// completed per-dialect aggregate.
-func (ld *localDialect) drain() *DialectStats {
-	for i, n := range ld.ops {
-		if n != 0 {
-			ld.ds.Operations[core.OperationCategories[i]] += n
+// stats folds each dialect's array counts into its histogram and returns
+// the worker's completed aggregate.
+func (w *worker) stats() Stats {
+	st := Stats{Dialects: make(map[string]*DialectStats, len(w.local))}
+	for key, ld := range w.local {
+		for i, n := range ld.ops {
+			if n != 0 {
+				ld.ds.Operations[core.OperationCategories[i]] += n
+			}
 		}
+		st.Dialects[key] = ld.ds
+		st.Records += ld.ds.Records
+		st.Converted += ld.ds.Converted
+		st.Errors += ld.ds.Errors
 	}
-	return ld.ds
+	return st
 }
 
 // Run converts records on a transient chunked worker pool, hands every
@@ -200,9 +207,7 @@ func Run(records []Record, opts Options, emit Sink) Stats {
 		func(w *worker) {
 			convert.ReturnArena(w.arena)
 			claimed = max(claimed, w.claimed)
-			for key, ld := range w.local {
-				stats.merge(key, ld.drain())
-			}
+			stats.Add(w.stats())
 		})
 	for i := claimed; i < len(records); i++ {
 		emit(i/ChunkSize, i, nil, ctx.Err())

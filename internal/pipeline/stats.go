@@ -40,25 +40,35 @@ type Stats struct {
 	Dialects map[string]*DialectStats
 }
 
-// merge folds one worker's local aggregate for a dialect into s.
-func (s *Stats) merge(key string, ds *DialectStats) {
-	tot := s.Dialects[key]
-	if tot == nil {
-		tot = &DialectStats{Dialect: key, Operations: core.CategoryHistogram{}}
-		s.Dialects[key] = tot
+// Add folds o into s: the totals, the elapsed time, and each dialect's
+// counts, first error and operation histogram.
+func (s *Stats) Add(o Stats) {
+	if s.Dialects == nil {
+		s.Dialects = map[string]*DialectStats{}
 	}
-	tot.Records += ds.Records
-	tot.Converted += ds.Converted
-	tot.Errors += ds.Errors
-	if tot.FirstError == nil {
-		tot.FirstError = ds.FirstError
+	for key, ds := range o.Dialects {
+		tot := s.Dialects[key]
+		if tot == nil {
+			tot = &DialectStats{Dialect: key}
+			s.Dialects[key] = tot
+		}
+		tot.Records += ds.Records
+		tot.Converted += ds.Converted
+		tot.Errors += ds.Errors
+		if tot.FirstError == nil {
+			tot.FirstError = ds.FirstError
+		}
+		if len(ds.Operations) > 0 && tot.Operations == nil {
+			tot.Operations = core.CategoryHistogram{}
+		}
+		for cat, n := range ds.Operations {
+			tot.Operations[cat] += n
+		}
 	}
-	for cat, n := range ds.Operations {
-		tot.Operations[cat] += n
-	}
-	s.Records += ds.Records
-	s.Converted += ds.Converted
-	s.Errors += ds.Errors
+	s.Records += o.Records
+	s.Converted += o.Converted
+	s.Errors += o.Errors
+	s.Elapsed += o.Elapsed
 }
 
 // PlansPerSec is the overall conversion throughput: converted plans per

@@ -12,8 +12,8 @@ import (
 // responseCache is the bounded fingerprint-keyed LRU over marshaled
 // convert responses — the ROADMAP's deferred store-cache follow-on landed
 // at service scope. Keys are SHA-256 hashes of (dialect, serialized
-// input, response format): a repeat convert of byte-identical input costs
-// one hash and one map probe instead of a parse, and the cached body
+// input): a repeat convert of byte-identical input costs one hash and
+// one map probe instead of a parse, and the cached body
 // already carries the plan's Fingerprint64/SHA-256 fingerprints, so
 // fingerprint-shaped lookups are free too. (The key must hash the input,
 // not the resulting plan's Fingerprint64 — the plan fingerprint only
@@ -51,20 +51,13 @@ func newResponseCache(capacity int) *responseCache {
 	return c
 }
 
-// cacheKey hashes one request's identity: the negotiated response
-// format, the dialect's length, the dialect and the serialized input. The
-// length prefix keeps the split between dialect and input unambiguous, so
-// distinct (dialect, input) pairs never frame to the same bytes. The
-// response format is part of the identity: the cache stores marshaled
-// bodies, and a binary body must never be replayed to a JSON client (or
-// vice versa) just because the input bytes matched.
-func cacheKey(dialect, serialized string, binaryWire bool) cacheKeyHash {
-	buf := make([]byte, 0, 1+8+len(dialect)+len(serialized))
-	format := byte(0)
-	if binaryWire {
-		format = 1
-	}
-	buf = append(buf, format)
+// cacheKey hashes one request's identity: the dialect's length, the
+// dialect and the serialized input. The length prefix keeps the split
+// between dialect and input unambiguous, so distinct (dialect, input)
+// pairs never frame to the same bytes. Convert responses are JSON only,
+// so the input alone decides the body.
+func cacheKey(dialect, serialized string) cacheKeyHash {
+	buf := make([]byte, 0, 8+len(dialect)+len(serialized))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(dialect)))
 	buf = append(buf, dialect...)
 	buf = append(buf, serialized...)

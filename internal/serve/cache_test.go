@@ -2,34 +2,29 @@ package serve
 
 import "testing"
 
-// TestCacheKeyDistinct: distinct (dialect, input, format) triples get
-// distinct keys, including triples whose parts concatenate to the same
-// bytes (a shifted dialect/input boundary, with or without a NUL) and
-// triples differing only in format; the same triple always gets the same
-// key.
+// TestCacheKeyDistinct: distinct (dialect, input) pairs get distinct
+// keys, including pairs whose parts concatenate to the same bytes (a
+// shifted dialect/input boundary, with or without a NUL); the same pair
+// always gets the same key.
 func TestCacheKeyDistinct(t *testing.T) {
-	type triple struct {
-		dialect, serialized string
-		binary              bool
+	type pair struct{ dialect, serialized string }
+	pairs := []pair{
+		{"ab", "c"}, {"a", "bc"}, {"abc", ""}, {"", "abc"},
+		{"a\x00b", "c"}, {"a", "b\x00c"}, {"a\x00", "bc"},
+		{"postgresql", "Seq Scan on t0"}, {"postgresql", "Seq Scan on t0 "},
+		{"mysql", "Seq Scan on t0"},
+		{"postgresql\x00\x00\x00\x00\x00\x00\x00\x0a", "x"},
+		{"", ""},
 	}
-	triples := []triple{
-		{"ab", "c", false}, {"a", "bc", false}, {"abc", "", false}, {"", "abc", false},
-		{"ab", "c", true}, {"a", "bc", true},
-		{"a\x00b", "c", false}, {"a", "b\x00c", false}, {"a\x00", "bc", false},
-		{"postgresql", "Seq Scan on t0", false}, {"postgresql", "Seq Scan on t0", true},
-		{"postgresql", "Seq Scan on t0 ", false}, {"mysql", "Seq Scan on t0", false},
-		{"postgresql\x00\x00\x00\x00\x00\x00\x00\x0a", "x", false},
-		{"", "", false}, {"", "", true},
-	}
-	seen := map[cacheKeyHash]triple{}
-	for _, tr := range triples {
-		k := cacheKey(tr.dialect, tr.serialized, tr.binary)
+	seen := map[cacheKeyHash]pair{}
+	for _, pr := range pairs {
+		k := cacheKey(pr.dialect, pr.serialized)
 		if prev, dup := seen[k]; dup {
-			t.Errorf("cacheKey collision: %+v and %+v", prev, tr)
+			t.Errorf("cacheKey collision: %+v and %+v", prev, pr)
 		}
-		seen[k] = tr
-		if cacheKey(tr.dialect, tr.serialized, tr.binary) != k {
-			t.Errorf("cacheKey(%+v) is not deterministic", tr)
+		seen[k] = pr
+		if cacheKey(pr.dialect, pr.serialized) != k {
+			t.Errorf("cacheKey(%+v) is not deterministic", pr)
 		}
 	}
 }

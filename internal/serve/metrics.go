@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uplan/internal/core"
 	"uplan/internal/pipeline"
 )
 
@@ -75,31 +74,7 @@ func (m *metrics) recordOne(dialect string, err error) {
 func (m *metrics) recordBatch(st pipeline.Stats) {
 	m.statsMu.Lock()
 	defer m.statsMu.Unlock()
-	for key, ds := range st.Dialects {
-		tot := m.stats.Dialects[key]
-		if tot == nil {
-			tot = &pipeline.DialectStats{Dialect: key}
-			m.stats.Dialects[key] = tot
-		}
-		tot.Records += ds.Records
-		tot.Converted += ds.Converted
-		tot.Errors += ds.Errors
-		if tot.FirstError == nil {
-			tot.FirstError = ds.FirstError
-		}
-		if len(ds.Operations) > 0 {
-			if tot.Operations == nil {
-				tot.Operations = core.CategoryHistogram{}
-			}
-			for cat, n := range ds.Operations {
-				tot.Operations[cat] += n
-			}
-		}
-	}
-	m.stats.Records += st.Records
-	m.stats.Converted += st.Converted
-	m.stats.Errors += st.Errors
-	m.stats.Elapsed += st.Elapsed
+	m.stats.Add(st)
 }
 
 // conversionReport snapshots the cumulative conversion aggregate.

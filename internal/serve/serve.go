@@ -2,7 +2,9 @@
 // the conversion pipeline and campaign store, built to stay up under
 // overload rather than merely to be fast. The unified plan JSON is the
 // wire payload (the paper's canonical serialization is already the right
-// interchange shape); the robustness machinery is the point:
+// interchange shape); /v1/batch-convert also speaks a compact binary wire
+// for bulk consumers (see BinaryContentType), and every other endpoint
+// is JSON only. The robustness machinery is the point:
 //
 //   - Bounded admission: a fixed in-flight slot pool plus a bounded wait
 //     queue. A full queue sheds with 429 + Retry-After instead of
@@ -19,8 +21,8 @@
 //     the moment draining starts; /healthz stays 200 while alive).
 //   - One arena lifecycle, one response path per wire format: single
 //     conversions borrow an arena from convert's shared pool per request,
-//     batch workers one per worker. Every response body, convert,
-//     fingerprint or batch, JSON or binary, is appended to a pooled
+//     batch workers one per worker. Every response body, convert or
+//     fingerprint JSON, batch JSON or binary, is appended to a pooled
 //     wireBuf while the plan is still in its arena, so no served
 //     plan is cloned; a batch's items are encoded by the worker that
 //     converted them, so its elapsed_seconds and plans_per_sec include
@@ -421,18 +423,9 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 	s.writeError(w, status, "bad request body: "+err.Error(), 0)
 }
 
-// decodeConvert reads one convert request in its negotiated format:
-// binary when the Content-Type says so, JSON otherwise.
-func (s *Server) decodeConvert(w http.ResponseWriter, r *http.Request, dst *ConvertRequest) bool {
-	decode := decodeConvertRequest
-	if isBinaryContent(r) {
-		decode = DecodeBinaryConvertRequest
-	}
-	return decodeBody(s, w, r, decode, dst)
-}
-
-// decodeBatch is decodeConvert's batch-request counterpart. Both
-// decoders enforce MaxBatchRecords while they decode.
+// decodeBatch reads one batch request in its negotiated format: binary
+// when the Content-Type says so, JSON otherwise. Both decoders enforce
+// MaxBatchRecords while they decode.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, dst *BatchRequest) bool {
 	maxRecords := s.opts.MaxBatchRecords
 	decode := func(b []byte) (BatchRequest, error) { return decodeBatchRequest(b, maxRecords) }
@@ -474,21 +467,22 @@ func (s *Server) delayInDeadline(ctx context.Context, w http.ResponseWriter) boo
 // convert's pool and hands the in-arena plan to use before the arena is
 // returned. The plan must not escape use (build the response inside it);
 // anything retained must be detached with Plan.Clone first.
-func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *core.Plan) error) error {
+func (s *Server) convertInPooledArena(dialect, serialized string, use func(p *core.Plan)) error {
 	ar := convert.BorrowArena()
 	defer convert.ReturnArena(ar)
 	p, err := convert.ConvertInto(dialect, serialized, ar)
 	if err != nil {
 		return err
 	}
-	return use(p)
+	use(p)
+	return nil
 }
 
 // convertOne answers one single-plan request: admit, delay, convert in a
 // pooled arena, append the response (with the plan when withPlan) while
 // the plan is in the arena, write. done, when non-nil, sees the pooled
 // body before it is written and must copy what it keeps.
-func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertRequest, binary, withPlan bool, done func(body []byte)) {
+func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertRequest, withPlan bool, done func(body []byte)) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
 	defer cancel()
 	release, ok := s.admit(ctx, w, false)
@@ -500,10 +494,10 @@ func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertR
 		return
 	}
 
-	resp := getWireBuf(binary)
+	resp := getWireBuf(false)
 	defer resp.put()
-	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) error {
-		return resp.single(req.Dialect, p, withPlan)
+	err := s.convertInPooledArena(req.Dialect, req.Serialized, func(p *core.Plan) {
+		resp.single(req.Dialect, p, withPlan)
 	})
 	s.metrics.recordOne(req.Dialect, err)
 	if err != nil {
@@ -513,28 +507,33 @@ func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertR
 	if done != nil {
 		done(resp.body)
 	}
-	s.writeTyped(w, http.StatusOK, negotiatedType(binary), resp.body)
+	s.writeTyped(w, http.StatusOK, jsonContentType, resp.body)
 }
 
 func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 	s.metrics.convert.Add(1)
-	var req ConvertRequest
-	if !s.decodeConvert(w, r, &req) {
+	// The binary wire carries batches only; refuse a binary body before
+	// reading it.
+	if isBinaryContent(r) {
+		s.metrics.badRequests.Add(1)
+		s.writeError(w, http.StatusUnsupportedMediaType,
+			"binary request bodies are accepted by /v1/batch-convert only; send a batch of one record there", 0)
 		return
 	}
-	binary := acceptsBinary(r)
+	var req ConvertRequest
+	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
+		return
+	}
 
 	// Cache before admission: a hit costs one hash and one map probe, so
-	// it must not consume (or wait for) a conversion slot. The key folds
-	// in the negotiated response format — identical input bytes hit only
-	// within their own format.
-	key := cacheKey(req.Dialect, req.Serialized, binary)
+	// it must not consume (or wait for) a conversion slot.
+	key := cacheKey(req.Dialect, req.Serialized)
 	if body, ok := s.cache.Get(key); ok {
 		w.Header().Set(CacheHeader, "hit")
-		s.writeTyped(w, http.StatusOK, negotiatedType(binary), body)
+		s.writeTyped(w, http.StatusOK, jsonContentType, body)
 		return
 	}
-	s.convertOne(w, r, req, binary, true, func(body []byte) {
+	s.convertOne(w, r, req, true, func(body []byte) {
 		s.cache.Put(key, body)
 		w.Header().Set(CacheHeader, "miss")
 	})
@@ -601,7 +600,7 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
 		return
 	}
-	s.convertOne(w, r, req, false, false, nil)
+	s.convertOne(w, r, req, false, nil)
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -625,9 +624,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	// Convert A and detach it, so one pooled arena serves both plans
 	// sequentially; B is compared in-arena and never escapes.
 	var planA *core.Plan
-	err := s.convertInPooledArena(req.A.Dialect, req.A.Serialized, func(p *core.Plan) error {
+	err := s.convertInPooledArena(req.A.Dialect, req.A.Serialized, func(p *core.Plan) {
 		planA = p.Clone()
-		return nil
 	})
 	s.metrics.recordOne(req.A.Dialect, err)
 	if err != nil {
@@ -635,7 +633,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp CompareResponse
-	err = s.convertInPooledArena(req.B.Dialect, req.B.Serialized, func(p *core.Plan) error {
+	err = s.convertInPooledArena(req.B.Dialect, req.B.Serialized, func(p *core.Plan) {
 		diffs := core.Compare(planA, p)
 		dist, sim := core.EditSimilarity(planA, p)
 		resp = CompareResponse{
@@ -646,7 +644,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		for _, d := range diffs {
 			resp.Diffs = append(resp.Diffs, d.String())
 		}
-		return nil
 	})
 	s.metrics.recordOne(req.B.Dialect, err)
 	if err != nil {

@@ -1,12 +1,15 @@
 package serveclient
 
 // Binary wire support: the client-side half of the service's negotiated
-// binary format. The binary calls send BinaryContentType request bodies,
-// ask for binary responses via Accept, and decode the returned
-// internal/codec blobs into plans — into a caller-supplied arena when
-// one is provided, so a polling loop can reuse its allocations. Errors
-// stay on the JSON wire (the server always answers non-2xx as JSON), so
-// the retry/backoff discipline is identical to the JSON calls.
+// binary format, which carries batches only. BatchConvertBinary sends a
+// BinaryContentType request body, asks for a binary response via Accept,
+// and decodes the returned internal/codec blobs into plans — into a
+// caller-supplied arena when one is provided, so a polling loop can
+// reuse its allocations. One plan is a batch of one record; its
+// fingerprints are those of the decoded plan, since the codec round
+// trip is lossless. Errors stay on the JSON wire (the server always
+// answers non-2xx as JSON), so the retry/backoff discipline is identical
+// to the JSON calls.
 
 import (
 	"context"
@@ -18,45 +21,6 @@ import (
 	"uplan/internal/core"
 	"uplan/internal/serve"
 )
-
-// BinaryConvertResult is one conversion received on the binary wire,
-// with the plan decoded from its codec blob.
-type BinaryConvertResult struct {
-	Dialect string
-	// Fingerprint64 and Fingerprint are the structural fingerprints in
-	// their natural binary forms (the JSON API strings, undecorated).
-	Fingerprint64 uint64
-	Fingerprint   [32]byte
-	// Plan is the decoded unified plan. When ConvertBinary was given an
-	// arena the plan's nodes live in it and are invalidated by its Reset.
-	Plan *core.Plan
-}
-
-// ConvertBinary converts one native plan over the binary wire. ar may be
-// nil (the plan then owns its allocations); a non-nil arena is the
-// caller's reuse contract — the returned plan is valid only until the
-// arena's next Reset.
-func (c *Client) ConvertBinary(ctx context.Context, dialect, serialized string, ar *core.PlanArena) (*BinaryConvertResult, error) {
-	body := serve.AppendBinaryConvertRequest(nil, serve.ConvertRequest{Dialect: dialect, Serialized: serialized})
-	raw, err := c.call(ctx, "POST", "/v1/convert", body, serve.BinaryContentType)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := serve.DecodeBinaryConvertResponse(raw)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: decoding binary convert response: %w", err)
-	}
-	p, err := codec.DecodeInto(resp.PlanBlob, ar)
-	if err != nil {
-		return nil, fmt.Errorf("serveclient: decoding plan blob: %w", err)
-	}
-	return &BinaryConvertResult{
-		Dialect:       resp.Dialect,
-		Fingerprint64: resp.Fingerprint64,
-		Fingerprint:   resp.Fingerprint,
-		Plan:          p,
-	}, nil
-}
 
 // BinaryBatchItem is one record's outcome from BatchConvertBinary.
 // Exactly one of Plan and Error is set.

@@ -25,9 +25,10 @@ func realServer(t *testing.T, opts serve.Options) (*serve.Server, *Client) {
 	return s, New(ts.URL, Options{Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
 }
 
-// TestClientConvertBinaryRoundTrip: the binary call against a real server
-// must return the same plan and fingerprints as the JSON call.
-func TestClientConvertBinaryRoundTrip(t *testing.T) {
+// TestClientBinaryBatchOfOneMatchesConvert: one plan on the binary wire
+// is a batch of one record, and against a real server it must decode to
+// the plan, and so the fingerprints, that the JSON convert returns.
+func TestClientBinaryBatchOfOneMatchesConvert(t *testing.T) {
 	_, c := realServer(t, serve.Options{})
 	ctx := context.Background()
 
@@ -40,31 +41,33 @@ func TestClientConvertBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	one := []serve.ConvertRequest{{Dialect: "postgresql", Serialized: pgPlan}}
 	ar := core.NewPlanArena()
-	got, err := c.ConvertBinary(ctx, "postgresql", pgPlan, ar)
+	got, err := c.BatchConvertBinary(ctx, one, ar)
 	if err != nil {
-		t.Fatalf("binary convert: %v", err)
+		t.Fatalf("binary batch of one: %v", err)
 	}
-	if got.Plan.MarshalText() != refPlan.MarshalText() {
+	if len(got.Results) != 1 || got.Results[0].Plan == nil {
+		t.Fatalf("binary batch of one = %+v, want one plan", got)
+	}
+	p := got.Results[0].Plan
+	if p.MarshalText() != refPlan.MarshalText() {
 		t.Error("binary-wire plan diverges from the JSON-wire plan")
 	}
-	if got.Dialect != "postgresql" {
-		t.Errorf("Dialect = %q", got.Dialect)
+	if fp := strconv.FormatUint(p.Fingerprint64(core.FingerprintOptions{}), 10); fp != ref.Fingerprint64 {
+		t.Errorf("decoded Fingerprint64 = %s, JSON said %s", fp, ref.Fingerprint64)
 	}
-	if want := strconv.FormatUint(got.Fingerprint64, 10); want != ref.Fingerprint64 {
-		t.Errorf("Fingerprint64 = %s, JSON said %s", want, ref.Fingerprint64)
-	}
-	if want := core.HexFingerprint(got.Fingerprint); want != ref.Fingerprint {
-		t.Errorf("Fingerprint = %s, JSON said %s", want, ref.Fingerprint)
+	if fp := p.Fingerprint(core.FingerprintOptions{}); fp != ref.Fingerprint {
+		t.Errorf("decoded Fingerprint = %s, JSON said %s", fp, ref.Fingerprint)
 	}
 
 	// Nil-arena calls stand alone.
-	solo, err := c.ConvertBinary(ctx, "postgresql", pgPlan, nil)
+	solo, err := c.BatchConvertBinary(ctx, one, nil)
 	if err != nil {
-		t.Fatalf("nil-arena binary convert: %v", err)
+		t.Fatalf("nil-arena binary batch: %v", err)
 	}
 	ar.Reset()
-	if solo.Plan.MarshalText() != refPlan.MarshalText() {
+	if solo.Results[0].Plan.MarshalText() != refPlan.MarshalText() {
 		t.Error("nil-arena plan diverges after the shared arena reset")
 	}
 }
@@ -116,22 +119,28 @@ func TestClientBinaryRetriesShed(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := New(ts.URL, Options{Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
-	got, err := c.ConvertBinary(context.Background(), "postgresql", pgPlan, nil)
+	one := []serve.ConvertRequest{{Dialect: "postgresql", Serialized: pgPlan}}
+	got, err := c.BatchConvertBinary(context.Background(), one, nil)
 	if err != nil {
-		t.Fatalf("binary convert after shed: %v", err)
+		t.Fatalf("binary batch after shed: %v", err)
 	}
-	if got.Plan == nil {
+	if len(got.Results) != 1 || got.Results[0].Plan == nil {
 		t.Fatal("no plan after retry")
 	}
 	if attempts.Load() != 2 {
 		t.Errorf("made %d attempts, want 2 (429 then 200)", attempts.Load())
 	}
 
-	// Non-retryable conversion failure surfaces as a 422 APIError.
-	_, err = c.ConvertBinary(context.Background(), "no-such-db", "x", nil)
+	// A request the server refuses surfaces as a non-retryable APIError
+	// after one attempt: an empty batch is a 400.
+	attempts.Store(1)
+	_, err = c.BatchConvertBinary(context.Background(), nil, nil)
 	apiErr, ok := err.(*APIError)
-	if !ok || apiErr.Status != http.StatusUnprocessableEntity {
-		t.Fatalf("err = %v, want a 422 APIError", err)
+	if !ok || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("err = %v, want a 400 APIError", err)
+	}
+	if attempts.Load() != 2 {
+		t.Errorf("made %d attempts for the empty batch, want 1", attempts.Load()-1)
 	}
 }
 

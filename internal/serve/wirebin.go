@@ -1,22 +1,27 @@
 package serve
 
-// The binary wire format of the plan service — the compact alternative to
-// the JSON API, negotiated per request: a request body is binary iff its
+// The binary wire format of the plan service: the compact alternative to
+// JSON for bulk consumers, carried by /v1/batch-convert only and
+// negotiated per request there. A request body is binary iff its
 // Content-Type is BinaryContentType, and a response body is binary iff
 // the request's Accept header lists it. JSON remains the default on both
-// sides, and error responses are always JSON (ErrorResponse), so retry
-// and backpressure handling is format-independent.
+// sides and is the only format of every other endpoint (/v1/convert
+// answers a binary body 415). Error responses are always JSON
+// (ErrorResponse), so retry and backpressure handling is
+// format-independent.
 //
 // Messages are length-prefixed with uvarints and carry plans as
 // internal/codec blobs instead of canonical JSON:
 //
-//	convert request   := len(dialect) dialect len(serialized) serialized
-//	batch request     := count, then count convert requests
-//	convert response  := len(dialect) dialect fp64(8, LE) fingerprint(32)
-//	                     len(blob) blob
+//	batch request     := count, then count records
+//	record            := len(dialect) dialect len(serialized) serialized
 //	batch response    := count, then count items, then converted errors
 //	                     deadline(1) elapsed(8, LE float64) pps(8, LE float64)
 //	item              := 0x00 len(blob) blob | 0x01 len(error) error
+//
+// A client that wants one plan sends a batch of one record. The codec
+// round trip is lossless, so the plan's fingerprints are those of the
+// decoded blob.
 //
 // An error is never empty, and every uvarint is minimal, so a message has
 // exactly one encoding. Every length and count is bounds-checked against
@@ -103,26 +108,14 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// AppendBinaryConvertRequest appends req's binary encoding to dst.
-func AppendBinaryConvertRequest(dst []byte, req ConvertRequest) []byte {
-	dst = appendWireString(dst, req.Dialect)
-	return appendWireString(dst, req.Serialized)
+// appendWireRecord appends one batch record.
+func appendWireRecord(dst []byte, rec ConvertRequest) []byte {
+	dst = appendWireString(dst, rec.Dialect)
+	return appendWireString(dst, rec.Serialized)
 }
 
-// DecodeBinaryConvertRequest decodes one binary convert request,
-// requiring the message to end exactly at the last field.
-func DecodeBinaryConvertRequest(data []byte) (ConvertRequest, error) {
-	req, off, err := decodeConvertRequestAt(data, 0)
-	if err != nil {
-		return ConvertRequest{}, err
-	}
-	if off != len(data) {
-		return ConvertRequest{}, wireErr("%d trailing bytes after convert request", len(data)-off)
-	}
-	return req, nil
-}
-
-func decodeConvertRequestAt(data []byte, off int) (ConvertRequest, int, error) {
+// decodeWireRecord decodes the batch record at data[off:].
+func decodeWireRecord(data []byte, off int) (ConvertRequest, int, error) {
 	dialect, off, err := readWireBytes(data, off)
 	if err != nil {
 		return ConvertRequest{}, 0, err
@@ -144,7 +137,7 @@ func AppendBinaryBatchRequest(dst []byte, req BatchRequest) []byte {
 	dst = slices.Grow(dst, n)
 	dst = binary.AppendUvarint(dst, uint64(len(req.Records)))
 	for _, r := range req.Records {
-		dst = AppendBinaryConvertRequest(dst, r)
+		dst = appendWireRecord(dst, r)
 	}
 	return dst
 }
@@ -167,7 +160,7 @@ func DecodeBinaryBatchRequest(data []byte, maxRecords int) (BatchRequest, error)
 	req := BatchRequest{Records: make([]ConvertRequest, 0, count)}
 	for i := uint64(0); i < count; i++ {
 		var rec ConvertRequest
-		rec, off, err = decodeConvertRequestAt(data, off)
+		rec, off, err = decodeWireRecord(data, off)
 		if err != nil {
 			return BatchRequest{}, err
 		}
@@ -177,54 +170,6 @@ func DecodeBinaryBatchRequest(data []byte, maxRecords int) (BatchRequest, error)
 		return BatchRequest{}, wireErr("%d trailing bytes after batch request", len(data)-off)
 	}
 	return req, nil
-}
-
-// BinaryConvertResponse is one successful conversion on the binary wire:
-// the structural fingerprints in their natural binary forms plus the plan
-// as an internal/codec blob instead of canonical JSON.
-type BinaryConvertResponse struct {
-	Dialect string
-	// Fingerprint64 is the FNV-1a structural sketch (the JSON API's
-	// decimal-string field, undecorated).
-	Fingerprint64 uint64
-	// Fingerprint is the raw SHA-256 structural fingerprint.
-	Fingerprint [32]byte
-	// PlanBlob is the converted plan encoded by internal/codec; decode
-	// with codec.DecodeInto.
-	PlanBlob []byte
-}
-
-// AppendBinaryConvertResponse appends resp's binary encoding to dst.
-func AppendBinaryConvertResponse(dst []byte, resp BinaryConvertResponse) []byte {
-	dst = appendWireString(dst, resp.Dialect)
-	dst = binary.LittleEndian.AppendUint64(dst, resp.Fingerprint64)
-	dst = append(dst, resp.Fingerprint[:]...)
-	return appendWireBytes(dst, resp.PlanBlob)
-}
-
-// DecodeBinaryConvertResponse decodes one binary convert response.
-// PlanBlob aliases data.
-func DecodeBinaryConvertResponse(data []byte) (BinaryConvertResponse, error) {
-	var resp BinaryConvertResponse
-	dialect, off, err := readWireBytes(data, 0)
-	if err != nil {
-		return BinaryConvertResponse{}, err
-	}
-	resp.Dialect = string(dialect)
-	if len(data)-off < 8+32 {
-		return BinaryConvertResponse{}, wireErr("truncated fingerprints")
-	}
-	resp.Fingerprint64 = binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	off += copy(resp.Fingerprint[:], data[off:off+32])
-	resp.PlanBlob, off, err = readWireBytes(data, off)
-	if err != nil {
-		return BinaryConvertResponse{}, err
-	}
-	if off != len(data) {
-		return BinaryConvertResponse{}, wireErr("%d trailing bytes after convert response", len(data)-off)
-	}
-	return resp, nil
 }
 
 // BinaryBatchItem is one record's outcome on the binary wire. Exactly one

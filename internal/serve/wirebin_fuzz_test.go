@@ -4,10 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"uplan/internal/codec"
-	"uplan/internal/convert"
-	"uplan/internal/core"
 )
 
 // maxDecodeAlloc is the linear allocation budget for decoding n input
@@ -38,84 +34,6 @@ func seedBatches(f *testing.F) [][]ConvertRequest {
 		batches = append(batches, append(batch, badRequests[i]))
 	}
 	return batches
-}
-
-// seedRecords picks the first seed-42 corpus record of each dialect, so
-// the fuzz seeds cover all nine engines at a few kilobytes each.
-func seedRecords(tb testing.TB) []ConvertRequest {
-	seen := map[string]bool{}
-	var picked []ConvertRequest
-	for _, r := range corpusRequests(tb, 42) {
-		if !seen[r.Dialect] {
-			seen[r.Dialect] = true
-			picked = append(picked, r)
-		}
-	}
-	return picked
-}
-
-// FuzzWireConvertRequest fuzzes DecodeBinaryConvertRequest, seeded from
-// corpus records, a failing record and their truncations. Invariants: no
-// panic; every failure wraps ErrWire; a decoded request re-encodes
-// byte-identically; allocation stays linear in the input length.
-func FuzzWireConvertRequest(f *testing.F) {
-	for _, req := range append(seedRecords(f), badRequests[0]) {
-		addTruncations(f, AppendBinaryConvertRequest(nil, req))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var req ConvertRequest
-		var err error
-		if alloc := allocated(func() { req, err = DecodeBinaryConvertRequest(data) }); alloc > maxDecodeAlloc(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrWire) {
-				t.Fatalf("error %v does not wrap ErrWire", err)
-			}
-			return
-		}
-		if re := AppendBinaryConvertRequest(nil, req); !bytes.Equal(re, data) {
-			t.Fatalf("decoded request re-encodes to %d different bytes", len(re))
-		}
-	})
-}
-
-// FuzzWireConvertResponse is FuzzWireConvertRequest's response
-// counterpart, seeded from the responses to the same records: dialect,
-// both fingerprints and the codec blob, as the service builds them.
-func FuzzWireConvertResponse(f *testing.F) {
-	for _, req := range seedRecords(f) {
-		p, err := convert.Convert(req.Dialect, req.Serialized)
-		if err != nil {
-			f.Fatal(err)
-		}
-		blob, err := codec.Encode(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		addTruncations(f, AppendBinaryConvertResponse(nil, BinaryConvertResponse{
-			Dialect:       req.Dialect,
-			Fingerprint64: p.Fingerprint64(core.FingerprintOptions{}),
-			Fingerprint:   p.FingerprintBytes(core.FingerprintOptions{}),
-			PlanBlob:      blob,
-		}))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var resp BinaryConvertResponse
-		var err error
-		if alloc := allocated(func() { resp, err = DecodeBinaryConvertResponse(data) }); alloc > maxDecodeAlloc(len(data)) {
-			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrWire) {
-				t.Fatalf("error %v does not wrap ErrWire", err)
-			}
-			return
-		}
-		if re := AppendBinaryConvertResponse(nil, resp); !bytes.Equal(re, data) {
-			t.Fatalf("decoded response re-encodes to %d different bytes", len(re))
-		}
-	})
 }
 
 // FuzzWireBatchRequest fuzzes DecodeBinaryBatchRequest, seeded from

@@ -10,21 +10,11 @@ import (
 	"testing"
 
 	"uplan/internal/codec"
-	"uplan/internal/core"
 )
 
-// TestWireBinaryRoundTrips pins encode→decode identity for every binary
-// wire message type.
+// TestWireBinaryRoundTrips pins encode→decode identity for both binary
+// wire messages, the batch request and the batch response.
 func TestWireBinaryRoundTrips(t *testing.T) {
-	req := ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}
-	gotReq, err := DecodeBinaryConvertRequest(AppendBinaryConvertRequest(nil, req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotReq != req {
-		t.Errorf("convert request round trip = %+v, want %+v", gotReq, req)
-	}
-
 	batch := BatchRequest{Records: []ConvertRequest{
 		{Dialect: "postgresql", Serialized: pgPlan},
 		{Dialect: "mysql", Serialized: ""},
@@ -41,23 +31,6 @@ func TestWireBinaryRoundTrips(t *testing.T) {
 		if gotBatch.Records[i] != batch.Records[i] {
 			t.Errorf("batch record %d = %+v, want %+v", i, gotBatch.Records[i], batch.Records[i])
 		}
-	}
-
-	resp := BinaryConvertResponse{
-		Dialect:       "postgresql",
-		Fingerprint64: 0xDEADBEEFCAFEF00D,
-		PlanBlob:      []byte{1, 2, 3, 4, 5},
-	}
-	for i := range resp.Fingerprint {
-		resp.Fingerprint[i] = byte(i)
-	}
-	gotResp, err := DecodeBinaryConvertResponse(AppendBinaryConvertResponse(nil, resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotResp.Dialect != resp.Dialect || gotResp.Fingerprint64 != resp.Fingerprint64 ||
-		gotResp.Fingerprint != resp.Fingerprint || !bytes.Equal(gotResp.PlanBlob, resp.PlanBlob) {
-		t.Errorf("convert response round trip = %+v, want %+v", gotResp, resp)
 	}
 
 	bresp := BinaryBatchResponse{
@@ -86,23 +59,18 @@ func TestWireBinaryRoundTrips(t *testing.T) {
 	}
 }
 
-// TestWireBinaryRejectsCorruption: every truncation of every message type
+// TestWireBinaryRejectsCorruption: every truncation of both message types
 // fails with ErrWire, as do trailing garbage and unknown item tags.
 func TestWireBinaryRejectsCorruption(t *testing.T) {
 	msgs := map[string][]byte{
-		"convert-request": AppendBinaryConvertRequest(nil, ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}),
 		"batch-request": AppendBinaryBatchRequest(nil, BatchRequest{Records: []ConvertRequest{
 			{Dialect: "postgresql", Serialized: pgPlan}}}),
-		"convert-response": AppendBinaryConvertResponse(nil, BinaryConvertResponse{
-			Dialect: "postgresql", Fingerprint64: 7, PlanBlob: []byte("blob")}),
 		"batch-response": AppendBinaryBatchResponse(nil, BinaryBatchResponse{
 			Results: []BinaryBatchItem{{PlanBlob: []byte("blob")}, {Error: "e"}}, Converted: 1, Errors: 1}),
 	}
 	decode := map[string]func([]byte) error{
-		"convert-request":  func(b []byte) error { _, err := DecodeBinaryConvertRequest(b); return err },
-		"batch-request":    func(b []byte) error { _, err := DecodeBinaryBatchRequest(b, wireMaxItems); return err },
-		"convert-response": func(b []byte) error { _, err := DecodeBinaryConvertResponse(b); return err },
-		"batch-response":   func(b []byte) error { _, err := DecodeBinaryBatchResponse(b); return err },
+		"batch-request":  func(b []byte) error { _, err := DecodeBinaryBatchRequest(b, wireMaxItems); return err },
+		"batch-response": func(b []byte) error { _, err := DecodeBinaryBatchResponse(b); return err },
 	}
 	for name, msg := range msgs {
 		dec := decode[name]
@@ -170,57 +138,8 @@ func binaryPost(t *testing.T, url string, body []byte) (*http.Response, []byte) 
 	return resp, data
 }
 
-// TestServeConvertBinary drives /v1/convert end to end on the binary
-// wire: binary request in, binary response out, and the decoded blob must
-// match the JSON path's plan and fingerprints exactly.
-func TestServeConvertBinary(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	req := ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}
-
-	// Reference conversion through the JSON path.
-	var ref ConvertResponse
-	if resp := postJSON(t, ts.URL+"/v1/convert", req, &ref); resp.StatusCode != http.StatusOK {
-		t.Fatalf("json convert status = %d", resp.StatusCode)
-	}
-
-	resp, data := binaryPost(t, ts.URL+"/v1/convert", AppendBinaryConvertRequest(nil, req))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary convert status = %d: %s", resp.StatusCode, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != BinaryContentType {
-		t.Errorf("binary convert Content-Type = %q, want %q", ct, BinaryContentType)
-	}
-	bresp, err := DecodeBinaryConvertResponse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := codec.DecodeInto(bresp.PlanBlob, nil)
-	if err != nil {
-		t.Fatalf("decoding returned plan blob: %v", err)
-	}
-	refPlan, err := core.ParseJSON(ref.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.MarshalText() != refPlan.MarshalText() {
-		t.Error("binary-wire plan diverges from the JSON-wire plan")
-	}
-	if want := core.HexFingerprint(bresp.Fingerprint); want != ref.Fingerprint {
-		t.Errorf("binary fingerprint %s, JSON fingerprint %s", want, ref.Fingerprint)
-	}
-
-	// A malformed binary body is a 400 with a JSON error, like bad JSON.
-	resp, data = binaryPost(t, ts.URL+"/v1/convert", []byte{0xFF})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed binary body status = %d, want 400: %s", resp.StatusCode, data)
-	}
-	if ct := mediaType(resp.Header.Get("Content-Type")); ct != "application/json" {
-		t.Errorf("binary-request error Content-Type = %q, want JSON (errors stay on the JSON wire)", ct)
-	}
-}
-
 // TestServeBatchBinary drives /v1/batch-convert on the binary wire with a
-// mixed good/bad batch.
+// mixed good/bad batch, then with a malformed body.
 func TestServeBatchBinary(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := BatchRequest{Records: []ConvertRequest{
@@ -255,59 +174,76 @@ func TestServeBatchBinary(t *testing.T) {
 	if bresp.Results[1].Error == "" {
 		t.Error("bad-dialect slot carries no error")
 	}
+
+	// A malformed binary body is a 400 with a JSON error, like bad JSON.
+	resp, data = binaryPost(t, ts.URL+"/v1/batch-convert", []byte{0xFF})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed binary body status = %d, want 400: %s", resp.StatusCode, data)
+	}
+	if ct := mediaType(resp.Header.Get("Content-Type")); ct != "application/json" {
+		t.Errorf("binary-request error Content-Type = %q, want JSON (errors stay on the JSON wire)", ct)
+	}
 }
 
-// TestServeCacheKeysOnContentType is the cache regression guard: the same
-// input bytes requested as JSON and as binary must be two cache entries.
-// A binary response replayed to a JSON client would hand it an undecodable
-// body with a "hit" header — exactly the bug the format-folded key
-// prevents.
-func TestServeCacheKeysOnContentType(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+// TestServeConvertRefusesBinary: /v1/convert is JSON only. A binary body
+// gets a 415 JSON ErrorResponse that names /v1/batch-convert, counts as a
+// bad request, and leaves the cached JSON entry hitting; a binary Accept
+// header on a JSON body still gets the JSON body.
+func TestServeConvertRefusesBinary(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
 	req := ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}
 
-	// JSON first: miss.
 	resp := postJSON(t, ts.URL+"/v1/convert", req, nil)
 	if got := resp.Header.Get(CacheHeader); got != "miss" {
 		t.Fatalf("json convert %s = %q, want miss", CacheHeader, got)
 	}
 
-	// Same input on the binary wire: must be a miss — the JSON body in
-	// the cache is not this request's answer.
-	bresp, data := binaryPost(t, ts.URL+"/v1/convert", AppendBinaryConvertRequest(nil, req))
-	if got := bresp.Header.Get(CacheHeader); got != "miss" {
-		t.Fatalf("binary convert %s = %q, want miss (cache replayed across formats)", CacheHeader, got)
+	bad := s.Metrics().BadRequests
+	bresp, data := binaryPost(t, ts.URL+"/v1/convert", AppendBinaryBatchRequest(nil, BatchRequest{Records: []ConvertRequest{req}}))
+	if bresp.StatusCode != http.StatusUnsupportedMediaType {
+		t.Fatalf("binary convert status = %d, want 415: %s", bresp.StatusCode, data)
 	}
-	if _, err := DecodeBinaryConvertResponse(data); err != nil {
-		t.Fatalf("binary response does not decode: %v", err)
+	if ct := mediaType(bresp.Header.Get("Content-Type")); ct != "application/json" {
+		t.Errorf("415 Content-Type = %q, want JSON", ct)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "/v1/batch-convert") {
+		t.Errorf("415 body = %s (err %v), want an ErrorResponse naming /v1/batch-convert", data, err)
+	}
+	if got := s.Metrics().BadRequests; got != bad+1 {
+		t.Errorf("bad_requests = %d after the 415, want %d", got, bad+1)
 	}
 
-	// Each format now hits within itself, with its own content type.
-	resp = postJSON(t, ts.URL+"/v1/convert", req, nil)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest("POST", ts.URL+"/v1/convert", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Accept", BinaryContentType)
+	resp, err = http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
 	if got := resp.Header.Get(CacheHeader); got != "hit" {
 		t.Errorf("repeat json convert %s = %q, want hit", CacheHeader, got)
 	}
 	if ct := mediaType(resp.Header.Get("Content-Type")); ct != "application/json" {
-		t.Errorf("json hit Content-Type = %q", ct)
-	}
-	bresp, data = binaryPost(t, ts.URL+"/v1/convert", AppendBinaryConvertRequest(nil, req))
-	if got := bresp.Header.Get(CacheHeader); got != "hit" {
-		t.Errorf("repeat binary convert %s = %q, want hit", CacheHeader, got)
-	}
-	if ct := bresp.Header.Get("Content-Type"); ct != BinaryContentType {
-		t.Errorf("binary hit Content-Type = %q", ct)
-	}
-	if _, err := DecodeBinaryConvertResponse(data); err != nil {
-		t.Fatalf("cached binary response does not decode: %v", err)
+		t.Errorf("convert under a binary Accept: Content-Type = %q, want JSON", ct)
 	}
 }
 
-// TestServeAcceptNegotiation pins the negotiation rules: JSON stays the
-// default under absent, wildcard, and unrelated Accept headers; only an
-// explicit binary entry (case ignored) whose q is not 0 switches formats.
+// TestServeAcceptNegotiation pins the batch response negotiation rules:
+// JSON stays the default under absent, wildcard, and unrelated Accept
+// headers; only an explicit binary entry (case ignored) whose q is not 0
+// switches formats.
 func TestServeAcceptNegotiation(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	body, err := json.Marshal(ConvertRequest{Dialect: "postgresql", Serialized: pgPlan})
+	body, err := json.Marshal(BatchRequest{Records: []ConvertRequest{{Dialect: "postgresql", Serialized: pgPlan}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +265,7 @@ func TestServeAcceptNegotiation(t *testing.T) {
 		{"application/json, " + BinaryContentType + ";q=0", false},
 	}
 	for _, tc := range cases {
-		req, err := http.NewRequest("POST", ts.URL+"/v1/convert", bytes.NewReader(body))
+		req, err := http.NewRequest("POST", ts.URL+"/v1/batch-convert", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

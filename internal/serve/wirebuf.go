@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -14,10 +13,10 @@ import (
 
 // wireBuf is a pooled wire-message buffer. A request body is read into
 // one, and every response body, convert, fingerprint or batch, is
-// appended to one in its negotiated wire format: plan JSON written by
-// (*core.Plan).AppendJSON, or codec blobs written by enc, while the plan
-// is still in its arena, so no served plan is cloned. A wireBuf serves
-// one goroutine at a time.
+// appended to one while the plan is still in its arena, so no served
+// plan is cloned: plan JSON written by (*core.Plan).AppendJSON, or, for
+// a binary batch, codec blobs written by enc. A wireBuf serves one
+// goroutine at a time.
 type wireBuf struct {
 	binary bool
 	body   []byte
@@ -47,36 +46,22 @@ func (r *wireBuf) put() {
 	wireBufPool.Put(r)
 }
 
-// single appends the response to one converted plan: a ConvertResponse
-// (withPlan) or a FingerprintResponse, which only JSON has. On the
-// binary wire the plan is encoded behind the dialect and the
-// fingerprints in their binary forms.
+// single appends the JSON response to one converted plan: a
+// ConvertResponse (withPlan) or a FingerprintResponse.
 //
 //uplan:hotpath
-func (r *wireBuf) single(dialect string, p *core.Plan, withPlan bool) error {
-	if !r.binary {
-		r.body = append(r.body, `{"dialect":`...)
-		r.body = jsonenc.AppendString(r.body, dialect)
-		if withPlan {
-			r.body = append(r.body, `,"plan":`...)
-			r.body = p.AppendJSON(r.body)
-		}
-		r.body = append(r.body, `,"fingerprint64":"`...)
-		r.body = strconv.AppendUint(r.body, p.Fingerprint64(core.FingerprintOptions{}), 10)
-		r.body = append(r.body, `","fingerprint":"`...)
-		r.body = core.AppendHexFingerprint(r.body, p.FingerprintBytes(core.FingerprintOptions{}))
-		r.body = append(r.body, `"}`...)
-		return nil
+func (r *wireBuf) single(dialect string, p *core.Plan, withPlan bool) {
+	r.body = append(r.body, `{"dialect":`...)
+	r.body = jsonenc.AppendString(r.body, dialect)
+	if withPlan {
+		r.body = append(r.body, `,"plan":`...)
+		r.body = p.AppendJSON(r.body)
 	}
-	fp := p.FingerprintBytes(core.FingerprintOptions{})
-	b := appendWireString(r.body, dialect)
-	b = binary.LittleEndian.AppendUint64(b, p.Fingerprint64(core.FingerprintOptions{}))
-	b, err := r.enc.AppendEncodeLen(append(b, fp[:]...), p)
-	if err != nil {
-		return fmt.Errorf("encoding converted plan: %w", err)
-	}
-	r.body = b
-	return nil
+	r.body = append(r.body, `,"fingerprint64":"`...)
+	r.body = strconv.AppendUint(r.body, p.Fingerprint64(core.FingerprintOptions{}), 10)
+	r.body = append(r.body, `","fingerprint":"`...)
+	r.body = core.AppendHexFingerprint(r.body, p.FingerprintBytes(core.FingerprintOptions{}))
+	r.body = append(r.body, `"}`...)
 }
 
 // head opens a batch response of n items.

@@ -36,9 +36,6 @@ const (
 	// maxPayload bounds a frame's payload so a corrupted length field
 	// cannot make recovery attempt an absurd read.
 	maxPayload = 1 << 24
-	// frameOverhead is the fixed cost of a frame beyond payload and the
-	// length varint: magic, type, CRC.
-	frameOverhead = 1 + 1 + 4
 )
 
 // Record types. Unknown types are CRC-verified and skipped during
