@@ -72,9 +72,18 @@ func TestFingerprintNormalizesConstants(t *testing.T) {
 	if mk("c0 < 100").Fingerprint(opts) == mk("c1 < 100").Fingerprint(opts) {
 		t.Error("different columns must not collide")
 	}
-	// Each value fingerprints like its normalized form: standalone digit
-	// runs read as '?', digits glued to a letter stay, and whitespace
-	// collapses.
+}
+
+// TestNormalizeUnstable checks the fingerprint's canonicalization of
+// unstable tokens: each value fingerprints like its normalized form, so
+// standalone digit runs read as '?', digits glued to a letter stay, and
+// whitespace collapses.
+func TestNormalizeUnstable(t *testing.T) {
+	mk := func(pred string) *Plan {
+		return &Plan{Root: NewNode(Producer, "Full Table Scan").
+			AddProperty(Configuration, "filter", Str(pred))}
+	}
+	opts := FingerprintOptions{IncludeConfiguration: true, IncludeConfigurationValues: true}
 	for in, normalized := range map[string]string{
 		"TableFullScan_17": "TableFullScan_?",
 		"cost=12.5..99.1":  "cost=?.?..?.?",

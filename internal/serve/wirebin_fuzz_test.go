@@ -36,6 +36,61 @@ func seedBatches(f *testing.F) [][]ConvertRequest {
 	return batches
 }
 
+// FuzzWireConvertRequest fuzzes DecodeBinaryBatchRequest on the shape a
+// binary client's single convert takes: a batch of one record. It is
+// seeded from one record of each dialect, a failing record and their
+// truncations. Invariants: no panic; every failure wraps ErrWire; a
+// decoded request re-encodes byte-identically; allocation stays linear
+// in the input length.
+func FuzzWireConvertRequest(f *testing.F) {
+	for _, req := range append(seedRecords(f), badRequests[0]) {
+		addTruncations(f, AppendBinaryBatchRequest(nil, BatchRequest{Records: []ConvertRequest{req}}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req BatchRequest
+		var err error
+		if alloc := allocated(func() { req, err = DecodeBinaryBatchRequest(data, wireMaxItems) }); alloc > maxDecodeAlloc(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("error %v does not wrap ErrWire", err)
+			}
+			return
+		}
+		if re := AppendBinaryBatchRequest(nil, req); !bytes.Equal(re, data) {
+			t.Fatalf("decoded request re-encodes to %d different bytes", len(re))
+		}
+	})
+}
+
+// FuzzWireConvertResponse is FuzzWireConvertRequest's response
+// counterpart, seeded from the one-item batch responses to the same
+// records: the codec blob and the trailer, as the service builds them.
+func FuzzWireConvertResponse(f *testing.F) {
+	for _, req := range seedRecords(f) {
+		resp := referenceBatchResponse(f, []ConvertRequest{req})
+		resp.ElapsedSeconds, resp.PlansPerSec = 0.25, 4
+		addTruncations(f, AppendBinaryBatchResponse(nil, resp))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var resp BinaryBatchResponse
+		var err error
+		if alloc := allocated(func() { resp, err = DecodeBinaryBatchResponse(data) }); alloc > maxDecodeAlloc(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("error %v does not wrap ErrWire", err)
+			}
+			return
+		}
+		if re := AppendBinaryBatchResponse(nil, resp); !bytes.Equal(re, data) {
+			t.Fatalf("decoded response re-encodes to %d different bytes", len(re))
+		}
+	})
+}
+
 // FuzzWireBatchRequest fuzzes DecodeBinaryBatchRequest, seeded from
 // corpus batches and their truncations. Invariants: no panic; every
 // failure wraps ErrWire; a decoded request re-encodes byte-identically;
