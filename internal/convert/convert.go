@@ -234,28 +234,31 @@ func looksNumeric(t string) bool {
 	return true
 }
 
-// addProp resolves a native property name through the registry and appends
-// it to the node, allocating from ar when non-nil. A property whose name
-// resolves blank is dropped: the unified grammar has no unnamed property.
-func addProp(reg *core.Registry, dialect string, ar *core.PlanArena, n *core.Node, nativeKey, rawVal string) {
-	if name, cat := reg.ResolveProperty(dialect, nativeKey); name != "" {
-		ar.AddPropertyIn(n, cat, name, parseScalar(rawVal))
+// addProp appends a property to n, allocating from ar when non-nil. Every
+// converted property goes through addProp or addPlanProp, so the registry
+// alone gives it its unified name and category. key is the property's
+// native name where the format has one (a JSON key, an XML element or
+// attribute, a table column header), otherwise the name the converter
+// reads it under, such as the "rows" of PostgreSQL's cost annotation. A
+// property whose name resolves blank is dropped, since the unified
+// grammar has no unnamed property; addProp reports whether it was added.
+func addProp(reg *core.Registry, dialect string, ar *core.PlanArena, n *core.Node, key string, v core.Value) bool {
+	name, cat := reg.ResolveProperty(dialect, key)
+	if name == "" {
+		return false
 	}
-}
-
-// addTypedProp appends a property with an explicit category override,
-// allocating from ar when non-nil.
-func addTypedProp(ar *core.PlanArena, n *core.Node, cat core.PropertyCategory, name string, v core.Value) {
 	ar.AddPropertyIn(n, cat, name, v)
+	return true
 }
 
-// addPlanProp resolves and appends a plan-level property, allocating from
-// ar when non-nil; like addProp, it drops a property whose name resolves
-// blank.
-func addPlanProp(reg *core.Registry, dialect string, ar *core.PlanArena, p *core.Plan, nativeKey, rawVal string) {
-	if name, cat := reg.ResolveProperty(dialect, nativeKey); name != "" {
-		ar.AddPlanPropertyIn(p, cat, name, parseScalar(rawVal))
+// addPlanProp is addProp for a plan-level property.
+func addPlanProp(reg *core.Registry, dialect string, ar *core.PlanArena, p *core.Plan, key string, v core.Value) bool {
+	name, cat := reg.ResolveProperty(dialect, key)
+	if name == "" {
+		return false
 	}
+	ar.AddPlanPropertyIn(p, cat, name, v)
+	return true
 }
 
 // indentDepth counts leading spaces.

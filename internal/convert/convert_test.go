@@ -384,3 +384,50 @@ func TestUnknownOperationsSurviveConversion(t *testing.T) {
 		t.Errorf("unknown op = %v", plan.Root.Op)
 	}
 }
+
+// TestBlankJSONKeysDropped: a JSON key that is empty or only spaces names
+// no property, so the converter drops it, at plan and node level, and
+// the plan still passes Validate with every named property kept.
+func TestBlankJSONKeysDropped(t *testing.T) {
+	cases := []struct {
+		dialect, in string
+		plan, root  []string // the property names left, in order
+	}{
+		{"postgresql",
+			`[{"Plan": {"Node Type": "Seq Scan", "": 1, "Total Cost": 2, " ": 3}, "": "x", "Planning Time": 0.1}]`,
+			[]string{"planning time"}, []string{"total cost"}},
+		{"neo4j",
+			`{"plan": {"operatorType": "AllNodesScan", "arguments": {"": 1, "EstimatedRows": 3}}, "": 2, "planner": "COST"}`,
+			[]string{"planner"}, []string{"estimated rows"}},
+		{"mongodb",
+			`{"queryPlanner": {"namespace": "db.c", "": 0, "winningPlan": {"stage": "COLLSCAN", "": 1, "direction": "forward"}},` +
+				` "executionStats": {"": 1, "nReturned": 2}}`,
+			[]string{"name object", "actual rows"}, []string{"direction"}},
+		{"mysql",
+			`{"query_block": {"": 0, "plan": {"operation": "Table scan on t0", "": 1, "cost_info": {"": 2, "read_cost": "1.0"}}}}`,
+			nil, []string{"name object", "read cost"}},
+	}
+	names := func(props []core.Property) []string {
+		var out []string
+		for _, pr := range props {
+			out = append(out, pr.Name)
+		}
+		return out
+	}
+	for _, c := range cases {
+		p, err := Convert(c.dialect, c.in)
+		if err != nil {
+			t.Errorf("%s: %v", c.dialect, err)
+			continue
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: %v", c.dialect, err)
+		}
+		if got := names(p.Properties); strings.Join(got, "|") != strings.Join(c.plan, "|") {
+			t.Errorf("%s: plan properties %q, want %q", c.dialect, got, c.plan)
+		}
+		if got := names(p.Root.Properties); strings.Join(got, "|") != strings.Join(c.root, "|") {
+			t.Errorf("%s: root properties %q, want %q", c.dialect, got, c.root)
+		}
+	}
+}

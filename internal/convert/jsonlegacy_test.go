@@ -14,6 +14,12 @@ import (
 // differential tests (legacydiff_test.go) compare the streaming decoders
 // against, plan for plan, across the full benchmark corpus.
 
+// heapArena is the nil arena the reference decoders in this file and
+// xmllegacy_test.go build their plans through: every node and property
+// goes on the heap. They name their properties with their own literals
+// and their own registry lookups, independently of addProp.
+var heapArena *core.PlanArena
+
 // decodeJSON decodes one JSON document with number literals preserved.
 // It reads the input in place (strings.NewReader) instead of copying it
 // into a fresh []byte first.
@@ -131,26 +137,26 @@ func (c *postgresConverter) legacyJSONNode(m map[string]any) *core.Node {
 		switch k {
 		case "Node Type", "Plans", "Parent Relationship":
 			if k == "Parent Relationship" {
-				addTypedProp(nil, node, core.Configuration, "parent relationship", scalarFromJSON(v))
+				heapArena.AddPropertyIn(node, core.Configuration, "parent relationship", scalarFromJSON(v))
 			}
 			continue
 		case "Startup Cost":
-			addTypedProp(nil, node, core.Cost, "startup cost", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cost, "startup cost", scalarFromJSON(v))
 		case "Total Cost":
-			addTypedProp(nil, node, core.Cost, "total cost", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cost, "total cost", scalarFromJSON(v))
 		case "Plan Rows":
-			addTypedProp(nil, node, core.Cardinality, "estimated rows", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cardinality, "estimated rows", scalarFromJSON(v))
 		case "Plan Width":
-			addTypedProp(nil, node, core.Cardinality, "estimated width", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cardinality, "estimated width", scalarFromJSON(v))
 		case "Actual Rows":
-			addTypedProp(nil, node, core.Cardinality, "actual rows", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cardinality, "actual rows", scalarFromJSON(v))
 		case "Actual Total Time":
-			addTypedProp(nil, node, core.Status, "actual time", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Status, "actual time", scalarFromJSON(v))
 		case "Relation Name":
-			addTypedProp(nil, node, core.Configuration, "name object", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Configuration, "name object", scalarFromJSON(v))
 		default:
 			pname, cat := c.reg.ResolveProperty("postgresql", k)
-			addTypedProp(nil, node, cat, pname, scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, cat, pname, scalarFromJSON(v))
 		}
 	}
 	if kids, ok := m["Plans"].([]any); ok {
@@ -177,7 +183,7 @@ func (c *mysqlConverter) legacyJSON(s string) (*core.Plan, error) {
 	plan := &core.Plan{Source: "mysql"}
 	if ci, ok := qb["cost_info"].(map[string]any); ok {
 		if qc, ok := ci["query_cost"]; ok {
-			addPlanPropTyped(nil, plan, core.Cost, "total cost", scalarFromJSON(qc))
+			heapArena.AddPlanPropertyIn(plan, core.Cost, "total cost", scalarFromJSON(qc))
 		}
 	}
 	if p, ok := qb["plan"].(map[string]any); ok {
@@ -195,7 +201,7 @@ func (c *mysqlConverter) legacyJSONNode(m map[string]any) *core.Node {
 	if ci, ok := m["cost_info"].(map[string]any); ok {
 		for k, v := range ci {
 			pname, cat := c.reg.ResolveProperty("mysql", k)
-			addTypedProp(nil, node, cat, pname, scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, cat, pname, scalarFromJSON(v))
 		}
 	}
 	for k, v := range m {
@@ -203,12 +209,12 @@ func (c *mysqlConverter) legacyJSONNode(m map[string]any) *core.Node {
 		case "operation", "inputs", "cost_info":
 			continue
 		case "rows_examined_per_scan":
-			addTypedProp(nil, node, core.Cardinality, "estimated rows", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cardinality, "estimated rows", scalarFromJSON(v))
 		case "actual_rows":
-			addTypedProp(nil, node, core.Cardinality, "actual rows", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Cardinality, "actual rows", scalarFromJSON(v))
 		default:
 			pname, cat := c.reg.ResolveProperty("mysql", k)
-			addTypedProp(nil, node, cat, pname, scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, cat, pname, scalarFromJSON(v))
 		}
 	}
 	if kids, ok := m["inputs"].([]any); ok {
@@ -252,7 +258,7 @@ func (c *tidbConverter) legacyJSON(s string) (*core.Plan, error) {
 }
 
 func (c *tidbConverter) legacyJSONNode(in tidbJSONIn) *core.Node {
-	node := c.nodeFromJSONFields(tidbJSONFields{
+	node := c.nodeFromFields(tidbFields{
 		ID:           in.ID,
 		EstRows:      in.EstRows,
 		ActRows:      in.ActRows,
@@ -279,7 +285,7 @@ func (c *mongoConverter) legacyJSON(s string) (*core.Plan, error) {
 	}
 	plan := &core.Plan{Source: "mongodb"}
 	if ns, ok := qp["namespace"]; ok {
-		addPlanPropTyped(nil, plan, core.Configuration, "name object", scalarFromJSON(ns))
+		heapArena.AddPlanPropertyIn(plan, core.Configuration, "name object", scalarFromJSON(ns))
 	}
 	if wp, ok := qp["winningPlan"].(map[string]any); ok {
 		plan.Root = c.legacyStage(wp)
@@ -287,7 +293,7 @@ func (c *mongoConverter) legacyJSON(s string) (*core.Plan, error) {
 	if es, ok := doc["executionStats"].(map[string]any); ok {
 		for k, v := range es {
 			name, cat := c.reg.ResolveProperty("mongodb", k)
-			addPlanPropTyped(nil, plan, cat, name, scalarFromJSON(v))
+			heapArena.AddPlanPropertyIn(plan, cat, name, scalarFromJSON(v))
 		}
 	}
 	if plan.Root == nil {
@@ -304,10 +310,10 @@ func (c *mongoConverter) legacyStage(m map[string]any) *core.Node {
 		case "stage", "inputStage", "inputStages":
 			continue
 		case "namespace":
-			addTypedProp(nil, node, core.Configuration, "name object", scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, core.Configuration, "name object", scalarFromJSON(v))
 		default:
 			pname, cat := c.reg.ResolveProperty("mongodb", k)
-			addTypedProp(nil, node, cat, pname, scalarFromJSON(v))
+			heapArena.AddPropertyIn(node, cat, pname, scalarFromJSON(v))
 		}
 	}
 	if in, ok := m["inputStage"].(map[string]any); ok {
@@ -336,7 +342,7 @@ func (c *neo4jConverter) legacyJSON(s string) (*core.Plan, error) {
 			continue
 		}
 		name, cat := c.reg.ResolveProperty("neo4j", k)
-		addPlanPropTyped(nil, plan, cat, name, scalarFromJSON(v))
+		heapArena.AddPlanPropertyIn(plan, cat, name, scalarFromJSON(v))
 	}
 	if p, ok := doc["plan"].(map[string]any); ok {
 		plan.Root = c.legacyJSONNode(p)
@@ -354,12 +360,12 @@ func (c *neo4jConverter) legacyJSONNode(m map[string]any) *core.Node {
 		for k, v := range args {
 			switch k {
 			case "EstimatedRows":
-				addTypedProp(nil, node, core.Cardinality, "estimated rows", scalarFromJSON(v))
+				heapArena.AddPropertyIn(node, core.Cardinality, "estimated rows", scalarFromJSON(v))
 			case "Rows":
-				addTypedProp(nil, node, core.Cardinality, "actual rows", scalarFromJSON(v))
+				heapArena.AddPropertyIn(node, core.Cardinality, "actual rows", scalarFromJSON(v))
 			default:
 				pname, cat := c.reg.ResolveProperty("neo4j", k)
-				addTypedProp(nil, node, cat, pname, scalarFromJSON(v))
+				heapArena.AddPropertyIn(node, cat, pname, scalarFromJSON(v))
 			}
 		}
 	}

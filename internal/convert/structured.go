@@ -16,16 +16,13 @@ import (
 // (see xmlscan.go): keys and element names drive core.Node construction
 // directly, with no intermediate map[string]any or element trees, and
 // every node, property list, and child list is allocated from the
-// caller's core.PlanArena (nil arena → heap). The retained map-based JSON
-// decoders live in jsonlegacy.go, the encoding/xml ones in
-// xmllegacy_test.go; both serve as reference implementations for the
-// differential tests.
-
-// newJSONNodeIn allocates a JSON plan node with its operation still
-// unknown; the scanners fill Op when (if) they meet the type key.
-func newJSONNodeIn(ar *core.PlanArena) *core.Node {
-	return ar.NewNodeIn("", "")
-}
+// caller's core.PlanArena (nil arena → heap). Nodes start with no
+// operation, which the scanners fill when (if) they meet the type key.
+// Every property is named by the registry through addProp and
+// addPlanProp, keyed by its native JSON key, XML element or attribute.
+// The retained map-based JSON decoders live in jsonlegacy_test.go, the
+// encoding/xml ones in xmllegacy_test.go; both serve as reference
+// implementations for the differential tests.
 
 // ------------------------------------------------------- PostgreSQL (JSON)
 
@@ -55,8 +52,7 @@ func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Pla
 			if err != nil {
 				return err
 			}
-			name, cat := c.reg.ResolveProperty("postgresql", key)
-			ar.AddPlanPropertyIn(plan, cat, name, v)
+			addPlanProp(c.reg, "postgresql", ar, plan, key, v)
 			return nil
 		})
 	}
@@ -95,16 +91,8 @@ func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Pla
 
 //uplan:hotpath
 func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := newJSONNodeIn(ar)
+	node := ar.NewNodeIn("", "")
 	sawType := false
-	prop := func(cat core.PropertyCategory, name string) error {
-		v, err := sc.scanValue()
-		if err != nil {
-			return err
-		}
-		addTypedProp(ar, node, cat, name, v)
-		return nil
-	}
 	err := sc.scanObject(func(key string) error {
 		switch key {
 		case "Node Type":
@@ -133,8 +121,12 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 				return nil
 			})
 		default:
-			pname, cat := c.nodeProperty(key)
-			return prop(cat, pname)
+			v, err := sc.scanValue()
+			if err != nil {
+				return err
+			}
+			addProp(c.reg, "postgresql", ar, node, key, v)
+			return nil
 		}
 	})
 	if err != nil {
@@ -144,31 +136,6 @@ func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*cor
 		node.Op = c.reg.ResolveOperation("postgresql", "")
 	}
 	return node, nil
-}
-
-// nodeProperty resolves a key of a PostgreSQL JSON or YAML plan node: the
-// estimate, actual and relation keys to fixed unified properties, any
-// other key through the registry.
-func (c *postgresConverter) nodeProperty(key string) (string, core.PropertyCategory) {
-	switch key {
-	case "Parent Relationship":
-		return "parent relationship", core.Configuration
-	case "Startup Cost":
-		return "startup cost", core.Cost
-	case "Total Cost":
-		return "total cost", core.Cost
-	case "Plan Rows":
-		return "estimated rows", core.Cardinality
-	case "Plan Width":
-		return "estimated width", core.Cardinality
-	case "Actual Rows":
-		return "actual rows", core.Cardinality
-	case "Actual Total Time":
-		return "actual time", core.Status
-	case "Relation Name":
-		return "name object", core.Configuration
-	}
-	return c.reg.ResolveProperty("postgresql", key)
 }
 
 // -------------------------------------------------------- PostgreSQL (XML)
@@ -228,11 +195,9 @@ func (c *postgresConverter) xmlQuery(sc *xmlScan, plan *core.Plan, name string) 
 			if val == "" || children {
 				continue
 			}
-			pname, cat := c.reg.ResolveProperty("postgresql", xmlTag(sc.ar, local))
-			if pname == "" {
+			if !addPlanProp(c.reg, "postgresql", sc.ar, plan, xmlTag(sc.ar, local), parseScalar(strings.TrimSuffix(val, " ms"))) {
 				return sc.errf("unnamed plan property <%s>", raw)
 			}
-			addPlanPropTyped(sc.ar, plan, cat, pname, parseScalar(strings.TrimSuffix(val, " ms")))
 		}
 	}
 }
@@ -243,7 +208,7 @@ func (c *postgresConverter) xmlQuery(sc *xmlScan, plan *core.Plan, name string) 
 //uplan:hotpath
 func (c *postgresConverter) xmlNode(sc *xmlScan, name string) (*core.Node, error) {
 	ar := sc.ar
-	node := newJSONNodeIn(ar)
+	node := ar.NewNodeIn("", "")
 	for {
 		raw, local, ok, err := sc.child(name)
 		if err != nil {
@@ -262,25 +227,10 @@ func (c *postgresConverter) xmlNode(sc *xmlScan, name string) (*core.Node, error
 		if err != nil {
 			return nil, err
 		}
-		switch local {
-		case "Node-Type":
+		if local == "Node-Type" {
 			node.Op = c.reg.ResolveOperation("postgresql", val)
-		case "Startup-Cost":
-			addTypedProp(ar, node, core.Cost, "startup cost", parseScalar(val))
-		case "Total-Cost":
-			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(val))
-		case "Rows":
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
-		case "Width":
-			addTypedProp(ar, node, core.Cardinality, "estimated width", parseScalar(val))
-		case "Relation-Name":
-			addTypedProp(ar, node, core.Configuration, "name object", parseScalar(val))
-		default:
-			pname, cat := c.reg.ResolveProperty("postgresql", xmlTag(ar, local))
-			if pname == "" {
-				return nil, sc.errf("unnamed property <%s>", raw)
-			}
-			addTypedProp(ar, node, cat, pname, parseScalar(val))
+		} else if !addProp(c.reg, "postgresql", ar, node, xmlTag(ar, local), parseScalar(val)) {
+			return nil, sc.errf("unnamed property <%s>", raw)
 		}
 	}
 	if node.Op.Name == "" {
@@ -365,11 +315,9 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 				return nil, fmt.Errorf("convert: postgres yaml: line %d: %w", it.n, err)
 			}
 		case tree.last() == nil || indent <= planIndent:
-			addPlanProp(c.reg, "postgresql", ar, plan, key, strings.TrimSuffix(val, " ms"))
+			addPlanProp(c.reg, "postgresql", ar, plan, key, parseScalar(strings.TrimSuffix(val, " ms")))
 		default:
-			if name, cat := c.nodeProperty(key); name != "" {
-				addTypedProp(ar, tree.last(), cat, name, parseScalar(val))
-			}
+			addProp(c.reg, "postgresql", ar, tree.last(), key, parseScalar(val))
 		}
 	}
 	plan.Root = tree.root
@@ -406,7 +354,9 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 					if err != nil {
 						return err
 					}
-					addPlanPropTyped(ar, plan, core.Cost, "total cost", v)
+					// Keyed by its unified name: an alias for query_cost
+					// would also rename each node's cost_info.query_cost.
+					addPlanProp(c.reg, "mysql", ar, plan, "total cost", v)
 					return nil
 				})
 			case "plan":
@@ -436,15 +386,9 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 	return plan, nil
 }
 
-// addPlanPropTyped appends a plan-level property with an explicit
-// category, allocating from ar when non-nil.
-func addPlanPropTyped(ar *core.PlanArena, p *core.Plan, cat core.PropertyCategory, name string, v core.Value) {
-	ar.AddPlanPropertyIn(p, cat, name, v)
-}
-
 //uplan:hotpath
 func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := newJSONNodeIn(ar)
+	node := ar.NewNodeIn("", "")
 	sawOp := false
 	err := sc.scanObject(func(key string) error {
 		switch key {
@@ -465,8 +409,7 @@ func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				if err != nil {
 					return err
 				}
-				pname, cat := c.reg.ResolveProperty("mysql", ck)
-				addTypedProp(ar, node, cat, pname, v)
+				addProp(c.reg, "mysql", ar, node, ck, v)
 				return nil
 			})
 		case "inputs":
@@ -484,27 +427,12 @@ func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				ar.AddChildIn(node, child)
 				return nil
 			})
-		case "rows_examined_per_scan":
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", v)
-			return nil
-		case "actual_rows":
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addTypedProp(ar, node, core.Cardinality, "actual rows", v)
-			return nil
 		default:
 			v, err := sc.scanValue()
 			if err != nil {
 				return err
 			}
-			pname, cat := c.reg.ResolveProperty("mysql", key)
-			addTypedProp(ar, node, cat, pname, v)
+			addProp(c.reg, "mysql", ar, node, key, v)
 			return nil
 		}
 	})
@@ -519,8 +447,9 @@ func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 
 // ------------------------------------------------------------- TiDB (JSON)
 
-// tidbJSONFields are the scalar fields of one TiDB JSON operator object.
-type tidbJSONFields struct {
+// tidbFields are the scalar fields of one TiDB operator: a JSON operator
+// object or a row of the table format.
+type tidbFields struct {
 	ID           string
 	EstRows      string
 	ActRows      string
@@ -578,7 +507,7 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 
 //uplan:hotpath
 func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	var in tidbJSONFields
+	var in tidbFields
 	var children []*core.Node
 	strField := func(dst *string) error {
 		if sc.peek() == 'n' { // JSON null leaves the field empty, like Unmarshal
@@ -627,36 +556,35 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 	if err != nil {
 		return nil, err
 	}
-	node := c.nodeFromJSONFields(in, ar)
+	node := c.nodeFromFields(in, ar)
 	node.Children = children
 	return node, nil
 }
 
-// nodeFromJSONFields maps one operator object's scalar fields onto a node;
-// shared by the streaming decoder above and the legacy reference decoder.
-func (c *tidbConverter) nodeFromJSONFields(in tidbJSONFields, ar *core.PlanArena) *core.Node {
+// nodeFromFields maps one operator's scalar fields onto a node, each
+// keyed by its table column header; shared by the table parser, the
+// streaming JSON decoder above and the legacy reference decoder.
+func (c *tidbConverter) nodeFromFields(in tidbFields, ar *core.PlanArena) *core.Node {
 	base, suffix := stripOperatorSuffix(in.ID)
 	op := c.reg.ResolveOperation("tidb", base)
 	node := ar.NewNodeIn(op.Category, op.Name)
 	if suffix != "" {
-		addTypedProp(ar, node, core.Status, "operator id", core.Str(suffix))
+		addProp(c.reg, "tidb", ar, node, "operator id", core.Str(suffix))
 	}
 	if in.EstRows != "" {
-		addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(in.EstRows))
+		addProp(c.reg, "tidb", ar, node, "estRows", parseScalar(in.EstRows))
 	}
 	if in.ActRows != "" {
-		addTypedProp(ar, node, core.Cardinality, "actual rows", parseScalar(in.ActRows))
+		addProp(c.reg, "tidb", ar, node, "actRows", parseScalar(in.ActRows))
 	}
 	if in.TaskType != "" {
-		name, cat := c.reg.ResolveProperty("tidb", "task")
-		addTypedProp(ar, node, cat, name, core.Str(in.TaskType))
+		addProp(c.reg, "tidb", ar, node, "task", core.Str(in.TaskType))
 	}
 	if in.AccessObject != "" {
-		addTypedProp(ar, node, core.Configuration, "access object", core.Str(in.AccessObject))
+		addProp(c.reg, "tidb", ar, node, "access object", core.Str(in.AccessObject))
 	}
 	if in.OperatorInfo != "" {
-		name, cat := c.reg.ResolveProperty("tidb", "operator info")
-		addTypedProp(ar, node, cat, name, core.Str(in.OperatorInfo))
+		addProp(c.reg, "tidb", ar, node, "operator info", core.Str(in.OperatorInfo))
 	}
 	return node
 }
@@ -691,7 +619,7 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 					if err != nil {
 						return err
 					}
-					addPlanPropTyped(ar, plan, core.Configuration, "name object", v)
+					addPlanProp(c.reg, "mongodb", ar, plan, qk, v)
 					return nil
 				case "winningPlan":
 					if sc.peek() != '{' {
@@ -716,8 +644,7 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 				if err != nil {
 					return err
 				}
-				name, cat := c.reg.ResolveProperty("mongodb", ek)
-				addPlanPropTyped(ar, plan, cat, name, v)
+				addPlanProp(c.reg, "mongodb", ar, plan, ek, v)
 				return nil
 			})
 		default:
@@ -738,7 +665,7 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 
 //uplan:hotpath
 func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := newJSONNodeIn(ar)
+	node := ar.NewNodeIn("", "")
 	sawStage := false
 	// inputStage precedes inputStages in the children, whatever the
 	// document's key order (the legacy decoder's fixed attachment order).
@@ -781,20 +708,12 @@ func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node
 				rest = ar.AppendChildIn(rest, child)
 				return nil
 			})
-		case "namespace":
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addTypedProp(ar, node, core.Configuration, "name object", v)
-			return nil
 		default:
 			v, err := sc.scanValue()
 			if err != nil {
 				return err
 			}
-			pname, cat := c.reg.ResolveProperty("mongodb", key)
-			addTypedProp(ar, node, cat, pname, v)
+			addProp(c.reg, "mongodb", ar, node, key, v)
 			return nil
 		}
 	})
@@ -836,8 +755,7 @@ func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 		if err != nil {
 			return err
 		}
-		name, cat := c.reg.ResolveProperty("neo4j", key)
-		addPlanPropTyped(ar, plan, cat, name, v)
+		addPlanProp(c.reg, "neo4j", ar, plan, key, v)
 		return nil
 	})
 	if err != nil {
@@ -851,7 +769,7 @@ func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 
 //uplan:hotpath
 func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := newJSONNodeIn(ar)
+	node := ar.NewNodeIn("", "")
 	sawOp := false
 	err := sc.scanObject(func(key string) error {
 		switch key {
@@ -874,15 +792,7 @@ func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.N
 				if err != nil {
 					return err
 				}
-				switch ak {
-				case "EstimatedRows":
-					addTypedProp(ar, node, core.Cardinality, "estimated rows", v)
-				case "Rows":
-					addTypedProp(ar, node, core.Cardinality, "actual rows", v)
-				default:
-					pname, cat := c.reg.ResolveProperty("neo4j", ak)
-					addTypedProp(ar, node, cat, pname, v)
-				}
+				addProp(c.reg, "neo4j", ar, node, ak, v)
 				return nil
 			})
 		case "children":
@@ -1065,25 +975,21 @@ func (c *sqlserverConverter) xmlRelOp(sc *xmlScan, name string) (*core.Node, err
 		}
 	}
 	if rows != "" {
-		pname, cat := c.reg.ResolveProperty("sqlserver", "EstimateRows")
-		addTypedProp(ar, node, cat, pname, parseScalar(rows))
+		addProp(c.reg, "sqlserver", ar, node, "EstimateRows", parseScalar(rows))
 	}
 	if cost != "" {
-		pname, cat := c.reg.ResolveProperty("sqlserver", "EstimatedTotalSubtreeCost")
-		addTypedProp(ar, node, cat, pname, parseScalar(cost))
+		addProp(c.reg, "sqlserver", ar, node, "EstimatedTotalSubtreeCost", parseScalar(cost))
 	}
 	if logical != "" {
-		addTypedProp(ar, node, core.Configuration, "logical operation", core.Str(logical))
+		addProp(c.reg, "sqlserver", ar, node, "logical operation", core.Str(logical))
 	}
 	if table != "" {
-		addTypedProp(ar, node, core.Configuration, "name object", core.Str(strings.Trim(table, "[]")))
+		addProp(c.reg, "sqlserver", ar, node, "Object", core.Str(strings.Trim(table, "[]")))
 	}
 	for _, e := range elems {
-		pname, cat := c.reg.ResolveProperty("sqlserver", e.key)
-		if pname == "" {
+		if !addProp(c.reg, "sqlserver", ar, node, e.key, parseScalar(e.val)) {
 			return nil, sc.errf("unnamed property <%s>", e.key)
 		}
-		addTypedProp(ar, node, cat, pname, parseScalar(e.val))
 	}
 	return node, nil
 }
@@ -1131,17 +1037,17 @@ func (c *sqlserverConverter) convertProfileTable(s string, ar *core.PlanArena) (
 		if i := strings.Index(body, "(["); i >= 0 {
 			rest := body[i+2:]
 			if j := strings.Index(rest, "]"); j >= 0 {
-				addTypedProp(ar, node, core.Configuration, "name object", core.Str(rest[:j]))
+				addProp(c.reg, "sqlserver", ar, node, "Object", core.Str(rest[:j]))
 			}
 		}
 		if v := t.cell(r, estIdx); strings.TrimSpace(v) != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
+			addProp(c.reg, "sqlserver", ar, node, "EstimateRows", parseScalar(v))
 		}
 		if v := t.cell(r, costIdx); strings.TrimSpace(v) != "" {
-			addTypedProp(ar, node, core.Cost, "total cost", parseScalar(v))
+			addProp(c.reg, "sqlserver", ar, node, "total cost", parseScalar(v))
 		}
 		if v := t.cell(r, rowsIdx); strings.TrimSpace(v) != "" {
-			addTypedProp(ar, node, core.Cardinality, "actual rows", parseScalar(v))
+			addProp(c.reg, "sqlserver", ar, node, "actual rows", parseScalar(v))
 		}
 		if err := tree.add(ar, node, depth); err != nil {
 			return nil, fmt.Errorf("convert: sqlserver table: row %d: %w", r+1, err)
@@ -1181,14 +1087,13 @@ func (c *sqlserverConverter) convertText(s string, ar *core.PlanArena) (*core.Pl
 		if i := strings.Index(body, "OBJECT:(["); i >= 0 {
 			rest := body[i+9:]
 			if j := strings.Index(rest, "]"); j >= 0 {
-				addTypedProp(ar, node, core.Configuration, "name object", core.Str(rest[:j]))
+				addProp(c.reg, "sqlserver", ar, node, "Object", core.Str(rest[:j]))
 			}
 		}
 		if i := strings.Index(body, "WHERE:("); i >= 0 {
 			rest := body[i+7:]
 			if j := strings.LastIndex(rest, ")"); j >= 0 {
-				name, cat := c.reg.ResolveProperty("sqlserver", "Predicate")
-				addTypedProp(ar, node, cat, name, core.Str(rest[:j]))
+				addProp(c.reg, "sqlserver", ar, node, "Predicate", core.Str(rest[:j]))
 			}
 		}
 		if err := tree.add(ar, node, depth); err != nil {

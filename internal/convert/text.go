@@ -79,7 +79,7 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 			if !ok {
 				return nil, fmt.Errorf("convert: line %d: unparseable plan line %q", it.n, raw)
 			}
-			addPlanProp(c.reg, "postgresql", ar, plan, key, strings.TrimSuffix(val, " ms"))
+			addPlanProp(c.reg, "postgresql", ar, plan, key, parseScalar(strings.TrimSuffix(val, " ms")))
 		default:
 			// Node property line; belongs to the deepest open node.
 			node := tree.last()
@@ -90,7 +90,7 @@ func (c *postgresConverter) convertText(s string, ar *core.PlanArena) (*core.Pla
 			if !ok {
 				continue // tolerate free-form annotation lines
 			}
-			addProp(c.reg, "postgresql", ar, node, key, val)
+			addProp(c.reg, "postgresql", ar, node, key, parseScalar(val))
 		}
 	}
 	plan.Root = tree.root
@@ -119,26 +119,26 @@ func (c *postgresConverter) parseNodeLine(line string, ar *core.PlanArena) (*cor
 	op := c.reg.ResolveOperation("postgresql", name)
 	node := ar.NewNodeIn(op.Category, op.Name)
 	if object != "" {
-		addTypedProp(ar, node, core.Configuration, "name object", core.Str(object))
+		addProp(c.reg, "postgresql", ar, node, "Relation Name", core.Str(object))
 	}
 	// Parse cost annotation pieces.
 	se, te, seOK, teOK := parseCostRange(ann, "cost=")
 	if seOK {
-		addTypedProp(ar, node, core.Cost, "startup cost", core.Num(se))
+		addProp(c.reg, "postgresql", ar, node, "startup cost", core.Num(se))
 	}
 	if teOK {
-		addTypedProp(ar, node, core.Cost, "total cost", core.Num(te))
+		addProp(c.reg, "postgresql", ar, node, "total cost", core.Num(te))
 	}
 	if v, ok := parseKVNum(ann, "rows=", false); ok {
-		addTypedProp(ar, node, core.Cardinality, "estimated rows", core.Num(v))
+		addProp(c.reg, "postgresql", ar, node, "rows", core.Num(v))
 	}
 	if v, ok := parseKVNum(ann, "width=", false); ok {
-		addTypedProp(ar, node, core.Cardinality, "estimated width", core.Num(v))
+		addProp(c.reg, "postgresql", ar, node, "width", core.Num(v))
 	}
 	if _, at, _, ok := parseCostRange(ann, "actual time="); ok {
-		addTypedProp(ar, node, core.Status, "actual time", core.Num(at))
+		addProp(c.reg, "postgresql", ar, node, "actual time", core.Num(at))
 		if v, ok := parseKVNum(ann, "rows=", true); ok {
-			addTypedProp(ar, node, core.Cardinality, "actual rows", core.Num(v))
+			addProp(c.reg, "postgresql", ar, node, "actual rows", core.Num(v))
 		}
 	}
 	return node, nil
@@ -291,24 +291,23 @@ func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *co
 	rest = strings.TrimPrefix(rest, ":")
 	rest = strings.TrimSpace(rest)
 	if i := strings.Index(rest, " using "); i >= 0 {
-		addTypedProp(ar, node, core.Configuration, "access object", core.Str(strings.TrimSpace(rest[i+7:])))
+		addProp(c.reg, "mysql", ar, node, "key", core.Str(strings.TrimSpace(rest[i+7:])))
 		rest = strings.TrimSpace(rest[:i])
 	}
 	if strings.HasPrefix(rest, "on ") {
-		addTypedProp(ar, node, core.Configuration, "name object", core.Str(strings.TrimPrefix(rest, "on ")))
+		addProp(c.reg, "mysql", ar, node, "table_name", core.Str(strings.TrimPrefix(rest, "on ")))
 	} else if rest != "" {
-		name, cat := c.reg.ResolveProperty("mysql", "attached_condition")
-		addTypedProp(ar, node, cat, name, core.Str(rest))
+		addProp(c.reg, "mysql", ar, node, "attached_condition", core.Str(rest))
 	}
 	if v, ok := parseKVNum(ann, "cost=", false); ok {
-		addTypedProp(ar, node, core.Cost, "total cost", core.Num(v))
+		addProp(c.reg, "mysql", ar, node, "cost", core.Num(v))
 	}
 	if v, ok := parseKVNum(ann, "rows=", false); ok {
-		addTypedProp(ar, node, core.Cardinality, "estimated rows", core.Num(v))
+		addProp(c.reg, "mysql", ar, node, "rows", core.Num(v))
 	}
 	if i := strings.Index(ann, "actual time="); i >= 0 {
 		if v, ok := parseKVNum(ann[i:], "rows=", false); ok {
-			addTypedProp(ar, node, core.Cardinality, "actual rows", core.Num(v))
+			addProp(c.reg, "mysql", ar, node, "actual_rows", core.Num(v))
 		}
 	}
 }
@@ -342,16 +341,16 @@ func (c *mysqlConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		op := c.reg.ResolveOperation("mysql", opName)
 		node := ar.NewNodeIn(op.Category, op.Name)
 		if v := t.cell(i, tableIdx); v != "" {
-			addTypedProp(ar, node, core.Configuration, "name object", core.Str(v))
+			addProp(c.reg, "mysql", ar, node, "table_name", core.Str(v))
 		}
 		if v := t.cell(i, keyIdx); v != "" && v != "NULL" {
-			addTypedProp(ar, node, core.Configuration, "access object", core.Str(v))
+			addProp(c.reg, "mysql", ar, node, "key", core.Str(v))
 		}
 		if v := t.cell(i, rowsIdx); v != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
+			addProp(c.reg, "mysql", ar, node, "rows", parseScalar(v))
 		}
 		if v := t.cell(i, extraIdx); v != "" && v != "NULL" {
-			addTypedProp(ar, node, core.Configuration, "extra", core.Str(v))
+			addProp(c.reg, "mysql", ar, node, "extra", core.Str(v))
 		}
 		if plan.Root == nil {
 			plan.Root = node
@@ -407,26 +406,13 @@ func (c *tidbConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan, 
 			depth = len([]rune(prefix))/2 + 1
 			namePart = strings.TrimLeft(id[i:], "└├─ ")
 		}
-		base, suffix := stripOperatorSuffix(strings.TrimSpace(namePart))
-		op := c.reg.ResolveOperation("tidb", base)
-		node := ar.NewNodeIn(op.Category, op.Name)
-		if suffix != "" {
-			addTypedProp(ar, node, core.Status, "operator id", core.Str(suffix))
-		}
-		if v := t.cell(r, estIdx); v != "" {
-			addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(v))
-		}
-		if v := t.cell(r, taskIdx); v != "" {
-			name, cat := c.reg.ResolveProperty("tidb", "task")
-			addTypedProp(ar, node, cat, name, core.Str(v))
-		}
-		if v := t.cell(r, objIdx); v != "" {
-			addTypedProp(ar, node, core.Configuration, "access object", core.Str(v))
-		}
-		if v := t.cell(r, infoIdx); v != "" {
-			name, cat := c.reg.ResolveProperty("tidb", "operator info")
-			addTypedProp(ar, node, cat, name, core.Str(v))
-		}
+		node := c.nodeFromFields(tidbFields{
+			ID:           strings.TrimSpace(namePart),
+			EstRows:      t.cell(r, estIdx),
+			TaskType:     t.cell(r, taskIdx),
+			AccessObject: t.cell(r, objIdx),
+			OperatorInfo: t.cell(r, infoIdx),
+		}, ar)
 		if err := tree.add(ar, node, depth); err != nil {
 			return nil, fmt.Errorf("convert: TiDB row %d: %w", r+1, err)
 		}
@@ -540,23 +526,22 @@ func (c *sqliteConverter) parseLine(body string, ar *core.PlanArena) *core.Node 
 	op := c.reg.ResolveOperation("sqlite", name)
 	node := ar.NewNodeIn(op.Category, op.Name)
 	if method != "" {
-		addTypedProp(ar, node, core.Configuration, "method", core.Str(method))
+		addProp(c.reg, "sqlite", ar, node, "method", core.Str(method))
 	}
 	if rest == "" {
 		return node
 	}
 	// "t1 USING AUTOMATIC COVERING INDEX (c0=?)" / "t0" / "t2 USING INDEX i".
 	if i := strings.Index(rest, " USING "); i >= 0 {
-		addTypedProp(ar, node, core.Configuration, "name object", core.Str(rest[:i]))
+		addProp(c.reg, "sqlite", ar, node, "name object", core.Str(rest[:i]))
 		using := rest[i+7:]
 		key := "USING INDEX"
 		if strings.Contains(using, "COVERING INDEX") {
 			key = "USING COVERING INDEX"
 		}
-		name, cat := c.reg.ResolveProperty("sqlite", key)
-		addTypedProp(ar, node, cat, name, core.Str(using))
+		addProp(c.reg, "sqlite", ar, node, key, core.Str(using))
 	} else {
-		addTypedProp(ar, node, core.Configuration, "name object", core.Str(rest))
+		addProp(c.reg, "sqlite", ar, node, "name object", core.Str(rest))
 	}
 	return node
 }
@@ -596,7 +581,7 @@ func (c *sparkConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 		op := c.reg.ResolveOperation("sparksql", name)
 		node := ar.NewNodeIn(op.Category, op.Name)
 		if args != "" {
-			addTypedProp(ar, node, core.Configuration, "args", core.Str(args))
+			addProp(c.reg, "sparksql", ar, node, "args", core.Str(args))
 		}
 		if err := tree.add(ar, node, depth); err != nil {
 			return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
@@ -632,19 +617,19 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 		line := strings.TrimSpace(it.line)
 		switch {
 		case strings.HasPrefix(line, "Planner "):
-			addPlanProp(c.reg, "neo4j", ar, plan, "planner", strings.TrimPrefix(line, "Planner "))
+			addPlanProp(c.reg, "neo4j", ar, plan, "planner", parseScalar(strings.TrimPrefix(line, "Planner ")))
 		case strings.HasPrefix(line, "Runtime version "):
-			addPlanProp(c.reg, "neo4j", ar, plan, "runtime version", strings.TrimPrefix(line, "Runtime version "))
+			addPlanProp(c.reg, "neo4j", ar, plan, "runtime version", parseScalar(strings.TrimPrefix(line, "Runtime version ")))
 		case strings.HasPrefix(line, "Total database accesses:"):
 			rest := strings.TrimPrefix(line, "Total database accesses:")
 			first := rest
 			if i := strings.IndexByte(rest, ','); i >= 0 {
 				first = rest[:i]
 				mem := strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest[i+1:]), "total allocated memory:"))
-				addPlanProp(c.reg, "neo4j", ar, plan, "DbHits", strings.TrimSpace(first))
-				addPlanProp(c.reg, "neo4j", ar, plan, "Memory", mem)
+				addPlanProp(c.reg, "neo4j", ar, plan, "DbHits", parseScalar(first))
+				addPlanProp(c.reg, "neo4j", ar, plan, "Memory", parseScalar(mem))
 			} else {
-				addPlanProp(c.reg, "neo4j", ar, plan, "DbHits", strings.TrimSpace(first))
+				addPlanProp(c.reg, "neo4j", ar, plan, "DbHits", parseScalar(first))
 			}
 		}
 	}
@@ -677,12 +662,7 @@ func (c *neo4jConverter) convertTable(s string, ar *core.PlanArena) (*core.Plan,
 			if val == "" {
 				continue
 			}
-			key := t.header[i]
-			if strings.EqualFold(key, "Estimated Rows") {
-				addTypedProp(ar, node, core.Cardinality, "estimated rows", parseScalar(val))
-				continue
-			}
-			addProp(c.reg, "neo4j", ar, node, key, val)
+			addProp(c.reg, "neo4j", ar, node, t.header[i], parseScalar(val))
 		}
 		if err := tree.add(ar, node, depth); err != nil {
 			return nil, fmt.Errorf("convert: Neo4j row %d: %w", r+1, err)
@@ -716,7 +696,7 @@ func (c *influxConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, e
 		if !ok {
 			continue
 		}
-		addPlanProp(c.reg, "influxdb", ar, plan, key, val)
+		addPlanProp(c.reg, "influxdb", ar, plan, key, parseScalar(val))
 	}
 	if len(plan.Properties) == 0 {
 		return nil, fmt.Errorf("convert: no InfluxDB plan properties found")

@@ -69,18 +69,18 @@ func (c *postgresConverter) legacyXML(s string) (*core.Plan, error) {
 					}
 				}
 			case "Startup-Cost":
-				addTypedProp(nil, node, core.Cost, "startup cost", parseScalar(val))
+				heapArena.AddPropertyIn(node, core.Cost, "startup cost", parseScalar(val))
 			case "Total-Cost":
-				addTypedProp(nil, node, core.Cost, "total cost", parseScalar(val))
+				heapArena.AddPropertyIn(node, core.Cost, "total cost", parseScalar(val))
 			case "Rows":
-				addTypedProp(nil, node, core.Cardinality, "estimated rows", parseScalar(val))
+				heapArena.AddPropertyIn(node, core.Cardinality, "estimated rows", parseScalar(val))
 			case "Width":
-				addTypedProp(nil, node, core.Cardinality, "estimated width", parseScalar(val))
+				heapArena.AddPropertyIn(node, core.Cardinality, "estimated width", parseScalar(val))
 			case "Relation-Name":
-				addTypedProp(nil, node, core.Configuration, "name object", parseScalar(val))
+				heapArena.AddPropertyIn(node, core.Configuration, "name object", parseScalar(val))
 			default:
 				name, cat := c.reg.ResolveProperty("postgresql", tag)
-				addTypedProp(nil, node, cat, name, parseScalar(val))
+				heapArena.AddPropertyIn(node, cat, name, parseScalar(val))
 			}
 		}
 		return node
@@ -98,7 +98,7 @@ func (c *postgresConverter) legacyXML(s string) (*core.Plan, error) {
 				if val != "" && len(ch.Children) == 0 {
 					tag := strings.ReplaceAll(ch.XMLName.Local, "-", " ")
 					name, cat := c.reg.ResolveProperty("postgresql", tag)
-					addPlanPropTyped(nil, plan, cat, name, parseScalar(strings.TrimSuffix(val, " ms")))
+					heapArena.AddPlanPropertyIn(plan, cat, name, parseScalar(strings.TrimSuffix(val, " ms")))
 				}
 			}
 		}
@@ -155,24 +155,24 @@ func (c *sqlserverConverter) legacyRelOpNode(rel ssRelOp) *core.Node {
 	node := &core.Node{Op: op}
 	if rel.EstimateRows != "" {
 		name, cat := c.reg.ResolveProperty("sqlserver", "EstimateRows")
-		addTypedProp(nil, node, cat, name, parseScalar(rel.EstimateRows))
+		heapArena.AddPropertyIn(node, cat, name, parseScalar(rel.EstimateRows))
 	}
 	if rel.EstimatedCost != "" {
 		name, cat := c.reg.ResolveProperty("sqlserver", "EstimatedTotalSubtreeCost")
-		addTypedProp(nil, node, cat, name, parseScalar(rel.EstimatedCost))
+		heapArena.AddPropertyIn(node, cat, name, parseScalar(rel.EstimatedCost))
 	}
 	if rel.LogicalOp != "" {
-		addTypedProp(nil, node, core.Configuration, "logical operation", core.Str(rel.LogicalOp))
+		heapArena.AddPropertyIn(node, core.Configuration, "logical operation", core.Str(rel.LogicalOp))
 	}
 	if rel.Object.Table != "" {
-		addTypedProp(nil, node, core.Configuration, "name object",
+		heapArena.AddPropertyIn(node, core.Configuration, "name object",
 			core.Str(strings.Trim(rel.Object.Table, "[]")))
 	}
 	// Extract simple child elements (e.g. <Predicate>…</Predicate>) from
 	// the inner XML, skipping nested RelOps which are handled structurally.
 	for _, el := range legacySimpleXMLElements(rel.InnerXML) {
 		name, cat := c.reg.ResolveProperty("sqlserver", el.key)
-		addTypedProp(nil, node, cat, name, parseScalar(el.val))
+		heapArena.AddPropertyIn(node, cat, name, parseScalar(el.val))
 	}
 	for _, child := range rel.Children {
 		node.AddChild(c.legacyRelOpNode(child))

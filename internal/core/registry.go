@@ -572,6 +572,7 @@ func buildDefaultTemplate() *Registry {
 		{"output", Configuration, "output column list"},
 		{"direction", Configuration, "scan direction"},
 		{"recheck condition", Configuration, "condition rechecked on heap rows"},
+		{"parent relationship", Configuration, "role of a node under its parent"},
 		{"files", Cardinality, "number of storage files read"},
 		{"blocks", Cardinality, "number of storage blocks read"},
 		{"block size", Cardinality, "bytes of storage blocks read"},
@@ -583,6 +584,7 @@ func buildDefaultTemplate() *Registry {
 		{"workers planned", Status, "parallel workers planned"},
 		{"workers launched", Status, "parallel workers launched"},
 		{"task type", Status, "node/task placement of the operation"},
+		{"operator id", Status, "engine-assigned operator number"},
 		{"memory", Status, "memory consumed"},
 		{"disk", Status, "disk consumed"},
 		{"database accesses", Status, "storage accesses performed"},
@@ -819,6 +821,10 @@ func buildDefaultTemplate() *Registry {
 		{"postgresql", "Planning Time", "planning time"},
 		{"postgresql", "Execution Time", "execution time"},
 		{"postgresql", "Actual Time", "actual time"},
+		{"postgresql", "Actual Total Time", "actual time"},
+		{"postgresql", "Plan Rows", "estimated rows"},
+		{"postgresql", "Plan Width", "estimated width"},
+		{"postgresql", "Parent Relationship", "parent relationship"},
 		{"mysql", "rows", "estimated rows"},
 		{"mysql", "cost", "total cost"},
 		{"mysql", "read_cost", "read cost"},
@@ -829,6 +835,8 @@ func buildDefaultTemplate() *Registry {
 		{"mysql", "table_name", "name object"},
 		{"mysql", "used_columns", "output"},
 		{"mysql", "group_by", "group key"},
+		{"mysql", "rows_examined_per_scan", "estimated rows"},
+		{"mysql", "actual_rows", "actual rows"},
 		{"tidb", "estRows", "estimated rows"},
 		{"tidb", "actRows", "actual rows"},
 		{"tidb", "cost", "total cost"},

@@ -94,3 +94,48 @@ func TestConvertedAnalyzeGoldenDigest(t *testing.T) {
 		t.Errorf("converted ANALYZE digest %s, want %s", got, want)
 	}
 }
+
+// TestConvertedPropertiesResolveToThemselves checks that the registry
+// names every converted property: resolving a property's unified name
+// under its dialect gives back that name and its category, for every
+// plan-level and node property of every plan forConverted yields and of
+// the benchmark's text samples. A converter that pins a name or category
+// the registry would not give fails here.
+func TestConvertedPropertiesResolveToThemselves(t *testing.T) {
+	reg := core.DefaultRegistry()
+	type mismatch struct {
+		dialect, name string
+		cat           core.PropertyCategory
+	}
+	count := map[mismatch]int{}
+	checked := 0
+	check := func(label, dialect string, p *core.Plan, err error) {
+		if err != nil {
+			t.Fatalf("%s: convert: %v", label, err)
+		}
+		visit := func(props []core.Property) {
+			for _, pr := range props {
+				checked++
+				if name, cat := reg.ResolveProperty(dialect, pr.Name); name != pr.Name || cat != pr.Category {
+					count[mismatch{dialect, pr.Name, pr.Category}]++
+				}
+			}
+		}
+		visit(p.Properties)
+		p.Walk(func(n *core.Node, _ int) { visit(n.Properties) })
+	}
+	forConverted(t, check)
+	samples, err := bench.TextSamples(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		p, err := convert.Convert(s.Dialect, s.Raw)
+		check("sample/"+s.Name, s.Dialect, p, err)
+	}
+	for m, n := range count {
+		name, cat := reg.ResolveProperty(m.dialect, m.name)
+		t.Errorf("%s: %q (%s) emitted %d times, but resolves to %q (%s)", m.dialect, m.name, m.cat, n, name, cat)
+	}
+	t.Logf("%d properties checked", checked)
+}

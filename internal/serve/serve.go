@@ -4,7 +4,8 @@
 // wire payload (the paper's canonical serialization is already the right
 // interchange shape); /v1/batch-convert also speaks a compact binary wire
 // for bulk consumers (see BinaryContentType), and every other endpoint
-// is JSON only. The robustness machinery is the point:
+// is JSON only, answering a binary body 415. The robustness machinery is
+// the point:
 //
 //   - Bounded admission: a fixed in-flight slot pool plus a bounded wait
 //     queue. A full queue sheds with 429 + Retry-After instead of
@@ -423,6 +424,19 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 	s.writeError(w, status, "bad request body: "+err.Error(), 0)
 }
 
+// decodeJSONBody is decodeBody for the JSON-only endpoints: the binary
+// wire carries batches only, so a binary body is refused with a 415,
+// counted as a bad request, before it is read.
+func decodeJSONBody[T any](s *Server, w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error), dst *T) bool {
+	if isBinaryContent(r) {
+		s.metrics.badRequests.Add(1)
+		s.writeError(w, http.StatusUnsupportedMediaType,
+			"binary request bodies are accepted by /v1/batch-convert only (one plan is a batch of one record there); send JSON here", 0)
+		return false
+	}
+	return decodeBody(s, w, r, decode, dst)
+}
+
 // decodeBatch reads one batch request in its negotiated format: binary
 // when the Content-Type says so, JSON otherwise. Both decoders enforce
 // MaxBatchRecords while they decode.
@@ -512,16 +526,8 @@ func (s *Server) convertOne(w http.ResponseWriter, r *http.Request, req ConvertR
 
 func (s *Server) handleConvert(w http.ResponseWriter, r *http.Request) {
 	s.metrics.convert.Add(1)
-	// The binary wire carries batches only; refuse a binary body before
-	// reading it.
-	if isBinaryContent(r) {
-		s.metrics.badRequests.Add(1)
-		s.writeError(w, http.StatusUnsupportedMediaType,
-			"binary request bodies are accepted by /v1/batch-convert only; send a batch of one record there", 0)
-		return
-	}
 	var req ConvertRequest
-	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
+	if !decodeJSONBody(s, w, r, decodeConvertRequest, &req) {
 		return
 	}
 
@@ -597,7 +603,7 @@ func (s *Server) writeBatch(w http.ResponseWriter, batch *batchBody, stats pipel
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	s.metrics.fingerprint.Add(1)
 	var req ConvertRequest
-	if !decodeBody(s, w, r, decodeConvertRequest, &req) {
+	if !decodeJSONBody(s, w, r, decodeConvertRequest, &req) {
 		return
 	}
 	s.convertOne(w, r, req, false, nil)
@@ -609,7 +615,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var req CompareRequest
-	if !decodeBody(s, w, r, decodeCompareRequest, &req) {
+	if !decodeJSONBody(s, w, r, decodeCompareRequest, &req) {
 		return
 	}
 	release, ok := s.admit(ctx, w, false)

@@ -5,8 +5,8 @@ package serve
 // negotiated per request there. A request body is binary iff its
 // Content-Type is BinaryContentType, and a response body is binary iff
 // the request's Accept header lists it. JSON remains the default on both
-// sides and is the only format of every other endpoint (/v1/convert
-// answers a binary body 415). Error responses are always JSON
+// sides and is the only format of every other endpoint (each answers a
+// binary body 415). Error responses are always JSON
 // (ErrorResponse), so retry and backpressure handling is
 // format-independent.
 //

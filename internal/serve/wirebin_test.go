@@ -185,10 +185,11 @@ func TestServeBatchBinary(t *testing.T) {
 	}
 }
 
-// TestServeConvertRefusesBinary: /v1/convert is JSON only. A binary body
-// gets a 415 JSON ErrorResponse that names /v1/batch-convert, counts as a
-// bad request, and leaves the cached JSON entry hitting; a binary Accept
-// header on a JSON body still gets the JSON body.
+// TestServeConvertRefusesBinary: /v1/convert, /v1/fingerprint and
+// /v1/compare are JSON only. A binary body on any of them gets a 415 JSON
+// ErrorResponse that names /v1/batch-convert and counts as a bad request;
+// on /v1/convert it leaves the cached JSON entry hitting, and a binary
+// Accept header on a JSON body still gets the JSON body.
 func TestServeConvertRefusesBinary(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	req := ConvertRequest{Dialect: "postgresql", Serialized: pgPlan}
@@ -198,20 +199,24 @@ func TestServeConvertRefusesBinary(t *testing.T) {
 		t.Fatalf("json convert %s = %q, want miss", CacheHeader, got)
 	}
 
-	bad := s.Metrics().BadRequests
-	bresp, data := binaryPost(t, ts.URL+"/v1/convert", AppendBinaryBatchRequest(nil, BatchRequest{Records: []ConvertRequest{req}}))
-	if bresp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary convert status = %d, want 415: %s", bresp.StatusCode, data)
-	}
-	if ct := mediaType(bresp.Header.Get("Content-Type")); ct != "application/json" {
-		t.Errorf("415 Content-Type = %q, want JSON", ct)
-	}
-	var e ErrorResponse
-	if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "/v1/batch-convert") {
-		t.Errorf("415 body = %s (err %v), want an ErrorResponse naming /v1/batch-convert", data, err)
-	}
-	if got := s.Metrics().BadRequests; got != bad+1 {
-		t.Errorf("bad_requests = %d after the 415, want %d", got, bad+1)
+	body := AppendBinaryBatchRequest(nil, BatchRequest{Records: []ConvertRequest{req}})
+	for _, path := range []string{"/v1/convert", "/v1/fingerprint", "/v1/compare"} {
+		bad := s.Metrics().BadRequests
+		bresp, data := binaryPost(t, ts.URL+path, body)
+		if bresp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Errorf("binary %s status = %d, want 415: %s", path, bresp.StatusCode, data)
+			continue
+		}
+		if ct := mediaType(bresp.Header.Get("Content-Type")); ct != "application/json" {
+			t.Errorf("%s 415 Content-Type = %q, want JSON", path, ct)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, "/v1/batch-convert") {
+			t.Errorf("%s 415 body = %s (err %v), want an ErrorResponse naming /v1/batch-convert", path, data, err)
+		}
+		if got := s.Metrics().BadRequests; got != bad+1 {
+			t.Errorf("bad_requests = %d after the %s 415, want %d", got, path, bad+1)
+		}
 	}
 
 	body, err := json.Marshal(req)
