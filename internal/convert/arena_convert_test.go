@@ -2,6 +2,7 @@ package convert
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"uplan/internal/core"
@@ -13,37 +14,30 @@ import (
 func arenaGuardSamples(t *testing.T) map[string]string {
 	t.Helper()
 	samples := map[string]string{}
-	e := engine(t, "postgresql")
 	for key, f := range map[string]explain.Format{
 		"postgresql-text": explain.FormatText,
 		"postgresql-json": explain.FormatJSON,
+		"mysql-json":      explain.FormatJSON,
+		"tidb-json":       explain.FormatJSON,
+		"tidb-table":      explain.FormatTable,
+		"mongodb-json":    explain.FormatJSON,
+		"neo4j-json":      explain.FormatJSON,
 	} {
-		out, err := e.Explain(testQuery, f)
+		out, err := engine(t, dialectOf(key)).Explain(testQuery, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		samples[key] = out
 	}
-	ti := engine(t, "tidb")
-	out, err := ti.Explain(testQuery, explain.FormatTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples["tidb-table"] = out
 	samples["postgresql-xml"] = xmlSample(t, "postgresql")
 	samples["sqlserver-xml"] = xmlSample(t, "sqlserver")
 	return samples
 }
 
+// dialectOf is the dialect of an arenaGuardSamples key.
 func dialectOf(key string) string {
-	switch key {
-	case "tidb-table":
-		return "tidb"
-	case "sqlserver-xml":
-		return "sqlserver"
-	default:
-		return "postgresql"
-	}
+	dialect, _, _ := strings.Cut(key, "-")
+	return dialect
 }
 
 // TestConvertIntoMatchesConvert proves the arena path is semantically
@@ -80,8 +74,13 @@ func TestConvertIntoSteadyStateAllocs(t *testing.T) {
 		// Plan header + YAML/format detection scratch: effectively the
 		// floor for the text pipeline.
 		"postgresql-text": 4,
-		// JSON scanning keeps a few closure headers per conversion.
-		"postgresql-json": 8,
+		// The JSON formats: the Plan header and the scanner's few closure
+		// headers.
+		"postgresql-json": 4,
+		"mysql-json":      4,
+		"tidb-json":       4,
+		"mongodb-json":    4,
+		"neo4j-json":      4,
 		// Aligned-table parsing allocates the rows/cells scaffolding.
 		"tidb-table": 40,
 		// The XML scanners: the Plan header, plus a copy for any escaped

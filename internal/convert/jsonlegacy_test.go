@@ -197,7 +197,8 @@ func (c *mysqlConverter) legacyJSON(s string) (*core.Plan, error) {
 
 func (c *mysqlConverter) legacyJSONNode(m map[string]any) *core.Node {
 	opText, _ := m["operation"].(string)
-	node := c.parseTreeLine(opText, nil)
+	node := heapArena.NewNodeIn("", "")
+	parseTreeLineInto(c.reg, node, opText, nil)
 	if ci, ok := m["cost_info"].(map[string]any); ok {
 		for k, v := range ci {
 			pname, cat := c.reg.ResolveProperty("mysql", k)

@@ -11,12 +11,12 @@ var jsonFuzzDialects = []string{"postgresql", "mysql", "tidb", "mongodb", "neo4j
 
 // FuzzJSONScan drives the streaming decoder and every JSON converter with
 // arbitrary input. The invariant is robustness, not equivalence: no
-// panic, no hang, and either a plan or an error — never both nil. (The
-// seed corpus below runs as part of every regular `go test`, so CI
+// panic, no hang, and either an error or a plan that passes Validate.
+// (The seed corpus below runs as part of every regular `go test`, so CI
 // exercises it on each push; `go test -fuzz=FuzzJSONScan ./internal/convert`
 // explores further.) Semantic equivalence with the legacy decoders is
 // asserted separately, over the full benchmark corpus, by
-// TestStreamingDecoderMatchesLegacyPath at the repository root.
+// TestStreamingDecoderMatchesLegacyPath in legacydiff_test.go.
 func FuzzJSONScan(f *testing.F) {
 	seeds := []string{
 		// Well-formed documents in each dialect's shape.
@@ -29,6 +29,10 @@ func FuzzJSONScan(f *testing.F) {
 		`{}`, `[]`, `[[]]`, `{"Plan": 5}`, `{"Plan": {"Plans": [3, {"Node Type": 9}]}}`,
 		`{"query_block": []}`, `{"queryPlanner": {"winningPlan": {"inputStages": [{}, {"stage": "OR"}]}}}`,
 		`[{"id": 17}]`, `[{"subOperators": null}]`,
+		// A node without its operator name, one per dialect.
+		`[{"Plan": {"Total Cost": 1}}]`, `{"query_block": {"plan": {"cost_info": {"read_cost": "1"}}}}`,
+		`[{"id": "", "estRows": "1"}]`, `{"queryPlanner": {"winningPlan": {"stage": 7}}}`,
+		`{"plan": {"operatorType": null, "children": []}}`,
 		`{"a": "😀 < pair"}`, `{"a": 1e308, "b": -1e-308, "c": 123456789012345678901234567890}`,
 		`{"a`, `{"a": tru}`, `[1, 2,`, `"lone string"`, `  `, "\x00", `{"a": "b` + "\x7f" + `"}`,
 		strings.Repeat(`[`, 64) + strings.Repeat(`]`, 64),
@@ -57,8 +61,14 @@ func FuzzJSONScan(f *testing.F) {
 		}
 		for _, c := range convs {
 			plan, err := c.Convert(s)
-			if err == nil && plan == nil {
+			if err != nil {
+				continue
+			}
+			if plan == nil {
 				t.Fatalf("%s: nil plan and nil error for %q", c.Dialect(), s)
+			}
+			if err := plan.Validate(); err != nil {
+				t.Fatalf("%s: accepted %q into an invalid plan: %v", c.Dialect(), s, err)
 			}
 		}
 	})

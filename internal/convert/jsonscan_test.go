@@ -110,31 +110,33 @@ func TestJSONScanKeysDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkDecodeJSON compares the streaming decoder against the
-// retained legacy map[string]any path on a real PostgreSQL JSON plan.
+// retained legacy map[string]any path on a real JSON plan of every
+// dialect with a JSON format.
 func BenchmarkDecodeJSON(b *testing.B) {
-	e := engine(b, "postgresql")
-	out, err := e.Explain(testQuery, explain.FormatJSON)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Cached("postgresql")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Convert(out); err != nil {
-				b.Fatal(err)
-			}
+	for _, dialect := range jsonFuzzDialects {
+		out, err := engine(b, dialect).Explain(testQuery, explain.FormatJSON)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("legacy-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := LegacyConvert("postgresql", out); err != nil {
-				b.Fatal(err)
-			}
+		c, err := Cached(dialect)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(dialect+"/stream", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Convert(out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(dialect+"/legacy-map", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := LegacyConvert(dialect, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -1,6 +1,9 @@
 package convert
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestJSONShapes pins the structural choices of the JSON converters that
 // no generated plan shows: the engines always print MongoDB's inputStage
@@ -38,6 +41,25 @@ func TestJSONShapes(t *testing.T) {
 		}
 		if got := p.MarshalText(); got != c.want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestJSONBlankOperatorRefused pins that every JSON converter refuses a
+// node without its operator name, as the line and XML converters do,
+// rather than build a plan that Validate rejects.
+func TestJSONBlankOperatorRefused(t *testing.T) {
+	for _, c := range []struct{ dialect, in string }{
+		{"postgresql", `{"Plan": {}}`},
+		{"postgresql", `[{"Plan": {"Node Type": "Sort", "Plans": [{"Node Type": " "}]}}]`},
+		{"mysql", `{"query_block": {"plan": {"operation": "", "cost_info": {"read_cost": "1"}}}}`},
+		{"tidb", `{}`},
+		{"tidb", `[{"id": "Sort_1", "subOperators": [{"estRows": "1"}]}]`},
+		{"mongodb", `{"queryPlanner": {"winningPlan": {"stage": "FETCH", "inputStage": {"stage": 7}}}}`},
+		{"neo4j", `{"plan": {"operatorType": null}}`},
+	} {
+		if _, err := Convert(c.dialect, c.in); !errors.Is(err, errBlankOperator) {
+			t.Errorf("%s %s: err = %v, want %v", c.dialect, c.in, err, errBlankOperator)
 		}
 	}
 }

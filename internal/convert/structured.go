@@ -16,126 +16,202 @@ import (
 // (see xmlscan.go): keys and element names drive core.Node construction
 // directly, with no intermediate map[string]any or element trees, and
 // every node, property list, and child list is allocated from the
-// caller's core.PlanArena (nil arena → heap). Nodes start with no
-// operation, which the scanners fill when (if) they meet the type key.
-// Every property is named by the registry through addProp and
-// addPlanProp, keyed by its native JSON key, XML element or attribute.
+// caller's core.PlanArena (nil arena → heap). Every property is named by
+// the registry through addProp and addPlanProp, keyed by its native JSON
+// key, XML element or attribute.
+//
+// One walker, jsonWalk.node, reads the PostgreSQL, MySQL, MongoDB and
+// Neo4j JSON trees, each dialect's structure held as data in a jsonShape;
+// each keeps its own function for its document's top-level keys. TiDB's
+// flat string fields go through nodeFromFields, shared with its TABLE
+// format. Like the line converters, every format refuses an operator
+// without a name (errBlankOperator).
+//
 // The retained map-based JSON decoders live in jsonlegacy_test.go, the
 // encoding/xml ones in xmllegacy_test.go; both serve as reference
 // implementations for the differential tests.
 
+// ------------------------------------------------------ JSON node walker
+
+// jsonShape says where a dialect's JSON explain output keeps the parts of
+// an operator node; the registry names what the walker finds there.
+type jsonShape struct {
+	dialect string
+	opKey   string // its string value names the operator
+	// title, if set, reads the operator name in place of the registry and
+	// may add properties from it.
+	title func(reg *core.Registry, node *core.Node, title string, ar *core.PlanArena)
+	// children holds the child nodes, an object or an array of objects;
+	// laterChildren, if set, holds more, attached after children's
+	// whatever the document's key order.
+	children, laterChildren string
+	flatten                 string // a key whose object's members are node properties
+	onlyFlattened           bool   // drop the other keys instead of making them properties
+}
+
+// jsonWalk reads one JSON explain document in a dialect's shape, building
+// its nodes in the scanner's arena.
+type jsonWalk struct {
+	sc    jsonScan
+	reg   *core.Registry
+	shape *jsonShape
+}
+
+func newJSONWalk(s string, ar *core.PlanArena, reg *core.Registry, shape *jsonShape) jsonWalk {
+	w := jsonWalk{sc: newJSONScan(s), reg: reg, shape: shape}
+	w.sc.ar = ar
+	return w
+}
+
+// node reads the object at the scanner into a node and its subtree.
+//
+//uplan:hotpath
+func (w *jsonWalk) node() (*core.Node, error) {
+	sc, sh, ar := &w.sc, w.shape, w.sc.ar
+	node := ar.NewNodeIn("", "")
+	var later []*core.Node
+	err := sc.scanObject(func(key string) error {
+		switch key {
+		case "": // names nothing, and keeps the shape's unset keys from matching
+			return sc.skipValue()
+		case sh.opKey:
+			name, ok, err := sc.scanStringValue()
+			if err != nil || !ok {
+				return err
+			}
+			if sh.title != nil {
+				sh.title(w.reg, node, name, ar)
+			} else {
+				node.Op = w.reg.ResolveOperation(sh.dialect, name)
+			}
+			return nil
+		case sh.children:
+			return w.kids(&node.Children)
+		case sh.laterChildren:
+			return w.kids(&later)
+		case sh.flatten:
+			if sc.peek() != '{' {
+				return sc.skipValue()
+			}
+			return sc.scanObject(func(k string) error { return w.prop(node, k) })
+		}
+		if sh.onlyFlattened {
+			return sc.skipValue()
+		}
+		return w.prop(node, key)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if node.Op.Name == "" {
+		return nil, errBlankOperator
+	}
+	for _, k := range later {
+		ar.AddChildIn(node, k)
+	}
+	return node, nil
+}
+
+// kids appends the nodes under a child key to list: an object is one
+// child, an array's objects are children, and anything else is skipped.
+func (w *jsonWalk) kids(list *[]*core.Node) error {
+	sc := &w.sc
+	add := func(int) error {
+		if sc.peek() != '{' {
+			return sc.skipValue()
+		}
+		child, err := w.node()
+		if err == nil {
+			*list = sc.ar.AppendChildIn(*list, child)
+		}
+		return err
+	}
+	if sc.peek() == '[' {
+		return sc.scanArray(add)
+	}
+	return add(0)
+}
+
+// root reads the value under a document's root key: an object becomes
+// the plan root, anything else is skipped.
+func (w *jsonWalk) root(plan *core.Plan) error {
+	if w.sc.peek() != '{' {
+		return w.sc.skipValue()
+	}
+	root, err := w.node()
+	if err == nil {
+		plan.Root = root
+	}
+	return err
+}
+
+// prop reads the value under key as a node property.
+func (w *jsonWalk) prop(node *core.Node, key string) error {
+	v, err := w.sc.scanValue()
+	if err == nil {
+		addProp(w.reg, w.shape.dialect, w.sc.ar, node, key, v)
+	}
+	return err
+}
+
+// planProp reads the value under key as a plan property.
+func (w *jsonWalk) planProp(plan *core.Plan, key string) error {
+	v, err := w.sc.scanValue()
+	if err == nil {
+		addPlanProp(w.reg, w.shape.dialect, w.sc.ar, plan, key, v)
+	}
+	return err
+}
+
 // ------------------------------------------------------- PostgreSQL (JSON)
 
-// errPGArrayElement is already fully phrased; convertJSON returns it
-// as-is instead of wrapping it like scanner errors.
-var errPGArrayElement = errors.New("convert: postgres json: unexpected array element")
+var (
+	errPGArrayElement = errors.New("unexpected array element")
+	errJSONShape      = errors.New("unexpected top-level shape")
+)
+
+var postgresJSON = jsonShape{dialect: "postgresql", opKey: "Node Type", children: "Plans"}
 
 //uplan:hotpath
 func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	w := newJSONWalk(s, ar, c.reg, &postgresJSON)
+	sc := &w.sc
 	plan := &core.Plan{Source: "postgresql"}
 	scanTop := func() error {
 		return sc.scanObject(func(key string) error {
 			if key == "Plan" {
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				root, err := c.scanJSONNode(&sc, ar)
-				if err != nil {
-					return err
-				}
-				plan.Root = root
-				return nil
+				return w.root(plan)
 			}
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addPlanProp(c.reg, "postgresql", ar, plan, key, v)
-			return nil
+			return w.planProp(plan, key)
 		})
 	}
 	// Accept both the canonical one-element array and a bare object.
+	var err error
 	switch sc.peek() {
 	case '[':
 		seen := false
-		err := sc.scanArray(func(i int) error {
-			if i > 0 {
+		err = sc.scanArray(func(i int) error {
+			switch {
+			case i > 0:
 				return sc.skipValue()
-			}
-			if sc.peek() != '{' {
+			case sc.peek() != '{':
 				return errPGArrayElement
 			}
 			seen = true
 			return scanTop()
 		})
-		if err != nil {
-			if errors.Is(err, errPGArrayElement) {
-				return nil, err
-			}
-			return nil, fmt.Errorf("convert: postgres json: %w", err)
-		}
-		if !seen {
-			return nil, fmt.Errorf("convert: postgres json: unexpected top-level shape")
+		if err == nil && !seen {
+			err = errJSONShape
 		}
 	case '{':
-		if err := scanTop(); err != nil {
-			return nil, fmt.Errorf("convert: postgres json: %w", err)
-		}
+		err = scanTop()
 	default:
-		return nil, fmt.Errorf("convert: postgres json: unexpected top-level shape")
+		err = errJSONShape
+	}
+	if err != nil {
+		return nil, fmt.Errorf("convert: postgres json: %w", err)
 	}
 	return plan, nil
-}
-
-//uplan:hotpath
-func (c *postgresConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := ar.NewNodeIn("", "")
-	sawType := false
-	err := sc.scanObject(func(key string) error {
-		switch key {
-		case "Node Type":
-			name, ok, err := sc.scanStringValue()
-			if err != nil {
-				return err
-			}
-			if ok {
-				node.Op = c.reg.ResolveOperation("postgresql", name)
-				sawType = true
-			}
-			return nil
-		case "Plans":
-			if sc.peek() != '[' {
-				return sc.skipValue()
-			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				child, err := c.scanJSONNode(sc, ar)
-				if err != nil {
-					return err
-				}
-				ar.AddChildIn(node, child)
-				return nil
-			})
-		default:
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addProp(c.reg, "postgresql", ar, node, key, v)
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !sawType {
-		node.Op = c.reg.ResolveOperation("postgresql", "")
-	}
-	return node, nil
 }
 
 // -------------------------------------------------------- PostgreSQL (XML)
@@ -329,10 +405,14 @@ func (c *postgresConverter) convertYAML(s string, ar *core.PlanArena) (*core.Pla
 
 // ------------------------------------------------------------ MySQL (JSON)
 
+var mysqlJSON = jsonShape{
+	dialect: "mysql", opKey: "operation", title: parseTreeLineInto, children: "inputs", flatten: "cost_info",
+}
+
 //uplan:hotpath
 func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	w := newJSONWalk(s, ar, c.reg, &mysqlJSON)
+	sc := &w.sc
 	plan := &core.Plan{Source: "mysql"}
 	foundQB := false
 	err := sc.scanObject(func(key string) error {
@@ -350,25 +430,12 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 					if ck != "query_cost" {
 						return sc.skipValue()
 					}
-					v, err := sc.scanValue()
-					if err != nil {
-						return err
-					}
 					// Keyed by its unified name: an alias for query_cost
 					// would also rename each node's cost_info.query_cost.
-					addPlanProp(c.reg, "mysql", ar, plan, "total cost", v)
-					return nil
+					return w.planProp(plan, "total cost")
 				})
 			case "plan":
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				root, err := c.scanJSONNode(&sc, ar)
-				if err != nil {
-					return err
-				}
-				plan.Root = root
-				return nil
+				return w.root(plan)
 			default:
 				return sc.skipValue()
 			}
@@ -384,65 +451,6 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 		return nil, fmt.Errorf("convert: mysql json: empty plan")
 	}
 	return plan, nil
-}
-
-//uplan:hotpath
-func (c *mysqlConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := ar.NewNodeIn("", "")
-	sawOp := false
-	err := sc.scanObject(func(key string) error {
-		switch key {
-		case "operation":
-			title, ok, err := sc.scanStringValue()
-			if err != nil || !ok {
-				return err
-			}
-			c.parseTreeLineInto(node, title, ar)
-			sawOp = true
-			return nil
-		case "cost_info":
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
-			return sc.scanObject(func(ck string) error {
-				v, err := sc.scanValue()
-				if err != nil {
-					return err
-				}
-				addProp(c.reg, "mysql", ar, node, ck, v)
-				return nil
-			})
-		case "inputs":
-			if sc.peek() != '[' {
-				return sc.skipValue()
-			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				child, err := c.scanJSONNode(sc, ar)
-				if err != nil {
-					return err
-				}
-				ar.AddChildIn(node, child)
-				return nil
-			})
-		default:
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addProp(c.reg, "mysql", ar, node, key, v)
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !sawOp {
-		node.Op = c.reg.ResolveOperation("mysql", "")
-	}
-	return node, nil
 }
 
 // ------------------------------------------------------------- TiDB (JSON)
@@ -463,46 +471,37 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 	sc := newJSONScan(s)
 	sc.ar = ar
 	var root *core.Node
+	var err error
 	switch sc.peek() {
 	case '[':
-		seen := false
-		err := sc.scanArray(func(i int) error {
+		err = sc.scanArray(func(i int) error {
 			// Only element 0 becomes the plan, but every element is
 			// decoded: the legacy json.Unmarshal reference type-checked
 			// the whole array, and skipping would accept documents it
 			// rejected.
 			n, err := c.scanJSONNode(&sc, ar)
-			if err != nil {
-				return err
-			}
 			if i == 0 {
-				root, seen = n, true
+				root = n
 			}
-			return nil
+			return err
 		})
-		if err != nil {
-			return nil, fmt.Errorf("convert: tidb json: %w", err)
-		}
-		if !seen {
-			return nil, fmt.Errorf("convert: tidb json: empty plan")
+		if err == nil && root == nil {
+			err = errors.New("empty plan")
 		}
 	case '{':
-		n, err := c.scanJSONNode(&sc, ar)
-		if err != nil {
-			return nil, fmt.Errorf("convert: tidb json: %w", err)
-		}
-		root = n
+		root, err = c.scanJSONNode(&sc, ar)
 	default:
-		return nil, fmt.Errorf("convert: tidb json: unexpected top-level shape")
+		err = errJSONShape
 	}
-	// The legacy decoder was json.Unmarshal, which rejects trailing
-	// garbage; keep that strictness.
-	if err := sc.requireEOF("plan"); err != nil {
+	if err == nil {
+		// The legacy decoder was json.Unmarshal, which rejects trailing
+		// garbage; keep that strictness.
+		err = sc.requireEOF("plan")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("convert: tidb json: %w", err)
 	}
-	plan := &core.Plan{Source: "tidb"}
-	plan.Root = foldTiDBSelections(root)
-	return plan, nil
+	return &core.Plan{Source: "tidb", Root: foldTiDBSelections(root)}, nil
 }
 
 //uplan:hotpath
@@ -557,6 +556,9 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 		return nil, err
 	}
 	node := c.nodeFromFields(in, ar)
+	if node.Op.Name == "" {
+		return nil, errBlankOperator
+	}
 	node.Children = children
 	return node, nil
 }
@@ -599,54 +601,35 @@ func (c *mongoConverter) Convert(s string) (*core.Plan, error) {
 	return convertPooled(c, s)
 }
 
+// mongoJSON attaches a stage's inputStage before its inputStages, the
+// legacy decoder's fixed order.
+var mongoJSON = jsonShape{dialect: "mongodb", opKey: "stage", children: "inputStage", laterChildren: "inputStages"}
+
 //uplan:hotpath
 func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	w := newJSONWalk(s, ar, c.reg, &mongoJSON)
+	sc := &w.sc
 	plan := &core.Plan{Source: "mongodb"}
 	foundQP := false
 	err := sc.scanObject(func(key string) error {
+		if sc.peek() != '{' {
+			return sc.skipValue()
+		}
 		switch key {
 		case "queryPlanner":
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
 			foundQP = true
 			return sc.scanObject(func(qk string) error {
 				switch qk {
 				case "namespace":
-					v, err := sc.scanValue()
-					if err != nil {
-						return err
-					}
-					addPlanProp(c.reg, "mongodb", ar, plan, qk, v)
-					return nil
+					return w.planProp(plan, qk)
 				case "winningPlan":
-					if sc.peek() != '{' {
-						return sc.skipValue()
-					}
-					root, err := c.scanStage(&sc, ar)
-					if err != nil {
-						return err
-					}
-					plan.Root = root
-					return nil
+					return w.root(plan)
 				default:
 					return sc.skipValue()
 				}
 			})
 		case "executionStats":
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
-			return sc.scanObject(func(ek string) error {
-				v, err := sc.scanValue()
-				if err != nil {
-					return err
-				}
-				addPlanProp(c.reg, "mongodb", ar, plan, ek, v)
-				return nil
-			})
+			return sc.scanObject(func(ek string) error { return w.planProp(plan, ek) })
 		default:
 			return sc.skipValue()
 		}
@@ -663,100 +646,23 @@ func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, er
 	return plan, nil
 }
 
-//uplan:hotpath
-func (c *mongoConverter) scanStage(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := ar.NewNodeIn("", "")
-	sawStage := false
-	// inputStage precedes inputStages in the children, whatever the
-	// document's key order (the legacy decoder's fixed attachment order).
-	var first *core.Node
-	var rest []*core.Node
-	err := sc.scanObject(func(key string) error {
-		switch key {
-		case "stage":
-			name, ok, err := sc.scanStringValue()
-			if err != nil {
-				return err
-			}
-			if ok {
-				node.Op = c.reg.ResolveOperation("mongodb", name)
-				sawStage = true
-			}
-			return nil
-		case "inputStage":
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
-			child, err := c.scanStage(sc, ar)
-			if err != nil {
-				return err
-			}
-			first = child
-			return nil
-		case "inputStages":
-			if sc.peek() != '[' {
-				return sc.skipValue()
-			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				child, err := c.scanStage(sc, ar)
-				if err != nil {
-					return err
-				}
-				rest = ar.AppendChildIn(rest, child)
-				return nil
-			})
-		default:
-			v, err := sc.scanValue()
-			if err != nil {
-				return err
-			}
-			addProp(c.reg, "mongodb", ar, node, key, v)
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !sawStage {
-		node.Op = c.reg.ResolveOperation("mongodb", "")
-	}
-	if first != nil {
-		ar.AddChildIn(node, first)
-	}
-	for _, r := range rest {
-		ar.AddChildIn(node, r)
-	}
-	return node, nil
-}
-
 // ------------------------------------------------------------ Neo4j (JSON)
+
+// neo4jJSON keeps a node's properties under "arguments" only; its other
+// keys (identifiers, profiler counters) are dropped.
+var neo4jJSON = jsonShape{
+	dialect: "neo4j", opKey: "operatorType", children: "children", flatten: "arguments", onlyFlattened: true,
+}
 
 //uplan:hotpath
 func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	w := newJSONWalk(s, ar, c.reg, &neo4jJSON)
 	plan := &core.Plan{Source: "neo4j"}
-	err := sc.scanObject(func(key string) error {
+	err := w.sc.scanObject(func(key string) error {
 		if key == "plan" {
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
-			root, err := c.scanJSONNode(&sc, ar)
-			if err != nil {
-				return err
-			}
-			plan.Root = root
-			return nil
+			return w.root(plan)
 		}
-		v, err := sc.scanValue()
-		if err != nil {
-			return err
-		}
-		addPlanProp(c.reg, "neo4j", ar, plan, key, v)
-		return nil
+		return w.planProp(plan, key)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("convert: neo4j json: %w", err)
@@ -765,62 +671,6 @@ func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 		return nil, fmt.Errorf("convert: neo4j json: empty document")
 	}
 	return plan, nil
-}
-
-//uplan:hotpath
-func (c *neo4jConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
-	node := ar.NewNodeIn("", "")
-	sawOp := false
-	err := sc.scanObject(func(key string) error {
-		switch key {
-		case "operatorType":
-			name, ok, err := sc.scanStringValue()
-			if err != nil {
-				return err
-			}
-			if ok {
-				node.Op = c.reg.ResolveOperation("neo4j", name)
-				sawOp = true
-			}
-			return nil
-		case "arguments":
-			if sc.peek() != '{' {
-				return sc.skipValue()
-			}
-			return sc.scanObject(func(ak string) error {
-				v, err := sc.scanValue()
-				if err != nil {
-					return err
-				}
-				addProp(c.reg, "neo4j", ar, node, ak, v)
-				return nil
-			})
-		case "children":
-			if sc.peek() != '[' {
-				return sc.skipValue()
-			}
-			return sc.scanArray(func(int) error {
-				if sc.peek() != '{' {
-					return sc.skipValue()
-				}
-				child, err := c.scanJSONNode(sc, ar)
-				if err != nil {
-					return err
-				}
-				ar.AddChildIn(node, child)
-				return nil
-			})
-		default:
-			return sc.skipValue()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !sawOp {
-		node.Op = c.reg.ResolveOperation("neo4j", "")
-	}
-	return node, nil
 }
 
 // -------------------------------------------------------- SQL Server (XML)

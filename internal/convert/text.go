@@ -244,7 +244,8 @@ func (c *mysqlConverter) convertTree(s string, ar *core.PlanArena) (*core.Plan, 
 		if arrow < 0 {
 			continue
 		}
-		node := c.parseTreeLine(strings.TrimSpace(it.line[arrow+3:]), ar)
+		node := ar.NewNodeIn("", "")
+		parseTreeLineInto(c.reg, node, strings.TrimSpace(it.line[arrow+3:]), ar)
 		if err := tree.add(ar, node, arrow/4); err != nil {
 			return nil, fmt.Errorf("convert: line %d: %w", it.n, err)
 		}
@@ -256,18 +257,12 @@ func (c *mysqlConverter) convertTree(s string, ar *core.PlanArena) (*core.Plan, 
 	return plan, nil
 }
 
-func (c *mysqlConverter) parseTreeLine(title string, ar *core.PlanArena) *core.Node {
-	node := ar.NewNodeIn("", "")
-	c.parseTreeLineInto(node, title, ar)
-	return node
-}
-
-// parseTreeLineInto parses a TREE operator title into an existing node —
-// the JSON decoder's "operation" strings reuse this without building (and
-// discarding) a second arena node per operator.
+// parseTreeLineInto sets a fresh node's operation and properties from a
+// TREE operator title. It is also the MySQL JSON shape's title hook: each
+// "operation" string reads like a TREE line.
 //
 //uplan:hotpath
-func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *core.PlanArena) {
+func parseTreeLineInto(reg *core.Registry, node *core.Node, title string, ar *core.PlanArena) {
 	// Split off the cost/actual annotations.
 	detailEnd := len(title)
 	if i := strings.Index(title, "  (cost="); i >= 0 {
@@ -287,27 +282,27 @@ func (c *mysqlConverter) parseTreeLineInto(node *core.Node, title string, ar *co
 			break
 		}
 	}
-	node.Op = c.reg.ResolveOperation("mysql", name)
+	node.Op = reg.ResolveOperation("mysql", name)
 	rest = strings.TrimPrefix(rest, ":")
 	rest = strings.TrimSpace(rest)
 	if i := strings.Index(rest, " using "); i >= 0 {
-		addProp(c.reg, "mysql", ar, node, "key", core.Str(strings.TrimSpace(rest[i+7:])))
+		addProp(reg, "mysql", ar, node, "key", core.Str(strings.TrimSpace(rest[i+7:])))
 		rest = strings.TrimSpace(rest[:i])
 	}
 	if strings.HasPrefix(rest, "on ") {
-		addProp(c.reg, "mysql", ar, node, "table_name", core.Str(strings.TrimPrefix(rest, "on ")))
+		addProp(reg, "mysql", ar, node, "table_name", core.Str(strings.TrimPrefix(rest, "on ")))
 	} else if rest != "" {
-		addProp(c.reg, "mysql", ar, node, "attached_condition", core.Str(rest))
+		addProp(reg, "mysql", ar, node, "attached_condition", core.Str(rest))
 	}
 	if v, ok := parseKVNum(ann, "cost=", false); ok {
-		addProp(c.reg, "mysql", ar, node, "cost", core.Num(v))
+		addProp(reg, "mysql", ar, node, "cost", core.Num(v))
 	}
 	if v, ok := parseKVNum(ann, "rows=", false); ok {
-		addProp(c.reg, "mysql", ar, node, "rows", core.Num(v))
+		addProp(reg, "mysql", ar, node, "rows", core.Num(v))
 	}
 	if i := strings.Index(ann, "actual time="); i >= 0 {
 		if v, ok := parseKVNum(ann[i:], "rows=", false); ok {
-			addProp(c.reg, "mysql", ar, node, "actual_rows", core.Num(v))
+			addProp(reg, "mysql", ar, node, "actual_rows", core.Num(v))
 		}
 	}
 }

@@ -120,6 +120,18 @@ func TestServeConvertErrors(t *testing.T) {
 		t.Errorf("unknown dialect status = %d, want 422", resp.StatusCode)
 	}
 
+	// A JSON plan node without its operator name: 422, like any plan the
+	// converter refuses.
+	for _, req := range []ConvertRequest{
+		{Dialect: "tidb", Serialized: "{}"},
+		{Dialect: "postgresql", Serialized: `{"Plan": {}}`},
+	} {
+		resp = postJSON(t, ts.URL+"/v1/convert", req, nil)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s %s status = %d, want 422", req.Dialect, req.Serialized, resp.StatusCode)
+		}
+	}
+
 	// Malformed JSON: 400.
 	r2, err := http.Post(ts.URL+"/v1/convert", "application/json", strings.NewReader("{not json"))
 	if err != nil {
