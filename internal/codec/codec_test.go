@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -150,6 +151,14 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	for i := 4; i < len(blob); i += 7 {
 		cases[fmt.Sprintf("truncated@%d", i)] = blob[:i]
+	}
+	// A float64 no serialization of a plan carries: 42.5's bits swapped
+	// for a non-finite value's.
+	frac := mustEncode(t, &core.Plan{Root: core.NewNode(core.Producer, "S").
+		AddProperty(core.Cost, "c", core.Num(42.5))})
+	bits := binary.LittleEndian.AppendUint64(nil, math.Float64bits(42.5))
+	for name, f := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
+		cases[name] = bytes.Replace(frac, bits, binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)), 1)
 	}
 	for name, data := range cases {
 		if _, err := DecodeInto(data, nil); err == nil {

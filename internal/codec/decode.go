@@ -283,9 +283,12 @@ func (d *decoder) decodeValue() (core.Value, error) {
 		if len(d.data)-d.off < 8 {
 			return core.Value{}, corrupt("truncated float64 at offset %d", d.off)
 		}
-		bits := binary.LittleEndian.Uint64(d.data[d.off:])
+		f := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return core.Value{}, corrupt("non-finite float64 at offset %d", d.off)
+		}
 		d.off += 8
-		return core.Num(math.Float64frombits(bits)), nil
+		return core.Num(f), nil
 	case valTrue:
 		return core.BoolVal(true), nil
 	case valFalse:

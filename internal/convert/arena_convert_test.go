@@ -74,13 +74,13 @@ func TestConvertIntoSteadyStateAllocs(t *testing.T) {
 		// Plan header + YAML/format detection scratch: effectively the
 		// floor for the text pipeline.
 		"postgresql-text": 4,
-		// The JSON formats: the Plan header and the scanner's few closure
-		// headers.
-		"postgresql-json": 4,
-		"mysql-json":      4,
-		"tidb-json":       4,
-		"mongodb-json":    4,
-		"neo4j-json":      4,
+		// The JSON formats: the Plan header. Escaped strings short
+		// enough to intern decode on the stack.
+		"postgresql-json": 2,
+		"mysql-json":      2,
+		"tidb-json":       2,
+		"mongodb-json":    2,
+		"neo4j-json":      2,
 		// Aligned-table parsing allocates the rows/cells scaffolding.
 		"tidb-table": 40,
 		// The XML scanners: the Plan header, plus a copy for any escaped

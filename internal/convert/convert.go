@@ -179,12 +179,6 @@ func Cached(dialect string) (Converter, error) {
 
 // ------------------------------------------------------------ shared bits
 
-// maxDepth bounds nesting in the structured decoders — JSON objects and
-// arrays (jsonScan) and XML elements (xmlScan) — like the 10,000 limits of
-// encoding/json and encoding/xml, so adversarial input exhausts neither
-// the scanners' nor the node builders' recursion.
-const maxDepth = 10000
-
 // parseScalar converts a property value string to a core.Value, detecting
 // numbers and booleans.
 //

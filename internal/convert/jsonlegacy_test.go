@@ -9,7 +9,7 @@ import (
 )
 
 // This file retains the map[string]any-based JSON decoders the structured
-// converters used before the streaming jsonScan port. They serve one
+// converters used before the streaming reader port. They serve one
 // purpose: LegacyConvert is the reference implementation the
 // differential tests (legacydiff_test.go) compare the streaming decoders
 // against, plan for plan, across the full benchmark corpus.

@@ -3,13 +3,15 @@ package convert
 import (
 	"strings"
 	"testing"
+
+	"uplan/internal/core"
 )
 
-// jsonFuzzDialects are the converters whose JSON formats run on the
-// streaming scanner.
+// jsonFuzzDialects are the converters with a JSON format, all read
+// through core.JSONReader.
 var jsonFuzzDialects = []string{"postgresql", "mysql", "tidb", "mongodb", "neo4j"}
 
-// FuzzJSONScan drives the streaming decoder and every JSON converter with
+// FuzzJSONScan drives the JSON reader and every JSON converter with
 // arbitrary input. The invariant is robustness, not equivalence: no
 // panic, no hang, and either an error or a plan that passes Validate.
 // (The seed corpus below runs as part of every regular `go test`, so CI
@@ -50,13 +52,13 @@ func FuzzJSONScan(f *testing.F) {
 		convs = append(convs, c)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		// The raw scanner must consume or reject any input.
-		sc := newJSONScan(s)
-		if err := sc.skipValue(); err == nil {
+		// The reader must consume or reject any input.
+		r := core.NewJSONReader(s, nil)
+		if err := r.Skip(); err == nil {
 			// A valid value must also survive scalar materialization.
-			sc2 := newJSONScan(s)
-			if _, err := sc2.scanValue(); err != nil {
-				t.Fatalf("skipValue accepted %q but scanValue rejected it: %v", s, err)
+			r2 := core.NewJSONReader(s, nil)
+			if _, err := scanValue(&r2, nil); err != nil {
+				t.Fatalf("Skip accepted %q but scanValue rejected it: %v", s, err)
 			}
 		}
 		for _, c := range convs {

@@ -1,13 +1,14 @@
 package convert
 
 import (
-	"strings"
 	"testing"
 
 	"uplan/internal/core"
 	"uplan/internal/explain"
 )
 
+// TestJSONScanScalars pins the converters' value semantics over the JSON
+// reader: strings run through parseScalar and composites are compacted.
 func TestJSONScanScalars(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -35,8 +36,8 @@ func TestJSONScanScalars(t *testing.T) {
 		{"{\n  \"a\": \"x y\",\n  \"b\": [true]\n}", core.Str(`{"a":"x y","b":[true]}`)},
 	}
 	for _, c := range cases {
-		sc := newJSONScan(c.in)
-		got, err := sc.scanValue()
+		r := core.NewJSONReader(c.in, nil)
+		got, err := scanValue(&r, nil)
 		if err != nil {
 			t.Errorf("scanValue(%q): %v", c.in, err)
 			continue
@@ -44,37 +45,6 @@ func TestJSONScanScalars(t *testing.T) {
 		if !got.Equal(c.want) {
 			t.Errorf("scanValue(%q) = %+v, want %+v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestJSONScanMalformed(t *testing.T) {
-	bad := []string{
-		``, `{`, `[`, `{"a"`, `{"a":}`, `{"a":1,}`, `[1,]`, `{"a" 1}`,
-		`{1: 2}`, `"unterminated`, `"bad \q escape"`, `"\u12"`, `"\u12zz"`,
-		`nul`, `tru`, `1.`, `.5`, `-`, `1e`, `1e+`,
-		"\"ctrl\x01char\"", `{"a": 01}`, `[0123]`,
-		strings.Repeat("[", 20000),
-	}
-	for _, s := range bad {
-		sc := newJSONScan(s)
-		if err := sc.skipValue(); err == nil {
-			t.Errorf("skipValue(%.20q): expected error", s)
-		}
-	}
-}
-
-func TestJSONScanObjectWalk(t *testing.T) {
-	sc := newJSONScan(`{"a": 1, "b": {"c": [true, null]}, "d": "x"}`)
-	var keys []string
-	err := sc.scanObject(func(key string) error {
-		keys = append(keys, key)
-		return sc.skipValue()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(keys, ","); got != "a,b,d" {
-		t.Errorf("keys = %s", got)
 	}
 }
 
@@ -92,20 +62,6 @@ func TestTiDBJSONRejectsTrailingGarbage(t *testing.T) {
 	}
 	if _, err := c.Convert(good + ` , garbage`); err == nil {
 		t.Error("trailing garbage accepted")
-	}
-}
-
-// TestJSONScanKeysDoNotAllocate pins the fast path: escape-free strings
-// are substrings of the input.
-func TestJSONScanKeysDoNotAllocate(t *testing.T) {
-	in := `"plain key"`
-	if avg := testing.AllocsPerRun(200, func() {
-		sc := newJSONScan(in)
-		if _, err := sc.scanString(); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("scanString fast path: %v allocs/op, want 0", avg)
 	}
 }
 

@@ -3,6 +3,7 @@ package convert
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"uplan/internal/core"
@@ -11,14 +12,13 @@ import (
 // Structured-format parsers: PostgreSQL JSON and XML, MySQL JSON, TiDB
 // JSON, MongoDB explain JSON, Neo4j JSON, and SQL Server showplan XML.
 //
-// The JSON formats decode through the streaming jsonScan walker (see
-// jsonscan.go), the XML formats through the single-pass xmlScan tokenizer
-// (see xmlscan.go): keys and element names drive core.Node construction
-// directly, with no intermediate map[string]any or element trees, and
-// every node, property list, and child list is allocated from the
-// caller's core.PlanArena (nil arena → heap). Every property is named by
-// the registry through addProp and addPlanProp, keyed by its native JSON
-// key, XML element or attribute.
+// The JSON formats decode through core.JSONReader, the XML formats
+// through the single-pass xmlScan tokenizer (see xmlscan.go): keys and
+// element names drive core.Node construction directly, with no
+// intermediate map[string]any or element trees, and every node, property
+// list, and child list is allocated from the caller's core.PlanArena (nil
+// arena → heap). Every property is named by the registry through addProp
+// and addPlanProp, keyed by its native JSON key, XML element or attribute.
 //
 // One walker, jsonWalk.node, reads the PostgreSQL, MySQL, MongoDB and
 // Neo4j JSON trees, each dialect's structure held as data in a jsonShape;
@@ -50,33 +50,34 @@ type jsonShape struct {
 }
 
 // jsonWalk reads one JSON explain document in a dialect's shape, building
-// its nodes in the scanner's arena.
+// its nodes in ar.
 type jsonWalk struct {
-	sc    jsonScan
+	r     core.JSONReader
+	ar    *core.PlanArena
 	reg   *core.Registry
 	shape *jsonShape
 }
 
 func newJSONWalk(s string, ar *core.PlanArena, reg *core.Registry, shape *jsonShape) jsonWalk {
-	w := jsonWalk{sc: newJSONScan(s), reg: reg, shape: shape}
-	w.sc.ar = ar
-	return w
+	return jsonWalk{r: core.NewJSONReader(s, ar), ar: ar, reg: reg, shape: shape}
 }
 
-// node reads the object at the scanner into a node and its subtree.
+// node reads the object at the reader into a node and its subtree.
 //
 //uplan:hotpath
 func (w *jsonWalk) node() (*core.Node, error) {
-	sc, sh, ar := &w.sc, w.shape, w.sc.ar
+	r, sh, ar := &w.r, w.shape, w.ar
 	node := ar.NewNodeIn("", "")
 	var later []*core.Node
-	err := sc.scanObject(func(key string) error {
+	err := r.Object(func(key string) error {
 		switch key {
 		case "": // names nothing, and keeps the shape's unset keys from matching
-			return sc.skipValue()
+			return r.Skip()
 		case sh.opKey:
-			name, ok, err := sc.scanStringValue()
-			if err != nil || !ok {
+			var name string
+			if r.Peek() != '"' {
+				return r.Skip()
+			} else if err := r.String(&name); err != nil {
 				return err
 			}
 			if sh.title != nil {
@@ -90,13 +91,13 @@ func (w *jsonWalk) node() (*core.Node, error) {
 		case sh.laterChildren:
 			return w.kids(&later)
 		case sh.flatten:
-			if sc.peek() != '{' {
-				return sc.skipValue()
+			if r.Peek() != '{' {
+				return r.Skip()
 			}
-			return sc.scanObject(func(k string) error { return w.prop(node, k) })
+			return r.Object(func(k string) error { return w.prop(node, k) })
 		}
 		if sh.onlyFlattened {
-			return sc.skipValue()
+			return r.Skip()
 		}
 		return w.prop(node, key)
 	})
@@ -115,19 +116,19 @@ func (w *jsonWalk) node() (*core.Node, error) {
 // kids appends the nodes under a child key to list: an object is one
 // child, an array's objects are children, and anything else is skipped.
 func (w *jsonWalk) kids(list *[]*core.Node) error {
-	sc := &w.sc
+	r := &w.r
 	add := func(int) error {
-		if sc.peek() != '{' {
-			return sc.skipValue()
+		if r.Peek() != '{' {
+			return r.Skip()
 		}
 		child, err := w.node()
 		if err == nil {
-			*list = sc.ar.AppendChildIn(*list, child)
+			*list = w.ar.AppendChildIn(*list, child)
 		}
 		return err
 	}
-	if sc.peek() == '[' {
-		return sc.scanArray(add)
+	if r.Peek() == '[' {
+		return r.Array(add)
 	}
 	return add(0)
 }
@@ -135,8 +136,8 @@ func (w *jsonWalk) kids(list *[]*core.Node) error {
 // root reads the value under a document's root key: an object becomes
 // the plan root, anything else is skipped.
 func (w *jsonWalk) root(plan *core.Plan) error {
-	if w.sc.peek() != '{' {
-		return w.sc.skipValue()
+	if w.r.Peek() != '{' {
+		return w.r.Skip()
 	}
 	root, err := w.node()
 	if err == nil {
@@ -147,20 +148,85 @@ func (w *jsonWalk) root(plan *core.Plan) error {
 
 // prop reads the value under key as a node property.
 func (w *jsonWalk) prop(node *core.Node, key string) error {
-	v, err := w.sc.scanValue()
+	v, err := scanValue(&w.r, w.ar)
 	if err == nil {
-		addProp(w.reg, w.shape.dialect, w.sc.ar, node, key, v)
+		addProp(w.reg, w.shape.dialect, w.ar, node, key, v)
 	}
 	return err
 }
 
 // planProp reads the value under key as a plan property.
 func (w *jsonWalk) planProp(plan *core.Plan, key string) error {
-	v, err := w.sc.scanValue()
+	v, err := scanValue(&w.r, w.ar)
 	if err == nil {
-		addPlanProp(w.reg, w.shape.dialect, w.sc.ar, plan, key, v)
+		addPlanProp(w.reg, w.shape.dialect, w.ar, plan, key, v)
 	}
 	return err
+}
+
+// scanValue reads any JSON value with the converters' scalar semantics:
+// null is Null, a boolean a Bool, a number a Num (its literal text kept
+// as a string when it overflows float64), a string parseScalar of its
+// decoded text, and an object or array a string of its compacted JSON.
+func scanValue(r *core.JSONReader, ar *core.PlanArena) (core.Value, error) {
+	switch r.Peek() {
+	case '"':
+		var s string
+		err := r.String(&s)
+		return parseScalar(s), err
+	case '{', '[':
+		raw, err := r.Raw()
+		return core.Str(compactJSON(raw, ar)), err
+	case 't', 'f':
+		b, err := r.Bool()
+		return core.BoolVal(b), err
+	}
+	if r.Null() {
+		return core.Null(), nil
+	}
+	lit, err := r.Number()
+	if err != nil {
+		return core.Null(), err
+	}
+	if f, err := strconv.ParseFloat(lit, 64); err == nil {
+		return core.Num(f), nil
+	}
+	return core.Str(lit), nil
+}
+
+// compactJSON strips the insignificant whitespace from a valid composite
+// value, keeping its key order and escaping. Already compact input is
+// returned as is, and nothing is copied.
+func compactJSON(raw string, ar *core.PlanArena) string {
+	if !strings.ContainsAny(raw, " \t\n\r") {
+		return raw
+	}
+	var b strings.Builder
+	b.Grow(len(raw))
+	inString := false
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if inString {
+			b.WriteByte(c)
+			if c == '\\' {
+				// Copy the escaped byte verbatim; the reader validated
+				// the escape sequence.
+				i++
+				b.WriteByte(raw[i])
+			} else if c == '"' {
+				inString = false
+			}
+			continue
+		}
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			continue
+		case '"':
+			inString = true
+		}
+		b.WriteByte(c)
+	}
+	return ar.Intern(b.String())
 }
 
 // ------------------------------------------------------- PostgreSQL (JSON)
@@ -175,10 +241,10 @@ var postgresJSON = jsonShape{dialect: "postgresql", opKey: "Node Type", children
 //uplan:hotpath
 func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
 	w := newJSONWalk(s, ar, c.reg, &postgresJSON)
-	sc := &w.sc
+	r := &w.r
 	plan := &core.Plan{Source: "postgresql"}
 	scanTop := func() error {
-		return sc.scanObject(func(key string) error {
+		return r.Object(func(key string) error {
 			if key == "Plan" {
 				return w.root(plan)
 			}
@@ -187,14 +253,14 @@ func (c *postgresConverter) convertJSON(s string, ar *core.PlanArena) (*core.Pla
 	}
 	// Accept both the canonical one-element array and a bare object.
 	var err error
-	switch sc.peek() {
+	switch r.Peek() {
 	case '[':
 		seen := false
-		err = sc.scanArray(func(i int) error {
+		err = r.Array(func(i int) error {
 			switch {
 			case i > 0:
-				return sc.skipValue()
-			case sc.peek() != '{':
+				return r.Skip()
+			case r.Peek() != '{':
 				return errPGArrayElement
 			}
 			seen = true
@@ -412,23 +478,23 @@ var mysqlJSON = jsonShape{
 //uplan:hotpath
 func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
 	w := newJSONWalk(s, ar, c.reg, &mysqlJSON)
-	sc := &w.sc
+	r := &w.r
 	plan := &core.Plan{Source: "mysql"}
 	foundQB := false
-	err := sc.scanObject(func(key string) error {
-		if key != "query_block" || sc.peek() != '{' {
-			return sc.skipValue()
+	err := r.Object(func(key string) error {
+		if key != "query_block" || r.Peek() != '{' {
+			return r.Skip()
 		}
 		foundQB = true
-		return sc.scanObject(func(qk string) error {
+		return r.Object(func(qk string) error {
 			switch qk {
 			case "cost_info":
-				if sc.peek() != '{' {
-					return sc.skipValue()
+				if r.Peek() != '{' {
+					return r.Skip()
 				}
-				return sc.scanObject(func(ck string) error {
+				return r.Object(func(ck string) error {
 					if ck != "query_cost" {
-						return sc.skipValue()
+						return r.Skip()
 					}
 					// Keyed by its unified name: an alias for query_cost
 					// would also rename each node's cost_info.query_cost.
@@ -437,7 +503,7 @@ func (c *mysqlConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, 
 			case "plan":
 				return w.root(plan)
 			default:
-				return sc.skipValue()
+				return r.Skip()
 			}
 		})
 	})
@@ -468,18 +534,15 @@ type tidbFields struct {
 
 //uplan:hotpath
 func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
-	sc := newJSONScan(s)
-	sc.ar = ar
+	r := core.NewJSONReader(s, ar)
 	var root *core.Node
 	var err error
-	switch sc.peek() {
+	switch r.Peek() {
 	case '[':
-		err = sc.scanArray(func(i int) error {
-			// Only element 0 becomes the plan, but every element is
-			// decoded: the legacy json.Unmarshal reference type-checked
-			// the whole array, and skipping would accept documents it
-			// rejected.
-			n, err := c.scanJSONNode(&sc, ar)
+		err = r.Array(func(i int) error {
+			// Only element 0 becomes the plan, but every element must
+			// be a valid operator.
+			n, err := c.scanJSONNode(&r, ar)
 			if i == 0 {
 				root = n
 			}
@@ -489,14 +552,12 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 			err = errors.New("empty plan")
 		}
 	case '{':
-		root, err = c.scanJSONNode(&sc, ar)
+		root, err = c.scanJSONNode(&r, ar)
 	default:
 		err = errJSONShape
 	}
 	if err == nil {
-		// The legacy decoder was json.Unmarshal, which rejects trailing
-		// garbage; keep that strictness.
-		err = sc.requireEOF("plan")
+		err = r.End() // unlike the other JSON converters
 	}
 	if err != nil {
 		return nil, fmt.Errorf("convert: tidb json: %w", err)
@@ -505,43 +566,30 @@ func (c *tidbConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, e
 }
 
 //uplan:hotpath
-func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.Node, error) {
+func (c *tidbConverter) scanJSONNode(r *core.JSONReader, ar *core.PlanArena) (*core.Node, error) {
 	var in tidbFields
 	var children []*core.Node
-	strField := func(dst *string) error {
-		if sc.peek() == 'n' { // JSON null leaves the field empty, like Unmarshal
-			return sc.scanLiteral("null")
-		}
-		v, ok, err := sc.scanStringValue()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("non-string operator field")
-		}
-		*dst = v
-		return nil
-	}
-	err := sc.scanObject(func(key string) error {
+	// A null field stays empty.
+	err := r.Object(func(key string) error {
 		switch key {
 		case "id":
-			return strField(&in.ID)
+			return r.String(&in.ID)
 		case "estRows":
-			return strField(&in.EstRows)
+			return r.String(&in.EstRows)
 		case "actRows":
-			return strField(&in.ActRows)
+			return r.String(&in.ActRows)
 		case "taskType":
-			return strField(&in.TaskType)
+			return r.String(&in.TaskType)
 		case "accessObject":
-			return strField(&in.AccessObject)
+			return r.String(&in.AccessObject)
 		case "operatorInfo":
-			return strField(&in.OperatorInfo)
+			return r.String(&in.OperatorInfo)
 		case "subOperators":
-			if sc.peek() == 'n' {
-				return sc.scanLiteral("null")
+			if r.Null() {
+				return nil
 			}
-			return sc.scanArray(func(int) error {
-				child, err := c.scanJSONNode(sc, ar)
+			return r.Array(func(int) error {
+				child, err := c.scanJSONNode(r, ar)
 				if err != nil {
 					return err
 				}
@@ -549,7 +597,7 @@ func (c *tidbConverter) scanJSONNode(sc *jsonScan, ar *core.PlanArena) (*core.No
 				return nil
 			})
 		default:
-			return sc.skipValue()
+			return r.Skip()
 		}
 	})
 	if err != nil {
@@ -608,30 +656,30 @@ var mongoJSON = jsonShape{dialect: "mongodb", opKey: "stage", children: "inputSt
 //uplan:hotpath
 func (c *mongoConverter) ConvertIn(s string, ar *core.PlanArena) (*core.Plan, error) {
 	w := newJSONWalk(s, ar, c.reg, &mongoJSON)
-	sc := &w.sc
+	r := &w.r
 	plan := &core.Plan{Source: "mongodb"}
 	foundQP := false
-	err := sc.scanObject(func(key string) error {
-		if sc.peek() != '{' {
-			return sc.skipValue()
+	err := r.Object(func(key string) error {
+		if r.Peek() != '{' {
+			return r.Skip()
 		}
 		switch key {
 		case "queryPlanner":
 			foundQP = true
-			return sc.scanObject(func(qk string) error {
+			return r.Object(func(qk string) error {
 				switch qk {
 				case "namespace":
 					return w.planProp(plan, qk)
 				case "winningPlan":
 					return w.root(plan)
 				default:
-					return sc.skipValue()
+					return r.Skip()
 				}
 			})
 		case "executionStats":
-			return sc.scanObject(func(ek string) error { return w.planProp(plan, ek) })
+			return r.Object(func(ek string) error { return w.planProp(plan, ek) })
 		default:
-			return sc.skipValue()
+			return r.Skip()
 		}
 	})
 	if err != nil {
@@ -658,7 +706,7 @@ var neo4jJSON = jsonShape{
 func (c *neo4jConverter) convertJSON(s string, ar *core.PlanArena) (*core.Plan, error) {
 	w := newJSONWalk(s, ar, c.reg, &neo4jJSON)
 	plan := &core.Plan{Source: "neo4j"}
-	err := w.sc.scanObject(func(key string) error {
+	err := w.r.Object(func(key string) error {
 		if key == "plan" {
 			return w.root(plan)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // xmlScan is a single-pass XML tokenizer over an input string, the XML
-// counterpart of jsonScan. The PostgreSQL and SQL Server XML converters
+// counterpart of core.JSONReader. The PostgreSQL and SQL Server XML converters
 // pull elements, attributes and character data from it and build
 // core.Nodes straight into the caller's arena, so a conversion builds no
 // intermediate element tree, copies no inner XML, and reads every byte
@@ -24,10 +24,10 @@ import (
 // decoder does: names, quoted attribute values, the five predefined
 // entities and character references to legal XML characters, UTF-8 and
 // the XML character range, "]]>" outside CDATA, "--" inside comments,
-// matching end tags, and the maxDepth nesting cap. Namespaced names are
-// reduced to their local part, "\r\n" and lone '\r' to '\n'. The
-// <?xml …?> declaration, other processing instructions and comments are
-// skipped; CDATA sections are character data.
+// matching end tags, and core.MaxNestingDepth, the JSON reader's nesting
+// cap. Namespaced names are reduced to their local part, "\r\n" and lone
+// '\r' to '\n'. The <?xml …?> declaration, other processing instructions
+// and comments are skipped; CDATA sections are character data.
 //
 // Deliberate divergences from the encoding/xml decoders the converters
 // used before: the whole input must be one well-formed document (one
@@ -416,7 +416,7 @@ func (sc *xmlScan) startTag() (raw, local string, err error) {
 		return "", "", err
 	}
 	sc.depth++
-	if sc.depth > maxDepth {
+	if sc.depth > core.MaxNestingDepth {
 		return "", "", sc.errf("exceeded max nesting depth")
 	}
 	sc.inTag = true

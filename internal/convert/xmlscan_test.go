@@ -152,8 +152,9 @@ func TestSQLServerXMLDepthLinear(t *testing.T) {
 	}
 }
 
-// TestXMLDepthCap checks the shared maxDepth nesting cap: a document
-// exactly maxDepth elements deep converts, one more level is an error.
+// TestXMLDepthCap checks the nesting cap the XML scanner shares with
+// the JSON reader, core.MaxNestingDepth: a document exactly that many
+// elements deep converts, one more level is an error.
 func TestXMLDepthCap(t *testing.T) {
 	pgDoc := func(queries int) string {
 		return "<explain>" + strings.Repeat("<Query>", queries) +
@@ -161,19 +162,19 @@ func TestXMLDepthCap(t *testing.T) {
 	}
 	cases := []struct {
 		dialect  string
-		ok, deep string // maxDepth and maxDepth+1 elements deep
+		ok, deep string // MaxNestingDepth and MaxNestingDepth+1 elements deep
 	}{
 		// ShowPlanXML plus the RelOps.
-		{"sqlserver", deepSQLServerChain(maxDepth-1, ""), deepSQLServerChain(maxDepth, "")},
+		{"sqlserver", deepSQLServerChain(core.MaxNestingDepth-1, ""), deepSQLServerChain(core.MaxNestingDepth, "")},
 		// explain, the Queries, Plan and Node-Type.
-		{"postgresql", pgDoc(maxDepth - 3), pgDoc(maxDepth - 2)},
+		{"postgresql", pgDoc(core.MaxNestingDepth - 3), pgDoc(core.MaxNestingDepth - 2)},
 	}
 	for _, tc := range cases {
 		if _, err := Convert(tc.dialect, tc.ok); err != nil {
-			t.Errorf("%s: %d-deep document: %v", tc.dialect, maxDepth, err)
+			t.Errorf("%s: %d-deep document: %v", tc.dialect, core.MaxNestingDepth, err)
 		}
 		if _, err := Convert(tc.dialect, tc.deep); err == nil || !strings.Contains(err.Error(), "max nesting depth") {
-			t.Errorf("%s: %d-deep document: err = %v, want the nesting cap", tc.dialect, maxDepth+1, err)
+			t.Errorf("%s: %d-deep document: err = %v, want the nesting cap", tc.dialect, core.MaxNestingDepth+1, err)
 		}
 	}
 }

@@ -30,29 +30,6 @@ import (
 // Unknown JSON fields are ignored on decode (forward compatibility);
 // the "tree" field is optional (InfluxDB-style property-only plans).
 
-type jsonPlan struct {
-	Source     string         `json:"source,omitempty"`
-	Tree       *jsonNode      `json:"tree,omitempty"`
-	Properties []jsonProperty `json:"properties,omitempty"`
-}
-
-type jsonNode struct {
-	Operation  jsonOperation  `json:"operation"`
-	Properties []jsonProperty `json:"properties,omitempty"`
-	Children   []*jsonNode    `json:"children,omitempty"`
-}
-
-type jsonOperation struct {
-	Category string `json:"category"`
-	Name     string `json:"name"`
-}
-
-type jsonProperty struct {
-	Category string          `json:"category"`
-	Name     string          `json:"name"`
-	Value    json.RawMessage `json:"value"`
-}
-
 // MarshalJSON implements json.Marshaler for Plan: the plan's canonical
 // JSON, as AppendJSON writes it, built in a pooled buffer and returned as
 // an exact-size copy.
@@ -172,105 +149,147 @@ func appendJSONValue(dst []byte, v Value) []byte {
 	}
 }
 
-// UnmarshalJSON implements json.Unmarshaler for Plan.
-func (p *Plan) UnmarshalJSON(data []byte) error {
-	var jp jsonPlan
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	if err := dec.Decode(&jp); err != nil {
-		return fmt.Errorf("core: invalid unified plan JSON: %w", err)
-	}
-	props, err := propsFromJSON(jp.Properties)
-	if err != nil {
-		return err
-	}
-	p.Source = jp.Source
-	p.Properties = props
-	var conv func(jn *jsonNode) (*Node, error)
-	conv = func(jn *jsonNode) (*Node, error) {
-		if jn == nil {
-			return nil, nil
-		}
-		props, err := propsFromJSON(jn.Properties)
-		if err != nil {
-			return nil, err
-		}
-		n := &Node{
-			Op: Operation{
-				Category: OperationCategory(jn.Operation.Category),
-				Name:     jn.Operation.Name,
-			},
-			Properties: props,
-		}
-		for _, jc := range jn.Children {
-			c, err := conv(jc)
-			if err != nil {
-				return nil, err
-			}
-			n.Children = append(n.Children, c)
-		}
-		return n, nil
-	}
-	root, err := conv(jp.Tree)
-	if err != nil {
-		return err
-	}
-	p.Root = root
-	return nil
-}
-
-func propsFromJSON(jprops []jsonProperty) ([]Property, error) {
-	var out []Property
-	for _, jp := range jprops {
-		v, err := valueFromRaw(jp.Value)
-		if err != nil {
-			return nil, fmt.Errorf("core: property %q: %w", jp.Name, err)
-		}
-		out = append(out, Property{
-			Category: PropertyCategory(jp.Category),
-			Name:     jp.Name,
-			Value:    v,
-		})
-	}
-	return out, nil
-}
-
-func valueFromRaw(raw json.RawMessage) (Value, error) {
-	if len(raw) == 0 {
-		return Null(), nil
-	}
-	var any interface{}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&any); err != nil {
-		return Value{}, err
-	}
-	switch t := any.(type) {
-	case nil:
-		return Null(), nil
-	case string:
-		return Str(t), nil
-	case bool:
-		return BoolVal(t), nil
-	case json.Number:
-		f, err := t.Float64()
-		if err != nil {
-			return Value{}, err
-		}
-		return Num(f), nil
-	default:
-		// Composite values (arrays/objects) are flattened to their JSON
-		// text; the grammar only supports scalars, but tolerating composites
-		// keeps converters for exotic plans lossless.
-		return Str(string(raw)), nil
-	}
-}
-
-// ParseJSON parses a unified plan from its JSON serialization.
+// ParseJSON parses a unified plan from its JSON serialization (the schema
+// above) in one pass through JSONReader. A string value stays a Str, an
+// object or array value becomes a Str of its exact source text, and a
+// number outside float64's range is an error. Unknown keys are ignored,
+// and a null leaves its field as it was: a null child is a nil child, and
+// a null property element is a zero property with a Null value. Four
+// things differ from decoding the schema with encoding/json:
+//
+//   - keys match with exact case: {"Source": "x"} sets no source;
+//   - anything but whitespace after the plan is an error;
+//   - a repeated key's earlier value is read, then replaced: a repeated
+//     "tree", "properties" or "children" does not merge into the earlier
+//     one element by element, and a number out of range under a replaced
+//     "value" is still an error;
+//   - strings with invalid UTF-8 pass through unchanged instead of
+//     becoming U+FFFD.
+//
+// Every error starts with "core: invalid unified plan JSON:".
 func ParseJSON(data []byte) (*Plan, error) {
 	p := &Plan{}
 	if err := p.UnmarshalJSON(data); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler for Plan by ParseJSON's rules.
+// The plan's strings share one copy of data.
+func (p *Plan) UnmarshalJSON(data []byte) error {
+	r := NewJSONReader(string(data), nil)
+	var q Plan
+	err := r.Object(func(key string) error {
+		var err error
+		switch key {
+		case "source":
+			return r.String(&q.Source)
+		case "tree":
+			q.Root, err = readJSONNode(&r)
+			return err
+		case "properties":
+			q.Properties, err = readJSONProperties(&r)
+			return err
+		}
+		return r.Skip()
+	})
+	if err == nil {
+		err = r.End()
+	}
+	if err != nil {
+		return fmt.Errorf("core: invalid unified plan JSON: %w", err)
+	}
+	*p = q
+	return nil
+}
+
+// readJSONNode reads one node and its subtree; null is a nil node.
+func readJSONNode(r *JSONReader) (*Node, error) {
+	if r.Null() {
+		return nil, nil
+	}
+	n := &Node{}
+	err := r.Object(func(key string) error {
+		var err error
+		switch key {
+		case "operation":
+			return r.Object(func(key string) error {
+				switch key {
+				case "category":
+					return r.String((*string)(&n.Op.Category))
+				case "name":
+					return r.String(&n.Op.Name)
+				}
+				return r.Skip()
+			})
+		case "properties":
+			n.Properties, err = readJSONProperties(r)
+			return err
+		case "children":
+			n.Children = nil
+			if r.Null() {
+				return nil
+			}
+			return r.Array(func(int) error {
+				c, err := readJSONNode(r)
+				n.Children = append(n.Children, c)
+				return err
+			})
+		}
+		return r.Skip()
+	})
+	return n, err
+}
+
+// readJSONProperties reads a property list; null and [] are nil.
+func readJSONProperties(r *JSONReader) ([]Property, error) {
+	if r.Null() {
+		return nil, nil
+	}
+	var props []Property
+	err := r.Array(func(int) error {
+		var pr Property
+		err := r.Object(func(key string) error {
+			var err error
+			switch key {
+			case "category":
+				return r.String((*string)(&pr.Category))
+			case "name":
+				return r.String(&pr.Name)
+			case "value":
+				pr.Value, err = readJSONValue(r)
+				return err
+			}
+			return r.Skip()
+		})
+		props = append(props, pr)
+		return err
+	})
+	return props, err
+}
+
+// readJSONValue reads one property value.
+func readJSONValue(r *JSONReader) (Value, error) {
+	switch r.Peek() {
+	case '"':
+		var s string
+		err := r.String(&s)
+		return Str(s), err
+	case '{', '[':
+		raw, err := r.Raw()
+		return Str(raw), err
+	case 't', 'f':
+		b, err := r.Bool()
+		return BoolVal(b), err
+	}
+	if r.Null() {
+		return Null(), nil
+	}
+	lit, err := r.Number()
+	if err != nil {
+		return Null(), err
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	return Num(f), err
 }

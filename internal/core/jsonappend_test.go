@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"uplan/internal/bench"
@@ -158,10 +159,13 @@ func TestAppendJSONMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzPlanJSON: for every input ParseJSON accepts, AppendJSON equals the
-// reference encoding, and encoding reaches a fixed point after one
-// re-parse. (One re-parse, not zero: an input string with invalid UTF-8
-// is written as U+FFFD escapes, which parse back as the valid rune.)
+// FuzzPlanJSON: ParseJSON accepts exactly what the retained encoding/json
+// decoder accepts and builds an equal plan, except on the inputs that
+// differ by design (divergesByDesign); for every input ParseJSON accepts,
+// AppendJSON equals the reference encoding, and encoding reaches a fixed
+// point after one re-parse. (One re-parse, not zero: an input string with
+// invalid UTF-8 is written as U+FFFD escapes, which parse back as the
+// valid rune.)
 func FuzzPlanJSON(f *testing.F) {
 	for _, p := range corpusPlans(f, 42)[:24] {
 		f.Add(p.AppendJSON(nil))
@@ -171,7 +175,16 @@ func FuzzPlanJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"source":"x","tree":{"operation":{"category":"Producer","name":"s"},"children":[null,{}]}}`))
 	f.Add([]byte(`{"Source":"x","properties":[{"category":"Status","name":"n","value":[1,{"a":"<"}]}]}`))
+	// Nested one level past the reader's depth cap, and exactly at it.
+	nested := func(depth int) []byte {
+		return []byte(`{"properties":[{"name":"n","value":` + strings.Repeat("[", depth-3) + strings.Repeat("]", depth-3) + `}]}`)
+	}
+	f.Add(nested(core.MaxNestingDepth + 1))
+	f.Add(nested(core.MaxNestingDepth))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if !divergesByDesign(data) {
+			checkParseAgainstReference(t, "input", data)
+		}
 		p, err := core.ParseJSON(data)
 		if err != nil {
 			return

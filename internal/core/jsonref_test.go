@@ -1,17 +1,134 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 )
 
-// This file retains the encoding/json marshal path Plan.MarshalJSON used
-// before the appending encoder: the plan is copied into the jsonPlan
-// structs with every value pre-encoded as a json.RawMessage, and
-// json.Marshal writes the result. It serves one purpose: it is the
-// reference the encoder property tests (jsonenc_test.go) compare
-// AppendJSON and MarshalJSONIndent against, byte for byte.
+// This file retains the encoding/json paths the plan's JSON used before
+// the appending encoder and JSONReader: the jsonPlan structs below, the
+// marshal path that copies a plan into them with every value pre-encoded
+// as a json.RawMessage, and the decoder that reads them back with
+// json.Decoder and UseNumber, then decodes each property value a second
+// time. They serve one purpose: they are the references the property
+// tests compare AppendJSON and MarshalJSONIndent (jsonappend_test.go)
+// and ParseJSON (jsonparse_test.go) against.
+
+type jsonPlan struct {
+	Source     string         `json:"source,omitempty"`
+	Tree       *jsonNode      `json:"tree,omitempty"`
+	Properties []jsonProperty `json:"properties,omitempty"`
+}
+
+type jsonNode struct {
+	Operation  jsonOperation  `json:"operation"`
+	Properties []jsonProperty `json:"properties,omitempty"`
+	Children   []*jsonNode    `json:"children,omitempty"`
+}
+
+type jsonOperation struct {
+	Category string `json:"category"`
+	Name     string `json:"name"`
+}
+
+type jsonProperty struct {
+	Category string          `json:"category"`
+	Name     string          `json:"name"`
+	Value    json.RawMessage `json:"value"`
+}
+
+// ReferenceParseJSON is the reference decoding of data.
+func ReferenceParseJSON(data []byte) (*Plan, error) {
+	var jp jsonPlan
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
+	if err := dec.Decode(&jp); err != nil {
+		return nil, fmt.Errorf("core: invalid unified plan JSON: %w", err)
+	}
+	props, err := propsFromJSON(jp.Properties)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{Source: jp.Source, Properties: props}
+	var conv func(jn *jsonNode) (*Node, error)
+	conv = func(jn *jsonNode) (*Node, error) {
+		if jn == nil {
+			return nil, nil
+		}
+		props, err := propsFromJSON(jn.Properties)
+		if err != nil {
+			return nil, err
+		}
+		n := &Node{
+			Op: Operation{
+				Category: OperationCategory(jn.Operation.Category),
+				Name:     jn.Operation.Name,
+			},
+			Properties: props,
+		}
+		for _, jc := range jn.Children {
+			c, err := conv(jc)
+			if err != nil {
+				return nil, err
+			}
+			n.Children = append(n.Children, c)
+		}
+		return n, nil
+	}
+	if p.Root, err = conv(jp.Tree); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func propsFromJSON(jprops []jsonProperty) ([]Property, error) {
+	var out []Property
+	for _, jp := range jprops {
+		v, err := valueFromRaw(jp.Value)
+		if err != nil {
+			return nil, fmt.Errorf("core: property %q: %w", jp.Name, err)
+		}
+		out = append(out, Property{
+			Category: PropertyCategory(jp.Category),
+			Name:     jp.Name,
+			Value:    v,
+		})
+	}
+	return out, nil
+}
+
+func valueFromRaw(raw json.RawMessage) (Value, error) {
+	if len(raw) == 0 {
+		return Null(), nil
+	}
+	var any interface{}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&any); err != nil {
+		return Value{}, err
+	}
+	switch t := any.(type) {
+	case nil:
+		return Null(), nil
+	case string:
+		return Str(t), nil
+	case bool:
+		return BoolVal(t), nil
+	case json.Number:
+		f, err := t.Float64()
+		if err != nil {
+			return Value{}, err
+		}
+		return Num(f), nil
+	default:
+		// Composite values (arrays/objects) are flattened to their JSON
+		// text.
+		return Str(string(raw)), nil
+	}
+}
 
 // ReferenceMarshalJSON is the reference encoding of p.
 func ReferenceMarshalJSON(p *Plan) ([]byte, error) {

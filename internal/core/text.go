@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -552,8 +553,9 @@ func parseValueLiteral(s string) (Value, error) {
 		return Str(u), nil
 	default:
 		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			// Be forgiving: unquoted free text is a string.
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			// Be forgiving: unquoted free text, the NaN and Inf words
+			// included, is a string.
 			return Str(s), nil
 		}
 		return Num(f), nil

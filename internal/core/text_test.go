@@ -126,6 +126,20 @@ func TestParseValueKinds(t *testing.T) {
 			t.Errorf("property %d = %+v, want %+v", i, p.Properties[i].Value, w)
 		}
 	}
+	// MarshalIndentedText writes a non-finite number as a word. The
+	// one-line form refuses the word, and the indented form reads it as
+	// free text, so neither parser builds a non-finite number.
+	for _, word := range []string{"NaN", "+Inf", "-Inf"} {
+		if _, err := ParseText("Operation: Producer->Scan, Cost->c: " + word); err == nil {
+			t.Errorf("one-line %s accepted", word)
+		}
+		p, err := ParseText("Producer->Scan\n  Cost->c: " + word)
+		if err != nil {
+			t.Errorf("indented %s: %v", word, err)
+		} else if v := p.Root.Properties[0].Value; !v.Equal(Str(word)) {
+			t.Errorf("indented %s = %+v, want the string", word, v)
+		}
+	}
 }
 
 func TestParseErrors(t *testing.T) {

@@ -490,8 +490,9 @@ func propsEqual(a, b []Property) bool {
 }
 
 // Validate checks the plan against the unified grammar: categories must be
-// known (unless opts.AllowUnknownCategories), names must be non-empty, and
-// the tree must be acyclic (guaranteed by construction but checked
+// known (unless opts.AllowUnknownCategories), names must be non-empty,
+// numbers must be finite (JSON writes a NaN or an infinity as null, so the
+// serializations would disagree), and the tree must be acyclic (guaranteed by construction but checked
 // defensively against aliasing).
 func (p *Plan) Validate(opts ...ValidateOption) error {
 	var cfg validateConfig
@@ -540,6 +541,9 @@ func validateProperty(pr Property, cfg validateConfig) error {
 	}
 	if !pr.Category.Valid() && !cfg.allowUnknownCategories {
 		return fmt.Errorf("core: unknown property category %q", pr.Category)
+	}
+	if pr.Value.Kind == KindNumber && (math.IsNaN(pr.Value.Num) || math.IsInf(pr.Value.Num, 0)) {
+		return fmt.Errorf("core: property %q: non-finite number %v", pr.Name, pr.Value.Num)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,14 @@ func TestValidate(t *testing.T) {
 	shared.Root.Children = append(shared.Root.Children, shared.Root.Children[0])
 	if err := shared.Validate(); err == nil {
 		t.Error("aliased node must be rejected")
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		node, plan := samplePlan(), samplePlan()
+		node.Root.Children[0].AddProperty(Cost, "cost", Num(f))
+		plan.AddProperty(Cost, "cost", Num(f))
+		if node.Validate() == nil || plan.Validate() == nil {
+			t.Errorf("Num(%v) must be rejected", f)
+		}
 	}
 }
 

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"uplan/internal/convert"
+	"uplan/internal/core"
 	"uplan/internal/jsonenc"
 )
 
 // The JSON wire format's hand-written codecs. Request bodies are read by
-// the converters' JSON scanner (convert.JSONReader) in one pass, with
+// the library's one JSON reader (core.JSONReader) in one pass, with
 // encoding/json's struct semantics: a null leaves a field alone, a
 // repeated key overwrites (and a repeated "records" array decodes over
 // the earlier one element by element), an unknown field is an error, and
@@ -31,7 +31,7 @@ func unknownField(key string) error {
 // readConvertRequest reads one ConvertRequest object into dst.
 //
 //uplan:hotpath
-func readConvertRequest(r *convert.JSONReader, dst *ConvertRequest) error {
+func readConvertRequest(r *core.JSONReader, dst *ConvertRequest) error {
 	return r.Object(func(key string) error {
 		switch key {
 		case "dialect":
@@ -49,7 +49,7 @@ func readConvertRequest(r *convert.JSONReader, dst *ConvertRequest) error {
 //uplan:hotpath
 func decodeConvertRequest(body []byte) (ConvertRequest, error) {
 	var req ConvertRequest
-	r := convert.NewJSONReader(string(body))
+	r := core.NewJSONReader(string(body), nil)
 	if err := readConvertRequest(&r, &req); err != nil {
 		return ConvertRequest{}, err
 	}
@@ -61,7 +61,7 @@ func decodeConvertRequest(body []byte) (ConvertRequest, error) {
 // batch costs one record slice of maxRecords, not one of every record.
 func decodeBatchRequest(body []byte, maxRecords int) (BatchRequest, error) {
 	var req BatchRequest
-	r := convert.NewJSONReader(string(body))
+	r := core.NewJSONReader(string(body), nil)
 	err := r.Object(func(key string) error {
 		if key != "records" {
 			return unknownField(key)
@@ -101,7 +101,7 @@ func decodeBatchRequest(body []byte, maxRecords int) (BatchRequest, error) {
 // decodeCompareRequest decodes one JSON compare request body.
 func decodeCompareRequest(body []byte) (CompareRequest, error) {
 	var req CompareRequest
-	r := convert.NewJSONReader(string(body))
+	r := core.NewJSONReader(string(body), nil)
 	err := r.Object(func(key string) error {
 		switch key {
 		case "a":
@@ -125,7 +125,7 @@ func decodeCompareRequest(body []byte) (CompareRequest, error) {
 //uplan:hotpath
 func DecodeConvertResponse(body []byte) (ConvertResponse, error) {
 	var resp ConvertResponse
-	r := convert.NewJSONReader(string(body))
+	r := core.NewJSONReader(string(body), nil)
 	err := r.Object(func(key string) error {
 		switch key {
 		case "dialect":

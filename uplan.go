@@ -268,7 +268,15 @@ func DecodeBinary(data []byte, ar *Arena) (*Plan, error) {
 // strict EBNF form or the indented human-readable form).
 func ParseText(s string) (*Plan, error) { return core.ParseText(s) }
 
-// ParseJSON parses a unified plan from its JSON serialization.
+// ParseJSON parses a unified plan from its JSON serialization by
+// core.ParseJSON's rules: a string value stays a string, an object or
+// array value becomes a string of its exact source text, a number outside
+// float64's range is an error, unknown keys are ignored, and a null leaves
+// its field as it was. Unlike decoding the schema with encoding/json, keys
+// match with exact case, anything but whitespace after the plan is an
+// error, a repeated key replaces its earlier value instead of merging into
+// it, and strings with invalid UTF-8 pass through instead of becoming
+// U+FFFD.
 func ParseJSON(data []byte) (*Plan, error) { return core.ParseJSON(data) }
 
 // DefaultRegistry returns a fresh copy of the built-in naming registry
